@@ -60,7 +60,10 @@ use crate::config::DetectorConfig;
 use crate::fxhash::FxHashSet;
 use crate::merge::{self, RoutingLoop};
 use crate::record::TraceRecord;
-use crate::replica::{normalise_fp, CandidateScanner, DetectionResult, DetectionStats};
+use crate::replica::{
+    normalise_fp, publish_checksum_splits, publish_scan_totals, CandidateScanner, DetectionResult,
+    DetectionStats,
+};
 use crate::shard::shard_of;
 use crate::stream::ReplicaStream;
 use crate::validate::{self, IndexPartial, PrefixIndex};
@@ -170,6 +173,7 @@ impl BlockParallelDetector {
             let _t = telemetry::span("block.reconcile");
             self.reconcile(records, &splits, partials)
         };
+        publish_checksum_splits(checksum_splits);
 
         let mut stats = DetectionStats {
             total_records: records.len() as u64,
@@ -252,7 +256,8 @@ impl BlockParallelDetector {
                             for (off, rec) in slice.iter().enumerate() {
                                 scanner.push(lo + off, rec);
                             }
-                            let (candidates, _counters, split_fps) = scanner.finish_with_splits();
+                            let (candidates, counters, split_fps) = scanner.finish_with_splits();
+                            publish_scan_totals(slice.len(), &counters);
                             let scan_ns = started.elapsed().as_nanos() as u64;
                             telemetry::global()
                                 .timer(block_metric(w, "scan"))

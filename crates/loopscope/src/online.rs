@@ -14,6 +14,28 @@
 //! packet history is retained for the co-loop and gap-clean rules. The
 //! default horizon covers the merge gap, which is what exact equivalence
 //! requires.
+//!
+//! # Cost per record
+//!
+//! A push costs amortised O(1) outside the moments evidence completes.
+//! Because records arrive in time order, every deadline the detector waits
+//! on is kept in a structure ordered by time:
+//!
+//! * **Candidate expiry** pops a FIFO of `(last sighting, key)` entries up
+//!   to the replica-gap cutoff instead of scanning every open candidate.
+//!   Entries whose candidate has since grown or closed are skipped.
+//! * **Loop finalisation** is gated per /24. A loop is final only once its
+//!   end plus the merge gap lies before a barrier: the earlier of `now` and
+//!   the start of the /24's oldest open candidate. Each /24 records what
+//!   must happen before it can emit: time must pass its first pending
+//!   loop's end plus the merge gap, or the open candidates that started by
+//!   then must close. The per-/24 pass has no effect other than emitting,
+//!   so it is skipped until one of those happens somewhere (`flush_due` is
+//!   the earliest such time).
+//! * **History trimming** pops a FIFO of the /24s of all retained records,
+//!   oldest first, so each record is trimmed exactly once.
+//! * **Gap-clean and co-loop windows** are binary-searched in each /24's
+//!   time-sorted history.
 
 use crate::config::DetectorConfig;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -21,10 +43,16 @@ use crate::key::ReplicaKey;
 use crate::merge::RoutingLoop;
 use crate::record::TraceRecord;
 use crate::stream::{Observation, ReplicaStream};
+use net_types::Ipv4Prefix;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::ops::Range;
 use telemetry::trace::{self, TraceName};
 use telemetry::{tm_trace, LazyCounter, LazyGauge};
 
+// Fleet totals: every live detector adds its share as a delta and takes it
+// back when it is dropped, so concurrent detectors sum instead of
+// overwriting each other.
 static TM_OPEN_CANDIDATES: LazyGauge = LazyGauge::new("online.open_candidates");
 static TM_PREFIX_HISTORY: LazyGauge = LazyGauge::new("online.prefix_history");
 static TM_STREAMS_EMITTED: LazyCounter = LazyCounter::new("online.streams_emitted");
@@ -47,22 +75,56 @@ pub enum OnlineEvent {
 
 #[derive(Debug)]
 struct OpenCandidate {
+    /// The opening sighting and its record sequence number, held inline:
+    /// almost every candidate never sees a second sighting, and those
+    /// allocate nothing.
+    first: Observation,
+    first_seq: u64,
+    /// The latest sighting (`first` until the candidate grows).
+    last: Observation,
+    /// Every sighting with its sequence number, filled from the second
+    /// sighting on; empty (and unallocated) before that.
     observations: Vec<Observation>,
     record_seqs: Vec<u64>,
     last_ip_checksum: u16,
     protocol: u8,
 }
 
+/// The order in which candidates expiring on the same push are closed:
+/// `(start, ident, first record sequence number)`. The sequence number is
+/// unique per candidate, so the order is total.
+type CloseOrder = (u64, u16, u64, ReplicaKey);
+
+/// What must happen before a /24's pending streams can yield a final loop.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Recheck {
+    /// Nothing is pending.
+    #[default]
+    Idle,
+    /// `now` must pass this time: the first pending loop's end plus the
+    /// merge gap.
+    After(u64),
+    /// The first pending loop's end plus the merge gap, `horizon`, has
+    /// passed, but `open` candidates that started by `horizon` hold the
+    /// barrier back; all of them must close.
+    Blocked { horizon: u64, open: usize },
+    /// Look on the next pass: the blocking candidates have closed.
+    Now,
+}
+
 #[derive(Debug, Default)]
 struct PrefixState {
-    /// Recent records to this /24: `(timestamp, record sequence number)`.
+    /// Recent records to this /24: `(timestamp, record sequence number)`,
+    /// in time order.
     history: VecDeque<(u64, u64)>,
     /// Validated streams not yet committed to an emitted loop. Merging is
     /// deferred until no open candidate can change the outcome, so the
     /// result is byte-identical to the offline merge.
     pending: Vec<ReplicaStream>,
-    /// First-observation time of every open candidate to this prefix.
-    open_cands: FxHashMap<ReplicaKey, u64>,
+    /// First-observation time of every open candidate to this prefix,
+    /// keyed by the candidate's first record sequence number.
+    open_cands: FxHashMap<u64, u64>,
+    recheck: Recheck,
 }
 
 /// Single-pass detector.
@@ -72,12 +134,23 @@ pub struct OnlineDetector {
     now: u64,
     seq: u64,
     open: FxHashMap<ReplicaKey, OpenCandidate>,
-    prefixes: FxHashMap<net_types::Ipv4Prefix, PrefixState>,
+    prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
     /// Sequence numbers of records known to belong to a candidate with at
     /// least two sightings ("looped" in the §IV-A.2 sense).
     looped_seqs: FxHashSet<u64>,
-    /// Validated streams waiting for their prefix's loop to close; kept
-    /// inside `open_loop` once merged.
+    /// `(timestamp, key)` of every sighting that created or grew a
+    /// candidate, in push (hence time) order: the expiry queue.
+    expiry: VecDeque<(u64, ReplicaKey)>,
+    /// The /24 of every record still in some prefix history, oldest first:
+    /// the trim queue. Its length is this detector's history total.
+    history_order: VecDeque<Ipv4Prefix>,
+    /// The earliest `Recheck::After` time over all /24s (`u64::MAX` when
+    /// there is none).
+    flush_due: u64,
+    /// Number of /24s in `Recheck::Now`.
+    recheck_now: usize,
+    /// This detector's current contribution to the open-candidates gauge.
+    reported_open: i64,
     stats: OnlineStats,
 }
 
@@ -145,6 +218,11 @@ impl OnlineDetector {
             open: FxHashMap::default(),
             prefixes: FxHashMap::default(),
             looped_seqs: FxHashSet::default(),
+            expiry: VecDeque::new(),
+            history_order: VecDeque::new(),
+            flush_due: u64::MAX,
+            recheck_now: 0,
+            reported_open: 0,
             stats: OnlineStats::default(),
         }
     }
@@ -186,67 +264,78 @@ impl OnlineDetector {
         // Expire stale candidates and quiet loops *before* processing, so
         // a record at time T sees exactly the state the offline pass would
         // have built from records before T.
-        self.expire(&mut events);
+        let trimmed = self.expire(&mut events);
 
         // Record history for the co-loop / gap-clean rules.
-        let prefix = rec.dst_slash24();
+        let key = ReplicaKey::of(rec);
+        let prefix = Ipv4Prefix::slash24_of(key.dst);
         let pstate = self.prefixes.entry(prefix).or_default();
         pstate.history.push_back((rec.timestamp_ns, seq));
-        TM_PREFIX_HISTORY.add(1);
+        self.history_order.push_back(prefix);
+        // One history entry in, `trimmed` out: publish only the net change.
+        if trimmed != 1 {
+            TM_PREFIX_HISTORY.add(1 - trimmed as i64);
+        }
+        self.expiry.push_back((rec.timestamp_ns, key));
+        let obs = Observation {
+            timestamp_ns: rec.timestamp_ns,
+            ttl: rec.ttl,
+        };
 
         // Step 1 (incremental): candidate join / split.
-        let key = ReplicaKey::of(rec);
-        match self.open.get_mut(&key) {
-            Some(cand) => {
-                let last = *cand.observations.last().expect("non-empty");
+        let mut closed = None;
+        match self.open.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(OpenCandidate::new(rec, seq));
+                pstate.open_cands.insert(seq, rec.timestamp_ns);
+            }
+            Entry::Occupied(mut slot) => {
+                let cand = slot.get_mut();
                 // The same continuation rule, verbatim, as the offline
                 // scanner — equivalence depends on it.
                 let check = crate::replica::check_continuation(
                     &self.cfg,
-                    last,
+                    cand.last,
                     cand.last_ip_checksum,
                     cand.protocol,
                     rec,
                 );
                 if check.joins {
-                    cand.observations.push(Observation {
-                        timestamp_ns: rec.timestamp_ns,
-                        ttl: rec.ttl,
-                    });
-                    cand.record_seqs.push(seq);
-                    cand.last_ip_checksum = rec.ip_checksum;
-                    if cand.observations.len() == 2 {
+                    if cand.observations.is_empty() {
+                        // Second sighting: the candidate becomes a real
+                        // replica set and its first record counts as looped.
                         self.stats.raw_candidates += 1;
-                        for s in &cand.record_seqs {
-                            self.looped_seqs.insert(*s);
-                        }
-                    } else if cand.observations.len() > 2 {
-                        self.looped_seqs.insert(seq);
+                        self.looped_seqs.insert(cand.first_seq);
+                        cand.observations = vec![cand.first, obs];
+                        cand.record_seqs = vec![cand.first_seq, seq];
+                    } else {
+                        cand.observations.push(obs);
+                        cand.record_seqs.push(seq);
                     }
+                    self.looped_seqs.insert(seq);
+                    cand.last = obs;
+                    cand.last_ip_checksum = rec.ip_checksum;
                 } else {
                     if check.checksum_split {
                         self.stats.checksum_splits += 1;
                     }
-                    let cand = self.open.remove(&key).unwrap();
-                    self.close_candidate(key, cand, &mut events);
-                    self.open.insert(key, OpenCandidate::new(rec, seq));
-                    self.prefixes
-                        .entry(prefix)
-                        .or_default()
-                        .open_cands
-                        .insert(key, rec.timestamp_ns);
+                    closed = Some(std::mem::replace(cand, OpenCandidate::new(rec, seq)));
                 }
             }
-            None => {
-                self.open.insert(key, OpenCandidate::new(rec, seq));
-                self.prefixes
-                    .entry(prefix)
-                    .or_default()
-                    .open_cands
-                    .insert(key, rec.timestamp_ns);
-            }
         }
-        TM_OPEN_CANDIDATES.set(self.open.len() as i64);
+        if let Some(cand) = closed {
+            self.close_candidate(key, cand, &mut events);
+            self.prefixes
+                .get_mut(&prefix)
+                .expect("the record's /24 has state")
+                .open_cands
+                .insert(seq, rec.timestamp_ns);
+        }
+        let open = self.open.len() as i64;
+        if open != self.reported_open {
+            TM_OPEN_CANDIDATES.add(open - self.reported_open);
+            self.reported_open = open;
+        }
         events
     }
 
@@ -254,20 +343,18 @@ impl OnlineDetector {
     /// the final counters.
     pub fn finish(mut self) -> (Vec<OnlineEvent>, OnlineStats) {
         let mut events = Vec::new();
-        let mut keys: Vec<(u64, u16, ReplicaKey)> = self
+        let all: Vec<CloseOrder> = self
             .open
             .iter()
-            .map(|(k, c)| (c.observations[0].timestamp_ns, k.ident, *k))
+            .map(|(k, c)| (c.first.timestamp_ns, k.ident, c.first_seq, *k))
             .collect();
-        keys.sort_unstable_by_key(|(start, ident, _)| (*start, *ident));
-        for (_, _, key) in keys {
-            let cand = self.open.remove(&key).unwrap();
-            self.close_candidate(key, cand, &mut events);
-        }
+        self.close_in_order(all, &mut events);
         // Force-flush every pending loop.
-        let prefixes: Vec<net_types::Ipv4Prefix> = self.prefixes.keys().copied().collect();
-        for p in prefixes {
-            self.flush_final_loops(p, true, &mut events);
+        for (prefix, state) in &mut self.prefixes {
+            let (loops, _) = state.take_final_loops(*prefix, &self.cfg, &self.looped_seqs, None);
+            for l in loops {
+                emit_loop(&mut self.stats, &mut events, l);
+            }
         }
         events.sort_by_key(|e| match e {
             OnlineEvent::Stream(s) => (0u8, s.start_ns(), s.key.ident),
@@ -276,123 +363,94 @@ impl OnlineDetector {
         (events, self.stats)
     }
 
-    fn expire(&mut self, events: &mut Vec<OnlineEvent>) {
+    /// Closes stale candidates, emits loops that became final and trims
+    /// history past the horizon. Returns how many history entries were
+    /// trimmed.
+    fn expire(&mut self, events: &mut Vec<OnlineEvent>) -> usize {
         // Candidates silent past the replica gap can never grow again.
-        // Close them in stream-start order (HashMap order would make the
-        // output depend on hasher state).
         let cutoff = self.now.saturating_sub(self.cfg.max_replica_gap_ns);
-        let mut stale: Vec<(u64, u16, ReplicaKey)> = self
-            .open
-            .iter()
-            .filter(|(_, c)| c.observations.last().unwrap().timestamp_ns < cutoff)
-            .map(|(k, c)| (c.observations[0].timestamp_ns, k.ident, *k))
-            .collect();
-        stale.sort_unstable_by_key(|(start, ident, _)| (*start, *ident));
-        for (_, _, key) in stale {
-            let cand = self.open.remove(&key).unwrap();
+        let mut stale: Vec<CloseOrder> = Vec::new();
+        while let Some(&(ts, key)) = self.expiry.front() {
+            if ts >= cutoff {
+                break;
+            }
+            self.expiry.pop_front();
+            // An entry whose candidate has since grown or closed is stale
+            // itself; the candidate's latest sighting has its own entry.
+            if let Some(c) = self.open.get(&key) {
+                if c.last.timestamp_ns == ts {
+                    stale.push((c.first.timestamp_ns, key.ident, c.first_seq, key));
+                }
+            }
+        }
+        if !stale.is_empty() {
+            self.close_in_order(stale, events);
+        }
+
+        // Emit loops whose composition can no longer change. Only /24s
+        // whose recheck condition has come true can emit, so the pass is
+        // skipped until one has; it visits the /24s in map order.
+        if self.now > self.flush_due || self.recheck_now > 0 {
+            let now = self.now;
+            let mut due = u64::MAX;
+            for (prefix, state) in &mut self.prefixes {
+                let look = match state.recheck {
+                    Recheck::Now => true,
+                    Recheck::After(t) => now > t,
+                    Recheck::Idle | Recheck::Blocked { .. } => false,
+                };
+                if look {
+                    let (loops, next) =
+                        state.take_final_loops(*prefix, &self.cfg, &self.looped_seqs, Some(now));
+                    for l in loops {
+                        emit_loop(&mut self.stats, events, l);
+                    }
+                    state.recheck = match next {
+                        None => Recheck::Idle,
+                        Some(horizon) if horizon >= now => Recheck::After(horizon),
+                        Some(horizon) => Recheck::Blocked {
+                            horizon,
+                            open: state.open_cands.values().filter(|&&t| t <= horizon).count(),
+                        },
+                    };
+                }
+                if let Recheck::After(t) = state.recheck {
+                    due = due.min(t);
+                }
+            }
+            self.flush_due = due;
+            self.recheck_now = 0;
+        }
+
+        // Trim history, oldest record first.
+        let h_cutoff = self.now.saturating_sub(self.history_horizon_ns);
+        let mut trimmed = 0;
+        while let Some(&prefix) = self.history_order.front() {
+            let state = self.prefixes.get_mut(&prefix).expect("history prefix");
+            let &(t, old_seq) = state
+                .history
+                .front()
+                .expect("trim queue and prefix history agree");
+            if t >= h_cutoff {
+                break;
+            }
+            state.history.pop_front();
+            self.history_order.pop_front();
+            self.looped_seqs.remove(&old_seq);
+            trimmed += 1;
+        }
+        trimmed
+    }
+
+    /// Closes the given candidates in `(start, ident, first seq)` order,
+    /// ignoring duplicate entries.
+    fn close_in_order(&mut self, mut keys: Vec<CloseOrder>, events: &mut Vec<OnlineEvent>) {
+        keys.sort_unstable_by_key(|&(start, ident, first_seq, _)| (start, ident, first_seq));
+        keys.dedup_by_key(|&mut (_, _, first_seq, _)| first_seq);
+        for (_, _, _, key) in keys {
+            let cand = self.open.remove(&key).expect("open candidate");
             self.close_candidate(key, cand, events);
         }
-        // Emit loops whose composition can no longer change, and trim
-        // history.
-        let prefixes: Vec<net_types::Ipv4Prefix> = self.prefixes.keys().copied().collect();
-        for p in prefixes {
-            self.flush_final_loops(p, false, events);
-            let state = self.prefixes.get_mut(&p).expect("listed");
-            let h_cutoff = self.now.saturating_sub(self.history_horizon_ns);
-            while state.history.front().is_some_and(|(t, _)| *t < h_cutoff) {
-                let (_, old_seq) = state.history.pop_front().unwrap();
-                self.looped_seqs.remove(&old_seq);
-                TM_PREFIX_HISTORY.add(-1);
-            }
-        }
-    }
-
-    /// Runs the offline merge over this prefix's pending streams and emits
-    /// every loop that no future stream can still join: future streams
-    /// start no earlier than `min(now, earliest open candidate)`, so a loop
-    /// whose end lies more than the merge gap before that point is final.
-    /// With `force`, everything is emitted (end of trace).
-    fn flush_final_loops(
-        &mut self,
-        prefix: net_types::Ipv4Prefix,
-        force: bool,
-        events: &mut Vec<OnlineEvent>,
-    ) {
-        let Some(state) = self.prefixes.get(&prefix) else {
-            return;
-        };
-        if state.pending.is_empty() {
-            return;
-        }
-        let barrier = state
-            .open_cands
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(u64::MAX)
-            .min(self.now);
-        // Offline-identical merge over pending streams, sorted by start.
-        let mut streams: Vec<ReplicaStream> = state.pending.clone();
-        streams.sort_by_key(|s| (s.start_ns(), s.end_ns(), s.key.ident));
-        let mut loops: Vec<RoutingLoop> = Vec::new();
-        for s in streams {
-            match loops.last_mut() {
-                Some(l)
-                    if s.start_ns() <= l.end_ns
-                        || (s.start_ns() - l.end_ns <= self.cfg.merge_gap_ns
-                            && self.gap_is_clean(prefix, l.end_ns, s.start_ns())) =>
-                {
-                    l.start_ns = l.start_ns.min(s.start_ns());
-                    l.end_ns = l.end_ns.max(s.end_ns());
-                    l.streams.push(s);
-                }
-                _ => loops.push(RoutingLoop {
-                    prefix,
-                    start_ns: s.start_ns(),
-                    end_ns: s.end_ns(),
-                    streams: vec![s],
-                }),
-            }
-        }
-        // Emit the final prefix-ordered loops; keep the rest pending.
-        let mut remaining: Vec<ReplicaStream> = Vec::new();
-        for l in loops {
-            let is_final = force || l.end_ns.saturating_add(self.cfg.merge_gap_ns) < barrier;
-            if is_final {
-                self.stats.loops_emitted += 1;
-                TM_LOOPS_EMITTED.inc();
-                trace::instant(&TR_LOOP_EMITTED);
-                tm_trace!(
-                    "loop finalised for {}: {} streams over {} ns",
-                    l.prefix,
-                    l.streams.len(),
-                    l.end_ns - l.start_ns
-                );
-                events.push(OnlineEvent::Loop(l));
-            } else {
-                remaining.extend(l.streams);
-            }
-        }
-        self.prefixes
-            .get_mut(&prefix)
-            .expect("still present")
-            .pending = remaining;
-    }
-
-    /// The offline gap-clean rule over retained history: no non-looped
-    /// packet to the prefix in the open interval `(from, to)`.
-    fn gap_is_clean(&self, prefix: net_types::Ipv4Prefix, from: u64, to: u64) -> bool {
-        if to <= from + 1 {
-            return true;
-        }
-        let Some(state) = self.prefixes.get(&prefix) else {
-            return true;
-        };
-        state
-            .history
-            .iter()
-            .filter(|(t, _)| *t > from && *t < to)
-            .all(|(_, seq)| self.looped_seqs.contains(seq))
     }
 
     fn close_candidate(
@@ -401,13 +459,22 @@ impl OnlineDetector {
         cand: OpenCandidate,
         events: &mut Vec<OnlineEvent>,
     ) {
-        if let Some(state) = self
+        let prefix = Ipv4Prefix::slash24_of(key.dst);
+        let state = self
             .prefixes
-            .get_mut(&net_types::Ipv4Prefix::slash24_of(key.dst))
-        {
-            state.open_cands.remove(&key);
+            .get_mut(&prefix)
+            .expect("every candidate's /24 has state");
+        state.open_cands.remove(&cand.first_seq);
+        if let Recheck::Blocked { horizon, open } = &mut state.recheck {
+            if cand.first.timestamp_ns <= *horizon {
+                *open -= 1;
+                if *open == 0 {
+                    state.recheck = Recheck::Now;
+                    self.recheck_now += 1;
+                }
+            }
         }
-        if cand.observations.len() < 2 {
+        if cand.observations.is_empty() {
             return;
         }
         let stream = ReplicaStream {
@@ -423,7 +490,9 @@ impl OnlineDetector {
             self.stats.rejected_short += 1;
             return;
         }
-        if self.cfg.covalidate_prefix && !self.co_loop_holds(&stream) {
+        if self.cfg.covalidate_prefix
+            && !self.prefixes[&prefix].co_loop_holds(&self.cfg, &self.looped_seqs, &stream)
+        {
             self.stats.rejected_covalidation += 1;
             return;
         }
@@ -434,39 +503,168 @@ impl OnlineDetector {
         events.push(OnlineEvent::Stream(stream.clone()));
         // Step 3 is deferred: the stream joins the prefix's pending set and
         // loops are emitted once their composition is final.
-        self.prefixes
-            .entry(stream.dst_slash24())
-            .or_default()
-            .pending
-            .push(stream);
+        // Any loop holding the new stream ends no earlier than it does,
+        // so it cannot be final before `due`. Whichever loop comes first
+        // from now on is due no earlier than `min(horizon, due)`; while
+        // that is `horizon`, a blocked /24 still needs every counted
+        // candidate to close, so it stays blocked.
+        let due = stream.end_ns().saturating_add(self.cfg.merge_gap_ns);
+        let state = self.prefixes.get_mut(&prefix).expect("present");
+        state.pending.push(stream);
+        let after = match state.recheck {
+            Recheck::Idle => due,
+            Recheck::After(t) => t.min(due),
+            Recheck::Blocked { horizon, .. } if due < horizon => due,
+            Recheck::Blocked { .. } | Recheck::Now => return,
+        };
+        state.recheck = Recheck::After(after);
+        self.flush_due = self.flush_due.min(after);
+    }
+}
+
+impl Drop for OnlineDetector {
+    /// Takes this detector's share back out of the fleet-total gauges.
+    fn drop(&mut self) {
+        TM_OPEN_CANDIDATES.add(-self.reported_open);
+        TM_PREFIX_HISTORY.add(-(self.history_order.len() as i64));
+    }
+}
+
+impl PrefixState {
+    /// Whether every remembered record in a window of the history is
+    /// looped. The history is time-sorted, so callers find the window's
+    /// ends by binary search.
+    fn all_looped(&self, looped: &FxHashSet<u64>, window: Range<usize>) -> bool {
+        window.is_empty()
+            || self
+                .history
+                .range(window)
+                .all(|(_, seq)| looped.contains(seq))
     }
 
-    fn co_loop_holds(&self, stream: &ReplicaStream) -> bool {
-        let slack = (stream.mean_spacing_ns() as f64 * self.cfg.covalidate_slack_spacings) as u64;
+    /// The offline gap-clean rule over retained history: no non-looped
+    /// packet to the prefix in the open interval `(from, to)`.
+    fn gap_is_clean(&self, looped: &FxHashSet<u64>, from: u64, to: u64) -> bool {
+        if to <= from + 1 {
+            return true;
+        }
+        let lo = self.history.partition_point(|&(t, _)| t <= from);
+        let hi = self.history.partition_point(|&(t, _)| t < to);
+        self.all_looped(looped, lo..hi)
+    }
+
+    /// The co-loop rule: every remembered packet to the prefix during the
+    /// stream, less a slack at both ends, is looped too.
+    fn co_loop_holds(
+        &self,
+        cfg: &DetectorConfig,
+        looped: &FxHashSet<u64>,
+        stream: &ReplicaStream,
+    ) -> bool {
+        let slack = (stream.mean_spacing_ns() as f64 * cfg.covalidate_slack_spacings) as u64;
         let from = stream.start_ns().saturating_add(slack);
         let to = stream.end_ns().saturating_sub(slack);
         if from > to {
             return true;
         }
-        let Some(state) = self.prefixes.get(&stream.dst_slash24()) else {
-            return true;
-        };
-        state
-            .history
-            .iter()
-            .filter(|(t, _)| *t >= from && *t <= to)
-            .all(|(_, seq)| self.looped_seqs.contains(seq))
+        let lo = self.history.partition_point(|&(t, _)| t < from);
+        let hi = self.history.partition_point(|&(t, _)| t <= to);
+        self.all_looped(looped, lo..hi)
     }
+
+    /// Runs the offline merge over the pending streams and takes out every
+    /// loop that no future stream can still join: future streams start no
+    /// earlier than `min(now, earliest open candidate)`, so a loop whose
+    /// end lies more than the merge gap before that point is final. With
+    /// `now == None`, everything is final (end of trace). Also returns the
+    /// first remaining loop's end plus the merge gap.
+    fn take_final_loops(
+        &mut self,
+        prefix: Ipv4Prefix,
+        cfg: &DetectorConfig,
+        looped: &FxHashSet<u64>,
+        now: Option<u64>,
+    ) -> (Vec<RoutingLoop>, Option<u64>) {
+        let barrier = now.map(|now| {
+            self.open_cands
+                .values()
+                .copied()
+                .min()
+                .unwrap_or(u64::MAX)
+                .min(now)
+        });
+        let due = |end: u64| end.saturating_add(cfg.merge_gap_ns);
+        // Offline-identical merge over pending streams, sorted by start.
+        // The sort is stable and the pending set stays sorted between
+        // calls, so ties keep their close order.
+        self.pending
+            .sort_by_key(|s| (s.start_ns(), s.end_ns(), s.key.ident));
+        // Loops come out in start order with increasing ends, so the final
+        // ones are a prefix of them: stop at the first that is not.
+        let mut bounds: Vec<(u64, u64, usize)> = Vec::new();
+        let mut next = None;
+        let mut i = 0;
+        while i < self.pending.len() {
+            let start = self.pending[i].start_ns();
+            let mut end = self.pending[i].end_ns();
+            let mut j = i + 1;
+            while let Some(s) = self.pending.get(j) {
+                let joins = s.start_ns() <= end
+                    || (s.start_ns() - end <= cfg.merge_gap_ns
+                        && self.gap_is_clean(looped, end, s.start_ns()));
+                if !joins {
+                    break;
+                }
+                end = end.max(s.end_ns());
+                j += 1;
+            }
+            if barrier.is_some_and(|b| due(end) >= b) {
+                next = Some(due(end));
+                break;
+            }
+            bounds.push((start, end, j - i));
+            i = j;
+        }
+        let mut taken = self.pending.drain(..i);
+        let loops = bounds
+            .into_iter()
+            .map(|(start_ns, end_ns, n)| RoutingLoop {
+                prefix,
+                start_ns,
+                end_ns,
+                streams: taken.by_ref().take(n).collect(),
+            })
+            .collect();
+        (loops, next)
+    }
+}
+
+/// Counts and emits one finalised loop.
+fn emit_loop(stats: &mut OnlineStats, events: &mut Vec<OnlineEvent>, l: RoutingLoop) {
+    stats.loops_emitted += 1;
+    TM_LOOPS_EMITTED.inc();
+    trace::instant(&TR_LOOP_EMITTED);
+    tm_trace!(
+        "loop finalised for {}: {} streams over {} ns",
+        l.prefix,
+        l.streams.len(),
+        l.end_ns - l.start_ns
+    );
+    events.push(OnlineEvent::Loop(l));
 }
 
 impl OpenCandidate {
     fn new(rec: &TraceRecord, seq: u64) -> Self {
+        let first = Observation {
+            timestamp_ns: rec.timestamp_ns,
+            ttl: rec.ttl,
+        };
         Self {
-            observations: vec![Observation {
-                timestamp_ns: rec.timestamp_ns,
-                ttl: rec.ttl,
-            }],
-            record_seqs: vec![seq],
+            first,
+            first_seq: seq,
+            last: first,
+            observations: Vec::new(),
+            record_seqs: Vec::new(),
             last_ip_checksum: rec.ip_checksum,
             protocol: rec.protocol,
         }
@@ -693,6 +891,32 @@ mod tests {
             2,
             "online must also keep them apart"
         );
+    }
+
+    #[test]
+    fn start_and_ident_ties_close_in_first_record_order() {
+        // Two loops of different packets that share a start time and an
+        // IP ident expire on the same push; they must close in the order
+        // their first records arrived, whatever the hash order.
+        let a = looping_records(0, 1_000_000, 60, 4, 7, Ipv4Addr::new(203, 0, 113, 1));
+        let b = looping_records(0, 1_000_000, 60, 4, 7, Ipv4Addr::new(198, 51, 100, 1));
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let mut recs = Vec::new();
+            for (x, y) in first.iter().zip(second) {
+                recs.push(*x);
+                recs.push(*y);
+            }
+            let mut det = OnlineDetector::new(DetectorConfig::default());
+            for r in &recs {
+                assert!(det.push(r).is_empty());
+            }
+            let late = looping_records(10_000_000_000, 1, 60, 1, 9, Ipv4Addr::new(192, 0, 2, 1));
+            let events = det.push(&late[0]);
+            let streams = streams_of(&events);
+            assert_eq!(streams.len(), 2);
+            assert_eq!(streams[0].key.dst, first[0].dst);
+            assert_eq!(streams[1].key.dst, second[0].dst);
+        }
     }
 
     #[test]

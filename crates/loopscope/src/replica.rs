@@ -143,13 +143,12 @@ impl Detector {
             total_records: records.len() as u64,
             ..Default::default()
         };
-        TM_RECORDS_SCANNED.add(records.len() as u64);
         let candidates = {
             let _t = telemetry::span("replica.detect");
             self.find_candidates(records, &mut stats)
         };
         stats.raw_candidates = candidates.len() as u64;
-        TM_CHECKSUM_SPLITS.add(stats.checksum_splits);
+        publish_checksum_splits(stats.checksum_splits);
         tm_debug!(
             "step 1: {} records -> {} raw candidates ({} checksum splits)",
             records.len(),
@@ -216,10 +215,22 @@ impl Detector {
         }
         let (done, counters) = scanner.finish();
         stats.checksum_splits += counters.checksum_splits;
-        TM_CANDIDATES_OPENED.add(counters.opened);
-        TM_CANDIDATES_DISCARDED.add(counters.discarded);
+        publish_scan_totals(records.len(), &counters);
         done
     }
+}
+
+/// Adds one scanner's totals to the `replica.*` counters. Called once per
+/// scan (per worker in the block engine), never per record.
+pub(crate) fn publish_scan_totals(records: usize, counters: &ScanCounters) {
+    TM_RECORDS_SCANNED.add(records as u64);
+    TM_CANDIDATES_OPENED.add(counters.opened);
+    TM_CANDIDATES_DISCARDED.add(counters.discarded);
+}
+
+/// Adds a run's checksum-split total to `replica.checksum_splits`.
+pub(crate) fn publish_checksum_splits(splits: u64) {
+    TM_CHECKSUM_SPLITS.add(splits);
 }
 
 /// The verdict on whether a sighting continues an open candidate.

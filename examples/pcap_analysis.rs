@@ -10,6 +10,9 @@
 //! cargo run --release --example pcap_analysis -- --emit-demo demo.pcap
 //!                                # write the demo trace and exit (fixture
 //!                                # generation for scripts/check.sh)
+//! cargo run --release --example pcap_analysis -- --emit-demo long.pcap 0.3
+//!                                # the same backbone at another scale
+//!                                # (0.1 = 30 s of traffic, the default)
 //! ```
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
@@ -18,8 +21,11 @@ use routing_loops::loopscope::{analysis, Detector, DetectorConfig};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-fn write_demo_trace(path: &std::path::Path) {
-    let mut spec = paper_backbones(0.1).remove(2); // Backbone 3, small
+/// Scale of the default demo trace: 30 s of Backbone 3 traffic.
+const DEMO_SCALE: f64 = 0.1;
+
+fn write_demo_trace(path: &std::path::Path, scale: f64) {
+    let mut spec = paper_backbones(scale).remove(2); // Backbone 3
     spec.name = "pcap demo".into();
     let run = run_backbone(&spec);
     let file = File::create(path).expect("create pcap");
@@ -32,7 +38,10 @@ fn main() {
     let arg = std::env::args().nth(1);
     if arg.as_deref() == Some("--emit-demo") {
         let dest = std::env::args().nth(2).expect("--emit-demo needs a path");
-        write_demo_trace(std::path::Path::new(&dest));
+        let scale = std::env::args().nth(3).map_or(DEMO_SCALE, |s| {
+            s.parse().expect("--emit-demo scale must be a number")
+        });
+        write_demo_trace(std::path::Path::new(&dest), scale);
         return;
     }
     let path = match &arg {
@@ -40,7 +49,7 @@ fn main() {
         None => {
             let p = std::env::temp_dir().join("routing_loops_demo.pcap");
             println!("no pcap given — writing demo trace to {}", p.display());
-            write_demo_trace(&p);
+            write_demo_trace(&p, DEMO_SCALE);
             p
         }
     };

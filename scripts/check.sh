@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh            # tests + lint (everything below)
 #   scripts/check.sh --quick    # release build + tier-1 tests only
-#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + corpus/monitor smoke
+#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + engine/corpus/monitor smoke
 #   scripts/check.sh --lint     # rustfmt --check + clippy -D warnings
 #   scripts/check.sh --bench    # bench gate: determinism + per-core speedup floors
 #   scripts/check.sh --observe  # observability smoke: metrics JSONL + trace
@@ -38,6 +38,10 @@ run_build_and_tier1() {
     cargo build --release
     banner "cargo test -q (root package: tier-1)"
     cargo test -q
+    # The CLI suite shares one fixture across tests; run it wider than the
+    # default thread count so races between tests show up.
+    banner "cargo test --test cli -- --test-threads 4"
+    cargo test -q --test cli -- --test-threads 4
 }
 
 run_workspace_tests() {
@@ -86,6 +90,32 @@ run_offline_build() {
     fi
     banner "cargo build --workspace --release --offline"
     cargo build --workspace --release --offline
+}
+
+run_engine_smoke() {
+    banner "engine smoke: --threads 1/4 and --streaming byte-identical to serial"
+    # A 90 s trace: longer than the 60 s merge gap, so the streaming
+    # detector finalises loops while records are still arriving instead
+    # of only at end of trace.
+    local tmp
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' RETURN
+    cargo run --release --example pcap_analysis -- --emit-demo "$tmp/long.pcap" 0.3
+    for args in "--csv loops" "--csv streams" "--csv summary"; do
+        # shellcheck disable=SC2086
+        cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args --engine serial \
+            > "$tmp/serial.txt"
+        for variant in "--threads 1" "--threads 4" "--streaming"; do
+            # shellcheck disable=SC2086
+            cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args $variant \
+                > "$tmp/variant.txt"
+            if ! cmp -s "$tmp/serial.txt" "$tmp/variant.txt"; then
+                echo "error: loopdetect '$args $variant' output differs from --engine serial" >&2
+                diff "$tmp/serial.txt" "$tmp/variant.txt" >&2 || true
+                exit 1
+            fi
+        done
+    done
 }
 
 run_corpus_smoke() {
@@ -144,8 +174,10 @@ run_monitor_smoke() {
     }
     # Graceful shutdown: interrupt a paced live run mid-stream; the
     # daemon must drain every started link, flush the sink, and exit 0.
+    # Pacing alone sets the run's length (about 6.5 s uninterrupted), so
+    # the signal lands well before the fleet would finish on its own.
     cargo build --release --bin loopmond
-    ./target/release/loopmond --fleet 8 --duration-s 60 --pace-ms 50 \
+    ./target/release/loopmond --fleet 8 --duration-s 60 --pace-ms 200 \
         --events "$tmp/sig.jsonl" 2> "$tmp/sig.err" &
     local pid=$!
     sleep 2
@@ -181,12 +213,12 @@ run_observability_smoke() {
 
 case "$mode" in
     quick) run_build_and_tier1 ;;
-    tests) run_build_and_tier1; run_workspace_tests; run_corpus_smoke; run_monitor_smoke ;;
+    tests) run_build_and_tier1; run_workspace_tests; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
     lint)  run_lint ;;
     bench) run_bench_smoke ;;
     observe) run_observability_smoke ;;
     offline) run_offline_build ;;
-    full)  run_build_and_tier1; run_workspace_tests; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
+    full)  run_build_and_tier1; run_workspace_tests; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
 esac
 
 banner "OK"

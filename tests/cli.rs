@@ -3,21 +3,34 @@
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{write_tap_to_pcap, PAPER_SNAPLEN};
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn loopdetect() -> Command {
     Command::new(env!("CARGO_BIN_EXE_loopdetect"))
 }
 
-fn demo_pcap() -> std::path::PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("loopdetect_cli_test_{}.pcap", std::process::id()));
-    let mut spec = paper_backbones(0.08).remove(2);
-    spec.name = "cli-test".into();
-    let run = run_backbone(&spec);
-    let file = std::fs::File::create(&path).expect("create pcap");
-    write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, std::io::BufWriter::new(file)).expect("write pcap");
-    path
+/// The shared backbone fixture, simulated once per test process. Tests run
+/// in parallel and only read it, so none may delete it. It is written under
+/// a private name and renamed into place, so a concurrent test process
+/// writing the same (deterministic) file cannot truncate it under a reader.
+fn demo_pcap() -> PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let path = dir.join("loopdetect_cli_demo.pcap");
+        let tmp = dir.join(format!("loopdetect_cli_demo_{}.tmp", std::process::id()));
+        let mut spec = paper_backbones(0.08).remove(2);
+        spec.name = "cli-test".into();
+        let run = run_backbone(&spec);
+        let file = std::fs::File::create(&tmp).expect("create pcap");
+        write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, std::io::BufWriter::new(file))
+            .expect("write pcap");
+        std::fs::rename(&tmp, &path).expect("move pcap into place");
+        path
+    })
+    .clone()
 }
 
 #[test]
@@ -62,8 +75,6 @@ fn text_report_and_csv_agree() {
     for key in ["records,", "streams,", "loops,", "died_in_loop,"] {
         assert!(summary_out.contains(key), "missing {key} in {summary_out}");
     }
-
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -85,7 +96,6 @@ fn streaming_mode_matches_offline() {
         String::from_utf8(streaming.stdout).unwrap(),
         "streaming output must be identical to offline"
     );
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -123,7 +133,6 @@ fn threads_output_is_byte_identical_to_serial() {
         .output()
         .unwrap();
     assert_eq!(serial.stdout, par.stdout);
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -167,7 +176,6 @@ fn engine_flag_selects_engines_and_rejects_conflicts() {
         assert!(err.contains("error:"), "{bad:?}: {err}");
         assert!(err.contains("USAGE"), "{bad:?}: {err}");
     }
-    let _ = std::fs::remove_file(&pcap);
 }
 
 /// A transient-ECMP-loop trace written to pcap: the diamond topology from
@@ -304,7 +312,9 @@ fn no_prefilter_output_is_byte_identical() {
             .output()
             .unwrap();
         assert_eq!(on.stdout, off.stdout, "text report diverged on {what}");
-        let _ = std::fs::remove_file(&pcap);
+        if what == "ecmp" {
+            let _ = std::fs::remove_file(&pcap);
+        }
     }
 }
 
@@ -343,7 +353,6 @@ fn threads_flag_rejects_nonsense() {
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -376,7 +385,6 @@ fn no_validate_reports_more_or_equal_streams() {
     let strict_n = String::from_utf8(strict.stdout).unwrap().lines().count();
     let lax_n = String::from_utf8(lax.stdout).unwrap().lines().count();
     assert!(lax_n >= strict_n, "lax {lax_n} < strict {strict_n}");
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -417,7 +425,6 @@ fn jsonl_output_is_byte_stable_across_engines() {
             );
         }
     }
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -490,7 +497,6 @@ fn analysis_report_matches_across_engines() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--analysis"), "{err}");
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -557,7 +563,6 @@ fn trace_flag_writes_chrome_trace_without_touching_stdout() {
     );
 
     let _ = std::fs::remove_file(&trace_path);
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -595,7 +600,6 @@ fn metrics_interval_streams_validating_jsonl_snapshots() {
         "final snapshot has no scan counter: {}",
         samples.last().unwrap()
     );
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -625,7 +629,6 @@ fn watch_flag_renders_a_live_status_line() {
         err.contains(" rec "),
         "status line shows record count: {err:?}"
     );
-    let _ = std::fs::remove_file(&pcap);
 }
 
 #[test]
@@ -674,7 +677,6 @@ fn streaming_supports_every_table_and_the_text_report() {
     let streaming = loopdetect().arg(&pcap).arg("--streaming").output().unwrap();
     assert!(offline.status.success() && streaming.status.success());
     assert_eq!(offline.stdout, streaming.stdout, "text report");
-    let _ = std::fs::remove_file(&pcap);
 }
 
 fn pcap2ltc() -> Command {
@@ -684,7 +686,7 @@ fn pcap2ltc() -> Command {
 #[test]
 fn pcap2ltc_converts_verifies_and_loopdetect_sniffs_the_result() {
     let pcap = demo_pcap();
-    let ltc = pcap.with_extension("ltc");
+    let ltc = std::env::temp_dir().join(format!("loopdetect_cli_demo_{}.ltc", std::process::id()));
 
     let out = pcap2ltc()
         .arg(&pcap)
@@ -735,7 +737,6 @@ fn pcap2ltc_converts_verifies_and_loopdetect_sniffs_the_result() {
             "loopdetect {args:?} differs between pcap and ltc input"
         );
     }
-    let _ = std::fs::remove_file(&pcap);
     let _ = std::fs::remove_file(&ltc);
 }
 

@@ -18,6 +18,10 @@ use telemetry::Snapshot;
 
 static WORKLOAD: Mutex<()> = Mutex::new(());
 
+fn gauge_value(snap: &Snapshot, name: &str) -> i64 {
+    snap.gauges.get(name).map_or(0, |&(value, _)| value)
+}
+
 fn counter_delta(before: &Snapshot, after: &Snapshot, name: &str) -> u64 {
     after.counters.get(name).copied().unwrap_or(0) - before.counters.get(name).copied().unwrap_or(0)
 }
@@ -174,8 +178,44 @@ fn online_detector_gauges_bounded_and_nonzero() {
         det.push(r);
     }
     let live_open = det.open_candidates();
+    // Mid-run the gauges carry exactly this detector's share: its open
+    // candidates and, as the trace is shorter than the history horizon,
+    // one history entry per record.
+    let live = telemetry::global().snapshot();
+    assert_eq!(
+        gauge_value(&live, "online.open_candidates")
+            - gauge_value(&before, "online.open_candidates"),
+        live_open as i64
+    );
+    assert_eq!(
+        gauge_value(&live, "online.prefix_history") - gauge_value(&before, "online.prefix_history"),
+        recs.len() as i64
+    );
     let (events, stats) = det.finish();
     let after = telemetry::global().snapshot();
+
+    // The gauges are fleet totals: a finished detector, and one dropped
+    // without finishing, hand their whole share back.
+    for name in ["online.open_candidates", "online.prefix_history"] {
+        assert_eq!(
+            gauge_value(&after, name),
+            gauge_value(&before, name),
+            "{name} after finish"
+        );
+    }
+    let mut dropped = OnlineDetector::new(DetectorConfig::default());
+    for r in &recs {
+        dropped.push(r);
+    }
+    drop(dropped);
+    let after_drop = telemetry::global().snapshot();
+    for name in ["online.open_candidates", "online.prefix_history"] {
+        assert_eq!(
+            gauge_value(&after_drop, name),
+            gauge_value(&before, name),
+            "{name} after drop"
+        );
+    }
 
     // Invariant: streams kept + rejected account for every candidate the
     // online pass closed with >= 2 sightings.
