@@ -6,7 +6,8 @@
 //! column by column, so the hot loops are straight-line passes over
 //! same-width lanes. The fingerprint column is stored, not recomputed —
 //! that is the point of the format: the level-0 prefilter probe needs no
-//! hashing on scan.
+//! hashing on scan. Decoding trusts it; a consumer that cannot afford a
+//! wrong one (`loopmond`'s online index) checks it itself.
 
 use crate::format::{CorpusError, ROW_BYTES, TAG_ICMP, TAG_OTHER, TAG_TCP, TAG_UDP};
 use loopscope::{TraceRecord, TransportSummary};
@@ -269,13 +270,6 @@ pub fn decode_block(
         let b = &bytes[blob + i * BLOB_BYTES..blob + (i + 1) * BLOB_BYTES];
         r.transport = decode_blob(t, b)
             .ok_or_else(|| out_of_band_tag_error(path, data_offset + (tag + i) as u64))?;
-        // The stored fingerprint must be what ingest would have stamped;
-        // the converter computes it once so scans never hash.
-        debug_assert_eq!(
-            r.fingerprint,
-            loopscope::ReplicaKey::of(r).fingerprint(),
-            "stored fingerprint diverges from the replica-key fields"
-        );
     }
     Ok(())
 }
@@ -339,11 +333,6 @@ pub fn decode_columns_push(
             ttl: ttl[i],
             transport,
         };
-        debug_assert_eq!(
-            r.fingerprint,
-            loopscope::ReplicaKey::of(&r).fingerprint(),
-            "stored fingerprint diverges from the replica-key fields"
-        );
         out.push(r);
     }
     Ok(())

@@ -90,7 +90,9 @@ pub use config::DetectorConfig;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::ReplicaKey;
 pub use merge::RoutingLoop;
-pub use monitor::{LinkMonitor, LinkSummary, MonitorConfig, MonitorRuntime, MonitorTotals};
+pub use monitor::{
+    LinkMonitor, LinkSummary, MonitorConfig, MonitorRuntime, MonitorTotals, OutOfOrder,
+};
 pub use online::{OnlineDetector, OnlineEvent};
 pub use pipeline::{
     run_pipeline, run_pipeline_with_progress, BlockEngine, Engine, EngineProgress,

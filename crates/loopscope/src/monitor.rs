@@ -113,6 +113,32 @@ struct Shared {
     loops: AtomicU64,
 }
 
+/// Why [`LinkMonitor::feed`] refused a batch: a record earlier than the
+/// one before it. It reaches the caller as the payload of an
+/// [`std::io::ErrorKind::InvalidData`] error (recover it with
+/// [`std::io::Error::get_ref`] and `downcast_ref`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder {
+    /// Zero-based position of the offending record in the link's stream.
+    pub record: u64,
+    /// Its timestamp.
+    pub timestamp_ns: u64,
+    /// The timestamp of the record before it.
+    pub previous_ns: u64,
+}
+
+impl std::fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "record {} at {} ns is earlier than the record before it at {} ns",
+            self.record, self.timestamp_ns, self.previous_ns
+        )
+    }
+}
+
+impl std::error::Error for OutOfOrder {}
+
 /// Renders one per-link-attributed event line (no trailing newline).
 ///
 /// The body fields after the `link`/`event` attribution are exactly the
@@ -199,6 +225,7 @@ impl MonitorRuntime {
             shared: Arc::clone(&self.shared),
             persistent_ns: self.cfg.persistent_threshold_ns,
             records: 0,
+            last_ns: 0,
             streams: 0,
             loops: 0,
             gauge_records: gauge("records"),
@@ -248,6 +275,8 @@ pub struct LinkMonitor {
     shared: Arc<Shared>,
     persistent_ns: u64,
     records: u64,
+    /// Timestamp of the last record fed (0 before the first).
+    last_ns: u64,
     streams: u64,
     loops: u64,
     gauge_records: &'static Gauge,
@@ -278,7 +307,14 @@ impl LinkMonitor {
     /// buffered into whole lines first and written under one short lock,
     /// so lines from concurrent links interleave but never tear, and a
     /// link's own lines keep their emission order.
+    ///
+    /// A batch with a record earlier than its predecessor (in the batch or
+    /// the link's previous batch) is refused whole, before any of it is
+    /// pushed: the error is [`std::io::ErrorKind::InvalidData`] carrying an
+    /// [`OutOfOrder`], and the link is left as it was, so the caller can
+    /// retire it without disturbing the rest of the fleet.
     pub fn feed(&mut self, batch: &[TraceRecord]) -> std::io::Result<()> {
+        self.check_order(batch)?;
         self.buf.clear();
         let mut streams = 0u64;
         let mut loops = 0u64;
@@ -333,6 +369,25 @@ impl LinkMonitor {
             loops: self.loops,
             stats,
         })
+    }
+
+    /// Accepts `batch` only if its timestamps never go backwards, starting
+    /// from the last record already fed.
+    fn check_order(&mut self, batch: &[TraceRecord]) -> std::io::Result<()> {
+        let mut previous_ns = self.last_ns;
+        for (i, rec) in batch.iter().enumerate() {
+            if rec.timestamp_ns < previous_ns {
+                let err = OutOfOrder {
+                    record: self.records + i as u64,
+                    timestamp_ns: rec.timestamp_ns,
+                    previous_ns,
+                };
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, err));
+            }
+            previous_ns = rec.timestamp_ns;
+        }
+        self.last_ns = previous_ns;
+        Ok(())
     }
 
     fn flush_buf(&mut self) -> std::io::Result<()> {
@@ -503,6 +558,31 @@ mod tests {
         let totals = rt.finish().unwrap();
         assert_eq!(totals.links_opened, 1);
         assert_eq!(totals.links_closed, 0, "drop is not a graceful close");
+    }
+
+    #[test]
+    fn out_of_order_batch_is_refused_whole() {
+        let trace = looping_trace(4);
+        let rt = MonitorRuntime::new(MonitorConfig::default(), Box::new(Vec::new()));
+        let mut link = rt.add_link("backwards");
+        link.feed(&trace[..4]).unwrap();
+        // Within a batch, and against the previous batch's last record.
+        let mut swapped = trace[4..8].to_vec();
+        swapped.swap(1, 2);
+        for (batch, record) in [(&swapped[..], 6), (&trace[..2], 4)] {
+            let err = link.feed(batch).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let why = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<OutOfOrder>())
+                .expect("typed payload");
+            assert_eq!(why.record, record);
+            assert!(why.timestamp_ns < why.previous_ns);
+            assert_eq!(link.records(), 4, "nothing of a refused batch is pushed");
+        }
+        // The link is as it was: the rest of the trace still feeds.
+        link.feed(&trace[4..]).unwrap();
+        assert_eq!(link.finish().unwrap().records, trace.len() as u64);
     }
 
     #[test]

@@ -21,9 +21,16 @@
 //! Because records arrive in time order, every deadline the detector waits
 //! on is kept in a structure ordered by time:
 //!
-//! * **Candidate expiry** pops a FIFO of `(last sighting, key)` entries up
-//!   to the replica-gap cutoff instead of scanning every open candidate.
-//!   Entries whose candidate has since grown or closed are skipped.
+//! * **Candidate lookup** probes a `u64` index keyed by the ingest-stamped
+//!   [`TraceRecord::fingerprint`] and confirms a hit with a full-key
+//!   compare, so no per-record work hashes the ~44-byte [`ReplicaKey`].
+//!   Candidates live in a slab addressed by `u32` handles; distinct keys
+//!   that share a fingerprint chain off one index entry.
+//! * **Candidate expiry** pops a FIFO of `(last sighting, handle, epoch)`
+//!   entries up to the replica-gap cutoff instead of scanning every open
+//!   candidate. Entries whose candidate has since grown or closed are
+//!   skipped: a slot's epoch is bumped whenever it is freed, so an entry
+//!   queued for an earlier occupant never matches a later one.
 //! * **Loop finalisation** is gated per /24. A loop is final only once its
 //!   end plus the merge gap lies before a barrier: the earlier of `now` and
 //!   the start of the /24's oldest open candidate. Each /24 records what
@@ -36,6 +43,10 @@
 //!   oldest first, so each record is trimmed exactly once.
 //! * **Gap-clean and co-loop windows** are binary-searched in each /24's
 //!   time-sorted history.
+//!
+//! The fleet-total gauges are published once at the end of each public
+//! call ([`OnlineDetector::push`], [`OnlineDetector::push_batch`]), not
+//! per record, so detectors on different threads do not contend on them.
 
 use crate::config::DetectorConfig;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -73,7 +84,7 @@ pub enum OnlineEvent {
     Loop(RoutingLoop),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct OpenCandidate {
     /// The opening sighting and its record sequence number, held inline:
     /// almost every candidate never sees a second sighting, and those
@@ -90,10 +101,178 @@ struct OpenCandidate {
     protocol: u8,
 }
 
+/// Address of a candidate slot in the [`CandidateSlab`].
+type Handle = u32;
+
+/// Ends a fingerprint chain.
+const NIL: Handle = Handle::MAX;
+
+/// One slab slot: an open candidate, or a free slot awaiting reuse.
+#[derive(Debug)]
+struct Slot {
+    key: ReplicaKey,
+    fingerprint: u64,
+    /// The next candidate whose key shares this fingerprint (`NIL` ends
+    /// the chain).
+    next: Handle,
+    /// Bumped whenever the slot is freed.
+    epoch: u32,
+    cand: OpenCandidate,
+}
+
+/// The open candidates: a slab of slots addressed by handles, a free list,
+/// and a `u64` index from fingerprint to the head of the chain of
+/// candidates carrying it. A lookup hashes the fingerprint only; a full
+/// key compare confirms each hit, so a fingerprint collision costs a
+/// compare but never changes a result.
+#[derive(Debug, Default)]
+struct CandidateSlab {
+    index: FxHashMap<u64, Handle>,
+    slots: Vec<Slot>,
+    free: Vec<Handle>,
+    live: usize,
+    /// The fingerprint each open key is indexed under, kept in debug
+    /// builds to check the invariant the index shares with the offline
+    /// prefilter: one key, one fingerprint (a pure function of the key).
+    #[cfg(debug_assertions)]
+    indexed_under: FxHashMap<ReplicaKey, u64>,
+}
+
+impl CandidateSlab {
+    /// The candidate open for `key`, or a new one made by `open`. Returns
+    /// its handle and whether it was just opened.
+    fn find_or_open(
+        &mut self,
+        fingerprint: u64,
+        key: &ReplicaKey,
+        open: impl FnOnce() -> OpenCandidate,
+    ) -> (Handle, bool) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            *self.indexed_under.entry(*key).or_insert(fingerprint),
+            fingerprint,
+            "one replica key carries two fingerprints: {key:?}"
+        );
+        // A new candidate takes the most recently freed slot, or a new one.
+        let new = match self.free.last() {
+            Some(&h) => h,
+            None => Handle::try_from(self.slots.len())
+                .ok()
+                .filter(|&h| h != NIL)
+                .expect("fewer than 2^32 - 1 open candidates"),
+        };
+        let next = match self.index.entry(fingerprint) {
+            Entry::Vacant(entry) => {
+                entry.insert(new);
+                NIL
+            }
+            Entry::Occupied(entry) => {
+                let head = entry.into_mut();
+                let mut h = *head;
+                while h != NIL {
+                    let slot = &self.slots[h as usize];
+                    if slot.key == *key {
+                        return (h, false);
+                    }
+                    h = slot.next;
+                }
+                std::mem::replace(head, new)
+            }
+        };
+        let slot = Slot {
+            key: *key,
+            fingerprint,
+            next,
+            epoch: 0,
+            cand: open(),
+        };
+        if self.free.pop().is_some() {
+            let reused = &mut self.slots[new as usize];
+            *reused = Slot {
+                epoch: reused.epoch,
+                ..slot
+            };
+        } else {
+            self.slots.push(slot);
+        }
+        self.live += 1;
+        (new, true)
+    }
+
+    /// Frees `h` and hands its slot straight to `successor`, the same
+    /// key's next candidate: the index is untouched, and the epoch bump
+    /// retires the expiry entries of the old candidate.
+    fn reopen(&mut self, h: Handle, successor: OpenCandidate) -> OpenCandidate {
+        let slot = &mut self.slots[h as usize];
+        slot.epoch = slot.epoch.wrapping_add(1);
+        std::mem::replace(&mut slot.cand, successor)
+    }
+
+    /// Closes `h`: unlinks it from its fingerprint chain and frees its slot.
+    fn remove(&mut self, h: Handle) -> (ReplicaKey, OpenCandidate) {
+        let (fingerprint, next) = {
+            let slot = &self.slots[h as usize];
+            (slot.fingerprint, slot.next)
+        };
+        let head = self
+            .index
+            .get_mut(&fingerprint)
+            .expect("an open candidate's fingerprint is indexed");
+        if *head == h {
+            if next == NIL {
+                self.index.remove(&fingerprint);
+            } else {
+                *head = next;
+            }
+        } else {
+            let mut prev = *head;
+            while self.slots[prev as usize].next != h {
+                prev = self.slots[prev as usize].next;
+            }
+            self.slots[prev as usize].next = next;
+        }
+        let slot = &mut self.slots[h as usize];
+        slot.epoch = slot.epoch.wrapping_add(1);
+        self.free.push(h);
+        self.live -= 1;
+        #[cfg(debug_assertions)]
+        self.indexed_under.remove(&slot.key);
+        (slot.key, std::mem::take(&mut slot.cand))
+    }
+
+    /// Whether an expiry entry `(ts, h, epoch)` still names its candidate's
+    /// latest sighting: the slot has not been freed since, and the
+    /// candidate has not grown.
+    fn is_last_sighting(&self, ts: u64, h: Handle, epoch: u32) -> bool {
+        let slot = &self.slots[h as usize];
+        slot.epoch == epoch && slot.cand.last.timestamp_ns == ts
+    }
+
+    /// Where candidate `h` falls in the close order.
+    fn close_order(&self, h: Handle) -> CloseOrder {
+        let slot = &self.slots[h as usize];
+        (
+            slot.cand.first.timestamp_ns,
+            slot.key.ident,
+            slot.cand.first_seq,
+            h,
+        )
+    }
+
+    /// Every open candidate's handle, in no particular order.
+    fn handles(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.index.values().flat_map(|&head| {
+            std::iter::successors(Some(head), |&h| {
+                Some(self.slots[h as usize].next).filter(|&n| n != NIL)
+            })
+        })
+    }
+}
+
 /// The order in which candidates expiring on the same push are closed:
 /// `(start, ident, first record sequence number)`. The sequence number is
 /// unique per candidate, so the order is total.
-type CloseOrder = (u64, u16, u64, ReplicaKey);
+type CloseOrder = (u64, u16, u64, Handle);
 
 /// What must happen before a /24's pending streams can yield a final loop.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -133,14 +312,16 @@ pub struct OnlineDetector {
     history_horizon_ns: u64,
     now: u64,
     seq: u64,
-    open: FxHashMap<ReplicaKey, OpenCandidate>,
+    open: CandidateSlab,
     prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
     /// Sequence numbers of records known to belong to a candidate with at
     /// least two sightings ("looped" in the §IV-A.2 sense).
     looped_seqs: FxHashSet<u64>,
-    /// `(timestamp, key)` of every sighting that created or grew a
-    /// candidate, in push (hence time) order: the expiry queue.
-    expiry: VecDeque<(u64, ReplicaKey)>,
+    /// `(timestamp, handle, epoch)` of every sighting that created or grew
+    /// a candidate, in push (hence time) order: the expiry queue.
+    expiry: VecDeque<(u64, Handle, u32)>,
+    /// Scratch list of the candidates expiring on one push.
+    stale: Vec<CloseOrder>,
     /// The /24 of every record still in some prefix history, oldest first:
     /// the trim queue. Its length is this detector's history total.
     history_order: VecDeque<Ipv4Prefix>,
@@ -149,8 +330,10 @@ pub struct OnlineDetector {
     flush_due: u64,
     /// Number of /24s in `Recheck::Now`.
     recheck_now: usize,
-    /// This detector's current contribution to the open-candidates gauge.
+    /// This detector's contributions to the fleet-total gauges as last
+    /// published.
     reported_open: i64,
+    reported_history: i64,
     stats: OnlineStats,
 }
 
@@ -215,14 +398,16 @@ impl OnlineDetector {
             history_horizon_ns: horizon,
             now: 0,
             seq: 0,
-            open: FxHashMap::default(),
+            open: CandidateSlab::default(),
             prefixes: FxHashMap::default(),
             looped_seqs: FxHashSet::default(),
             expiry: VecDeque::new(),
+            stale: Vec::new(),
             history_order: VecDeque::new(),
             flush_due: u64::MAX,
             recheck_now: 0,
             reported_open: 0,
+            reported_history: 0,
             stats: OnlineStats::default(),
         }
     }
@@ -243,7 +428,7 @@ impl OnlineDetector {
 
     /// Number of currently-open candidates (memory introspection).
     pub fn open_candidates(&self) -> usize {
-        self.open.len()
+        self.open.live
     }
 
     /// Pushes one record; returns any events whose evidence completed.
@@ -251,6 +436,29 @@ impl OnlineDetector {
     /// # Panics
     /// Panics when records go backwards in time.
     pub fn push(&mut self, rec: &TraceRecord) -> Vec<OnlineEvent> {
+        let mut events = Vec::new();
+        self.push_record(rec, &mut events);
+        self.publish_gauges();
+        events
+    }
+
+    /// Pushes a batch of records, handing each event to `emit` during the
+    /// push of the record that completed it — the same events, in the same
+    /// order, as one [`OnlineDetector::push`] per record. The fleet-total
+    /// gauges are published once, at the end of the batch.
+    ///
+    /// # Panics
+    /// Panics when records go backwards in time.
+    pub fn push_batch(&mut self, records: &[TraceRecord], mut emit: impl FnMut(OnlineEvent)) {
+        let mut events = Vec::new();
+        for rec in records {
+            self.push_record(rec, &mut events);
+            events.drain(..).for_each(&mut emit);
+        }
+        self.publish_gauges();
+    }
+
+    fn push_record(&mut self, rec: &TraceRecord, events: &mut Vec<OnlineEvent>) {
         assert!(
             rec.timestamp_ns >= self.now,
             "records must be pushed in timestamp order"
@@ -259,12 +467,11 @@ impl OnlineDetector {
         self.stats.records += 1;
         let seq = self.seq;
         self.seq += 1;
-        let mut events = Vec::new();
 
         // Expire stale candidates and quiet loops *before* processing, so
         // a record at time T sees exactly the state the offline pass would
         // have built from records before T.
-        let trimmed = self.expire(&mut events);
+        self.expire(events);
 
         // Record history for the co-loop / gap-clean rules.
         let key = ReplicaKey::of(rec);
@@ -272,83 +479,87 @@ impl OnlineDetector {
         let pstate = self.prefixes.entry(prefix).or_default();
         pstate.history.push_back((rec.timestamp_ns, seq));
         self.history_order.push_back(prefix);
-        // One history entry in, `trimmed` out: publish only the net change.
-        if trimmed != 1 {
-            TM_PREFIX_HISTORY.add(1 - trimmed as i64);
-        }
-        self.expiry.push_back((rec.timestamp_ns, key));
         let obs = Observation {
             timestamp_ns: rec.timestamp_ns,
             ttl: rec.ttl,
         };
 
         // Step 1 (incremental): candidate join / split.
+        let (h, opened) = self
+            .open
+            .find_or_open(rec.fingerprint, &key, || OpenCandidate::new(rec, seq));
         let mut closed = None;
-        match self.open.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(OpenCandidate::new(rec, seq));
-                pstate.open_cands.insert(seq, rec.timestamp_ns);
-            }
-            Entry::Occupied(mut slot) => {
-                let cand = slot.get_mut();
-                // The same continuation rule, verbatim, as the offline
-                // scanner — equivalence depends on it.
-                let check = crate::replica::check_continuation(
-                    &self.cfg,
-                    cand.last,
-                    cand.last_ip_checksum,
-                    cand.protocol,
-                    rec,
-                );
-                if check.joins {
-                    if cand.observations.is_empty() {
-                        // Second sighting: the candidate becomes a real
-                        // replica set and its first record counts as looped.
-                        self.stats.raw_candidates += 1;
-                        self.looped_seqs.insert(cand.first_seq);
-                        cand.observations = vec![cand.first, obs];
-                        cand.record_seqs = vec![cand.first_seq, seq];
-                    } else {
-                        cand.observations.push(obs);
-                        cand.record_seqs.push(seq);
-                    }
-                    self.looped_seqs.insert(seq);
-                    cand.last = obs;
-                    cand.last_ip_checksum = rec.ip_checksum;
+        if opened {
+            pstate.open_cands.insert(seq, rec.timestamp_ns);
+        } else {
+            let cand = &mut self.open.slots[h as usize].cand;
+            // The same continuation rule, verbatim, as the offline
+            // scanner — equivalence depends on it.
+            let check = crate::replica::check_continuation(
+                &self.cfg,
+                cand.last,
+                cand.last_ip_checksum,
+                cand.protocol,
+                rec,
+            );
+            if check.joins {
+                if cand.observations.is_empty() {
+                    // Second sighting: the candidate becomes a real
+                    // replica set and its first record counts as looped.
+                    self.stats.raw_candidates += 1;
+                    self.looped_seqs.insert(cand.first_seq);
+                    cand.observations = vec![cand.first, obs];
+                    cand.record_seqs = vec![cand.first_seq, seq];
                 } else {
-                    if check.checksum_split {
-                        self.stats.checksum_splits += 1;
-                    }
-                    closed = Some(std::mem::replace(cand, OpenCandidate::new(rec, seq)));
+                    cand.observations.push(obs);
+                    cand.record_seqs.push(seq);
                 }
+                self.looped_seqs.insert(seq);
+                cand.last = obs;
+                cand.last_ip_checksum = rec.ip_checksum;
+            } else {
+                if check.checksum_split {
+                    self.stats.checksum_splits += 1;
+                }
+                closed = Some(self.open.reopen(h, OpenCandidate::new(rec, seq)));
             }
         }
+        self.expiry
+            .push_back((rec.timestamp_ns, h, self.open.slots[h as usize].epoch));
         if let Some(cand) = closed {
-            self.close_candidate(key, cand, &mut events);
+            self.close_candidate(key, cand, events);
             self.prefixes
                 .get_mut(&prefix)
                 .expect("the record's /24 has state")
                 .open_cands
                 .insert(seq, rec.timestamp_ns);
         }
-        let open = self.open.len() as i64;
+    }
+
+    /// Brings the fleet-total gauges up to date with this detector's share.
+    fn publish_gauges(&mut self) {
+        let open = self.open.live as i64;
         if open != self.reported_open {
             TM_OPEN_CANDIDATES.add(open - self.reported_open);
             self.reported_open = open;
         }
-        events
+        let history = self.history_order.len() as i64;
+        if history != self.reported_history {
+            TM_PREFIX_HISTORY.add(history - self.reported_history);
+            self.reported_history = history;
+        }
     }
 
     /// Flushes everything at end of trace; returns the tail events and
     /// the final counters.
     pub fn finish(mut self) -> (Vec<OnlineEvent>, OnlineStats) {
         let mut events = Vec::new();
-        let all: Vec<CloseOrder> = self
+        let mut all: Vec<CloseOrder> = self
             .open
-            .iter()
-            .map(|(k, c)| (c.first.timestamp_ns, k.ident, c.first_seq, *k))
+            .handles()
+            .map(|h| self.open.close_order(h))
             .collect();
-        self.close_in_order(all, &mut events);
+        self.close_in_order(&mut all, &mut events);
         // Force-flush every pending loop.
         for (prefix, state) in &mut self.prefixes {
             let (loops, _) = state.take_final_loops(*prefix, &self.cfg, &self.looped_seqs, None);
@@ -364,28 +575,26 @@ impl OnlineDetector {
     }
 
     /// Closes stale candidates, emits loops that became final and trims
-    /// history past the horizon. Returns how many history entries were
-    /// trimmed.
-    fn expire(&mut self, events: &mut Vec<OnlineEvent>) -> usize {
+    /// history past the horizon.
+    fn expire(&mut self, events: &mut Vec<OnlineEvent>) {
         // Candidates silent past the replica gap can never grow again.
         let cutoff = self.now.saturating_sub(self.cfg.max_replica_gap_ns);
-        let mut stale: Vec<CloseOrder> = Vec::new();
-        while let Some(&(ts, key)) = self.expiry.front() {
+        let mut stale = std::mem::take(&mut self.stale);
+        while let Some(&(ts, h, epoch)) = self.expiry.front() {
             if ts >= cutoff {
                 break;
             }
             self.expiry.pop_front();
             // An entry whose candidate has since grown or closed is stale
             // itself; the candidate's latest sighting has its own entry.
-            if let Some(c) = self.open.get(&key) {
-                if c.last.timestamp_ns == ts {
-                    stale.push((c.first.timestamp_ns, key.ident, c.first_seq, key));
-                }
+            if self.open.is_last_sighting(ts, h, epoch) {
+                stale.push(self.open.close_order(h));
             }
         }
         if !stale.is_empty() {
-            self.close_in_order(stale, events);
+            self.close_in_order(&mut stale, events);
         }
+        self.stale = stale;
 
         // Emit loops whose composition can no longer change. Only /24s
         // whose recheck condition has come true can emit, so the pass is
@@ -424,7 +633,6 @@ impl OnlineDetector {
 
         // Trim history, oldest record first.
         let h_cutoff = self.now.saturating_sub(self.history_horizon_ns);
-        let mut trimmed = 0;
         while let Some(&prefix) = self.history_order.front() {
             let state = self.prefixes.get_mut(&prefix).expect("history prefix");
             let &(t, old_seq) = state
@@ -437,18 +645,16 @@ impl OnlineDetector {
             state.history.pop_front();
             self.history_order.pop_front();
             self.looped_seqs.remove(&old_seq);
-            trimmed += 1;
         }
-        trimmed
     }
 
     /// Closes the given candidates in `(start, ident, first seq)` order,
-    /// ignoring duplicate entries.
-    fn close_in_order(&mut self, mut keys: Vec<CloseOrder>, events: &mut Vec<OnlineEvent>) {
-        keys.sort_unstable_by_key(|&(start, ident, first_seq, _)| (start, ident, first_seq));
-        keys.dedup_by_key(|&mut (_, _, first_seq, _)| first_seq);
-        for (_, _, _, key) in keys {
-            let cand = self.open.remove(&key).expect("open candidate");
+    /// ignoring duplicate entries, and leaves `handles` empty.
+    fn close_in_order(&mut self, handles: &mut Vec<CloseOrder>, events: &mut Vec<OnlineEvent>) {
+        handles.sort_unstable_by_key(|&(start, ident, first_seq, _)| (start, ident, first_seq));
+        handles.dedup_by_key(|&mut (_, _, first_seq, _)| first_seq);
+        for (_, _, _, h) in handles.drain(..) {
+            let (key, cand) = self.open.remove(h);
             self.close_candidate(key, cand, events);
         }
     }
@@ -526,7 +732,7 @@ impl Drop for OnlineDetector {
     /// Takes this detector's share back out of the fleet-total gauges.
     fn drop(&mut self) {
         TM_OPEN_CANDIDATES.add(-self.reported_open);
-        TM_PREFIX_HISTORY.add(-(self.history_order.len() as i64));
+        TM_PREFIX_HISTORY.add(-self.reported_history);
     }
 }
 
@@ -679,9 +885,7 @@ pub fn run_streaming(
 ) -> (Vec<OnlineEvent>, OnlineStats) {
     let mut det = OnlineDetector::new(cfg);
     let mut events = Vec::new();
-    for rec in records {
-        events.extend(det.push(rec));
-    }
+    det.push_batch(records, |ev| events.push(ev));
     let (mut tail, stats) = det.finish();
     events.append(&mut tail);
     (events, stats)
@@ -916,6 +1120,180 @@ mod tests {
             assert_eq!(streams.len(), 2);
             assert_eq!(streams[0].key.dst, first[0].dst);
             assert_eq!(streams[1].key.dst, second[0].dst);
+        }
+    }
+
+    /// `n` sightings of one looping packet of an unparsed protocol whose
+    /// 8 body bytes are its whole transport summary, TTL dropping by 2.
+    fn opaque_sightings(
+        times_ns: &[u64],
+        ident: u16,
+        body: [u8; 8],
+        dst: Ipv4Addr,
+    ) -> Vec<TraceRecord> {
+        let mut p = Packet::opaque(
+            Ipv4Addr::new(100, 7, 7, 7),
+            dst,
+            net_types::IpProtocol::Other(47),
+            body.to_vec(),
+        );
+        p.ip.ident = ident;
+        p.ip.ttl = 60;
+        p.fill_checksums();
+        let mut out = Vec::new();
+        for (k, &t) in times_ns.iter().enumerate() {
+            if k > 0 {
+                p.ip.decrement_ttl();
+                p.ip.decrement_ttl();
+            }
+            out.push(TraceRecord::from_packet(t, &p));
+        }
+        out
+    }
+
+    /// The body that gives the packet with `ident` the same fingerprint as
+    /// `(ident_a, body_a)`: the two keys differ, their fingerprints do not.
+    /// The fingerprint's last round mixes the body in as one word, and the
+    /// mixer's multiply is invertible, so the word can be solved for.
+    fn colliding_body(ident_a: u16, body_a: [u8; 8], ident: u16, dst: Ipv4Addr) -> [u8; 8] {
+        let mut inverse = crate::fxhash::SEED;
+        for _ in 0..6 {
+            inverse =
+                inverse.wrapping_mul(2u64.wrapping_sub(crate::fxhash::SEED.wrapping_mul(inverse)));
+        }
+        // With a zero body the final word is the rotated running hash.
+        let rotated = |ident| {
+            let rec = opaque_sightings(&[0], ident, [0; 8], dst)[0];
+            ReplicaKey::of(&rec).fingerprint().wrapping_mul(inverse)
+        };
+        (u64::from_le_bytes(body_a) ^ rotated(ident_a) ^ rotated(ident)).to_le_bytes()
+    }
+
+    #[test]
+    fn colliding_keys_close_split_and_expire_like_offline() {
+        let dst = Ipv4Addr::new(203, 0, 113, 1);
+        let body_a = *b"collide!";
+        let body_b = colliding_body(1, body_a, 2, dst);
+        let ms = |t: u64| t * 1_000_000;
+        let a = opaque_sightings(&[ms(0), ms(2), ms(4), ms(6), ms(8)], 1, body_a, dst);
+        // B loops, then a sighting with a TTL no lower than its last one
+        // splits it, and the second candidate grows into a stream too.
+        let mut b = opaque_sightings(&[ms(1), ms(3), ms(5), ms(7)], 2, body_b, dst);
+        b.extend(opaque_sightings(&[ms(9), ms(11), ms(13)], 2, body_b, dst));
+        assert_ne!(ReplicaKey::of(&a[0]), ReplicaKey::of(&b[0]));
+        assert_eq!(a[0].fingerprint, b[0].fingerprint, "forced collision");
+        // A late record expires everything mid-trace, then C opens.
+        let late = looping_records(5_000_000_000, 1, 60, 1, 9, Ipv4Addr::new(192, 0, 2, 1));
+        let mut recs = [a, b, late].concat();
+        recs.sort_by_key(|r| r.timestamp_ns);
+
+        let mut det = OnlineDetector::new(DetectorConfig::default());
+        let mut events = Vec::new();
+        for (i, r) in recs.iter().enumerate() {
+            events.extend(det.push(r));
+            if i == 1 {
+                // Both keys hang off one index entry.
+                assert_eq!((det.open.index.len(), det.open_candidates()), (1, 2));
+            }
+        }
+        assert_eq!(det.open_candidates(), 1, "A and B expired on the late push");
+        let (tail, stats) = det.finish();
+        events.extend(tail);
+
+        let offline = Detector::new(DetectorConfig::default()).run(&recs);
+        let mut streams: Vec<ReplicaStream> = streams_of(&events).into_iter().cloned().collect();
+        streams.sort_by_key(|s| (s.start_ns(), s.record_indices[0]));
+        assert_eq!(streams.len(), 3, "A, and B on both sides of its split");
+        assert_eq!(streams, offline.streams);
+        let loops: Vec<RoutingLoop> = loops_of(&events).into_iter().cloned().collect();
+        assert_eq!(loops, offline.loops);
+        assert_eq!(stats.as_detection_stats(), offline.stats);
+    }
+
+    #[test]
+    fn freed_slot_reuse_ignores_the_old_occupants_expiry_entries() {
+        let dst = Ipv4Addr::new(203, 0, 113, 1);
+        let ms = |t: u64| t * 1_000_000;
+        let recs = looping_records(0, ms(1), 60, 2, 1, dst);
+        let mut det = OnlineDetector::new(DetectorConfig::default());
+        det.push(&recs[0]);
+        det.push(&recs[1]);
+        // The same sighting again at the same time: not a continuation, so
+        // the candidate closes and its slot goes straight to its successor
+        // while both of the old candidate's expiry entries are queued.
+        det.push(&recs[1]);
+        let (_, h, old_epoch) = det.expiry[0];
+        let new_epoch = det.open.slots[h as usize].epoch;
+        assert_ne!(old_epoch, new_epoch, "freeing bumped the epoch");
+        assert_eq!(det.expiry.len(), 3);
+        assert!(det.expiry.iter().all(|&(_, eh, _)| eh == h), "slot reused");
+        // The old entry for 1 ms names the successor's exact last sighting;
+        // only the epoch tells them apart.
+        assert!(!det.open.is_last_sighting(ms(1), h, old_epoch));
+        assert!(det.open.is_last_sighting(ms(1), h, new_epoch));
+
+        // Unrelated probes move the clock on.
+        let at = |t: u64| {
+            let mut r = recs[0];
+            r.dst = Ipv4Addr::new(192, 0, 2, 1);
+            r.timestamp_ns = t;
+            r.ident = t as u16;
+            r.with_fingerprint()
+        };
+        // Past the old 0 ms entry only: it is popped and skipped.
+        det.push(&at(ms(1_000) + ms(1) / 2));
+        assert_eq!(det.open_candidates(), 2, "successor still open");
+        assert_eq!(det.expiry.len(), 3);
+        // Past both 1 ms entries: the successor closes (one sighting, no
+        // stream) through its own entry alone.
+        assert!(det.push(&at(ms(1_002))).is_empty());
+        assert_eq!(det.open_candidates(), 2, "only the two probes remain");
+        assert_eq!(det.expiry.len(), 2);
+        let (_, stats) = det.finish();
+        assert_eq!(stats.rejected_short, 1, "the 2-sighting first candidate");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two fingerprints")]
+    fn one_key_under_two_fingerprints_is_caught_in_debug_builds() {
+        let recs = looping_records(0, 1_000_000, 60, 2, 1, Ipv4Addr::new(203, 0, 113, 1));
+        let mut det = OnlineDetector::new(DetectorConfig::default());
+        det.push(&recs[0]);
+        let mut forged = recs[1];
+        forged.fingerprint ^= 1;
+        det.push(&forged);
+    }
+
+    #[test]
+    fn push_batch_matches_single_pushes() {
+        let mut recs = Vec::new();
+        for j in 0..6u16 {
+            recs.extend(looping_records(
+                u64::from(j) * 700_000_000,
+                1_500_000,
+                64,
+                3 + usize::from(j % 3),
+                j,
+                Ipv4Addr::new(203, 0, (j % 3) as u8, 1),
+            ));
+        }
+        recs.sort_by_key(|r| r.timestamp_ns);
+        let mut single = OnlineDetector::new(DetectorConfig::default());
+        let per_record: Vec<Vec<OnlineEvent>> = recs.iter().map(|r| single.push(r)).collect();
+        assert!(per_record.iter().any(|e| !e.is_empty()), "events mid-trace");
+        for chunk in [1, 2, 7, recs.len()] {
+            let mut batched = OnlineDetector::new(DetectorConfig::default());
+            for (i, batch) in recs.chunks(chunk).enumerate() {
+                let mut got = Vec::new();
+                batched.push_batch(batch, |e| got.push(e));
+                let want: Vec<OnlineEvent> = per_record[i * chunk..][..batch.len()].concat();
+                assert_eq!(got, want, "chunk {chunk}, batch {i}");
+                // The published share is the live share once a call returns.
+                assert_eq!(batched.reported_open, batched.open_candidates() as i64);
+                assert_eq!(batched.reported_history, batched.history_order.len() as i64);
+            }
+            assert_eq!(batched.stats(), single.stats());
         }
     }
 

@@ -618,12 +618,8 @@ impl Engine for StreamingEngine {
 
     fn feed(&mut self, batch: &[TraceRecord], emit: &mut dyn FnMut(OnlineEvent)) {
         let det = self.det.as_mut().expect("feed after finish");
-        for rec in batch {
-            self.records += 1;
-            for ev in det.push(rec) {
-                emit(ev);
-            }
-        }
+        self.records += batch.len() as u64;
+        det.push_batch(batch, emit);
     }
 
     fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {

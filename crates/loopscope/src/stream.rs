@@ -5,7 +5,7 @@ use crate::key::ReplicaKey;
 use net_types::Ipv4Prefix;
 
 /// One sighting of the looping packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Observation {
     /// Capture time (ns since trace epoch).
     pub timestamp_ns: u64,

@@ -10,11 +10,13 @@
 //!   first push past its end plus the merge gap by which every candidate
 //!   to its /24 that started by then has closed;
 //! * with the safe history horizon, streams and loops equal the offline
-//!   [`Detector`]'s.
+//!   [`Detector`]'s;
+//! * distinct keys forced onto one fingerprint, and any batching of the
+//!   same records through [`OnlineDetector::push_batch`], change nothing.
 
 use loopscope::online::{OnlineDetector, OnlineEvent};
 use loopscope::{Detector, DetectorConfig, ReplicaKey, ReplicaStream, RoutingLoop, TraceRecord};
-use net_types::{Ipv4Prefix, Packet, TcpFlags};
+use net_types::{IpProtocol, Ipv4Prefix, Packet, TcpFlags};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -79,6 +81,57 @@ fn background(ts: u64, ident: u16, dst: Ipv4Addr) -> TraceRecord {
     p.ip.ttl = 57;
     p.fill_checksums();
     TraceRecord::from_packet(ts, &p)
+}
+
+/// `n` sightings of a looping packet of an unparsed protocol, whose 8
+/// body bytes are its whole transport summary; TTL dropping by 2 each.
+fn opaque_sightings(
+    start_ns: u64,
+    spacing_ns: u64,
+    n: usize,
+    ident: u16,
+    body: [u8; 8],
+    dst: Ipv4Addr,
+) -> Vec<TraceRecord> {
+    let mut p = Packet::opaque(
+        Ipv4Addr::new(100, 8, 0, 1),
+        dst,
+        IpProtocol::Other(47),
+        body.to_vec(),
+    );
+    p.ip.ident = ident;
+    p.ip.ttl = 64;
+    p.fill_checksums();
+    let mut out = Vec::new();
+    for k in 0..n {
+        if k > 0 {
+            assert!(p.ip.decrement_ttl() && p.ip.decrement_ttl());
+        }
+        out.push(TraceRecord::from_packet(
+            start_ns + k as u64 * spacing_ns,
+            &p,
+        ));
+    }
+    out
+}
+
+/// The multiplier of the Fx mixer behind [`ReplicaKey::fingerprint`].
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// The body that gives the opaque packet with `ident` the fingerprint of
+/// `(ident_a, body_a)`. The body enters the fingerprint as its last word,
+/// `(running hash rotated ^ word) * FX_SEED`, and the multiply is
+/// invertible, so the word can be solved for. Callers assert the result.
+fn colliding_body(ident_a: u16, body_a: [u8; 8], ident: u16, dst: Ipv4Addr) -> [u8; 8] {
+    let mut inverse = FX_SEED;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(inverse)));
+    }
+    let rotated = |ident| {
+        let rec = opaque_sightings(0, 0, 1, ident, [0; 8], dst)[0];
+        ReplicaKey::of(&rec).fingerprint().wrapping_mul(inverse)
+    };
+    (u64::from_le_bytes(body_a) ^ rotated(ident_a) ^ rotated(ident)).to_le_bytes()
 }
 
 /// Every event with the index of the push that emitted it
@@ -252,5 +305,79 @@ proptest! {
         let (streams, loops) = split(events);
         prop_assert_eq!(&streams, &offline.streams);
         prop_assert_eq!(&loops, &offline.loops);
+    }
+
+    #[test]
+    fn colliding_fingerprints_and_batching_change_nothing(
+        // Each loop: (start in ms, spacing ms, sightings, /24, its twin's
+        // offset in ms and sightings). The twin has a different key but,
+        // by construction, the same fingerprint.
+        loops in proptest::collection::vec(
+            (0u64..20_000, 2u64..45, 1usize..9, 0u8..3, 0u64..400, 1usize..9),
+            1..8,
+        ),
+        bg_every_ms in 20u64..400,
+        chunks in proptest::collection::vec(1usize..300, 1..8),
+    ) {
+        let cfg = tight_cfg();
+        let mut records = Vec::new();
+        for (i, &(start_ms, spacing_ms, n, net, twin_ms, twin_n)) in loops.iter().enumerate() {
+            let dst = Ipv4Addr::new(203, 0, net, 7);
+            let (ident, twin_ident) = (100 + i as u16, 300 + i as u16);
+            let body = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes();
+            let twin_body = colliding_body(ident, body, twin_ident, dst);
+            let a = opaque_sightings(start_ms * 1_000_000, spacing_ms * 1_000_000, n, ident, body, dst);
+            let b = opaque_sightings(
+                (start_ms + twin_ms) * 1_000_000,
+                spacing_ms * 1_000_000,
+                twin_n,
+                twin_ident,
+                twin_body,
+                dst,
+            );
+            prop_assert_ne!(ReplicaKey::of(&a[0]), ReplicaKey::of(&b[0]));
+            prop_assert_eq!(a[0].fingerprint, b[0].fingerprint);
+            records.extend(a);
+            records.extend(b);
+        }
+        let span = records.iter().map(|r| r.timestamp_ns).max().unwrap_or(0) + 2 * safe_horizon(&cfg);
+        let (mut t, mut ident) = (0u64, 10_000u16);
+        while t < span {
+            records.push(background(t, ident, Ipv4Addr::new(203, 0, (ident % 4) as u8, 9)));
+            ident = ident.wrapping_add(1);
+            t += bg_every_ms * 1_000_000;
+        }
+        records.sort_by_key(|r| r.timestamp_ns);
+
+        // Collisions: the safe-horizon result still equals the offline one.
+        let det = OnlineDetector::new(cfg).with_history_horizon(safe_horizon(&cfg));
+        let events = timed_events(&records, det);
+        let offline = Detector::new(cfg).run(&records);
+        let per_record: Vec<Vec<OnlineEvent>> = {
+            let mut by_push = vec![Vec::new(); records.len()];
+            for (at, e) in &events {
+                if *at < records.len() {
+                    by_push[*at].push(e.clone());
+                }
+            }
+            by_push
+        };
+        let (streams, loops) = split(events);
+        prop_assert_eq!(&streams, &offline.streams);
+        prop_assert_eq!(&loops, &offline.loops);
+
+        // Batching: each batch emits exactly its records' events, in order.
+        let mut det = OnlineDetector::new(cfg).with_history_horizon(safe_horizon(&cfg));
+        let mut pos = 0;
+        for &len in chunks.iter().cycle() {
+            if pos == records.len() {
+                break;
+            }
+            let end = (pos + len).min(records.len());
+            let mut got = Vec::new();
+            det.push_batch(&records[pos..end], |e| got.push(e));
+            prop_assert_eq!(got, per_record[pos..end].concat());
+            pos = end;
+        }
     }
 }

@@ -44,7 +44,7 @@ pub mod split;
 pub mod writer;
 
 pub use format::{FileHeader, LinkType, PcapError, RecordHeader, TsResolution};
-pub use reader::{PcapReader, RecordBuf, INLINE_RECORD_CAP};
+pub use reader::{PcapReader, RecordBuf, INLINE_RECORD_CAP, PUBLISH_EVERY};
 pub use split::{BlockIndex, SplitPoint, SPLIT_BLOCK_LEN};
 pub use writer::PcapWriter;
 

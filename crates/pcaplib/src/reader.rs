@@ -14,6 +14,12 @@
 //! The source is consumed through a fixed block buffer (one `read`
 //! syscall per `BLOCK_LEN` bytes rather than two per record), so both
 //! paths are fast even over unbuffered files.
+//!
+//! Readers on different threads share the process-wide counters, so a
+//! reader counts records and truncations locally and adds them to
+//! `pcap.records_total` / `pcap.truncated_records` every
+//! [`PUBLISH_EVERY`] records, at end-of-file and when it is dropped.
+//! `pcap.malformed_records` is rare and published at once.
 
 use crate::format::{FileHeader, PcapError, RecordHeader, FILE_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::CapturedPacket;
@@ -28,6 +34,10 @@ static TM_MALFORMED: LazyCounter = LazyCounter::new("pcap.malformed_records");
 /// before allocating absurd buffers. Generous enough for jumbo frames and
 /// full-packet captures.
 pub(crate) const MAX_SANE_CAPLEN: u32 = 256 * 1024;
+
+/// Records a reader reads between publications of its local counts to
+/// `pcap.records_total` and `pcap.truncated_records`.
+pub const PUBLISH_EVERY: u64 = 4096;
 
 /// Bytes read from the source per refill of the internal block buffer.
 const BLOCK_LEN: usize = 64 * 1024;
@@ -124,6 +134,10 @@ pub struct PcapReader<R: Read> {
     source: R,
     header: FileHeader,
     records_read: u64,
+    /// Records and truncated records read since the counters were last
+    /// published.
+    unpublished_records: u64,
+    unpublished_truncated: u64,
     /// Block buffer: `block[pos..filled]` is unconsumed source data.
     block: Box<[u8]>,
     pos: usize,
@@ -140,6 +154,8 @@ impl<R: Read> PcapReader<R> {
             source,
             header,
             records_read: 0,
+            unpublished_records: 0,
+            unpublished_truncated: 0,
             block: vec![0u8; BLOCK_LEN].into_boxed_slice(),
             pos: 0,
             filled: 0,
@@ -157,6 +173,8 @@ impl<R: Read> PcapReader<R> {
             source,
             header,
             records_read: 0,
+            unpublished_records: 0,
+            unpublished_truncated: 0,
             block: vec![0u8; BLOCK_LEN].into_boxed_slice(),
             pos: 0,
             filled: 0,
@@ -206,6 +224,7 @@ impl<R: Read> PcapReader<R> {
         let mut hdr_buf = [0u8; RECORD_HEADER_LEN];
         let got = self.read_from_block(&mut hdr_buf)?;
         if got == 0 {
+            self.publish_counts();
             return Ok(false);
         }
         if got < RECORD_HEADER_LEN {
@@ -241,11 +260,25 @@ impl<R: Read> PcapReader<R> {
         buf.orig_len = rec.orig_len;
         buf.len = rec.incl_len;
         self.records_read += 1;
-        TM_RECORDS_TOTAL.inc();
+        self.unpublished_records += 1;
         if rec.incl_len < rec.orig_len {
-            TM_TRUNCATED.inc();
+            self.unpublished_truncated += 1;
+        }
+        if self.unpublished_records == PUBLISH_EVERY {
+            self.publish_counts();
         }
         Ok(true)
+    }
+
+    /// Adds the locally counted records and truncations to the shared
+    /// counters.
+    fn publish_counts(&mut self) {
+        if self.unpublished_records > 0 {
+            TM_RECORDS_TOTAL.add(std::mem::take(&mut self.unpublished_records));
+        }
+        if self.unpublished_truncated > 0 {
+            TM_TRUNCATED.add(std::mem::take(&mut self.unpublished_truncated));
+        }
     }
 
     /// Reads the next packet; `Ok(None)` at clean end-of-file.
@@ -267,6 +300,14 @@ impl<R: Read> PcapReader<R> {
             out.push(p);
         }
         Ok(out)
+    }
+}
+
+impl<R: Read> Drop for PcapReader<R> {
+    /// Publishes what was read since the last publication, so a reader
+    /// abandoned mid-file still counts every record it returned.
+    fn drop(&mut self) {
+        self.publish_counts();
     }
 }
 

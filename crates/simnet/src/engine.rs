@@ -17,6 +17,13 @@ static TM_EVENTS_PROCESSED: LazyCounter = LazyCounter::new("simnet.events_proces
 static TM_TAP_EMITS: LazyCounter = LazyCounter::new("simnet.tap_emits");
 static TM_QUEUE_DEPTH: LazyGauge = LazyGauge::new("simnet.queue_depth");
 
+/// Events [`Engine::run`] processes between publications of the engine's
+/// locally accumulated `simnet.tap_emits` and `simnet.queue_depth`
+/// changes. Engines on different threads share those metrics, so they are
+/// not written per event; the queue depth is also published whenever it
+/// reaches a new peak for the run, so one engine's high-water stays exact.
+const PUBLISH_EVERY_EVENTS: u64 = 4096;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -178,6 +185,9 @@ pub struct SimReport {
     pub events_processed: u64,
     /// True when the run hit `max_events` and stopped early.
     pub truncated: bool,
+    /// Most packets queued at once over all links, reached by an enqueue
+    /// during this run.
+    pub queue_depth_peak: u64,
 }
 
 impl SimReport {
@@ -281,6 +291,12 @@ pub struct Engine {
     last_icmp: Vec<Option<SimTime>>,
     icmp_ident: u16,
     report: SimReport,
+    /// Tap emissions not yet published.
+    unpublished_tap_emits: u64,
+    /// Packets queued over all links now, and the depth last added to
+    /// `simnet.queue_depth`.
+    queue_depth: i64,
+    published_queue_depth: i64,
 }
 
 impl Engine {
@@ -309,6 +325,9 @@ impl Engine {
                 link_counters: vec![LinkCounters::default(); n_links],
                 ..SimReport::default()
             },
+            unpublished_tap_emits: 0,
+            queue_depth: 0,
+            published_queue_depth: 0,
             topo,
             cfg,
         }
@@ -436,6 +455,13 @@ impl Engine {
                 break;
             }
             self.report.events_processed += 1;
+            if self
+                .report
+                .events_processed
+                .is_multiple_of(PUBLISH_EVERY_EVENTS)
+            {
+                self.publish_telemetry();
+            }
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
             match ev.kind {
@@ -463,6 +489,7 @@ impl Engine {
         }
         self.report.end_time = self.now;
         TM_EVENTS_PROCESSED.add(self.report.events_processed);
+        self.publish_telemetry();
         for (i, l) in self.links.iter().enumerate() {
             self.report.link_counters[i] = l.counters;
         }
@@ -473,6 +500,23 @@ impl Engine {
                 ..SimReport::default()
             },
         )
+    }
+
+    /// Adds the locally accumulated tap emissions and queue-depth change
+    /// to the shared metrics.
+    fn publish_telemetry(&mut self) {
+        if self.unpublished_tap_emits > 0 {
+            TM_TAP_EMITS.add(std::mem::take(&mut self.unpublished_tap_emits));
+        }
+        self.publish_queue_depth();
+    }
+
+    fn publish_queue_depth(&mut self) {
+        let delta = self.queue_depth - self.published_queue_depth;
+        if delta != 0 {
+            TM_QUEUE_DEPTH.add(delta);
+            self.published_queue_depth = self.queue_depth;
+        }
     }
 
     fn handle_inject(&mut self, node: NodeId, packet: Packet) {
@@ -611,10 +655,14 @@ impl Engine {
         let slot = self.alloc(flight);
         let link = &mut self.links[link_id.0];
         link.queue.push_back(slot);
-        TM_QUEUE_DEPTH.add(1);
         if !link.busy {
             link.busy = true;
             self.push_event(self.now, EventKind::Dequeue { link: link_id });
+        }
+        self.queue_depth += 1;
+        if self.queue_depth as u64 > self.report.queue_depth_peak {
+            self.report.queue_depth_peak = self.queue_depth as u64;
+            self.publish_queue_depth();
         }
     }
 
@@ -631,7 +679,7 @@ impl Engine {
             state.busy = false;
             return;
         };
-        TM_QUEUE_DEPTH.add(-1);
+        self.queue_depth -= 1;
         let flight = self.take(slot);
         let wire_len = flight.packet.wire_len();
         let packet_copy = flight.packet.clone();
@@ -652,7 +700,7 @@ impl Engine {
         // The monitor sees the packet as it hits the wire.
         if let Some(tap_idx) = self.tap_of_link[link_id.0] {
             self.taps[tap_idx].record(self.now, flight.packet.clone());
-            TM_TAP_EMITS.inc();
+            self.unpublished_tap_emits += 1;
         }
         let mut next_free = self.now + ser;
         if corrupt {
@@ -679,7 +727,7 @@ impl Engine {
             }
             if let Some(tap_idx) = self.tap_of_link[link_id.0] {
                 self.taps[tap_idx].record(self.now + ser, packet_copy.clone());
-                TM_TAP_EMITS.inc();
+                self.unpublished_tap_emits += 1;
             }
             let dup_flight = Flight {
                 packet: packet_copy,
@@ -706,7 +754,7 @@ impl Engine {
         let state = &mut self.links[link_id.0];
         state.up = false;
         let queued: Vec<usize> = state.queue.drain(..).collect();
-        TM_QUEUE_DEPTH.add(-(queued.len() as i64));
+        self.queue_depth -= queued.len() as i64;
         for slot in queued {
             let flight = self.take(slot);
             self.links[link_id.0].counters.down_drops += 1;

@@ -153,7 +153,7 @@ run_corpus_smoke() {
 }
 
 run_monitor_smoke() {
-    banner "monitor smoke: loopmond fleet demo + event schema + graceful SIGINT"
+    banner "monitor smoke: loopmond fleet demo, event schema, graceful SIGINT, capture links, failing link"
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
@@ -193,6 +193,44 @@ run_monitor_smoke() {
         exit 1
     }
     cargo run -p bench --release --bin validate_telemetry -- --events "$tmp/sig.jsonl"
+    # Capture mode: three demo captures of different lengths, one link
+    # each. A link's event lines must not depend on the worker count.
+    local scale link status
+    for scale in 0.05 0.1 0.3; do
+        cargo run --release --example pcap_analysis -- --emit-demo "$tmp/demo-$scale.pcap" "$scale"
+    done
+    for threads in 1 2; do
+        ./target/release/loopmond "$tmp"/demo-*.pcap --threads "$threads" \
+            --events "$tmp/capture-$threads.jsonl"
+    done
+    for scale in 0.05 0.1 0.3; do
+        link="demo-$scale"
+        grep "^{\"link\":\"$link\"," "$tmp/capture-1.jsonl" > "$tmp/$link.t1" || {
+            echo "error: capture link $link emitted no events" >&2
+            exit 1
+        }
+        grep "^{\"link\":\"$link\"," "$tmp/capture-2.jsonl" > "$tmp/$link.t2" || true
+        cmp -s "$tmp/$link.t1" "$tmp/$link.t2" || {
+            echo "error: link $link's events differ between --threads 1 and 2" >&2
+            exit 1
+        }
+    done
+    # A capture whose records go back in time (its records appended a
+    # second time after the 24-byte global header) is retired alone: exit
+    # 1, and the good link beside it still emits every event.
+    { cat "$tmp/demo-0.1.pcap"; tail -c +25 "$tmp/demo-0.1.pcap"; } > "$tmp/backwards.pcap"
+    status=0
+    ./target/release/loopmond "$tmp/demo-0.1.pcap" "$tmp/backwards.pcap" --threads 2 \
+        --events "$tmp/order.jsonl" 2> "$tmp/order.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q '^error: link backwards: ' "$tmp/order.err"; then
+        echo "error: an out-of-order link must be reported and exit 1 (got $status)" >&2
+        cat "$tmp/order.err" >&2
+        exit 1
+    fi
+    grep '^{"link":"demo-0.1",' "$tmp/order.jsonl" | cmp -s - "$tmp/demo-0.1.t1" || {
+        echo "error: the good link lost events beside a failing one" >&2
+        exit 1
+    }
 }
 
 run_observability_smoke() {

@@ -23,12 +23,18 @@
 //! SIGINT/SIGTERM stop the sources at the next batch boundary; every
 //! link's engine is drained, tail events are written, the sink is
 //! flushed, and the final telemetry sample is emitted before the process
-//! exits 0 — a stopped monitor is a normally-terminated monitor.
+//! exits 0 — a stopped monitor is a normally-terminated monitor. A link
+//! that fails (unreadable, corrupt, or with records out of time order) is
+//! reported on stderr and retired alone: every other link runs to the end
+//! and flushes, and the process exits 1. A failing event sink is shared by
+//! every link, so it stops the fleet the way a signal does.
 //! Diagnostics go to stderr; the event stream alone goes to `--events`.
 
 use routing_loops::corpus::{self, IngestMode};
-use routing_loops::loopscope::pipeline::{PcapSource, PipelineError, RecordSource};
-use routing_loops::loopscope::{DetectorConfig, MonitorConfig, MonitorRuntime};
+use routing_loops::loopscope::pipeline::{PcapSource, PipelineError, RecordSource, SourceError};
+use routing_loops::loopscope::{
+    DetectorConfig, MonitorConfig, MonitorRuntime, OutOfOrder, ReplicaKey, TraceRecord,
+};
 use routing_loops::shutdown;
 use routing_loops::simnet::{FleetSpec, SimDuration};
 use routing_loops::sources::TapSource;
@@ -73,7 +79,10 @@ OPTIONS
 
 EXIT STATUS
   0 on a complete or gracefully stopped (SIGINT/SIGTERM/--max-records)
-  run; 1 on errors; 2 on usage errors.
+  run; 1 on errors; 2 on usage errors. A link that fails (unreadable,
+  corrupt, or records out of time order) is reported as
+  \"error: link <id>: ...\" and retired; the other links run to the end.
+  A failing --events sink stops every link.
 ";
 
 fn die(msg: &str) -> ! {
@@ -329,11 +338,21 @@ fn main() {
                 if shutdown::requested() {
                     break;
                 }
-                if let Err(e) = run_job(job, &runtime, spec.as_ref(), &budget, pace) {
-                    eprintln!("error: {e}");
-                    failed.store(true, Ordering::Relaxed);
-                    shutdown::request();
-                    break;
+                // A failing link is retired on its own; the rest of the
+                // fleet runs to completion and the exit status reports it.
+                // A failing sink fails every link, so it stops the fleet.
+                match run_job(job, &runtime, spec.as_ref(), &budget, pace) {
+                    Ok(()) => {}
+                    Err(JobError::Link(e)) => {
+                        eprintln!("error: {e}");
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    Err(JobError::Sink(e)) => {
+                        eprintln!("error: {e}");
+                        failed.store(true, Ordering::Relaxed);
+                        shutdown::request();
+                        break;
+                    }
                 }
             });
         }
@@ -385,6 +404,14 @@ fn main() {
     }
 }
 
+/// Why [`run_job`] gave up on a link.
+enum JobError {
+    /// The link's own source failed, or its records went back in time.
+    Link(String),
+    /// The shared event sink failed.
+    Sink(String),
+}
+
 /// Monitors one link to completion (or graceful stop): obtains its
 /// records, feeds them in [`CHUNK`]-sized batches with shutdown/budget
 /// checks between batches, then drains the engine's tail. Interruption
@@ -396,33 +423,43 @@ fn run_job(
     spec: Option<&FleetSpec>,
     budget: &AtomicI64,
     pace: Option<std::time::Duration>,
-) -> Result<(), String> {
-    let (id, mut source): (String, Box<dyn RecordSource>) = match job {
+) -> Result<(), JobError> {
+    // A `.ltc` stores each record's fingerprint rather than computing it.
+    let (id, mut source, stored_fingerprints): (String, Box<dyn RecordSource>, bool) = match job {
         Job::Fleet(i) => {
             let spec = spec.expect("fleet jobs carry a spec");
             let tap = spec.run_link(*i);
-            (FleetSpec::link_name(*i), Box::new(TapSource::new(&tap)))
+            (
+                FleetSpec::link_name(*i),
+                Box::new(TapSource::new(&tap)),
+                false,
+            )
         }
         Job::File(path) => {
             let p = std::path::Path::new(path);
-            let is_ltc = corpus::sniff_is_ltc(p).map_err(|e| format!("cannot open {path}: {e}"))?;
+            let is_ltc = corpus::sniff_is_ltc(p)
+                .map_err(|e| JobError::Link(format!("cannot open {path}: {e}")))?;
             let source: Box<dyn RecordSource> = if is_ltc {
                 corpus::open_ltc_source(p, IngestMode::default())
-                    .map_err(|e| format!("cannot parse {e}"))?
+                    .map_err(|e| JobError::Link(format!("cannot parse {e}")))?
             } else {
-                let file = File::open(p).map_err(|e| format!("cannot open {path}: {e}"))?;
+                let file = File::open(p)
+                    .map_err(|e| JobError::Link(format!("cannot open {path}: {e}")))?;
                 Box::new(
                     PcapSource::new(BufReader::new(file))
-                        .map_err(|e| format!("cannot parse {path}: {e}"))?,
+                        .map_err(|e| JobError::Link(format!("cannot parse {path}: {e}")))?,
                 )
             };
-            (link_id_for_file(path), source)
+            (link_id_for_file(path), source, is_ltc)
         }
     };
 
     let mut link = runtime.add_link(&id);
     let chunk_len = if pace.is_some() { PACED_CHUNK } else { CHUNK };
     let pulled = source.for_each_batch(&mut |batch| {
+        if stored_fingerprints {
+            check_stored_fingerprints(batch, link.records())?;
+        }
         for chunk in batch.chunks(chunk_len) {
             if shutdown::requested() {
                 return Err(PipelineError::Interrupted);
@@ -443,8 +480,46 @@ fn run_job(
         // A stop request abandons the rest of the source but the link
         // still drains below.
         Ok(_) | Err(PipelineError::Interrupted) => {}
-        Err(e) => return Err(format!("link {id}: {e}")),
+        // The link's own fault: the handle is dropped undrained, which
+        // retires the link.
+        Err(PipelineError::Sink(e)) if is_out_of_order(&e) => {
+            return Err(JobError::Link(format!("link {id}: {e}")))
+        }
+        Err(PipelineError::Sink(e)) => {
+            return Err(JobError::Sink(format!("link {id}: event sink: {e}")))
+        }
+        Err(e) => return Err(JobError::Link(format!("link {id}: {e}"))),
     }
-    link.finish().map_err(|e| format!("link {id}: {e}"))?;
+    link.finish()
+        .map_err(|e| JobError::Sink(format!("link {id}: event sink: {e}")))?;
     Ok(())
+}
+
+/// Refuses a batch holding a record whose stored fingerprint is not its
+/// replica key's; `first` numbers the batch's first record. The online
+/// detector's candidate index trusts the fingerprint: a wrong one splits
+/// a key into two candidates, and a column of equal values chains every
+/// key onto one index entry, which the daemon would walk per record.
+fn check_stored_fingerprints(batch: &[TraceRecord], first: u64) -> Result<(), PipelineError> {
+    match batch
+        .iter()
+        .position(|r| r.fingerprint != ReplicaKey::of(r).fingerprint())
+    {
+        None => Ok(()),
+        Some(i) => Err(PipelineError::Source(SourceError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "record {}: stored fingerprint does not match its replica-key fields",
+                first + i as u64
+            ),
+        )))),
+    }
+}
+
+/// Whether `e` is the refusal of a batch whose records go back in time;
+/// any other error from [`LinkMonitor::feed`] is the sink's.
+///
+/// [`LinkMonitor::feed`]: routing_loops::loopscope::LinkMonitor::feed
+fn is_out_of_order(e: &std::io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<OutOfOrder>())
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `loopmond` fleet-monitor binary: fleet and
-//! capture modes, the record budget, graceful SIGINT shutdown, and
-//! usage-error handling.
+//! capture modes, the record budget, graceful SIGINT shutdown, retiring a
+//! failing link, and usage-error handling.
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{write_tap_to_pcap, PAPER_SNAPLEN};
@@ -90,6 +90,159 @@ fn capture_mode_monitors_a_pcap_as_one_link() {
     let (streams, _) = assert_event_lines(&stdout, &stem);
     assert!(streams > 0, "backbone capture must emit stream events");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A small Backbone 3-shaped capture, as pcap bytes.
+fn backbone_pcap(name: &str) -> Vec<u8> {
+    let mut spec = paper_backbones(0.08).remove(2);
+    spec.name = name.into();
+    let run = run_backbone(&spec);
+    let mut bytes = Vec::new();
+    write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, &mut bytes).expect("write pcap");
+    bytes
+}
+
+/// Event lines of `link` in `stdout`.
+fn link_lines<'a>(stdout: &'a str, link: &str) -> Vec<&'a str> {
+    let prefix = format!("{{\"link\":\"{link}\",");
+    stdout.lines().filter(|l| l.starts_with(&prefix)).collect()
+}
+
+#[test]
+fn out_of_order_link_is_retired_while_the_rest_finish() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let good = dir.join(format!("loopmond_good_{pid}.pcap"));
+    let bad = dir.join(format!("loopmond_backwards_{pid}.pcap"));
+    let bytes = backbone_pcap("loopmond-order");
+    std::fs::write(&good, &bytes).expect("write good pcap");
+    // The capture with its records appended a second time: the first
+    // repeated record is earlier than the one before it.
+    let global_header = 24;
+    let mut twice = bytes.clone();
+    twice.extend_from_slice(&bytes[global_header..]);
+    std::fs::write(&bad, &twice).expect("write out-of-order pcap");
+
+    let alone = loopmond()
+        .arg(&good)
+        .args(["--events", "-"])
+        .output()
+        .expect("run loopmond");
+    assert!(alone.status.success(), "{alone:?}");
+    let both = loopmond()
+        .arg(&good)
+        .arg(&bad)
+        .args(["--events", "-", "--threads", "2"])
+        .output()
+        .expect("run loopmond");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
+
+    assert_eq!(both.status.code(), Some(1), "{both:?}");
+    let stderr = String::from_utf8(both.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!("error: link loopmond_backwards_{pid}: record "))
+            && stderr.contains("is earlier than the record before it"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("loopmond: 2 links (1 closed)"), "{stderr}");
+    // The good link ran to the end: its events are exactly those of a run
+    // on it alone.
+    let alone = String::from_utf8(alone.stdout).unwrap();
+    let both = String::from_utf8(both.stdout).unwrap();
+    let alone_lines: Vec<&str> = alone.lines().collect();
+    assert!(!alone_lines.is_empty(), "the good link must emit events");
+    assert_eq!(
+        link_lines(&both, &format!("loopmond_good_{pid}")),
+        alone_lines
+    );
+}
+
+#[test]
+fn tampered_ltc_fingerprints_retire_the_link() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let good = dir.join(format!("loopmond_fpgood_{pid}.pcap"));
+    let bad = dir.join(format!("loopmond_tampered_{pid}.ltc"));
+    let bytes = backbone_pcap("loopmond-tamper");
+    std::fs::write(&good, &bytes).expect("write good pcap");
+    // Every record of the corpus claims the first record's fingerprint,
+    // which would chain every key into one index entry.
+    let (mut records, skipped) =
+        routing_loops::convert::records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
+    let shared = records[0].fingerprint;
+    for r in &mut records {
+        r.fingerprint = shared;
+    }
+    std::fs::write(&bad, routing_loops::corpus::ltc_to_vec(&records, skipped))
+        .expect("write tampered corpus");
+
+    let alone = loopmond()
+        .arg(&good)
+        .args(["--events", "-"])
+        .output()
+        .expect("run loopmond");
+    let both = loopmond()
+        .arg(&good)
+        .arg(&bad)
+        .args(["--events", "-", "--threads", "2"])
+        .output()
+        .expect("run loopmond");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
+
+    assert!(alone.status.success(), "{alone:?}");
+    assert_eq!(both.status.code(), Some(1), "{both:?}");
+    let stderr = String::from_utf8(both.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!("error: link loopmond_tampered_{pid}: "))
+            && stderr.contains("stored fingerprint does not match"),
+        "{stderr}"
+    );
+    let alone = String::from_utf8(alone.stdout).unwrap();
+    let both = String::from_utf8(both.stdout).unwrap();
+    assert_eq!(
+        link_lines(&both, &format!("loopmond_fpgood_{pid}")),
+        alone.lines().collect::<Vec<_>>()
+    );
+}
+
+/// A sink every link shares is not one link's fault: its first failure
+/// stops the fleet, so later links are not read only to fail alike.
+#[cfg(target_os = "linux")]
+#[test]
+fn failing_event_sink_stops_the_fleet() {
+    let dir = std::env::temp_dir().join(format!("loopmond_full_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bytes = backbone_pcap("loopmond-full");
+    let links: Vec<_> = (0..4).map(|i| dir.join(format!("l{i}.pcap"))).collect();
+    for link in &links {
+        std::fs::write(link, &bytes).expect("write pcap");
+    }
+    let alone = loopmond()
+        .arg(&links[0])
+        .args(["--events", "-"])
+        .output()
+        .expect("run loopmond");
+    assert!(
+        alone.stdout.len() * links.len() > 8 * 1024,
+        "the links' events must overflow the sink's 8 KiB buffer"
+    );
+    let out = loopmond()
+        .args(&links)
+        .args(["--events", "/dev/full", "--threads", "1"])
+        .output()
+        .expect("run loopmond");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let failures: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: link "))
+        .collect();
+    assert_eq!(failures.len(), 1, "{stderr}");
+    assert!(failures[0].contains("event sink"), "{stderr}");
 }
 
 #[cfg(unix)]

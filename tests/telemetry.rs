@@ -247,6 +247,42 @@ fn online_detector_gauges_bounded_and_nonzero() {
 }
 
 #[test]
+fn online_gauges_carry_the_live_share_after_each_push_batch() {
+    let _lock = WORKLOAD.lock().unwrap();
+    let recs = looping_trace(8, 50);
+    let before = telemetry::global().snapshot();
+    let mut det = OnlineDetector::new(DetectorConfig::default());
+    let mut pushed = 0;
+    for batch in recs.chunks(16) {
+        det.push_batch(batch, |_| {});
+        pushed += batch.len();
+        // Published once per call: after it returns, the gauges hold
+        // exactly this detector's open candidates and, as the trace is
+        // shorter than the history horizon, one entry per record.
+        let live = telemetry::global().snapshot();
+        assert_eq!(
+            gauge_value(&live, "online.open_candidates")
+                - gauge_value(&before, "online.open_candidates"),
+            det.open_candidates() as i64
+        );
+        assert_eq!(
+            gauge_value(&live, "online.prefix_history")
+                - gauge_value(&before, "online.prefix_history"),
+            pushed as i64
+        );
+    }
+    drop(det);
+    let after = telemetry::global().snapshot();
+    for name in ["online.open_candidates", "online.prefix_history"] {
+        assert_eq!(
+            gauge_value(&after, name),
+            gauge_value(&before, name),
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn snapshot_json_exposes_pipeline_stages() {
     let _lock = WORKLOAD.lock().unwrap();
     // After any detector workload in this binary, the JSON document must
