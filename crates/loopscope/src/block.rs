@@ -84,6 +84,10 @@ struct ScanPartial {
     /// This range's share of the step-2 [`PrefixIndex`], built here so the
     /// index work overlaps the scan instead of serialising after it.
     index_part: IndexPartial,
+    /// Whether the range, and the step into it from the record before,
+    /// is in timestamp order. The scan stops at the first record that is
+    /// not.
+    sorted: bool,
 }
 
 /// One worker's share of the step-2/3 validate+merge.
@@ -137,13 +141,10 @@ impl BlockParallelDetector {
     /// each in `(0, len)`). Exposed so tests can torture arbitrary — in
     /// particular adversarial — boundaries; output is byte-identical to
     /// serial for *any* choice of split points.
+    ///
+    /// # Panics
+    /// Panics when records are not sorted by timestamp.
     pub fn run_with_splits(&self, records: &[TraceRecord], splits: &[usize]) -> DetectionResult {
-        assert!(
-            records
-                .windows(2)
-                .all(|w| w[0].timestamp_ns <= w[1].timestamp_ns),
-            "trace records must be sorted by timestamp"
-        );
         let mut splits: Vec<usize> = splits
             .iter()
             .copied()
@@ -159,8 +160,14 @@ impl BlockParallelDetector {
 
         // Phase A: per-range candidate scans, share-nothing. Each worker
         // also builds its range's share of the step-2 prefix index, so
-        // the formerly serial index rebuild overlaps the scan.
+        // the formerly serial index rebuild overlaps the scan. The workers
+        // check timestamp order as they scan, which keeps that pass over
+        // the trace off the serial path too.
         let mut partials = self.scan_ranges(records, &splits);
+        assert!(
+            partials.iter().all(|p| p.sorted),
+            "trace records must be sorted by timestamp"
+        );
         let index_parts: Vec<IndexPartial> = partials
             .iter_mut()
             .map(|p| std::mem::take(&mut p.index_part))
@@ -252,8 +259,16 @@ impl BlockParallelDetector {
                             telemetry::global()
                                 .counter(block_metric(w, "records"))
                                 .add(slice.len() as u64);
-                            let mut scanner = CandidateScanner::with_capacity(cfg, slice.len() / 4);
+                            let mut scanner = CandidateScanner::new(cfg);
+                            let mut prev_ns =
+                                lo.checked_sub(1).map_or(0, |i| records[i].timestamp_ns);
+                            let mut sorted = true;
                             for (off, rec) in slice.iter().enumerate() {
+                                if rec.timestamp_ns < prev_ns {
+                                    sorted = false;
+                                    break;
+                                }
+                                prev_ns = rec.timestamp_ns;
                                 scanner.push(lo + off, rec);
                             }
                             let (candidates, counters, split_fps) = scanner.finish_with_splits();
@@ -274,6 +289,7 @@ impl BlockParallelDetector {
                                 candidates,
                                 split_fps,
                                 index_part,
+                                sorted,
                             }
                         })
                         .expect("spawn block scan worker")
@@ -642,6 +658,31 @@ mod tests {
         records.sort_by_key(|r| r.timestamp_ns);
         // Splits isolating the B-burst into its own middle range.
         assert_identical(&records, &[2, 7]);
+    }
+
+    /// Two sorted halves whose concatenation steps back in time exactly at
+    /// record `at`.
+    fn step_back_at(at: usize) -> Vec<TraceRecord> {
+        let dst = Ipv4Addr::new(203, 0, 113, 9);
+        let mut records = looping_records(5_000_000_000, 40_000_000, 60, at, 1, dst);
+        records.extend(looping_records(1_000, 40_000_000, 60, 4, 2, dst));
+        records
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn unsorted_inside_a_range_panics() {
+        BlockParallelDetector::new(DetectorConfig::default(), 2)
+            .run_with_splits(&step_back_at(4), &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn unsorted_across_a_split_panics() {
+        // Each range is sorted on its own; only the step from the record
+        // before the split into the range is out of order.
+        BlockParallelDetector::new(DetectorConfig::default(), 2)
+            .run_with_splits(&step_back_at(4), &[4]);
     }
 
     #[test]

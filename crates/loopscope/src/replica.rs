@@ -209,7 +209,7 @@ impl Detector {
         records: &[TraceRecord],
         stats: &mut DetectionStats,
     ) -> Vec<ReplicaStream> {
-        let mut scanner = CandidateScanner::with_capacity(self.cfg, records.len() / 4);
+        let mut scanner = CandidateScanner::new(self.cfg);
         for (idx, rec) in records.iter().enumerate() {
             scanner.push(idx, rec);
         }
@@ -342,8 +342,12 @@ struct PreFilter {
     fps: Vec<u64>,
     /// Metadata lane: [`PROMOTED_BIT`] | generation of the last touch.
     meta: Vec<u64>,
-    /// Seed lane; read only on a fingerprint hit.
+    /// Seed lane; read only on a fingerprint hit, so a sweep that keeps
+    /// the capacity leaves it as it is.
     seeds: Vec<PrefilterSeed>,
+    /// Sweep scratch: the seeds that survive, kept across sweeps so a
+    /// table that has reached its window size sweeps without allocating.
+    survivors: Vec<(u64, u64, PrefilterSeed)>,
     /// Occupied slots (seeds + promoted markers).
     live: usize,
     /// `1 << gen_shift` is the generation window, the smallest power of
@@ -373,6 +377,7 @@ impl PreFilter {
             fps: vec![0; cap],
             meta: vec![0; cap],
             seeds: vec![PrefilterSeed::vacant(); cap],
+            survivors: Vec::new(),
             live: 0,
             gen_shift,
             hits: 0,
@@ -458,8 +463,20 @@ pub struct CandidateScanner {
 }
 
 impl CandidateScanner {
+    /// The open-key capacity [`Self::new`] starts from. The generation
+    /// sweep grows the level-0 table to the live replica window (about
+    /// two `max_replica_gap`s of traffic), so a scanner sized this way
+    /// ends up fitted to the window whatever the trace length.
+    pub const DEFAULT_CAPACITY: usize = 2048;
+
+    /// A scanner that starts small and grows to the live replica window.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Self::with_capacity(cfg, Self::DEFAULT_CAPACITY)
+    }
+
     /// A scanner whose tables are pre-sized for roughly `capacity`
-    /// simultaneously-open keys, avoiding rehash storms on large traces.
+    /// simultaneously-open keys — for callers that know their live
+    /// population. The tables still grow if it is exceeded.
     pub fn with_capacity(cfg: DetectorConfig, capacity: usize) -> Self {
         let prefilter = cfg
             .use_prefilter
@@ -624,10 +641,13 @@ impl CandidateScanner {
     /// evicted here could ever have joined a future sighting. Stale exact
     /// candidates close now instead of at [`Self::finish`] (the final sort
     /// erases the difference), stale seeds are discarded exactly as a
-    /// same-key stale split would have, and the lanes are rebuilt —
-    /// growing only when the *live* population demands it. This bounds
-    /// both tables by the traffic of the active window rather than the
-    /// whole trace, and costs O(capacity) per ≥ capacity/4 inserts.
+    /// same-key stale split would have, and the survivors are reinserted.
+    /// The table grows whenever survivors would fill more than a quarter
+    /// of it, so every sweep is followed by at least half a table of
+    /// inserts (O(1) amortised), and the table settles at the size of the
+    /// active window rather than the trace. At that size the sweep works
+    /// in place: it clears the fingerprint and metadata lanes and leaves
+    /// the seed lane and the survivor scratch allocated.
     #[cold]
     fn sweep(&mut self, cur_gen: u64) {
         let pf = self.prefilter.as_mut().expect("prefilter enabled");
@@ -654,30 +674,52 @@ impl CandidateScanner {
                 true
             }
         });
-        let mut survivors: Vec<(u64, u64, PrefilterSeed)> = Vec::new();
+        pf.survivors.clear();
+        let mut last_full_gen = 0usize;
         for i in 0..pf.fps.len() {
             let fp = pf.fps[i];
             if fp == 0 || pf.meta[i] & PROMOTED_BIT != 0 {
                 continue;
             }
-            if stale(pf.meta[i] & GEN_MASK) {
+            let gen = pf.meta[i] & GEN_MASK;
+            if stale(gen) {
                 // A seed that old can never be joined; close it discarded,
                 // just as the reference path eventually would.
                 counters.discarded += 1;
                 evicted += 1;
             } else {
-                survivors.push((fp, pf.meta[i], pf.seeds[i]));
+                last_full_gen += usize::from(gen + 1 == cur_gen);
+                pf.survivors.push((fp, pf.meta[i], pf.seeds[i]));
             }
         }
         pf.evictions += evicted;
         trace::counter(&TR_PREFILTER_EVICTIONS, pf.evictions);
-        let live_target = survivors.len() + self.open.len();
-        let new_cap = (live_target * 2 + 1).next_power_of_two().max(pf.fps.len());
-        pf.fps = vec![0; new_cap];
-        pf.meta = vec![0; new_cap];
-        pf.seeds = vec![PrefilterSeed::vacant(); new_cap];
+        // Survivors are at most two generations of traffic. Sizing for
+        // twice the last complete generation fits the table to a steady
+        // rate's window at the first sweep that sees a full generation,
+        // rather than at whichever later sweep happens to land at the end
+        // of one.
+        let live_target = pf.survivors.len().max(2 * last_full_gen) + self.open.len();
+        let cap = live_target
+            .saturating_mul(4)
+            .next_power_of_two()
+            .max(pf.fps.len());
+        if cap == pf.fps.len() {
+            pf.fps.fill(0);
+            pf.meta.fill(0);
+        } else {
+            pf.fps = vec![0; cap];
+            pf.meta = vec![0; cap];
+            pf.seeds = vec![PrefilterSeed::vacant(); cap];
+            // Room for a quarter table of survivors in total: a later
+            // sweep that keeps this size keeps at most that many (or it
+            // would grow the table), so it reuses the scratch.
+            pf.survivors
+                .reserve_exact((cap / 4).saturating_sub(pf.survivors.len()));
+        }
         pf.live = 0;
-        for (fp, meta, seed) in survivors {
+        for i in 0..pf.survivors.len() {
+            let (fp, meta, seed) = pf.survivors[i];
             let slot = pf.probe(fp);
             debug_assert_eq!(pf.fps[slot], 0, "seed fingerprints are unique");
             pf.fps[slot] = fp;

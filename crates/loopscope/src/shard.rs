@@ -378,11 +378,12 @@ impl ShardedDetector {
 /// candidates as records arrive), then run validation and merging on it,
 /// and remap record indices back to global trace positions.
 ///
-/// `estimate` is the expected sub-trace size; the record buffers and the
-/// scanner's candidate table are pre-sized from it, so the ingest loop
-/// runs without reallocation on uniformly sharded traces. Stage timers
-/// ("shard.detect" / "shard.validate" / "shard.merge") aggregate across
-/// workers, so their totals are worker-seconds, not wall time.
+/// `estimate` is the expected sub-trace size; the record buffers are
+/// pre-sized from it, so the ingest loop runs without reallocation on
+/// uniformly sharded traces. The scanner sizes itself to the replica
+/// window. Stage timers ("shard.detect" / "shard.validate" /
+/// "shard.merge") aggregate across workers, so their totals are
+/// worker-seconds, not wall time.
 fn run_shard(shard: usize, cfg: DetectorConfig, ring: &Ring, estimate: usize) -> ShardPartial {
     let records_counter = telemetry::global().counter(shard_metric(shard, "records"));
     let streams_counter = telemetry::global().counter(shard_metric(shard, "streams"));
@@ -397,7 +398,7 @@ fn run_shard(shard: usize, cfg: DetectorConfig, ring: &Ring, estimate: usize) ->
 
     let mut records: Vec<TraceRecord> = Vec::with_capacity(estimate);
     let mut globals: Vec<usize> = Vec::with_capacity(estimate);
-    let mut scanner = CandidateScanner::with_capacity(cfg, estimate / 4);
+    let mut scanner = CandidateScanner::new(cfg);
     let (candidates, counters) = {
         let _t = telemetry::span("shard.detect");
         let mut drained: VecDeque<Vec<(usize, TraceRecord)>> =

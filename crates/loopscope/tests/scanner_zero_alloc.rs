@@ -63,8 +63,9 @@ fn first_sightings(n: usize) -> Vec<TraceRecord> {
 }
 
 fn scan(records: &[TraceRecord]) -> (u64, u64) {
-    // Sized for the whole trace, as `Detector::find_candidates` sizes for
-    // its quarter-of-the-trace heuristic: no growth sweep can trigger.
+    // Sized for the whole trace, as a caller that knows its live
+    // population would size it: no growth sweep can trigger. The sweep's
+    // own steady state is covered by `scanner_steady_state_alloc.rs`.
     let mut scanner = CandidateScanner::with_capacity(DetectorConfig::default(), records.len());
     let start = ALLOCATIONS.load(Ordering::Relaxed);
     for (idx, rec) in records.iter().enumerate() {

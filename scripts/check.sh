@@ -93,10 +93,13 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/4 and --streaming byte-identical to serial"
+    banner "engine smoke: --threads 1/2/4, --no-prefilter and --streaming byte-identical to serial"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
-    # of only at end of trace.
+    # of only at end of trace. It also spans about 80 replica-gap
+    # generations, so the level-0 candidate table grows to the window and
+    # sweeps in place many times; --no-prefilter is the exact-map path
+    # without that table.
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
@@ -105,7 +108,7 @@ run_engine_smoke() {
         # shellcheck disable=SC2086
         cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args --engine serial \
             > "$tmp/serial.txt"
-        for variant in "--threads 1" "--threads 4" "--streaming"; do
+        for variant in "--threads 1" "--threads 2" "--threads 4" "--no-prefilter" "--streaming"; do
             # shellcheck disable=SC2086
             cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args $variant \
                 > "$tmp/variant.txt"
