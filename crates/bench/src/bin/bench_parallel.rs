@@ -5,7 +5,6 @@
 //! cargo run -p bench --release --bin bench_parallel
 //! cargo run -p bench --release --bin bench_parallel -- --scale 0.05 --repeat 1
 //! cargo run -p bench --release --bin bench_parallel -- --threads 2,4,8,16
-//! cargo run -p bench --release --bin bench_parallel -- --engine ring   # ablation
 //! ```
 //!
 //! Exit status is nonzero when any parallel run's output diverges from
@@ -28,7 +27,7 @@
 //! physically impossible. `--summary <path>` writes a markdown delta
 //! table (fresh vs baseline) suitable for `$GITHUB_STEP_SUMMARY`.
 
-use bench::parallel::{self, BenchEngine};
+use bench::parallel;
 use std::io::Write;
 use std::process::exit;
 
@@ -41,7 +40,6 @@ OPTIONS
   --scale <F>             bench trace scale factor (default 0.4)
   --threads <list>        comma-separated worker counts (default 1,2,4,8)
   --repeat <N>            timing repeats, best-of (default 3)
-  --engine <E>            parallel engine: block (default) or ring (ablation)
   --out <path>            artifact path (default BENCH_parallel.json)
   --gate <path>           baseline BENCH_parallel.json to enforce floors against
   --summary <path>        write a markdown delta summary (for $GITHUB_STEP_SUMMARY)
@@ -330,7 +328,6 @@ fn main() {
     let mut scale = 0.4f64;
     let mut threads: Vec<usize> = vec![1, 2, 4, 8];
     let mut repeats = 3usize;
-    let mut engine = BenchEngine::Block;
     let mut out_path = String::from("BENCH_parallel.json");
     let mut gate_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
@@ -375,17 +372,6 @@ fn main() {
                 if repeats == 0 {
                     die("--repeat must be at least 1");
                 }
-            }
-            "--engine" => {
-                engine = match it
-                    .next()
-                    .unwrap_or_else(|| die("--engine needs a value"))
-                    .as_str()
-                {
-                    "block" => BenchEngine::Block,
-                    "ring" => BenchEngine::Ring,
-                    other => die(&format!("unknown engine {other:?} (block or ring)")),
-                };
             }
             "--out" => {
                 out_path = it
@@ -457,13 +443,12 @@ fn main() {
     eprintln!("bench_parallel: building the bench trace (scale {scale}) ...");
     let records = parallel::bench_trace(scale);
     eprintln!(
-        "bench_parallel: {} records; timing serial + {:?} {} workers, best of {}",
+        "bench_parallel: {} records; timing serial + {:?} block workers, best of {}",
         records.len(),
         threads,
-        engine.name(),
         repeats
     );
-    let bench = parallel::run_on_engine(&records, &threads, repeats, engine);
+    let bench = parallel::run_on(&records, &threads, repeats);
 
     if let Some(s) = sampler {
         if let Err(e) = s.stop() {
@@ -542,9 +527,8 @@ fn main() {
         exit(1);
     }
     // An all-zero stage row — or a per-worker row that recorded no time at
-    // all — means instrumentation went dark (historically the 1-thread
-    // ring row, whose serial delegation never touched the `shard.*`
-    // timers). That is a regression the same way divergent output is.
+    // all — means instrumentation went dark. That is a regression the
+    // same way divergent output is.
     for s in &bench.samples {
         if !s.stages.is_empty() && s.stages.iter().all(|&(_, ns)| ns == 0) {
             eprintln!(

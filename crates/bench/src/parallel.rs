@@ -26,19 +26,13 @@
 //!    stages overlap in time, so their totals are aggregate
 //!    worker-seconds, not wall time.
 //!
-//! The retired ring dispatcher stays measurable as an ablation
-//! ([`BenchEngine::Ring`], `bench_parallel --engine ring`); its rows keep
-//! the historical `shard.*` schema.
-//!
 //! The artifact records the machine context every number must be read in:
 //! `cores`, the `rustc` version, and a `runner` label
 //! (`$BENCH_RUNNER_LABEL`, "local" when unset) so a committed baseline
 //! says where it came from.
 
 use loopscope::block::block_metric;
-use loopscope::pipeline::{
-    run_pipeline, BlockEngine, Engine, SerialEngine, ShardedEngine, SliceSource,
-};
+use loopscope::pipeline::{run_pipeline, BlockEngine, Engine, SerialEngine, SliceSource};
 use loopscope::{DetectorConfig, PipelineResult, TraceRecord};
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use std::time::Instant;
@@ -64,35 +58,6 @@ pub const BLOCK_STAGES: [&str; 6] = [
 /// worker so it overlaps the scan instead of serialising after it.
 pub const WORKER_FIELDS: [&str; 5] = ["scan", "index", "validate", "merge", "busy"];
 
-/// Ring-dispatcher stage timers (ablation), in pipeline order.
-pub const PARALLEL_STAGES: [&str; 5] = [
-    "shard.dispatch",
-    "shard.detect",
-    "shard.validate",
-    "shard.merge",
-    "shard.merge_results",
-];
-
-/// Which parallel engine the bench drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchEngine {
-    /// Share-nothing block partitioning with boundary reconciliation
-    /// (the default engine).
-    Block,
-    /// The retired central-dispatcher ring, kept as an ablation.
-    Ring,
-}
-
-impl BenchEngine {
-    /// Artifact label.
-    pub fn name(self) -> &'static str {
-        match self {
-            BenchEngine::Block => "block",
-            BenchEngine::Ring => "ring",
-        }
-    }
-}
-
 /// One thread count's measurement.
 #[derive(Debug, Clone)]
 pub struct ParallelSample {
@@ -108,12 +73,11 @@ pub struct ParallelSample {
     pub identical: bool,
     /// `(timer name, total ns)` per stage, from one instrumented run,
     /// scoped to that run alone (snapshot deltas — earlier thread counts
-    /// contribute nothing). Block runs use [`BLOCK_STAGES`] at every
-    /// thread count; ring runs keep the historical serial-names-at-1
-    /// special case (one ring shard IS the serial path).
+    /// contribute nothing), in [`BLOCK_STAGES`] order at every thread
+    /// count.
     pub stages: Vec<(&'static str, u64)>,
     /// Per-worker `(field, total ns)` rows ([`WORKER_FIELDS`] order),
-    /// one row per worker, same instrumented run. Empty for ring runs.
+    /// one row per worker, same instrumented run.
     pub workers: Vec<Vec<(&'static str, u64)>>,
 }
 
@@ -131,7 +95,7 @@ impl ParallelSample {
 /// plus the ingest rate of the pcap read path.
 #[derive(Debug, Clone)]
 pub struct ParallelBench {
-    /// Engine label ("block" or "ring").
+    /// Engine label ("block").
     pub engine: &'static str,
     /// Trace size in records.
     pub records: u64,
@@ -559,22 +523,10 @@ pub fn bench_ingest(n_records: usize, repeats: usize) -> IngestBench {
     }
 }
 
-fn make_engine(engine: BenchEngine, cfg: DetectorConfig, threads: usize) -> Box<dyn Engine> {
-    match engine {
-        BenchEngine::Block => Box::new(BlockEngine::new(cfg, threads)),
-        BenchEngine::Ring => Box::new(ShardedEngine::new(cfg, threads)),
-    }
-}
-
 /// Runs the comparison on `records` for each of `thread_counts` with the
-/// chosen engine, timing best-of-`repeats` and cross-checking every
-/// output against serial.
-pub fn run_on_engine(
-    records: &[TraceRecord],
-    thread_counts: &[usize],
-    repeats: usize,
-    engine: BenchEngine,
-) -> ParallelBench {
+/// block engine, timing best-of-`repeats` and cross-checking every output
+/// against serial.
+pub fn run_on(records: &[TraceRecord], thread_counts: &[usize], repeats: usize) -> ParallelBench {
     let cfg = DetectorConfig::default();
     let (serial_best_ns, serial) =
         time_best(repeats, || detect(records, &mut SerialEngine::new(cfg)));
@@ -592,54 +544,34 @@ pub fn run_on_engine(
         .iter()
         .map(|&threads| {
             let (best_ns, result) = time_best(repeats, || {
-                detect(records, &mut *make_engine(engine, cfg, threads))
+                detect(records, &mut BlockEngine::new(cfg, threads))
             });
             // One instrumented run yields both the stage row and the
-            // per-worker rows (same snapshot delta).
-            let (stages, workers) = match engine {
-                BenchEngine::Block => {
-                    // Uniform schema at EVERY thread count: one block
-                    // worker runs the same scan/reconcile/index/
-                    // validate/merge/stitch machinery as eight.
-                    let mut keys: Vec<&'static str> = BLOCK_STAGES.to_vec();
-                    for w in 0..threads {
-                        for field in WORKER_FIELDS {
-                            keys.push(block_metric(w, field));
-                        }
-                    }
-                    let all = measure_stages(&keys, || {
-                        detect(records, &mut *make_engine(engine, cfg, threads));
-                    });
-                    let stages = all[..BLOCK_STAGES.len()].to_vec();
-                    let workers = all[BLOCK_STAGES.len()..]
-                        .chunks(WORKER_FIELDS.len())
-                        .enumerate()
-                        .map(|(w, chunk)| {
-                            chunk
-                                .iter()
-                                .zip(WORKER_FIELDS)
-                                .map(|(&(_, ns), field)| (block_metric(w, field), ns))
-                                .collect()
-                        })
-                        .collect();
-                    (stages, workers)
+            // per-worker rows (same snapshot delta). Uniform schema at
+            // EVERY thread count: one block worker runs the same
+            // scan/reconcile/index/validate/merge/stitch machinery as
+            // eight.
+            let mut keys: Vec<&'static str> = BLOCK_STAGES.to_vec();
+            for w in 0..threads {
+                for field in WORKER_FIELDS {
+                    keys.push(block_metric(w, field));
                 }
-                BenchEngine::Ring => {
-                    // The ring dispatcher at one thread IS the serial
-                    // path — it never spawns workers or touches the
-                    // `shard.*` timers, so its 1-thread row keeps the
-                    // serial stage names (the historical special case).
-                    let stage_keys: &[&'static str] = if threads == 1 {
-                        &SERIAL_STAGES
-                    } else {
-                        &PARALLEL_STAGES
-                    };
-                    let stages = measure_stages(stage_keys, || {
-                        detect(records, &mut *make_engine(engine, cfg, threads));
-                    });
-                    (stages, Vec::new())
-                }
-            };
+            }
+            let all = measure_stages(&keys, || {
+                detect(records, &mut BlockEngine::new(cfg, threads));
+            });
+            let stages = all[..BLOCK_STAGES.len()].to_vec();
+            let workers = all[BLOCK_STAGES.len()..]
+                .chunks(WORKER_FIELDS.len())
+                .enumerate()
+                .map(|(w, chunk)| {
+                    chunk
+                        .iter()
+                        .zip(WORKER_FIELDS)
+                        .map(|(&(_, ns), field)| (block_metric(w, field), ns))
+                        .collect()
+                })
+                .collect();
             ParallelSample {
                 threads,
                 best_ns,
@@ -653,7 +585,7 @@ pub fn run_on_engine(
         .collect();
     let ingest = bench_ingest(records.len().max(1), repeats);
     ParallelBench {
-        engine: engine.name(),
+        engine: "block",
         records: records.len() as u64,
         streams: serial.streams.len() as u64,
         loops: serial.loops.len() as u64,
@@ -677,11 +609,6 @@ pub fn run_on_engine(
         mmap_vs_buffered: ingest.mmap_vs_buffered,
         samples,
     }
-}
-
-/// [`run_on_engine`] with the default block engine.
-pub fn run_on(records: &[TraceRecord], thread_counts: &[usize], repeats: usize) -> ParallelBench {
-    run_on_engine(records, thread_counts, repeats, BenchEngine::Block)
 }
 
 /// [`run_on`] over the standard bench trace.
@@ -743,19 +670,6 @@ mod tests {
                 row.workers
             );
         }
-    }
-
-    #[test]
-    fn ring_ablation_keeps_the_shard_schema() {
-        let _lock = WORKLOAD.lock().unwrap_or_else(|p| p.into_inner());
-        let records = bench_trace(0.04);
-        let bench = run_on_engine(&records, &[2], 1, BenchEngine::Ring);
-        assert_eq!(bench.engine, "ring");
-        let row = &bench.samples[0];
-        let names: Vec<&str> = row.stages.iter().map(|(k, _)| *k).collect();
-        assert_eq!(names, PARALLEL_STAGES);
-        assert!(row.workers.is_empty(), "ring rows carry no worker rows");
-        assert!(row.identical, "ring diverged from serial");
     }
 
     #[test]

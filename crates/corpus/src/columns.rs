@@ -2,9 +2,9 @@
 //! arrays of one `.ltc` block.
 //!
 //! Encoding walks the records once per column so each output lane is
-//! written as one contiguous run; decoding fills a pre-sized record slice
-//! column by column, so the hot loops are straight-line passes over
-//! same-width lanes. The fingerprint column is stored, not recomputed —
+//! written as one contiguous run; decoding is one pass that builds each
+//! record once from a cursor per lane, shared by the buffered and the
+//! mapped read paths. The fingerprint column is stored, not recomputed —
 //! that is the point of the format: the level-0 prefilter probe needs no
 //! hashing on scan. Decoding trusts it; a consumer that cannot afford a
 //! wrong one (`loopmond`'s online index) checks it itself.
@@ -16,52 +16,6 @@ use std::path::Path;
 
 /// Width of the `tp_blob` column.
 const BLOB_BYTES: usize = 20;
-
-/// Per-record byte offsets of each column's lane start within a block of
-/// `k` records: `lane_start(col) = sum(width of earlier cols) * k`.
-struct Lanes {
-    k: usize,
-}
-
-impl Lanes {
-    const TIMESTAMP: usize = 0;
-    const FINGERPRINT: usize = 8;
-    const SRC: usize = 16;
-    const DST: usize = 20;
-    const IDENT: usize = 24;
-    const TOTAL_LEN: usize = 26;
-    const FRAG_WORD: usize = 28;
-    const IP_CHECKSUM: usize = 30;
-    const PROTOCOL: usize = 32;
-    const TOS: usize = 33;
-    const TTL: usize = 34;
-    const TP_TAG: usize = 35;
-    const TP_BLOB: usize = 36;
-
-    fn start(&self, cumulative_width: usize) -> usize {
-        cumulative_width * self.k
-    }
-}
-
-/// The zero record used to pre-size decode output (every field is then
-/// overwritten column by column).
-const EMPTY: TraceRecord = TraceRecord {
-    timestamp_ns: 0,
-    src: Ipv4Addr::new(0, 0, 0, 0),
-    dst: Ipv4Addr::new(0, 0, 0, 0),
-    protocol: 0,
-    ident: 0,
-    total_len: 0,
-    tos: 0,
-    ttl: 0,
-    frag_word: 0,
-    ip_checksum: 0,
-    transport: TransportSummary::Other {
-        lead: [0; 8],
-        len: 0,
-    },
-    fingerprint: 0,
-};
 
 /// Serialises `records` as one block's column data, appended to `out`.
 pub fn encode_block(records: &[TraceRecord], out: &mut Vec<u8>) {
@@ -204,82 +158,11 @@ fn decode_blob(tag: u8, blob: &[u8]) -> Option<TransportSummary> {
 }
 
 /// Decodes one block's column data (exactly `k * ROW_BYTES` bytes) into
-/// records appended to `out`. `path` and `data_offset` (the file offset of
-/// `bytes[0]`) locate any defect in the error.
-pub fn decode_block(
-    bytes: &[u8],
-    k: usize,
-    out: &mut Vec<TraceRecord>,
-    path: &Path,
-    data_offset: u64,
-) -> Result<(), CorpusError> {
-    assert_eq!(bytes.len(), k * ROW_BYTES, "caller sizes the block buffer");
-    let lanes = Lanes { k };
-    let base = out.len();
-    out.resize(base + k, EMPTY);
-    let recs = &mut out[base..];
-
-    let u64_lane = |start: usize, i: usize| {
-        let at = start + i * 8;
-        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-    };
-    let u32_lane = |start: usize, i: usize| {
-        let at = start + i * 4;
-        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
-    };
-    let u16_lane = |start: usize, i: usize| {
-        let at = start + i * 2;
-        u16::from_le_bytes(bytes[at..at + 2].try_into().expect("2 bytes"))
-    };
-
-    let ts = lanes.start(Lanes::TIMESTAMP);
-    let fp = lanes.start(Lanes::FINGERPRINT);
-    let src = lanes.start(Lanes::SRC);
-    let dst = lanes.start(Lanes::DST);
-    let ident = lanes.start(Lanes::IDENT);
-    let total_len = lanes.start(Lanes::TOTAL_LEN);
-    let frag = lanes.start(Lanes::FRAG_WORD);
-    let ipck = lanes.start(Lanes::IP_CHECKSUM);
-    let proto = lanes.start(Lanes::PROTOCOL);
-    let tos = lanes.start(Lanes::TOS);
-    let ttl = lanes.start(Lanes::TTL);
-    let tag = lanes.start(Lanes::TP_TAG);
-    let blob = lanes.start(Lanes::TP_BLOB);
-
-    for (i, r) in recs.iter_mut().enumerate() {
-        r.timestamp_ns = u64_lane(ts, i);
-        r.fingerprint = u64_lane(fp, i);
-    }
-    for (i, r) in recs.iter_mut().enumerate() {
-        r.src = Ipv4Addr::from(u32_lane(src, i));
-        r.dst = Ipv4Addr::from(u32_lane(dst, i));
-    }
-    for (i, r) in recs.iter_mut().enumerate() {
-        r.ident = u16_lane(ident, i);
-        r.total_len = u16_lane(total_len, i);
-        r.frag_word = u16_lane(frag, i);
-        r.ip_checksum = u16_lane(ipck, i);
-    }
-    for (i, r) in recs.iter_mut().enumerate() {
-        r.protocol = bytes[proto + i];
-        r.tos = bytes[tos + i];
-        r.ttl = bytes[ttl + i];
-    }
-    for (i, r) in recs.iter_mut().enumerate() {
-        let t = bytes[tag + i];
-        let b = &bytes[blob + i * BLOB_BYTES..blob + (i + 1) * BLOB_BYTES];
-        r.transport = decode_blob(t, b)
-            .ok_or_else(|| out_of_band_tag_error(path, data_offset + (tag + i) as u64))?;
-    }
-    Ok(())
-}
-
-/// Single-pass decode of one block's column data, each record constructed
-/// once and pushed straight onto `out`. Same output and error semantics as
-/// [`decode_block`]; this is the mapped read path's hot loop, where the
-/// input slice borrows the page cache directly — no zero-record pre-size,
-/// no per-column passes re-touching the output, and `chunks_exact` lane
-/// cursors in place of per-field indexing.
+/// records appended to `out`, each record constructed once from
+/// `chunks_exact` lane cursors. `bytes` may borrow a mapping or a block
+/// buffer. `path` and `data_offset` (the file offset of `bytes[0]`) locate
+/// any defect in the error: an out-of-band transport tag of record `i` is
+/// reported at `data_offset + 35k + i`.
 pub fn decode_columns_push(
     bytes: &[u8],
     k: usize,
@@ -374,80 +257,30 @@ mod tests {
         encode_block(&records, &mut bytes);
         assert_eq!(bytes.len(), records.len() * ROW_BYTES);
         let mut back = Vec::new();
-        decode_block(&bytes, records.len(), &mut back, Path::new("t.ltc"), 0).unwrap();
+        decode_columns_push(&bytes, records.len(), &mut back, Path::new("t.ltc"), 0).unwrap();
         assert_eq!(records, back);
+        // A second block appends after the first.
+        decode_columns_push(&bytes, records.len(), &mut back, Path::new("t.ltc"), 0).unwrap();
+        assert_eq!(back[records.len()..], records[..]);
     }
 
     #[test]
     fn bad_transport_tag_is_located() {
         let records = sample_records();
+        let k = records.len();
         let mut bytes = Vec::new();
         encode_block(&records, &mut bytes);
-        // Corrupt record 2's tag in place.
-        let tag_lane = 35 * records.len();
-        bytes[tag_lane + 2] = 200;
-        let mut back = Vec::new();
-        let err =
-            decode_block(&bytes, records.len(), &mut back, Path::new("t.ltc"), 48).unwrap_err();
-        match err {
-            CorpusError::Corrupt { offset, .. } => {
-                assert_eq!(offset, 48 + tag_lane as u64 + 2);
+        for i in 0..k {
+            let mut bad = bytes.clone();
+            bad[35 * k + i] = 200;
+            let err =
+                decode_columns_push(&bad, k, &mut Vec::new(), Path::new("t.ltc"), 48).unwrap_err();
+            match err {
+                CorpusError::Corrupt { offset, .. } => {
+                    assert_eq!(offset, 48 + (35 * k + i) as u64, "record {i}");
+                }
+                other => panic!("expected Corrupt, got {other}"),
             }
-            other => panic!("expected Corrupt, got {other}"),
-        }
-    }
-
-    #[test]
-    fn push_decode_matches_block_decode() {
-        let records = sample_records();
-        let mut bytes = Vec::new();
-        encode_block(&records, &mut bytes);
-        let mut multi_pass = Vec::new();
-        decode_block(
-            &bytes,
-            records.len(),
-            &mut multi_pass,
-            Path::new("t.ltc"),
-            48,
-        )
-        .unwrap();
-        let mut single_pass = Vec::new();
-        decode_columns_push(
-            &bytes,
-            records.len(),
-            &mut single_pass,
-            Path::new("t.ltc"),
-            48,
-        )
-        .unwrap();
-        assert_eq!(multi_pass, single_pass);
-        assert_eq!(single_pass, records);
-
-        // Same defect → same located offset from both decoders.
-        let tag_lane = 35 * records.len();
-        bytes[tag_lane + 1] = 200;
-        let err_a = decode_block(
-            &bytes,
-            records.len(),
-            &mut Vec::new(),
-            Path::new("t.ltc"),
-            48,
-        )
-        .unwrap_err();
-        let err_b = decode_columns_push(
-            &bytes,
-            records.len(),
-            &mut Vec::new(),
-            Path::new("t.ltc"),
-            48,
-        )
-        .unwrap_err();
-        match (err_a, err_b) {
-            (CorpusError::Corrupt { offset: a, .. }, CorpusError::Corrupt { offset: b, .. }) => {
-                assert_eq!(a, b);
-                assert_eq!(a, 48 + tag_lane as u64 + 1);
-            }
-            other => panic!("expected matching Corrupt errors, got {other:?}"),
         }
     }
 
@@ -457,7 +290,7 @@ mod tests {
         encode_block(&[], &mut bytes);
         assert!(bytes.is_empty());
         let mut back = Vec::new();
-        decode_block(&bytes, 0, &mut back, Path::new("t.ltc"), 0).unwrap();
+        decode_columns_push(&bytes, 0, &mut back, Path::new("t.ltc"), 0).unwrap();
         assert!(back.is_empty());
     }
 }

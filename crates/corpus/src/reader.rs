@@ -1,7 +1,7 @@
 //! Reading `.ltc` corpus files: block-at-a-time streaming, a pipeline
 //! [`RecordSource`], and a parallel whole-file decode.
 
-use crate::columns::decode_block;
+use crate::columns::decode_columns_push;
 use crate::format::{
     block_checksum, block_count, block_len, block_offset, ChecksumRegion, CorpusError, LtcHeader,
     BLOCK_CHECKSUM_LEN, BLOCK_RECORDS, HEADER_LEN,
@@ -170,7 +170,7 @@ impl<R: Read> LtcReader<R> {
                 found: computed,
             });
         }
-        decode_block(
+        decode_columns_push(
             &self.buf[BLOCK_CHECKSUM_LEN..],
             k,
             out,

@@ -1,13 +1,11 @@
 //! Share-nothing block-parallel detection.
 //!
-//! The ring-dispatcher fan-out in [`crate::shard`] moves every record
-//! across a thread boundary and pays for it: on the committed baseline the
-//! dispatch stage alone costs more than the entire serial run. This module
-//! replaces it with the opposite design — **records never move**. The
-//! time-sorted trace is split into `W` contiguous ranges; each worker runs
-//! the full candidate scan on its own range in place, and a cheap
-//! boundary-reconciliation pass stitches the per-range results back into
-//! exactly the serial output.
+//! **Records never move** between threads: a dispatcher that hands every
+//! record to a worker costs more than the entire serial run
+//! (EXPERIMENTS.md §P5/§P6). The time-sorted trace is split into `W`
+//! contiguous ranges; each worker runs the full candidate scan on its own
+//! range in place, and a cheap boundary-reconciliation pass stitches the
+//! per-range results back into exactly the serial output.
 //!
 //! # Why block partitioning is sound
 //!
@@ -44,10 +42,12 @@
 //! rescan are added, and splits charged to affected fingerprints are
 //! dropped with their candidates.
 //!
-//! Steps 2–3 reuse the destination-/24 soundness argument from
-//! [`crate::shard`]: validation and merge consult only records and
-//! candidates of one /24, so the reconciled candidate list is partitioned
-//! by [`shard_of`] and validated/merged by `W` workers sharing the
+//! Steps 2–3 are keyed no coarser than the destination /24: step 2's
+//! co-loop rule consults only packets to the candidate's own /24 (whose
+//! looped flags come from candidates to that same /24), and step 3 merges
+//! streams with identical prefixes, checking only packets to that prefix.
+//! So the reconciled candidate list is partitioned by [`shard_of`] and
+//! validated/merged by `W` workers sharing the
 //! *global* record slice, looped flags, and prefix index — again, no
 //! record movement. The final stitch re-sorts with the serial pipeline's
 //! canonical orderings (`(start, ident, first_index)` for streams,
@@ -58,13 +58,13 @@
 
 use crate::config::DetectorConfig;
 use crate::fxhash::FxHashSet;
+use crate::key::ReplicaKey;
 use crate::merge::{self, RoutingLoop};
 use crate::record::TraceRecord;
 use crate::replica::{
     normalise_fp, publish_checksum_splits, publish_scan_totals, CandidateScanner, DetectionResult,
     DetectionStats,
 };
-use crate::shard::shard_of;
 use crate::stream::ReplicaStream;
 use crate::validate::{self, IndexPartial, PrefixIndex};
 use std::collections::BTreeMap;
@@ -433,6 +433,25 @@ pub fn even_splits(len: usize, threads: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Stable worker assignment for a replica key: FNV-1a over the key's
+/// destination /24, reduced modulo `shards`.
+///
+/// The hash is a fixed arithmetic function of the address bytes — no
+/// per-process seed, no `RandomState` — so the same key lands on the same
+/// worker in every run, on every platform, for the life of the format.
+pub fn shard_of(key: &ReplicaKey, shards: usize) -> usize {
+    assert!(shards > 0, "shard count must be positive");
+    // FNV-1a, 64-bit, over the /24 network bytes (the host byte is
+    // masked off so the whole prefix co-locates).
+    let net = u32::from(key.dst) & 0xffff_ff00;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in net.to_be_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % shards as u64) as usize
+}
+
 /// `[lo, hi)` range per worker for the given interior split points.
 fn range_bounds(len: usize, splits: &[usize]) -> Vec<(usize, usize)> {
     let mut bounds = Vec::with_capacity(splits.len() + 1);
@@ -506,9 +525,8 @@ static BLOCK_BUSY: [&str; PREBUILT_WORKERS] = block_name_table!("busy";
     16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
 
 /// Resolves the `block.w<i>.<field>` metric name (compile-time literal on
-/// the common path, bounded leaking interner otherwise — same scheme as
-/// `shard_metric`). Public so the bench harness can read the same
-/// per-worker timers it writes.
+/// the common path, bounded leaking interner otherwise). Public so the
+/// bench harness can read the same per-worker timers it writes.
 pub fn block_metric(worker: usize, field: &str) -> &'static str {
     if worker < PREBUILT_WORKERS {
         match field {
@@ -588,6 +606,50 @@ mod tests {
             serial.stats, block.stats,
             "stats diverge at splits {splits:?}"
         );
+    }
+
+    /// The replica key of one record to `dst`.
+    fn key_to(dst: Ipv4Addr) -> ReplicaKey {
+        ReplicaKey::of(&looping_records(0, 1_000, 60, 1, 7, dst)[0])
+    }
+
+    #[test]
+    fn shard_key_is_stable_across_reruns() {
+        // The assignment is pure arithmetic on the address bytes: repeated
+        // evaluation, fresh detectors, and fresh processes all agree. The
+        // pinned values double as a cross-process regression anchor — they
+        // may only change with an intentional format bump.
+        let key = key_to(Ipv4Addr::new(203, 0, 113, 9));
+        for _ in 0..100 {
+            assert_eq!(shard_of(&key, 8), 7);
+        }
+        // Pinned FNV-1a outputs for known prefixes.
+        assert_eq!(shard_of(&key_to(Ipv4Addr::new(198, 51, 100, 25)), 8), 2);
+        assert_eq!(shard_of(&key_to(Ipv4Addr::new(10, 0, 0, 1)), 4), 3);
+    }
+
+    #[test]
+    fn whole_slash24_shares_a_shard() {
+        for shards in [2usize, 3, 4, 8, 16] {
+            let a = shard_of(&key_to(Ipv4Addr::new(203, 0, 113, 1)), shards);
+            for host in [2u8, 9, 77, 255] {
+                assert_eq!(
+                    shard_of(&key_to(Ipv4Addr::new(203, 0, 113, host)), shards),
+                    a,
+                    "host byte must not affect the shard ({shards} shards)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shards_spread_prefixes() {
+        // 256 distinct /24s over 8 shards: every shard sees some traffic.
+        let mut seen = vec![false; 8];
+        for third in 0..=255u8 {
+            seen[shard_of(&key_to(Ipv4Addr::new(10, 1, third, 1)), 8)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "some shard got nothing: {seen:?}");
     }
 
     #[test]
@@ -686,6 +748,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "thread count must be positive")]
+    fn zero_threads_rejected() {
+        BlockParallelDetector::new(DetectorConfig::default(), 0);
+    }
+
+    #[test]
     fn empty_and_single_record_traces() {
         assert_identical(&[], &[]);
         let one = looping_records(1_000, 1, 60, 1, 3, Ipv4Addr::new(203, 0, 113, 9));
@@ -694,6 +762,42 @@ mod tests {
 
     #[test]
     fn run_matches_serial_at_many_thread_counts() {
+        let records = three_loops();
+        let cfg = DetectorConfig::default();
+        let serial = Detector::new(cfg).run(&records);
+        for threads in [1, 2, 3, 4, 8, 16] {
+            let block = BlockParallelDetector::new(cfg, threads).run(&records);
+            assert_eq!(serial.streams, block.streams, "threads={threads}");
+            assert_eq!(serial.loops, block.loops, "threads={threads}");
+            assert_eq!(serial.stats, block.stats, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn run_matches_serial_under_ablation_configs() {
+        let records = three_loops();
+        for cfg in [
+            DetectorConfig::no_validation(),
+            DetectorConfig::default().with_merge_gap_minutes(5),
+            DetectorConfig {
+                verify_checksum_consistency: false,
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                use_prefilter: false,
+                ..DetectorConfig::default()
+            },
+        ] {
+            let serial = Detector::new(cfg).run(&records);
+            let block = BlockParallelDetector::new(cfg, 4).run(&records);
+            assert_eq!(serial.streams, block.streams, "{cfg:?}");
+            assert_eq!(serial.loops, block.loops, "{cfg:?}");
+            assert_eq!(serial.stats, block.stats, "{cfg:?}");
+        }
+    }
+
+    /// Three interleaved 7-replica loops to distinct /24s.
+    fn three_loops() -> Vec<TraceRecord> {
         let mut records = Vec::new();
         for (i, dst) in [
             Ipv4Addr::new(203, 0, 113, 9),
@@ -713,14 +817,7 @@ mod tests {
             ));
         }
         records.sort_by_key(|r| r.timestamp_ns);
-        let cfg = DetectorConfig::default();
-        let serial = Detector::new(cfg).run(&records);
-        for threads in [1, 2, 3, 4, 8, 16] {
-            let block = BlockParallelDetector::new(cfg, threads).run(&records);
-            assert_eq!(serial.streams, block.streams, "threads={threads}");
-            assert_eq!(serial.loops, block.loops, "threads={threads}");
-            assert_eq!(serial.stats, block.stats, "threads={threads}");
-        }
+        records
     }
 
     #[test]

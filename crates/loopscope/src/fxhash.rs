@@ -17,7 +17,7 @@
 //! contract** — every pipeline stage that surfaces map contents
 //! normalises with an explicit sort (see `CandidateScanner::finish`,
 //! `validate::validate`, `merge::merge`), exactly as it did under
-//! SipHash. Byte-identical output across serial, sharded, and online
+//! SipHash. Byte-identical output across serial, block, and online
 //! paths is enforced by the equality tests, not by hasher behaviour.
 //!
 //! # Security

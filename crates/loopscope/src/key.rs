@@ -66,7 +66,7 @@ impl ReplicaKey {
     /// Collisions are possible and harmless: the scanner resolves them
     /// with a full key compare, so they can cost a probe but never change
     /// results. Computed once at ingest and carried on
-    /// [`TraceRecord::fingerprint`] through shard dispatch.
+    /// [`TraceRecord::fingerprint`] through every engine.
     ///
     /// The mixer is the same multiply-rotate Fx scheme as
     /// [`crate::fxhash`], folded over hand-packed words so the whole key

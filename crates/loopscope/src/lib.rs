@@ -27,8 +27,7 @@
 //! share-nothing: the trace is split into contiguous record ranges, each
 //! worker scans its own range in place, and a boundary-reconciliation
 //! pass keeps the output byte-identical to serial at every thread count
-//! (see DESIGN.md for the soundness argument). The older ring-dispatcher
-//! fan-out survives in [`shard`] as the `--engine ring` ablation.
+//! (see DESIGN.md for the soundness argument).
 //!
 //! For continuous operation, [`monitor`] multiplexes many links through
 //! one runtime — a bounded streaming engine per link feeding a unified,
@@ -80,12 +79,11 @@ pub mod online;
 pub mod pipeline;
 pub mod record;
 pub mod replica;
-pub mod shard;
 pub mod stream;
 pub mod traffic_class;
 pub mod validate;
 
-pub use block::BlockParallelDetector;
+pub use block::{shard_of, BlockParallelDetector};
 pub use config::DetectorConfig;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::ReplicaKey;
@@ -96,10 +94,9 @@ pub use monitor::{
 pub use online::{OnlineDetector, OnlineEvent};
 pub use pipeline::{
     run_pipeline, run_pipeline_with_progress, BlockEngine, Engine, EngineProgress,
-    PcapFileSequence, PcapSource, PipelineError, PipelineResult, RecordSource, SerialEngine,
-    ShardedEngine, Sink, SliceSource, SourceError, SourceSummary, StreamingEngine,
+    PcapFileSequence, PcapSource, PipelineError, PipelineResult, RecordSource, SerialEngine, Sink,
+    SliceSource, SourceError, SourceSummary, StreamingEngine,
 };
 pub use record::{TraceRecord, TransportSummary};
 pub use replica::{CandidateScanner, DetectionResult, DetectionStats, Detector, ScanCounters};
-pub use shard::{shard_of, shard_of_record, ShardedDetector};
 pub use stream::ReplicaStream;

@@ -118,8 +118,8 @@ impl RoutingLoop {
 /// Takes the streams by reference — the caller keeps its vector (it is
 /// the [`crate::DetectionResult::streams`] output) and only the streams
 /// absorbed into loops are cloned, one each, inside. This is what lets
-/// the sharded pipeline hand its per-shard `validated` set to merge
-/// without the wholesale `Vec` clone it used to pay per shard.
+/// each block worker hand its `validated` set to merge without a
+/// wholesale `Vec` clone.
 pub fn merge(
     _records: &[TraceRecord],
     streams: &[ReplicaStream],

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!   RecordSource ──batches──▶ Engine ──events──▶ canonical order ──▶ Sinks
-//!   (slice, pcap,             (serial, sharded,  (streams, loops)    (CSV, JSONL,
+//!   (slice, pcap,             (serial, block,    (streams, loops)    (CSV, JSONL,
 //!    pcap sequence, tap)       streaming)                             analysis, …)
 //! ```
 //!
@@ -17,7 +17,7 @@
 //!   Simulator taps plug in through the root crate's `TapSource` wrapper.
 //! * An [`Engine`] consumes the batches and emits
 //!   [`OnlineEvent`]s. All three detectors implement it — [`SerialEngine`],
-//!   [`ShardedEngine`], [`StreamingEngine`] — under one contract: on the
+//!   [`BlockEngine`], [`StreamingEngine`] — under one contract: on the
 //!   same input they produce the same streams, loops, and
 //!   [`DetectionStats`] (the conformance tests assert equality on every
 //!   fixture).
@@ -39,7 +39,6 @@ use crate::merge::{LoopKind, RoutingLoop};
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
 use crate::replica::{DetectionResult, DetectionStats, Detector};
-use crate::shard::ShardedDetector;
 use crate::stream::ReplicaStream;
 use std::io::Write;
 use std::path::PathBuf;
@@ -376,7 +375,7 @@ pub struct EngineProgress {
 /// as evidence completes); [`run_pipeline`] puts events into the
 /// canonical order afterwards.
 pub trait Engine {
-    /// A short stable name ("serial", "sharded", "streaming").
+    /// A short stable name ("serial", "block", "streaming").
     fn name(&self) -> &'static str;
 
     /// Consumes one batch, emitting any events whose evidence completed.
@@ -414,136 +413,59 @@ fn emit_detection(result: DetectionResult, emit: &mut dyn FnMut(OnlineEvent)) ->
     stats
 }
 
+/// A whole-trace detector: runs steps 1–3 over a timestamp-ordered slice
+/// in one call. [`BufferingEngine`] puts one behind the [`Engine`]
+/// interface.
+pub trait OfflineDetector {
+    /// The engine name reported through [`Engine::name`].
+    const NAME: &'static str;
+
+    /// Runs the three-step pipeline over `records`.
+    fn run(&self, records: &[TraceRecord]) -> DetectionResult;
+}
+
+impl OfflineDetector for Detector {
+    const NAME: &'static str = "serial";
+
+    fn run(&self, records: &[TraceRecord]) -> DetectionResult {
+        Detector::run(self, records)
+    }
+}
+
+impl OfflineDetector for BlockParallelDetector {
+    const NAME: &'static str = "block";
+
+    fn run(&self, records: &[TraceRecord]) -> DetectionResult {
+        BlockParallelDetector::run(self, records)
+    }
+}
+
+/// An [`OfflineDetector`] behind the [`Engine`] interface. Buffers batches
+/// and runs the detector at [`Engine::finish`]; [`Engine::run_slice`]
+/// runs it on the caller's slice with no copy.
+pub struct BufferingEngine<D> {
+    det: D,
+    buf: Vec<TraceRecord>,
+    records: u64,
+    done: bool,
+}
+
 /// The exact offline detector ([`Detector`]) behind the [`Engine`]
-/// interface. Buffers batches and runs the three-step pipeline at
-/// [`Engine::finish`].
-pub struct SerialEngine {
-    det: Detector,
-    buf: Vec<TraceRecord>,
-    records: u64,
-    done: bool,
-}
-
-impl SerialEngine {
-    /// A serial engine with the given configuration.
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self {
-            det: Detector::new(cfg),
-            buf: Vec::new(),
-            records: 0,
-            done: false,
-        }
-    }
-}
-
-impl Engine for SerialEngine {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn feed(&mut self, batch: &[TraceRecord], _emit: &mut dyn FnMut(OnlineEvent)) {
-        self.records += batch.len() as u64;
-        self.buf.extend_from_slice(batch);
-    }
-
-    fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
-        let buf = std::mem::take(&mut self.buf);
-        self.done = true;
-        emit_detection(self.det.run(&buf), emit)
-    }
-
-    fn progress(&self) -> EngineProgress {
-        EngineProgress {
-            records: self.records,
-            open_candidates: if self.done { Some(0) } else { None },
-        }
-    }
-
-    fn run_slice(
-        &mut self,
-        records: &[TraceRecord],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        self.records += records.len() as u64;
-        self.done = true;
-        emit_detection(self.det.run(records), emit)
-    }
-}
-
-/// The sharded parallel detector ([`ShardedDetector`]) behind the
-/// [`Engine`] interface. Buffers batches and fans out at
-/// [`Engine::finish`]; output is byte-identical to [`SerialEngine`].
-pub struct ShardedEngine {
-    det: ShardedDetector,
-    buf: Vec<TraceRecord>,
-    records: u64,
-    done: bool,
-}
-
-impl ShardedEngine {
-    /// A sharded engine over `threads` workers.
-    pub fn new(cfg: DetectorConfig, threads: usize) -> Self {
-        Self {
-            det: ShardedDetector::new(cfg, threads),
-            buf: Vec::new(),
-            records: 0,
-            done: false,
-        }
-    }
-}
-
-impl Engine for ShardedEngine {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn feed(&mut self, batch: &[TraceRecord], _emit: &mut dyn FnMut(OnlineEvent)) {
-        self.records += batch.len() as u64;
-        self.buf.extend_from_slice(batch);
-    }
-
-    fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
-        let buf = std::mem::take(&mut self.buf);
-        self.done = true;
-        emit_detection(self.det.run(&buf), emit)
-    }
-
-    fn progress(&self) -> EngineProgress {
-        EngineProgress {
-            records: self.records,
-            open_candidates: if self.done { Some(0) } else { None },
-        }
-    }
-
-    fn run_slice(
-        &mut self,
-        records: &[TraceRecord],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        self.records += records.len() as u64;
-        self.done = true;
-        emit_detection(self.det.run(records), emit)
-    }
-}
+/// interface.
+pub type SerialEngine = BufferingEngine<Detector>;
 
 /// The share-nothing block-parallel detector ([`BlockParallelDetector`])
 /// behind the [`Engine`] interface: the trace is split into contiguous
 /// record ranges scanned in place by independent workers, with a
 /// boundary-reconciliation pass keeping the output byte-identical to
 /// [`SerialEngine`] at every thread count. This is the default parallel
-/// engine; the ring-dispatcher [`ShardedEngine`] remains as an ablation.
-pub struct BlockEngine {
-    det: BlockParallelDetector,
-    buf: Vec<TraceRecord>,
-    records: u64,
-    done: bool,
-}
+/// engine.
+pub type BlockEngine = BufferingEngine<BlockParallelDetector>;
 
-impl BlockEngine {
-    /// A block-parallel engine over `threads` workers.
-    pub fn new(cfg: DetectorConfig, threads: usize) -> Self {
+impl<D> BufferingEngine<D> {
+    fn with_detector(det: D) -> Self {
         Self {
-            det: BlockParallelDetector::new(cfg, threads),
+            det,
             buf: Vec::new(),
             records: 0,
             done: false,
@@ -551,9 +473,23 @@ impl BlockEngine {
     }
 }
 
-impl Engine for BlockEngine {
+impl SerialEngine {
+    /// A serial engine with the given configuration.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Self::with_detector(Detector::new(cfg))
+    }
+}
+
+impl BlockEngine {
+    /// A block-parallel engine over `threads` workers.
+    pub fn new(cfg: DetectorConfig, threads: usize) -> Self {
+        Self::with_detector(BlockParallelDetector::new(cfg, threads))
+    }
+}
+
+impl<D: OfflineDetector> Engine for BufferingEngine<D> {
     fn name(&self) -> &'static str {
-        "block"
+        D::NAME
     }
 
     fn feed(&mut self, batch: &[TraceRecord], _emit: &mut dyn FnMut(OnlineEvent)) {
@@ -1166,13 +1102,13 @@ mod tests {
     fn three_engines_agree() {
         let recs = looped_trace();
         let serial = run_engine(&mut SerialEngine::new(DetectorConfig::default()), &recs);
-        let sharded = run_engine(&mut ShardedEngine::new(DetectorConfig::default(), 4), &recs);
+        let block = run_engine(&mut BlockEngine::new(DetectorConfig::default(), 4), &recs);
         let streaming = run_engine(&mut StreamingEngine::new(DetectorConfig::default()), &recs);
-        assert_eq!(serial.streams, sharded.streams);
+        assert_eq!(serial.streams, block.streams);
         assert_eq!(serial.streams, streaming.streams);
-        assert_eq!(serial.loops, sharded.loops);
+        assert_eq!(serial.loops, block.loops);
         assert_eq!(serial.loops, streaming.loops);
-        assert_eq!(serial.stats, sharded.stats);
+        assert_eq!(serial.stats, block.stats);
         assert_eq!(serial.stats, streaming.stats);
         assert_eq!(serial.records, recs.len() as u64);
     }
@@ -1270,7 +1206,7 @@ mod tests {
         let mut outputs = Vec::new();
         for engine in [
             &mut SerialEngine::new(DetectorConfig::default()) as &mut dyn Engine,
-            &mut ShardedEngine::new(DetectorConfig::default(), 3),
+            &mut BlockEngine::new(DetectorConfig::default(), 3),
             &mut StreamingEngine::new(DetectorConfig::default()),
         ] {
             let mut loops = LoopCsvSink::new(Vec::new(), 60_000_000_000);

@@ -87,7 +87,7 @@ pub struct TraceRecord {
     pub transport: TransportSummary,
     /// Level-0 fingerprint of the replica-key fields
     /// ([`crate::ReplicaKey::fingerprint`]), computed once here at ingest
-    /// and carried through shard dispatch so no later stage rehashes the
+    /// and carried through every engine so no later stage rehashes the
     /// full key. Zero is a legal (if unlikely) value; the candidate
     /// scanner normalises it away from its empty-slot sentinel.
     pub fingerprint: u64,

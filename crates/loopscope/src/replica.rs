@@ -2,9 +2,8 @@
 //!
 //! Candidate grouping is exposed in two shapes: [`Detector::run`] drives
 //! the whole batch pipeline, while [`CandidateScanner`] is the push-based
-//! core it delegates to — the same scanner the sharded parallel pipeline
-//! ([`crate::shard`]) feeds record-by-record as records arrive from its
-//! ring buffers.
+//! core it delegates to — the same scanner each block-parallel worker
+//! ([`crate::block`]) feeds record-by-record over its own range.
 //!
 //! The scanner is a *two-level candidate index*. Level 0 is an
 //! open-addressing fingerprint table probed with the 64-bit
@@ -437,8 +436,8 @@ pub(crate) fn normalise_fp(fp: u64) -> u64 {
 
 /// Push-based step-1 scanner: feed time-ordered records one at a time,
 /// collect the finished candidate replica sets at the end. Record indices
-/// are whatever the caller passes in — global trace positions for the
-/// serial pipeline, shard-local positions for the parallel one.
+/// are whatever the caller passes in — global trace positions for both
+/// the serial pipeline and the block workers.
 ///
 /// This is the two-level candidate index described in the module docs:
 /// level 0 is the `PreFilter` fingerprint table (probed with the

@@ -9,7 +9,7 @@
 //!   line tooling during a long monitor run.
 //! * [`StatusLine`] — a carriage-return-refreshed single-line live view
 //!   (the `loopdetect --watch` display) summarising scan rate, open
-//!   candidates, emitted streams/loops, and shard queue pressure.
+//!   candidates, and emitted streams/loops.
 //!
 //! The sampler always emits one sample immediately on spawn and one final
 //! sample on [`Sampler::stop`], so even a run shorter than the interval
@@ -290,29 +290,14 @@ impl<W: Write + Send> StatusLine<W> {
             .gauges
             .get("online.open_candidates")
             .map_or(0, |&(v, _)| v);
-        let stalls: u64 = sample
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("shard.") && name.ends_with(".full_stalls"))
-            .map(|(_, c)| c.total)
-            .sum();
-        let max_queue = sample
-            .gauges
-            .iter()
-            .filter(|(name, _)| name.starts_with("shard.") && name.ends_with(".queue_depth"))
-            .map(|(_, &(v, _))| v)
-            .max()
-            .unwrap_or(0);
         format!(
-            "[{:7.1}s] {} rec ({:.0}/s) | streams {} | loops {} | open {} | maxq {} | stalls {}",
+            "[{:7.1}s] {} rec ({:.0}/s) | streams {} | loops {} | open {}",
             sample.elapsed_ms as f64 / 1e3,
             scanned.total,
             scanned.rate_per_s,
             streams,
             loops,
-            open,
-            max_queue,
-            stalls
+            open
         )
     }
 }
@@ -592,18 +577,14 @@ mod tests {
         reg.counter("replica.records_scanned").add(84_000);
         reg.counter("validate.streams_kept").add(3);
         reg.counter("merge.loops_total").add(2);
-        reg.counter("shard.w1.full_stalls").add(5);
         reg.gauge("online.open_candidates").set(7);
-        reg.gauge("shard.w0.queue_depth").set(4);
         let snap = reg.snapshot();
         let sample = Sample::between(None, &snap, 0, 0, 1_500, 0);
         let line = StatusLine::<Vec<u8>>::render(&sample);
         assert!(line.contains("84000 rec"), "{line}");
         assert!(line.contains("streams 3"), "{line}");
         assert!(line.contains("loops 2"), "{line}");
-        assert!(line.contains("open 7"), "{line}");
-        assert!(line.contains("maxq 4"), "{line}");
-        assert!(line.contains("stalls 5"), "{line}");
+        assert!(line.ends_with("| open 7"), "{line}");
     }
 
     #[test]

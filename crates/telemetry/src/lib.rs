@@ -56,8 +56,8 @@
 //!   interval and streams counter deltas/rates as timestamped JSONL
 //!   (`loopdetect --metrics-interval`), or renders them as a live
 //!   single-line status display (`loopdetect --watch`).
-//! * [`trace`] — per-thread lock-free event rings (stage spans, shard
-//!   stalls, queue depths, loop-closed markers) drained to Chrome
+//! * [`trace`] — per-thread lock-free event rings (stage spans, prefilter
+//!   evictions, loop-closed markers) drained to Chrome
 //!   `trace_event` JSON (`loopdetect --trace`). When tracing is enabled,
 //!   every [`span`] also emits begin/end trace events, so stage timings
 //!   become a per-thread timeline for free.

@@ -4,11 +4,11 @@
 //! Metrics (the registry) answer *how much*; traces answer *when and on
 //! which thread*. Every [`crate::span`] call doubles as a trace span when
 //! tracing is enabled, so the existing stage instrumentation — pipeline
-//! stages, shard dispatch, per-worker detect/validate/merge — becomes a
+//! stages, per-worker block scan/validate/merge — becomes a
 //! per-thread timeline loadable in `chrome://tracing` or Perfetto with no
 //! extra wiring. Subsystems add their own [`instant`] and [`counter`]
-//! events (ring stalls, queue depths, prefilter promotions, loop-closed
-//! markers) where a number alone would not explain a regression.
+//! events (prefilter promotions and evictions, loop-closed markers) where
+//! a number alone would not explain a regression.
 //!
 //! # Design
 //!
@@ -149,7 +149,7 @@ fn name_of(id: u32) -> &'static str {
 
 /// A named trace-event handle: interns its name on first use, then every
 /// event through it is lock-free. Declare as `static` next to the code it
-/// instruments (instance fields work too — see the shard rings).
+/// instruments (instance fields work too).
 pub struct TraceName {
     name: &'static str,
     id: OnceLock<u32>,

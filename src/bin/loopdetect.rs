@@ -15,7 +15,6 @@
 //! loopdetect trace.pcap --no-validate        # A2 ablation (raw candidates)
 //! loopdetect trace.pcap --streaming          # bounded-memory single pass
 //! loopdetect trace.pcap --threads 4          # block-parallel detection
-//! loopdetect trace.pcap --threads 4 --engine ring  # old dispatcher (ablation)
 //! loopdetect trace.pcap --persistent-s 60    # persistence threshold
 //! loopdetect trace.pcap --metrics -          # telemetry snapshot (JSON) to stdout
 //! loopdetect trace.pcap --metrics run.json   # telemetry snapshot to a file
@@ -26,7 +25,7 @@
 //! ```
 //!
 //! Every mode runs the same `loopscope::pipeline` — the flags only choose
-//! the engine (serial, block-parallel, ring-sharded, streaming) and the
+//! the engine (serial, block-parallel, streaming) and the
 //! sinks (text, CSV, JSONL, analysis). Output is byte-identical across
 //! engines.
 //!
@@ -39,8 +38,8 @@ use routing_loops::loopscope::analysis::{AnalysisAccumulator, AnalysisReport};
 use routing_loops::loopscope::merge::LoopKind;
 use routing_loops::loopscope::pipeline::{
     run_pipeline_with_progress, BlockEngine, Engine, EngineProgress, LoopCsvSink, LoopJsonlSink,
-    PcapSource, PipelineResult, RecordSource, SerialEngine, ShardedEngine, Sink, StreamCsvSink,
-    StreamJsonlSink, StreamingEngine, SummaryCsvSink, OPEN_TAIL_GAP_NS,
+    PcapSource, PipelineResult, RecordSource, SerialEngine, Sink, StreamCsvSink, StreamJsonlSink,
+    StreamingEngine, SummaryCsvSink, OPEN_TAIL_GAP_NS,
 };
 use routing_loops::loopscope::{analysis, impact, DetectorConfig};
 use routing_loops::shutdown;
@@ -79,10 +78,9 @@ OPTIONS
                                  byte-identical to --threads 1)
   --engine <E>                   detection engine: serial, block (share-
                                  nothing block-parallel; the default when
-                                 --threads > 1), ring (the old dispatcher
-                                 fan-out, kept as an ablation), or
-                                 streaming (same as --streaming). All
-                                 engines produce byte-identical output
+                                 --threads > 1), or streaming (same as
+                                 --streaming). All engines produce
+                                 byte-identical output
   --no-mmap                      read .ltc input through buffered reads
                                  instead of the default shared memory
                                  mapping (ablation; output is identical)
@@ -93,7 +91,7 @@ OPTIONS
                                  milliseconds and stream timestamped JSONL
                                  (deltas + rates) to stderr while running
   --watch                        live single-line status display on stderr
-                                 (records/s, streams, loops, queue depth);
+                                 (records/s, streams, loops, open candidates);
                                  exclusive with --metrics-interval/--progress
   --trace <path>                 record a structured event trace of the run
                                  and write Chrome trace-event JSON to <path>
@@ -126,7 +124,6 @@ struct Args {
 enum EngineChoice {
     Serial,
     Block,
-    Ring,
     Streaming,
 }
 
@@ -217,10 +214,9 @@ fn parse_args() -> Args {
                 engine = Some(match v.as_str() {
                     "serial" => EngineChoice::Serial,
                     "block" => EngineChoice::Block,
-                    "ring" => EngineChoice::Ring,
                     "streaming" => EngineChoice::Streaming,
                     other => die(&format!(
-                        "--engine must be serial, block, ring, or streaming, got {other:?}"
+                        "--engine must be serial, block, or streaming, got {other:?}"
                     )),
                 });
             }
@@ -495,11 +491,10 @@ fn main() {
         }))
     };
 
-    // Mode selection is engine selection: all four run the same pipeline.
+    // Mode selection is engine selection: all three run the same pipeline.
     let mut engine: Box<dyn Engine> = match args.engine {
         EngineChoice::Streaming => Box::new(StreamingEngine::new(args.cfg)),
         EngineChoice::Block => Box::new(BlockEngine::new(args.cfg, args.threads)),
-        EngineChoice::Ring => Box::new(ShardedEngine::new(args.cfg, args.threads)),
         EngineChoice::Serial => Box::new(SerialEngine::new(args.cfg)),
     };
 

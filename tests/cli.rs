@@ -147,7 +147,6 @@ fn engine_flag_selects_engines_and_rejects_conflicts() {
     assert!(serial.status.success(), "{serial:?}");
     for engine_args in [
         &["--engine", "block", "--threads", "4"][..],
-        &["--engine", "ring", "--threads", "4"],
         &["--engine", "streaming"],
         &["--threads", "4"], // defaults to block
     ] {
@@ -176,6 +175,19 @@ fn engine_flag_selects_engines_and_rejects_conflicts() {
         assert!(err.contains("error:"), "{bad:?}: {err}");
         assert!(err.contains("USAGE"), "{bad:?}: {err}");
     }
+}
+
+#[test]
+fn retired_ring_engine_is_a_usage_error() {
+    let out = loopdetect()
+        .arg(demo_pcap())
+        .args(["--engine", "ring", "--threads", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("serial, block, or streaming"), "{err}");
 }
 
 /// A transient-ECMP-loop trace written to pcap: the diamond topology from
@@ -282,7 +294,7 @@ fn ecmp_pcap() -> std::path::PathBuf {
 fn no_prefilter_output_is_byte_identical() {
     // The ablation flag must be output-invisible on both the looping
     // backbone fixture and the transient-ECMP fixture, through every
-    // output format and both the serial and sharded paths.
+    // output format and both the serial and block paths.
     for (what, pcap) in [("backbone", demo_pcap()), ("ecmp", ecmp_pcap())] {
         for csv in ["loops", "streams", "summary"] {
             for threads in ["1", "4"] {
@@ -504,23 +516,13 @@ fn trace_flag_writes_chrome_trace_without_touching_stdout() {
     let pcap = demo_pcap();
     let trace_path =
         std::env::temp_dir().join(format!("loopdetect_cli_trace_{}.json", std::process::id()));
-    let plain = loopdetect()
-        .arg(&pcap)
-        .args(["--csv", "summary", "--threads", "2", "--engine", "ring"])
-        .output()
-        .unwrap();
+    let args = ["--csv", "summary", "--threads", "2", "--engine", "block"];
+    let plain = loopdetect().arg(&pcap).args(args).output().unwrap();
     assert!(plain.status.success(), "{plain:?}");
     let traced = loopdetect()
         .arg(&pcap)
-        .args([
-            "--csv",
-            "summary",
-            "--threads",
-            "2",
-            "--engine",
-            "ring",
-            "--trace",
-        ])
+        .args(args)
+        .arg("--trace")
         .arg(&trace_path)
         .output()
         .unwrap();
@@ -536,31 +538,14 @@ fn trace_flag_writes_chrome_trace_without_touching_stdout() {
     // complete events carrying µs timestamps.
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
     assert!(doc.contains("\"ph\":\"X\""), "no complete events in trace");
-    // The ring run's per-worker stage spans, on named worker threads.
-    assert!(doc.contains("\"shard.detect\""), "no shard stage spans");
-    assert!(doc.contains("\"shard-w0\""), "worker thread names missing");
-    assert!(doc.contains("queue_depth"), "no queue-depth counter track");
-
-    // The default multi-threaded engine is block-parallel; its trace
-    // carries the block stage spans on named block workers.
-    let block_traced = loopdetect()
-        .arg(&pcap)
-        .args(["--csv", "summary", "--threads", "2", "--trace"])
-        .arg(&trace_path)
-        .output()
-        .unwrap();
-    assert!(block_traced.status.success(), "{block_traced:?}");
-    assert_eq!(
-        plain.stdout, block_traced.stdout,
-        "block engine must match ring output"
-    );
-    let doc = std::fs::read_to_string(&trace_path).expect("trace file written");
-    telemetry::json::validate(&doc).expect("trace is well-formed JSON");
+    // The block run's per-worker stage spans, on named worker threads.
     assert!(doc.contains("\"block.scan\""), "no block scan spans");
     assert!(
         doc.contains("\"block-w0\""),
         "block worker thread names missing"
     );
+    // At least one counter track (the scanners' prefilter evictions).
+    assert!(doc.contains("\"ph\":\"C\""), "no counter track in trace");
 
     let _ = std::fs::remove_file(&trace_path);
 }

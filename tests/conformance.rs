@@ -1,5 +1,5 @@
-//! Engine conformance suite: the serial, block-parallel, ring-sharded,
-//! and streaming engines implement one `DetectionResult` contract, so
+//! Engine conformance suite: the serial, block-parallel, and streaming
+//! engines implement one `DetectionResult` contract, so
 //! every fixture must produce identical streams, loops, and stage
 //! counters — and byte-identical sink output — regardless of which engine
 //! ran. This is the trait-level home of what used to be scattered
@@ -12,7 +12,7 @@ use routing_loops::loopscope::pipeline::{
 };
 use routing_loops::loopscope::{
     analysis, run_pipeline, BlockEngine, DetectorConfig, Engine, PcapSource, PipelineResult,
-    SerialEngine, ShardedEngine, Sink, SliceSource, StreamingEngine, TraceRecord,
+    SerialEngine, Sink, SliceSource, StreamingEngine, TraceRecord,
 };
 use routing_loops::net_types::{Packet, TcpFlags};
 use std::net::Ipv4Addr;
@@ -30,8 +30,6 @@ fn engines(cfg: DetectorConfig) -> Vec<Box<dyn Engine>> {
         Box::new(BlockEngine::new(cfg, 2)),
         Box::new(BlockEngine::new(cfg, 4)),
         Box::new(BlockEngine::new(cfg, 8)),
-        Box::new(ShardedEngine::new(cfg, 2)),
-        Box::new(ShardedEngine::new(cfg, 4)),
         Box::new(StreamingEngine::new(cfg)),
         Box::new(StreamingEngine::new(cfg).with_history_horizon(safe_horizon)),
     ]
@@ -254,7 +252,7 @@ fn pcap_fixture_conformance() {
     write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, &mut bytes).expect("write pcap");
 
     // Materialise once so the slice-based conformance helper (and its
-    // sharded engines) see exactly what the pcap source yields.
+    // block engines) see exactly what the pcap source yields.
     let mut records = Vec::new();
     let mut source = PcapSource::new(std::io::Cursor::new(&bytes[..])).expect("pcap header");
     use routing_loops::loopscope::RecordSource;

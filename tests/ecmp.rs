@@ -2,7 +2,7 @@
 //! loops during reconvergence — the "can forwarding loops appear when
 //! activating multipath load sharing?" question, answered with packets.
 
-use routing_loops::loopscope::{Detector, DetectorConfig, ShardedDetector, TraceRecord};
+use routing_loops::loopscope::{BlockParallelDetector, Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Ipv4Prefix, Packet, TcpFlags};
 use routing_loops::routing::scenario::{compile, NetEvent, Scenario};
 use routing_loops::routing::IgpConfig;
@@ -175,20 +175,21 @@ fn ecmp_reconvergence_loops_are_detected() {
             .collect();
         let detection = Detector::new(DetectorConfig::default()).run(&records);
         assert!(detection.streams.iter().all(|s| s.dst_slash24() == prefix));
-        // The sharded detector must agree with the serial one on this
-        // reconvergence fixture, at every shard count the CI gate exercises.
+        // The block detector must agree with the serial one on this
+        // reconvergence fixture, at every worker count the CI gate exercises.
         for threads in [2, 4, 8] {
-            let sharded = ShardedDetector::new(DetectorConfig::default(), threads).run(&records);
+            let block =
+                BlockParallelDetector::new(DetectorConfig::default(), threads).run(&records);
             assert_eq!(
-                detection.streams, sharded.streams,
+                detection.streams, block.streams,
                 "streams diverge at {threads} threads"
             );
             assert_eq!(
-                detection.loops, sharded.loops,
+                detection.loops, block.loops,
                 "loops diverge at {threads} threads"
             );
             assert_eq!(
-                detection.looped_flags, sharded.looped_flags,
+                detection.looped_flags, block.looped_flags,
                 "looped flags diverge at {threads} threads"
             );
         }

@@ -3,7 +3,7 @@
 
 use routing_loops::backbone::{paper_backbones, run_backbone, BackboneSpec};
 use routing_loops::loopscope::{
-    analysis, DetectionResult, Detector, DetectorConfig, ShardedDetector,
+    analysis, BlockParallelDetector, DetectionResult, Detector, DetectorConfig,
 };
 use routing_loops::simnet::SimDuration;
 use routing_loops::traffic::TtlConfig;
@@ -241,15 +241,15 @@ fn assert_detections_equal(a: &DetectionResult, b: &DetectionResult, what: &str)
 }
 
 #[test]
-fn sharded_detector_matches_serial_on_backbone() {
-    // The determinism contract behind `loopdetect --threads N`: sharded
+fn block_detector_matches_serial_on_backbone() {
+    // The determinism contract behind `loopdetect --threads N`: block
     // parallel detection is byte-identical to the serial pipeline at
     // every thread count, on a full backbone trace.
     let run = run_backbone(&small_spec());
     let serial = Detector::new(DetectorConfig::default()).run(&run.records);
     assert!(!serial.streams.is_empty(), "fixture must contain loops");
     // The level-0 pre-filter is output-invisible here too: the exact-map
-    // reference path is the same oracle for every sharded run below.
+    // reference path is the same oracle for every block run below.
     let no_prefilter = DetectorConfig {
         use_prefilter: false,
         ..DetectorConfig::default()
@@ -257,9 +257,9 @@ fn sharded_detector_matches_serial_on_backbone() {
     let reference = Detector::new(no_prefilter).run(&run.records);
     assert_detections_equal(&serial, &reference, "serial, prefilter off");
     for threads in [2usize, 4, 8] {
-        let par = ShardedDetector::new(DetectorConfig::default(), threads).run(&run.records);
+        let par = BlockParallelDetector::new(DetectorConfig::default(), threads).run(&run.records);
         assert_detections_equal(&serial, &par, &format!("{threads} threads"));
-        let par_off = ShardedDetector::new(no_prefilter, threads).run(&run.records);
+        let par_off = BlockParallelDetector::new(no_prefilter, threads).run(&run.records);
         assert_detections_equal(
             &serial,
             &par_off,
@@ -269,9 +269,9 @@ fn sharded_detector_matches_serial_on_backbone() {
 }
 
 #[test]
-fn sharded_detector_matches_serial_on_pcap_fixture() {
+fn block_detector_matches_serial_on_pcap_fixture() {
     // Same contract through the pcap path: export the trace at the
-    // paper's snaplen, read it back, and compare serial vs sharded on the
+    // paper's snaplen, read it back, and compare serial vs block on the
     // re-read records (the integration fixture `loopdetect` consumes).
     use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
     let mut spec = small_spec();
@@ -289,9 +289,9 @@ fn sharded_detector_matches_serial_on_pcap_fixture() {
     let reference = Detector::new(no_prefilter).run(&records);
     assert_detections_equal(&serial, &reference, "pcap, serial, prefilter off");
     for threads in [2usize, 4, 8] {
-        let par = ShardedDetector::new(DetectorConfig::default(), threads).run(&records);
+        let par = BlockParallelDetector::new(DetectorConfig::default(), threads).run(&records);
         assert_detections_equal(&serial, &par, &format!("pcap, {threads} threads"));
-        let par_off = ShardedDetector::new(no_prefilter, threads).run(&records);
+        let par_off = BlockParallelDetector::new(no_prefilter, threads).run(&records);
         assert_detections_equal(
             &serial,
             &par_off,
@@ -301,11 +301,11 @@ fn sharded_detector_matches_serial_on_pcap_fixture() {
 }
 
 #[test]
-fn sharded_detector_is_deterministic_across_runs() {
-    // Two sharded runs at the same thread count agree with each other
+fn block_detector_is_deterministic_across_runs() {
+    // Two block runs at the same thread count agree with each other
     // (worker scheduling must not leak into the output).
     let run = run_backbone(&small_spec());
-    let det = ShardedDetector::new(DetectorConfig::default(), 4);
+    let det = BlockParallelDetector::new(DetectorConfig::default(), 4);
     let a = det.run(&run.records);
     let b = det.run(&run.records);
     assert_detections_equal(&a, &b, "re-run at 4 threads");

@@ -306,3 +306,89 @@ fn snapshot_json_exposes_pipeline_stages() {
         assert!(json.contains(key), "{key} missing from snapshot {json}");
     }
 }
+
+/// The `(name patterns, kind)` rows of DESIGN.md's metric catalogue: every
+/// backticked name in a row's first cell, with the row's kind.
+fn design_metric_rows() -> Vec<(Vec<String>, String)> {
+    let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"));
+    let table = design
+        .split_once("| metric | kind | meaning |")
+        .expect("DESIGN.md has the metric catalogue")
+        .1;
+    table
+        .lines()
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').collect();
+            let names = cells[1].split('`').skip(1).step_by(2).map(String::from);
+            (names.collect(), cells[2].trim().to_string())
+        })
+        .collect()
+}
+
+/// Whether a dotted metric name matches a catalogue pattern, where `wN`
+/// stands for any worker segment (`w0`, `w13`) and `<id>` for one or more
+/// segments of a link id.
+fn name_matches(pattern: &[&str], name: &[&str]) -> bool {
+    match (pattern.split_first(), name.split_first()) {
+        (None, None) => true,
+        (Some((&"<id>", rest)), Some(_)) => {
+            (1..=name.len()).any(|k| name_matches(rest, &name[k..]))
+        }
+        (Some((p, rest)), Some((n, name_rest))) => {
+            let worker = *p == "wN"
+                && n.len() > 1
+                && n.starts_with('w')
+                && n[1..].bytes().all(|b| b.is_ascii_digit());
+            (p == n || worker) && name_matches(rest, name_rest)
+        }
+        _ => false,
+    }
+}
+
+#[test]
+fn metric_catalogue_covers_every_emitted_name() {
+    use routing_loops::loopscope::pipeline::{
+        run_pipeline, BlockEngine, Engine, SerialEngine, SliceSource, StreamingEngine,
+    };
+    let _lock = WORKLOAD.lock().unwrap();
+    let recs = looping_trace(6, 40);
+    let cfg = DetectorConfig::default();
+    let engines: [Box<dyn Engine>; 3] = [
+        Box::new(SerialEngine::new(cfg)),
+        Box::new(BlockEngine::new(cfg, 2)),
+        Box::new(StreamingEngine::new(cfg)),
+    ];
+    for mut engine in engines {
+        run_pipeline(&mut SliceSource::new(&recs), engine.as_mut(), &mut []).unwrap();
+    }
+    let snap = telemetry::global().snapshot();
+    assert!(snap.timers.contains_key("block.w1.scan"), "block@2 ran");
+    assert!(snap.timers.contains_key("pipeline.run"), "pipeline timers");
+
+    let rows = design_metric_rows();
+    let emitted = snap
+        .counters
+        .keys()
+        .map(|n| (n, "counter"))
+        .chain(snap.gauges.keys().map(|n| (n, "gauge")))
+        .chain(snap.timers.keys().map(|n| (n, "timer")));
+    let undocumented: Vec<String> = emitted
+        .filter(|(name, kind)| {
+            let name: Vec<&str> = name.split('.').collect();
+            !rows.iter().any(|(patterns, row_kind)| {
+                row_kind == kind
+                    && patterns.iter().any(|p| {
+                        let p: Vec<&str> = p.split('.').collect();
+                        name_matches(&p, &name)
+                    })
+            })
+        })
+        .map(|(name, kind)| format!("{name} ({kind})"))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "metrics missing from DESIGN.md's catalogue: {undocumented:?}"
+    );
+}
