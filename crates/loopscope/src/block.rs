@@ -73,7 +73,7 @@ use std::time::Instant;
 use telemetry::tm_info;
 
 #[cfg(doc)]
-use crate::replica::{check_continuation, Detector};
+use crate::replica::Detector;
 
 /// One worker's share of the step-1 scan.
 struct ScanPartial {

@@ -29,10 +29,12 @@
 //! pass keeps the output byte-identical to serial at every thread count
 //! (see DESIGN.md for the soundness argument).
 //!
-//! For continuous operation, [`monitor`] multiplexes many links through
-//! one runtime — a bounded streaming engine per link feeding a unified,
-//! per-link-attributed loop-event sink — which is what the `loopmond`
-//! fleet daemon drives.
+//! For continuous operation, [`online`] runs the same three steps as a
+//! single bounded-memory pass, with step 1 on the same
+//! [`replica::CandidateScanner`] the offline detectors use, and
+//! [`monitor`] multiplexes many links through one runtime — a bounded
+//! streaming engine per link feeding a unified, per-link-attributed
+//! loop-event sink — which is what the `loopmond` fleet daemon drives.
 //!
 //! The crate is deliberately independent of the simulator: it consumes
 //! [`record::TraceRecord`]s, which can come from simulated taps, pcap

@@ -17,20 +17,23 @@
 //!
 //! # Cost per record
 //!
-//! A push costs amortised O(1) outside the moments evidence completes.
-//! Because records arrive in time order, every deadline the detector waits
-//! on is kept in a structure ordered by time:
+//! Step 1 is the offline [`CandidateScanner`], fed one record per push:
+//! its level-0 fingerprint table holds the single sightings, and its
+//! exact map the candidates with two or more, which it closes in
+//! `(start, ident, first record)` order as soon as they fall a replica gap
+//! behind. This layer keeps only what steps 2–3 need, and a push costs
+//! amortised O(1) outside the moments evidence completes:
 //!
-//! * **Candidate lookup** probes a `u64` index keyed by the ingest-stamped
-//!   [`TraceRecord::fingerprint`] and confirms a hit with a full-key
-//!   compare, so no per-record work hashes the ~44-byte [`ReplicaKey`].
-//!   Candidates live in a slab addressed by `u32` handles; distinct keys
-//!   that share a fingerprint chain off one index entry.
-//! * **Candidate expiry** pops a FIFO of `(last sighting, handle, epoch)`
-//!   entries up to the replica-gap cutoff instead of scanning every open
-//!   candidate. Entries whose candidate has since grown or closed are
-//!   skipped: a slot's epoch is bumped whenever it is freed, so an entry
-//!   queued for an earlier occupant never matches a later one.
+//! * **Step-1 events** arrive through the scanner's observer: a promotion
+//!   marks the candidate's records looped and its /24 as holding an open
+//!   candidate, a join marks its record looped, and a single sighting that
+//!   a later sighting of its key did not continue is marked closed. A
+//!   closed candidate with two or more sightings goes on to steps 2–3.
+//! * **A record log** holds every retained record, oldest first, with what
+//!   step 1 made of it. Open single sightings are never tracked one by
+//!   one: they are the single records of the last replica gap, counted as
+//!   records enter and leave that window, and a /24's oldest one is found
+//!   in its history.
 //! * **Loop finalisation** is gated per /24. A loop is final only once its
 //!   end plus the merge gap lies before a barrier: the earlier of `now` and
 //!   the start of the /24's oldest open candidate. Each /24 records what
@@ -39,8 +42,8 @@
 //!   then must close. The per-/24 pass has no effect other than emitting,
 //!   so it is skipped until one of those happens somewhere (`flush_due` is
 //!   the earliest such time).
-//! * **History trimming** pops a FIFO of the /24s of all retained records,
-//!   oldest first, so each record is trimmed exactly once.
+//! * **History trimming** pops the record log from its oldest end, so each
+//!   record is trimmed exactly once.
 //! * **Gap-clean and co-loop windows** are binary-searched in each /24's
 //!   time-sorted history.
 //!
@@ -49,13 +52,15 @@
 //! per record, so detectors on different threads do not contend on them.
 
 use crate::config::DetectorConfig;
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
+#[cfg(debug_assertions)]
 use crate::key::ReplicaKey;
 use crate::merge::RoutingLoop;
 use crate::record::TraceRecord;
-use crate::stream::{Observation, ReplicaStream};
+use crate::replica::{publish_checksum_splits, publish_scan_totals, ScanObserver};
+use crate::stream::ReplicaStream;
+use crate::CandidateScanner;
 use net_types::Ipv4Prefix;
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::Range;
 use telemetry::trace::{self, TraceName};
@@ -84,196 +89,6 @@ pub enum OnlineEvent {
     Loop(RoutingLoop),
 }
 
-#[derive(Debug, Default)]
-struct OpenCandidate {
-    /// The opening sighting and its record sequence number, held inline:
-    /// almost every candidate never sees a second sighting, and those
-    /// allocate nothing.
-    first: Observation,
-    first_seq: u64,
-    /// The latest sighting (`first` until the candidate grows).
-    last: Observation,
-    /// Every sighting with its sequence number, filled from the second
-    /// sighting on; empty (and unallocated) before that.
-    observations: Vec<Observation>,
-    record_seqs: Vec<u64>,
-    last_ip_checksum: u16,
-    protocol: u8,
-}
-
-/// Address of a candidate slot in the [`CandidateSlab`].
-type Handle = u32;
-
-/// Ends a fingerprint chain.
-const NIL: Handle = Handle::MAX;
-
-/// One slab slot: an open candidate, or a free slot awaiting reuse.
-#[derive(Debug)]
-struct Slot {
-    key: ReplicaKey,
-    fingerprint: u64,
-    /// The next candidate whose key shares this fingerprint (`NIL` ends
-    /// the chain).
-    next: Handle,
-    /// Bumped whenever the slot is freed.
-    epoch: u32,
-    cand: OpenCandidate,
-}
-
-/// The open candidates: a slab of slots addressed by handles, a free list,
-/// and a `u64` index from fingerprint to the head of the chain of
-/// candidates carrying it. A lookup hashes the fingerprint only; a full
-/// key compare confirms each hit, so a fingerprint collision costs a
-/// compare but never changes a result.
-#[derive(Debug, Default)]
-struct CandidateSlab {
-    index: FxHashMap<u64, Handle>,
-    slots: Vec<Slot>,
-    free: Vec<Handle>,
-    live: usize,
-    /// The fingerprint each open key is indexed under, kept in debug
-    /// builds to check the invariant the index shares with the offline
-    /// prefilter: one key, one fingerprint (a pure function of the key).
-    #[cfg(debug_assertions)]
-    indexed_under: FxHashMap<ReplicaKey, u64>,
-}
-
-impl CandidateSlab {
-    /// The candidate open for `key`, or a new one made by `open`. Returns
-    /// its handle and whether it was just opened.
-    fn find_or_open(
-        &mut self,
-        fingerprint: u64,
-        key: &ReplicaKey,
-        open: impl FnOnce() -> OpenCandidate,
-    ) -> (Handle, bool) {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            *self.indexed_under.entry(*key).or_insert(fingerprint),
-            fingerprint,
-            "one replica key carries two fingerprints: {key:?}"
-        );
-        // A new candidate takes the most recently freed slot, or a new one.
-        let new = match self.free.last() {
-            Some(&h) => h,
-            None => Handle::try_from(self.slots.len())
-                .ok()
-                .filter(|&h| h != NIL)
-                .expect("fewer than 2^32 - 1 open candidates"),
-        };
-        let next = match self.index.entry(fingerprint) {
-            Entry::Vacant(entry) => {
-                entry.insert(new);
-                NIL
-            }
-            Entry::Occupied(entry) => {
-                let head = entry.into_mut();
-                let mut h = *head;
-                while h != NIL {
-                    let slot = &self.slots[h as usize];
-                    if slot.key == *key {
-                        return (h, false);
-                    }
-                    h = slot.next;
-                }
-                std::mem::replace(head, new)
-            }
-        };
-        let slot = Slot {
-            key: *key,
-            fingerprint,
-            next,
-            epoch: 0,
-            cand: open(),
-        };
-        if self.free.pop().is_some() {
-            let reused = &mut self.slots[new as usize];
-            *reused = Slot {
-                epoch: reused.epoch,
-                ..slot
-            };
-        } else {
-            self.slots.push(slot);
-        }
-        self.live += 1;
-        (new, true)
-    }
-
-    /// Frees `h` and hands its slot straight to `successor`, the same
-    /// key's next candidate: the index is untouched, and the epoch bump
-    /// retires the expiry entries of the old candidate.
-    fn reopen(&mut self, h: Handle, successor: OpenCandidate) -> OpenCandidate {
-        let slot = &mut self.slots[h as usize];
-        slot.epoch = slot.epoch.wrapping_add(1);
-        std::mem::replace(&mut slot.cand, successor)
-    }
-
-    /// Closes `h`: unlinks it from its fingerprint chain and frees its slot.
-    fn remove(&mut self, h: Handle) -> (ReplicaKey, OpenCandidate) {
-        let (fingerprint, next) = {
-            let slot = &self.slots[h as usize];
-            (slot.fingerprint, slot.next)
-        };
-        let head = self
-            .index
-            .get_mut(&fingerprint)
-            .expect("an open candidate's fingerprint is indexed");
-        if *head == h {
-            if next == NIL {
-                self.index.remove(&fingerprint);
-            } else {
-                *head = next;
-            }
-        } else {
-            let mut prev = *head;
-            while self.slots[prev as usize].next != h {
-                prev = self.slots[prev as usize].next;
-            }
-            self.slots[prev as usize].next = next;
-        }
-        let slot = &mut self.slots[h as usize];
-        slot.epoch = slot.epoch.wrapping_add(1);
-        self.free.push(h);
-        self.live -= 1;
-        #[cfg(debug_assertions)]
-        self.indexed_under.remove(&slot.key);
-        (slot.key, std::mem::take(&mut slot.cand))
-    }
-
-    /// Whether an expiry entry `(ts, h, epoch)` still names its candidate's
-    /// latest sighting: the slot has not been freed since, and the
-    /// candidate has not grown.
-    fn is_last_sighting(&self, ts: u64, h: Handle, epoch: u32) -> bool {
-        let slot = &self.slots[h as usize];
-        slot.epoch == epoch && slot.cand.last.timestamp_ns == ts
-    }
-
-    /// Where candidate `h` falls in the close order.
-    fn close_order(&self, h: Handle) -> CloseOrder {
-        let slot = &self.slots[h as usize];
-        (
-            slot.cand.first.timestamp_ns,
-            slot.key.ident,
-            slot.cand.first_seq,
-            h,
-        )
-    }
-
-    /// Every open candidate's handle, in no particular order.
-    fn handles(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.index.values().flat_map(|&head| {
-            std::iter::successors(Some(head), |&h| {
-                Some(self.slots[h as usize].next).filter(|&n| n != NIL)
-            })
-        })
-    }
-}
-
-/// The order in which candidates expiring on the same push are closed:
-/// `(start, ident, first record sequence number)`. The sequence number is
-/// unique per candidate, so the order is total.
-type CloseOrder = (u64, u16, u64, Handle);
-
 /// What must happen before a /24's pending streams can yield a final loop.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Recheck {
@@ -284,11 +99,33 @@ enum Recheck {
     /// merge gap.
     After(u64),
     /// The first pending loop's end plus the merge gap, `horizon`, has
-    /// passed, but `open` candidates that started by `horizon` hold the
-    /// barrier back; all of them must close.
-    Blocked { horizon: u64, open: usize },
-    /// Look on the next pass: the blocking candidates have closed.
+    /// passed, but candidates that started by `horizon` hold the barrier
+    /// back: `multis` open candidates with two or more sightings, which
+    /// must all close, and single sightings, which have all expired once
+    /// `now` passes `singles_due` (0 when there are none). A blocking
+    /// single that closes early or is promoted sets `Now` instead.
+    Blocked {
+        horizon: u64,
+        multis: usize,
+        singles_due: u64,
+    },
+    /// Look on the next pass.
     Now,
+}
+
+impl Recheck {
+    /// The time `now` must pass before a look, when time alone decides it.
+    fn due(self) -> Option<u64> {
+        match self {
+            Recheck::After(t)
+            | Recheck::Blocked {
+                multis: 0,
+                singles_due: t,
+                ..
+            } => Some(t),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -300,33 +137,79 @@ struct PrefixState {
     /// deferred until no open candidate can change the outcome, so the
     /// result is byte-identical to the offline merge.
     pending: Vec<ReplicaStream>,
-    /// First-observation time of every open candidate to this prefix,
-    /// keyed by the candidate's first record sequence number.
+    /// First-observation time of every open candidate to this prefix with
+    /// two or more sightings, keyed by its first record sequence number.
     open_cands: FxHashMap<u64, u64>,
     recheck: Recheck,
 }
 
-/// Single-pass detector.
+/// What step 1 made of a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sighting {
+    /// It opened a candidate that has not grown: an open single sighting
+    /// inside the replica window, an expired one after it.
+    Single,
+    /// It belongs to a candidate with at least two sightings ("looped" in
+    /// the §IV-A.2 sense).
+    Looped,
+    /// It opened a candidate that a later sighting of its key closed
+    /// without continuing it.
+    Closed,
+}
+
+/// `(timestamp, /24, what step 1 made of it)` for every record still in
+/// some prefix history, oldest first: the trim queue. Its length is this
+/// detector's history total.
+#[derive(Debug, Default)]
+struct Log {
+    records: VecDeque<(u64, Ipv4Prefix, Sighting)>,
+    /// The next record's sequence number.
+    end: u64,
+}
+
+impl Log {
+    /// The position of record `seq`, which must still be retained.
+    fn index(&self, seq: u64) -> usize {
+        (seq + self.records.len() as u64 - self.end) as usize
+    }
+
+    fn get(&self, seq: u64) -> Sighting {
+        self.records[self.index(seq)].2
+    }
+
+    fn set(&mut self, seq: u64, sighting: Sighting) {
+        let i = self.index(seq);
+        self.records[i].2 = sighting;
+    }
+}
+
+/// Single-pass detector: the step-1 scanner, and the state of steps 2–3
+/// that it reports to.
 pub struct OnlineDetector {
+    scanner: CandidateScanner,
+    core: Core,
+}
+
+/// Everything an [`OnlineDetector`] keeps besides its scanner.
+struct Core {
     cfg: DetectorConfig,
     history_horizon_ns: u64,
     now: u64,
-    seq: u64,
-    open: CandidateSlab,
+    /// `now - max_replica_gap`: records before it are out of the replica
+    /// window.
+    cutoff: u64,
     prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
-    /// Sequence numbers of records known to belong to a candidate with at
-    /// least two sightings ("looped" in the §IV-A.2 sense).
-    looped_seqs: FxHashSet<u64>,
-    /// `(timestamp, handle, epoch)` of every sighting that created or grew
-    /// a candidate, in push (hence time) order: the expiry queue.
-    expiry: VecDeque<(u64, Handle, u32)>,
-    /// Scratch list of the candidates expiring on one push.
-    stale: Vec<CloseOrder>,
-    /// The /24 of every record still in some prefix history, oldest first:
-    /// the trim queue. Its length is this detector's history total.
-    history_order: VecDeque<Ipv4Prefix>,
-    /// The earliest `Recheck::After` time over all /24s (`u64::MAX` when
-    /// there is none).
+    log: Log,
+    /// The events completed during the current push.
+    events: Vec<OnlineEvent>,
+    /// How many of the newest records in the log are inside the replica
+    /// window.
+    window: usize,
+    /// Open candidates: the window's single sightings, and the candidates
+    /// with two or more.
+    open: usize,
+    /// The earliest time-decided recheck (`Recheck::due`) over all /24s
+    /// (`u64::MAX` when there is none).
     flush_due: u64,
     /// Number of /24s in `Recheck::Now`.
     recheck_now: usize,
@@ -335,6 +218,11 @@ pub struct OnlineDetector {
     reported_open: i64,
     reported_history: i64,
     stats: OnlineStats,
+    /// The fingerprint each key arrived under, kept in debug builds to
+    /// check the invariant step 1 relies on: one key, one fingerprint (a
+    /// pure function of the key).
+    #[cfg(debug_assertions)]
+    fingerprints: FxHashMap<ReplicaKey, u64>,
 }
 
 /// Streaming counters.
@@ -394,21 +282,28 @@ impl OnlineDetector {
         //   horizon >= merge_gap + (255 + 1) * replica_gap.
         let horizon = cfg.merge_gap_ns + cfg.max_replica_gap_ns.saturating_mul(256);
         Self {
-            cfg,
-            history_horizon_ns: horizon,
-            now: 0,
-            seq: 0,
-            open: CandidateSlab::default(),
-            prefixes: FxHashMap::default(),
-            looped_seqs: FxHashSet::default(),
-            expiry: VecDeque::new(),
-            stale: Vec::new(),
-            history_order: VecDeque::new(),
-            flush_due: u64::MAX,
-            recheck_now: 0,
-            reported_open: 0,
-            reported_history: 0,
-            stats: OnlineStats::default(),
+            // A fleet creates hundreds of detectors at once, so each
+            // scanner starts at its smallest table and lets the sweep grow
+            // it to its own link's replica window.
+            scanner: CandidateScanner::with_capacity(cfg, 0),
+            core: Core {
+                cfg,
+                history_horizon_ns: horizon,
+                now: 0,
+                cutoff: 0,
+                prefixes: FxHashMap::default(),
+                log: Log::default(),
+                events: Vec::new(),
+                window: 0,
+                open: 0,
+                flush_due: u64::MAX,
+                recheck_now: 0,
+                reported_open: 0,
+                reported_history: 0,
+                stats: OnlineStats::default(),
+                #[cfg(debug_assertions)]
+                fingerprints: FxHashMap::default(),
+            },
         }
     }
 
@@ -416,19 +311,23 @@ impl OnlineDetector {
     /// a horizon below the merge gap, step 3's gap-clean rule degrades to
     /// "no *remembered* non-looped packet in the gap", which can merge
     /// loops the offline detector would keep apart.
+    ///
+    /// The horizon is never shorter than the replica gap, so the history
+    /// holds every open single sighting, and with it every record a
+    /// promotion marks looped.
     pub fn with_history_horizon(mut self, horizon_ns: u64) -> Self {
-        self.history_horizon_ns = horizon_ns;
+        self.core.history_horizon_ns = horizon_ns.max(self.core.cfg.max_replica_gap_ns);
         self
     }
 
     /// Streaming counters so far.
     pub fn stats(&self) -> &OnlineStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Number of currently-open candidates (memory introspection).
     pub fn open_candidates(&self) -> usize {
-        self.open.live
+        self.core.open
     }
 
     /// Pushes one record; returns any events whose evidence completed.
@@ -436,10 +335,9 @@ impl OnlineDetector {
     /// # Panics
     /// Panics when records go backwards in time.
     pub fn push(&mut self, rec: &TraceRecord) -> Vec<OnlineEvent> {
-        let mut events = Vec::new();
-        self.push_record(rec, &mut events);
-        self.publish_gauges();
-        events
+        self.push_record(rec);
+        self.core.publish_gauges();
+        std::mem::take(&mut self.core.events)
     }
 
     /// Pushes a batch of records, handing each event to `emit` during the
@@ -450,152 +348,147 @@ impl OnlineDetector {
     /// # Panics
     /// Panics when records go backwards in time.
     pub fn push_batch(&mut self, records: &[TraceRecord], mut emit: impl FnMut(OnlineEvent)) {
-        let mut events = Vec::new();
         for rec in records {
-            self.push_record(rec, &mut events);
-            events.drain(..).for_each(&mut emit);
+            self.push_record(rec);
+            self.core.events.drain(..).for_each(&mut emit);
         }
-        self.publish_gauges();
+        self.core.publish_gauges();
     }
 
-    fn push_record(&mut self, rec: &TraceRecord, events: &mut Vec<OnlineEvent>) {
+    fn push_record(&mut self, rec: &TraceRecord) {
+        let core = &mut self.core;
         assert!(
-            rec.timestamp_ns >= self.now,
+            rec.timestamp_ns >= core.now,
             "records must be pushed in timestamp order"
         );
-        self.now = rec.timestamp_ns;
-        self.stats.records += 1;
-        let seq = self.seq;
-        self.seq += 1;
+        core.now = rec.timestamp_ns;
+        core.cutoff = core.now.saturating_sub(core.cfg.max_replica_gap_ns);
+        core.stats.records += 1;
 
         // Expire stale candidates and quiet loops *before* processing, so
         // a record at time T sees exactly the state the offline pass would
-        // have built from records before T.
-        self.expire(events);
+        // have built from records before T. Candidates silent past the
+        // replica gap can never grow again: the scanner closes those with
+        // two or more sightings, and the single sightings leave the window.
+        self.scanner.expire_before(self.core.cutoff, &mut self.core);
+        self.core.expire();
 
-        // Record history for the co-loop / gap-clean rules.
-        let key = ReplicaKey::of(rec);
-        let prefix = Ipv4Prefix::slash24_of(key.dst);
-        let pstate = self.prefixes.entry(prefix).or_default();
-        pstate.history.push_back((rec.timestamp_ns, seq));
-        self.history_order.push_back(prefix);
-        let obs = Observation {
-            timestamp_ns: rec.timestamp_ns,
-            ttl: rec.ttl,
-        };
+        // Step 1 (incremental): candidate join / split. The scanner's
+        // record indices are sequence numbers here, which coincide with
+        // the offline detector's global positions when the same trace is
+        // replayed from the start.
+        let seq = self.core.record(rec);
+        self.scanner
+            .push_observed(seq as usize, rec, &mut self.core);
+        self.core.stats.checksum_splits = self.scanner.counters().checksum_splits;
+    }
 
-        // Step 1 (incremental): candidate join / split.
-        let (h, opened) = self
-            .open
-            .find_or_open(rec.fingerprint, &key, || OpenCandidate::new(rec, seq));
-        let mut closed = None;
-        if opened {
-            pstate.open_cands.insert(seq, rec.timestamp_ns);
-        } else {
-            let cand = &mut self.open.slots[h as usize].cand;
-            // The same continuation rule, verbatim, as the offline
-            // scanner — equivalence depends on it.
-            let check = crate::replica::check_continuation(
-                &self.cfg,
-                cand.last,
-                cand.last_ip_checksum,
-                cand.protocol,
-                rec,
-            );
-            if check.joins {
-                if cand.observations.is_empty() {
-                    // Second sighting: the candidate becomes a real
-                    // replica set and its first record counts as looped.
-                    self.stats.raw_candidates += 1;
-                    self.looped_seqs.insert(cand.first_seq);
-                    cand.observations = vec![cand.first, obs];
-                    cand.record_seqs = vec![cand.first_seq, seq];
-                } else {
-                    cand.observations.push(obs);
-                    cand.record_seqs.push(seq);
-                }
-                self.looped_seqs.insert(seq);
-                cand.last = obs;
-                cand.last_ip_checksum = rec.ip_checksum;
-            } else {
-                if check.checksum_split {
-                    self.stats.checksum_splits += 1;
-                }
-                closed = Some(self.open.reopen(h, OpenCandidate::new(rec, seq)));
+    /// Flushes everything at end of trace; returns the tail events and
+    /// the final counters. Publishes the `replica.*` step-1 counters.
+    pub fn finish(mut self) -> (Vec<OnlineEvent>, OnlineStats) {
+        let (closed, counters) = self.scanner.finish();
+        let core = &mut self.core;
+        publish_scan_totals(core.stats.records as usize, &counters);
+        publish_checksum_splits(counters.checksum_splits);
+        for stream in closed {
+            core.close_candidate(stream);
+        }
+        // Force-flush every pending loop.
+        for (prefix, state) in &mut core.prefixes {
+            let (loops, _) = state.take_final_loops(*prefix, &core.cfg, &core.log, None);
+            for l in loops {
+                emit_loop(&mut core.stats, &mut core.events, l);
             }
         }
-        self.expiry
-            .push_back((rec.timestamp_ns, h, self.open.slots[h as usize].epoch));
-        if let Some(cand) = closed {
-            self.close_candidate(key, cand, events);
-            self.prefixes
-                .get_mut(&prefix)
-                .expect("the record's /24 has state")
-                .open_cands
-                .insert(seq, rec.timestamp_ns);
+        let mut events = std::mem::take(&mut core.events);
+        events.sort_by_key(|e| match e {
+            OnlineEvent::Stream(s) => (0u8, s.start_ns(), s.key.ident),
+            OnlineEvent::Loop(l) => (1u8, l.start_ns, 0),
+        });
+        (events, core.stats)
+    }
+}
+
+impl Core {
+    /// Logs `rec` as a new single sighting in its /24's history and returns
+    /// its sequence number.
+    fn record(&mut self, rec: &TraceRecord) -> u64 {
+        let seq = self.log.end;
+        let prefix = Ipv4Prefix::slash24_of(rec.dst);
+        let pstate = self.prefixes.entry(prefix).or_default();
+        pstate.history.push_back((rec.timestamp_ns, seq));
+        self.log
+            .records
+            .push_back((rec.timestamp_ns, prefix, Sighting::Single));
+        self.log.end += 1;
+        self.window += 1;
+        self.open += 1;
+        #[cfg(debug_assertions)]
+        {
+            // Forgetting every key now and then keeps the map as small as
+            // the replica window; the check only looks back less far.
+            let key = ReplicaKey::of(rec);
+            if self.fingerprints.len() > 4 * self.window.max(1024) {
+                self.fingerprints.clear();
+            }
+            let fp = *self.fingerprints.entry(key).or_insert(rec.fingerprint);
+            assert_eq!(
+                fp, rec.fingerprint,
+                "one replica key carries two fingerprints: {key:?}"
+            );
         }
+        seq
+    }
+
+    /// Record `idx`, a single sighting of `rec`'s key at `start`, became
+    /// `to`. If it held its /24 blocked, look again on the next pass.
+    fn settle(
+        &mut self,
+        idx: usize,
+        start: u64,
+        rec: &TraceRecord,
+        to: Sighting,
+    ) -> &mut PrefixState {
+        self.log.set(idx as u64, to);
+        let state = self
+            .prefixes
+            .get_mut(&Ipv4Prefix::slash24_of(rec.dst))
+            .expect("a pushed record's /24 has state");
+        if let Recheck::Blocked { horizon, .. } = state.recheck {
+            if start <= horizon {
+                state.recheck = Recheck::Now;
+                self.recheck_now += 1;
+            }
+        }
+        state
     }
 
     /// Brings the fleet-total gauges up to date with this detector's share.
     fn publish_gauges(&mut self) {
-        let open = self.open.live as i64;
+        let open = self.open as i64;
         if open != self.reported_open {
             TM_OPEN_CANDIDATES.add(open - self.reported_open);
             self.reported_open = open;
         }
-        let history = self.history_order.len() as i64;
+        let history = self.log.records.len() as i64;
         if history != self.reported_history {
             TM_PREFIX_HISTORY.add(history - self.reported_history);
             self.reported_history = history;
         }
     }
 
-    /// Flushes everything at end of trace; returns the tail events and
-    /// the final counters.
-    pub fn finish(mut self) -> (Vec<OnlineEvent>, OnlineStats) {
-        let mut events = Vec::new();
-        let mut all: Vec<CloseOrder> = self
-            .open
-            .handles()
-            .map(|h| self.open.close_order(h))
-            .collect();
-        self.close_in_order(&mut all, &mut events);
-        // Force-flush every pending loop.
-        for (prefix, state) in &mut self.prefixes {
-            let (loops, _) = state.take_final_loops(*prefix, &self.cfg, &self.looped_seqs, None);
-            for l in loops {
-                emit_loop(&mut self.stats, &mut events, l);
-            }
-        }
-        events.sort_by_key(|e| match e {
-            OnlineEvent::Stream(s) => (0u8, s.start_ns(), s.key.ident),
-            OnlineEvent::Loop(l) => (1u8, l.start_ns, 0),
-        });
-        (events, self.stats)
-    }
-
-    /// Closes stale candidates, emits loops that became final and trims
-    /// history past the horizon.
-    fn expire(&mut self, events: &mut Vec<OnlineEvent>) {
-        // Candidates silent past the replica gap can never grow again.
-        let cutoff = self.now.saturating_sub(self.cfg.max_replica_gap_ns);
-        let mut stale = std::mem::take(&mut self.stale);
-        while let Some(&(ts, h, epoch)) = self.expiry.front() {
-            if ts >= cutoff {
+    /// Moves the replica window's start up to the cutoff, emits loops that
+    /// became final and trims history past the horizon.
+    fn expire(&mut self) {
+        let cutoff = self.cutoff;
+        while self.window > 0 {
+            let (t, _, sighting) = self.log.records[self.log.records.len() - self.window];
+            if t >= cutoff {
                 break;
             }
-            self.expiry.pop_front();
-            // An entry whose candidate has since grown or closed is stale
-            // itself; the candidate's latest sighting has its own entry.
-            if self.open.is_last_sighting(ts, h, epoch) {
-                stale.push(self.open.close_order(h));
-            }
+            self.open -= usize::from(sighting == Sighting::Single);
+            self.window -= 1;
         }
-        if !stale.is_empty() {
-            self.close_in_order(&mut stale, events);
-        }
-        self.stale = stale;
-
         // Emit loops whose composition can no longer change. Only /24s
         // whose recheck condition has come true can emit, so the pass is
         // skipped until one has; it visits the /24s in map order.
@@ -603,27 +496,20 @@ impl OnlineDetector {
             let now = self.now;
             let mut due = u64::MAX;
             for (prefix, state) in &mut self.prefixes {
-                let look = match state.recheck {
-                    Recheck::Now => true,
-                    Recheck::After(t) => now > t,
-                    Recheck::Idle | Recheck::Blocked { .. } => false,
-                };
-                if look {
+                if state.recheck == Recheck::Now || state.recheck.due().is_some_and(|t| now > t) {
+                    let barrier = state.barrier(now, cutoff, &self.log);
                     let (loops, next) =
-                        state.take_final_loops(*prefix, &self.cfg, &self.looped_seqs, Some(now));
+                        state.take_final_loops(*prefix, &self.cfg, &self.log, Some(barrier));
                     for l in loops {
-                        emit_loop(&mut self.stats, events, l);
+                        emit_loop(&mut self.stats, &mut self.events, l);
                     }
                     state.recheck = match next {
                         None => Recheck::Idle,
                         Some(horizon) if horizon >= now => Recheck::After(horizon),
-                        Some(horizon) => Recheck::Blocked {
-                            horizon,
-                            open: state.open_cands.values().filter(|&&t| t <= horizon).count(),
-                        },
+                        Some(horizon) => state.blocked(horizon, cutoff, &self.cfg, &self.log),
                     };
                 }
-                if let Recheck::After(t) = state.recheck {
+                if let Some(t) = state.recheck.due() {
                     due = due.min(t);
                 }
             }
@@ -633,71 +519,44 @@ impl OnlineDetector {
 
         // Trim history, oldest record first.
         let h_cutoff = self.now.saturating_sub(self.history_horizon_ns);
-        while let Some(&prefix) = self.history_order.front() {
-            let state = self.prefixes.get_mut(&prefix).expect("history prefix");
-            let &(t, old_seq) = state
-                .history
-                .front()
-                .expect("trim queue and prefix history agree");
+        while let Some(&(t, prefix, _)) = self.log.records.front() {
             if t >= h_cutoff {
                 break;
             }
+            self.log.records.pop_front();
+            let state = self.prefixes.get_mut(&prefix).expect("history prefix");
             state.history.pop_front();
-            self.history_order.pop_front();
-            self.looped_seqs.remove(&old_seq);
         }
     }
 
-    /// Closes the given candidates in `(start, ident, first seq)` order,
-    /// ignoring duplicate entries, and leaves `handles` empty.
-    fn close_in_order(&mut self, handles: &mut Vec<CloseOrder>, events: &mut Vec<OnlineEvent>) {
-        handles.sort_unstable_by_key(|&(start, ident, first_seq, _)| (start, ident, first_seq));
-        handles.dedup_by_key(|&mut (_, _, first_seq, _)| first_seq);
-        for (_, _, _, h) in handles.drain(..) {
-            let (key, cand) = self.open.remove(h);
-            self.close_candidate(key, cand, events);
-        }
-    }
-
-    fn close_candidate(
-        &mut self,
-        key: ReplicaKey,
-        cand: OpenCandidate,
-        events: &mut Vec<OnlineEvent>,
-    ) {
-        let prefix = Ipv4Prefix::slash24_of(key.dst);
+    fn close_candidate(&mut self, stream: ReplicaStream) {
+        let prefix = Ipv4Prefix::slash24_of(stream.key.dst);
         let state = self
             .prefixes
             .get_mut(&prefix)
             .expect("every candidate's /24 has state");
-        state.open_cands.remove(&cand.first_seq);
-        if let Recheck::Blocked { horizon, open } = &mut state.recheck {
-            if cand.first.timestamp_ns <= *horizon {
-                *open -= 1;
-                if *open == 0 {
-                    state.recheck = Recheck::Now;
-                    self.recheck_now += 1;
+        state.open_cands.remove(&(stream.record_indices[0] as u64));
+        self.open -= 1;
+        if let Recheck::Blocked {
+            horizon,
+            multis,
+            singles_due,
+        } = &mut state.recheck
+        {
+            if stream.start_ns() <= *horizon {
+                *multis -= 1;
+                if *multis == 0 {
+                    self.flush_due = self.flush_due.min(*singles_due);
                 }
             }
         }
-        if cand.observations.is_empty() {
-            return;
-        }
-        let stream = ReplicaStream {
-            key,
-            observations: cand.observations,
-            // The offline record indices are global positions; online we
-            // use sequence numbers, which coincide when the same trace is
-            // replayed from the start.
-            record_indices: cand.record_seqs.iter().map(|s| *s as usize).collect(),
-        };
         // Step 2.
         if stream.len() < self.cfg.min_stream_len {
             self.stats.rejected_short += 1;
             return;
         }
         if self.cfg.covalidate_prefix
-            && !self.prefixes[&prefix].co_loop_holds(&self.cfg, &self.looped_seqs, &stream)
+            && !self.prefixes[&prefix].co_loop_holds(&self.cfg, &self.log, &stream)
         {
             self.stats.rejected_covalidation += 1;
             return;
@@ -706,7 +565,7 @@ impl OnlineDetector {
         self.stats.looped_sightings += stream.len() as u64;
         TM_STREAMS_EMITTED.inc();
         trace::instant(&TR_STREAM_EMITTED);
-        events.push(OnlineEvent::Stream(stream.clone()));
+        self.events.push(OnlineEvent::Stream(stream.clone()));
         // Step 3 is deferred: the stream joins the prefix's pending set and
         // loops are emitted once their composition is final.
         // Any loop holding the new stream ends no earlier than it does,
@@ -728,7 +587,7 @@ impl OnlineDetector {
     }
 }
 
-impl Drop for OnlineDetector {
+impl Drop for Core {
     /// Takes this detector's share back out of the fleet-total gauges.
     fn drop(&mut self) {
         TM_OPEN_CANDIDATES.add(-self.reported_open);
@@ -736,37 +595,63 @@ impl Drop for OnlineDetector {
     }
 }
 
+impl ScanObserver for Core {
+    fn promoted(&mut self, first_idx: usize, first_ns: u64, rec: &TraceRecord, idx: usize) {
+        // The candidate becomes a real replica set: both of its records
+        // count as looped, and it holds its /24's barrier until it closes.
+        self.stats.raw_candidates += 1;
+        self.joined(idx);
+        self.settle(first_idx, first_ns, rec, Sighting::Looped)
+            .open_cands
+            .insert(first_idx as u64, first_ns);
+    }
+
+    fn joined(&mut self, idx: usize) {
+        self.log.set(idx as u64, Sighting::Looped);
+        self.open -= 1;
+    }
+
+    fn single_closed(&mut self, idx: usize, ns: u64, rec: &TraceRecord) {
+        // The level-0 table keeps a seed until a sweep, so a seed closed
+        // here may have expired already.
+        if ns >= self.cutoff {
+            self.open -= 1;
+            self.settle(idx, ns, rec, Sighting::Closed);
+        }
+    }
+
+    fn closed(&mut self, stream: ReplicaStream) -> Option<ReplicaStream> {
+        self.close_candidate(stream);
+        None
+    }
+}
+
 impl PrefixState {
     /// Whether every remembered record in a window of the history is
     /// looped. The history is time-sorted, so callers find the window's
     /// ends by binary search.
-    fn all_looped(&self, looped: &FxHashSet<u64>, window: Range<usize>) -> bool {
+    fn all_looped(&self, log: &Log, window: Range<usize>) -> bool {
         window.is_empty()
             || self
                 .history
                 .range(window)
-                .all(|(_, seq)| looped.contains(seq))
+                .all(|&(_, seq)| log.get(seq) == Sighting::Looped)
     }
 
     /// The offline gap-clean rule over retained history: no non-looped
     /// packet to the prefix in the open interval `(from, to)`.
-    fn gap_is_clean(&self, looped: &FxHashSet<u64>, from: u64, to: u64) -> bool {
+    fn gap_is_clean(&self, log: &Log, from: u64, to: u64) -> bool {
         if to <= from + 1 {
             return true;
         }
         let lo = self.history.partition_point(|&(t, _)| t <= from);
         let hi = self.history.partition_point(|&(t, _)| t < to);
-        self.all_looped(looped, lo..hi)
+        self.all_looped(log, lo..hi)
     }
 
     /// The co-loop rule: every remembered packet to the prefix during the
     /// stream, less a slack at both ends, is looped too.
-    fn co_loop_holds(
-        &self,
-        cfg: &DetectorConfig,
-        looped: &FxHashSet<u64>,
-        stream: &ReplicaStream,
-    ) -> bool {
+    fn co_loop_holds(&self, cfg: &DetectorConfig, log: &Log, stream: &ReplicaStream) -> bool {
         let slack = (stream.mean_spacing_ns() as f64 * cfg.covalidate_slack_spacings) as u64;
         let from = stream.start_ns().saturating_add(slack);
         let to = stream.end_ns().saturating_sub(slack);
@@ -775,30 +660,53 @@ impl PrefixState {
         }
         let lo = self.history.partition_point(|&(t, _)| t < from);
         let hi = self.history.partition_point(|&(t, _)| t <= to);
-        self.all_looped(looped, lo..hi)
+        self.all_looped(log, lo..hi)
+    }
+
+    /// Start times of this /24's open single sightings, oldest first: its
+    /// single sightings no older than `cutoff`.
+    fn open_singles<'a>(&'a self, cutoff: u64, log: &'a Log) -> impl Iterator<Item = u64> + 'a {
+        let lo = self.history.partition_point(|&(t, _)| t < cutoff);
+        self.history
+            .range(lo..)
+            .filter(|&&(_, seq)| log.get(seq) == Sighting::Single)
+            .map(|&(t, _)| t)
+    }
+
+    /// No future stream to this /24 starts before `min(now, start of its
+    /// oldest open candidate)`.
+    fn barrier(&self, now: u64, cutoff: u64, log: &Log) -> u64 {
+        let multis = self.open_cands.values().copied().min();
+        let singles = self.open_singles(cutoff, log).next();
+        multis.into_iter().chain(singles).fold(now, u64::min)
+    }
+
+    /// The `Blocked` state for a first pending loop due at `horizon`.
+    fn blocked(&self, horizon: u64, cutoff: u64, cfg: &DetectorConfig, log: &Log) -> Recheck {
+        let last_single = self
+            .open_singles(cutoff, log)
+            .take_while(|&t| t <= horizon)
+            .last();
+        Recheck::Blocked {
+            horizon,
+            multis: self.open_cands.values().filter(|&&t| t <= horizon).count(),
+            singles_due: last_single.map_or(0, |t| t + cfg.max_replica_gap_ns),
+        }
     }
 
     /// Runs the offline merge over the pending streams and takes out every
     /// loop that no future stream can still join: future streams start no
-    /// earlier than `min(now, earliest open candidate)`, so a loop whose
-    /// end lies more than the merge gap before that point is final. With
-    /// `now == None`, everything is final (end of trace). Also returns the
-    /// first remaining loop's end plus the merge gap.
+    /// earlier than `barrier`, so a loop whose end lies more than the merge
+    /// gap before it is final. With no barrier, everything is final (end of
+    /// trace). Also returns the first remaining loop's end plus the merge
+    /// gap.
     fn take_final_loops(
         &mut self,
         prefix: Ipv4Prefix,
         cfg: &DetectorConfig,
-        looped: &FxHashSet<u64>,
-        now: Option<u64>,
+        log: &Log,
+        barrier: Option<u64>,
     ) -> (Vec<RoutingLoop>, Option<u64>) {
-        let barrier = now.map(|now| {
-            self.open_cands
-                .values()
-                .copied()
-                .min()
-                .unwrap_or(u64::MAX)
-                .min(now)
-        });
         let due = |end: u64| end.saturating_add(cfg.merge_gap_ns);
         // Offline-identical merge over pending streams, sorted by start.
         // The sort is stable and the pending set stays sorted between
@@ -817,7 +725,7 @@ impl PrefixState {
             while let Some(s) = self.pending.get(j) {
                 let joins = s.start_ns() <= end
                     || (s.start_ns() - end <= cfg.merge_gap_ns
-                        && self.gap_is_clean(looped, end, s.start_ns()));
+                        && self.gap_is_clean(log, end, s.start_ns()));
                 if !joins {
                     break;
                 }
@@ -859,24 +767,6 @@ fn emit_loop(stats: &mut OnlineStats, events: &mut Vec<OnlineEvent>, l: RoutingL
     events.push(OnlineEvent::Loop(l));
 }
 
-impl OpenCandidate {
-    fn new(rec: &TraceRecord, seq: u64) -> Self {
-        let first = Observation {
-            timestamp_ns: rec.timestamp_ns,
-            ttl: rec.ttl,
-        };
-        Self {
-            first,
-            first_seq: seq,
-            last: first,
-            observations: Vec::new(),
-            record_seqs: Vec::new(),
-            last_ip_checksum: rec.ip_checksum,
-            protocol: rec.protocol,
-        }
-    }
-}
-
 /// Runs the streaming detector over a full trace and collects the events —
 /// the bridge used to compare online and offline results.
 pub fn run_streaming(
@@ -894,6 +784,7 @@ pub fn run_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::ReplicaKey;
     use crate::replica::Detector;
     use net_types::{Packet, TcpFlags};
     use std::net::Ipv4Addr;
@@ -1192,8 +1083,7 @@ mod tests {
         for (i, r) in recs.iter().enumerate() {
             events.extend(det.push(r));
             if i == 1 {
-                // Both keys hang off one index entry.
-                assert_eq!((det.open.index.len(), det.open_candidates()), (1, 2));
+                assert_eq!(det.open_candidates(), 2, "one candidate per key");
             }
         }
         assert_eq!(det.open_candidates(), 1, "A and B expired on the late push");
@@ -1211,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn freed_slot_reuse_ignores_the_old_occupants_expiry_entries() {
+    fn same_time_successor_closes_on_its_own_last_sighting() {
         let dst = Ipv4Addr::new(203, 0, 113, 1);
         let ms = |t: u64| t * 1_000_000;
         let recs = looping_records(0, ms(1), 60, 2, 1, dst);
@@ -1219,18 +1109,11 @@ mod tests {
         det.push(&recs[0]);
         det.push(&recs[1]);
         // The same sighting again at the same time: not a continuation, so
-        // the candidate closes and its slot goes straight to its successor
-        // while both of the old candidate's expiry entries are queued.
-        det.push(&recs[1]);
-        let (_, h, old_epoch) = det.expiry[0];
-        let new_epoch = det.open.slots[h as usize].epoch;
-        assert_ne!(old_epoch, new_epoch, "freeing bumped the epoch");
-        assert_eq!(det.expiry.len(), 3);
-        assert!(det.expiry.iter().all(|&(_, eh, _)| eh == h), "slot reused");
-        // The old entry for 1 ms names the successor's exact last sighting;
-        // only the epoch tells them apart.
-        assert!(!det.open.is_last_sighting(ms(1), h, old_epoch));
-        assert!(det.open.is_last_sighting(ms(1), h, new_epoch));
+        // the two-sighting candidate closes at once and a successor opens
+        // at the old candidate's last sighting time.
+        assert!(det.push(&recs[1]).is_empty());
+        assert_eq!(det.stats().rejected_short, 1, "closed on the push");
+        assert_eq!(det.open_candidates(), 1, "the successor");
 
         // Unrelated probes move the clock on.
         let at = |t: u64| {
@@ -1240,17 +1123,63 @@ mod tests {
             r.ident = t as u16;
             r.with_fingerprint()
         };
-        // Past the old 0 ms entry only: it is popped and skipped.
+        // A replica gap past the first sighting only.
         det.push(&at(ms(1_000) + ms(1) / 2));
         assert_eq!(det.open_candidates(), 2, "successor still open");
-        assert_eq!(det.expiry.len(), 3);
-        // Past both 1 ms entries: the successor closes (one sighting, no
-        // stream) through its own entry alone.
+        // Past the 1 ms sightings: the successor closes (one sighting, no
+        // stream) once, on its own last sighting.
         assert!(det.push(&at(ms(1_002))).is_empty());
         assert_eq!(det.open_candidates(), 2, "only the two probes remain");
-        assert_eq!(det.expiry.len(), 2);
         let (_, stats) = det.finish();
         assert_eq!(stats.rejected_short, 1, "the 2-sighting first candidate");
+        assert_eq!(stats.raw_candidates, 1);
+    }
+
+    #[test]
+    fn blocking_single_closed_early_releases_its_loop_on_the_next_push() {
+        let cfg = DetectorConfig {
+            max_replica_gap_ns: 50_000_000,
+            merge_gap_ns: 20_000_000,
+            ..DetectorConfig::default()
+        };
+        let ms = |t: u64| t * 1_000_000;
+        let probe =
+            |t: u64| looping_records(ms(t), 1, 60, 1, t as u16, Ipv4Addr::new(192, 0, 2, 1))[0];
+        // A loop on the /24 ending at 3 ms, due at 23 ms, and a single
+        // sighting to the /24 at 20 ms that holds it back.
+        let mut det = OnlineDetector::new(cfg);
+        for r in looping_records(0, ms(1), 60, 4, 1, Ipv4Addr::new(203, 0, 113, 1)) {
+            assert!(det.push(&r).is_empty());
+        }
+        let single = looping_records(ms(20), 1, 60, 1, 2, Ipv4Addr::new(203, 0, 113, 2))[0];
+        det.push(&single);
+        let events = det.push(&probe(60));
+        assert_eq!((streams_of(&events).len(), loops_of(&events).len()), (1, 0));
+        // A duplicate (same TTL) closes the single early: the loop leaves
+        // on the next push, not once the single would have expired.
+        let mut duplicate = single;
+        duplicate.timestamp_ns = ms(61);
+        assert!(det.push(&duplicate).is_empty());
+        assert_eq!(loops_of(&det.push(&probe(62))).len(), 1);
+    }
+
+    #[test]
+    fn short_history_horizon_does_not_leak_looped_records() {
+        // Each packet's second sighting comes 10 ms after its first, far
+        // past a 1 ms horizon. The horizon is floored at the replica gap,
+        // so the first sighting is still retained when the promotion marks
+        // it looped, and is trimmed, with its mark, later.
+        let mut det =
+            OnlineDetector::new(DetectorConfig::default()).with_history_horizon(1_000_000);
+        for i in 0..2_000u16 {
+            let start = u64::from(i) * 2_030_000_000;
+            let dst = Ipv4Addr::new(203, 0, 113, 1);
+            for r in looping_records(start, 10_000_000, 60, 4, i, dst) {
+                det.push(&r);
+            }
+        }
+        assert_eq!(det.core.log.records.len(), 4, "the last packet's sightings");
+        assert_eq!(det.stats().raw_candidates, 2_000);
     }
 
     #[test]
@@ -1290,8 +1219,11 @@ mod tests {
                 let want: Vec<OnlineEvent> = per_record[i * chunk..][..batch.len()].concat();
                 assert_eq!(got, want, "chunk {chunk}, batch {i}");
                 // The published share is the live share once a call returns.
-                assert_eq!(batched.reported_open, batched.open_candidates() as i64);
-                assert_eq!(batched.reported_history, batched.history_order.len() as i64);
+                assert_eq!(batched.core.reported_open, batched.open_candidates() as i64);
+                assert_eq!(
+                    batched.core.reported_history,
+                    batched.core.log.records.len() as i64
+                );
             }
             assert_eq!(batched.stats(), single.stats());
         }

@@ -2,8 +2,10 @@
 //!
 //! Candidate grouping is exposed in two shapes: [`Detector::run`] drives
 //! the whole batch pipeline, while [`CandidateScanner`] is the push-based
-//! core it delegates to — the same scanner each block-parallel worker
-//! ([`crate::block`]) feeds record-by-record over its own range.
+//! core it delegates to — the only step-1 implementation. Each
+//! block-parallel worker ([`crate::block`]) feeds it record by record over
+//! its own range, and the online detector ([`crate::online`]) feeds it one
+//! push at a time and learns what each push did through an observer.
 //!
 //! The scanner is a *two-level candidate index*. Level 0 is an
 //! open-addressing fingerprint table probed with the 64-bit
@@ -23,6 +25,7 @@ use crate::merge::{self, RoutingLoop};
 use crate::record::TraceRecord;
 use crate::stream::{Observation, ReplicaStream};
 use crate::validate::{self, PrefixIndex};
+use std::collections::VecDeque;
 use telemetry::trace::{self, TraceName};
 use telemetry::{tm_debug, tm_info, LazyCounter};
 
@@ -233,20 +236,19 @@ pub(crate) fn publish_checksum_splits(splits: u64) {
 }
 
 /// The verdict on whether a sighting continues an open candidate.
-pub(crate) struct ContinuationCheck {
+struct ContinuationCheck {
     /// The sighting extends the candidate.
-    pub joins: bool,
+    joins: bool,
     /// The only reason it did not join was an RFC 1624-inconsistent IP
     /// header checksum (a forced split, counted separately).
-    pub checksum_split: bool,
+    checksum_split: bool,
 }
 
-/// §IV-A.1's continuation rule, shared verbatim by the batch scanner and
-/// the online detector: the TTL must have dropped by at least
-/// `min_ttl_delta`, the silence must not exceed the replica gap, and the
-/// new IP header checksum must be arithmetically consistent with the TTL
-/// rewrite.
-pub(crate) fn check_continuation(
+/// §IV-A.1's continuation rule, applied at both levels of the scanner: the
+/// TTL must have dropped by at least `min_ttl_delta`, the silence must not
+/// exceed the replica gap, and the new IP header checksum must be
+/// arithmetically consistent with the TTL rewrite.
+fn check_continuation(
     cfg: &DetectorConfig,
     last: Observation,
     last_ip_checksum: u16,
@@ -434,6 +436,29 @@ pub(crate) fn normalise_fp(fp: u64) -> u64 {
     }
 }
 
+/// What a [`CandidateScanner`] push did, for a caller that keeps its own
+/// state next to step 1 (the online detector). Every method does nothing
+/// by default and `()` observes nothing, so the offline scanners compile
+/// to the unobserved loop.
+pub(crate) trait ScanObserver {
+    /// `rec`, record `idx`, is the second sighting of the candidate that
+    /// record `first_idx` opened at `first_ns`.
+    fn promoted(&mut self, _first_idx: usize, _first_ns: u64, _rec: &TraceRecord, _idx: usize) {}
+    /// Record `idx` is the third or later sighting of its candidate.
+    fn joined(&mut self, _idx: usize) {}
+    /// The one-sighting candidate that record `idx` opened at `ns` closed,
+    /// because `rec`, a later sighting of its key, did not continue it.
+    fn single_closed(&mut self, _idx: usize, _ns: u64, _rec: &TraceRecord) {}
+    /// A candidate with two or more sightings closed; candidates expiring
+    /// on one push close in `(start, ident, first index)` order. What this
+    /// returns joins the list [`CandidateScanner::finish`] returns.
+    fn closed(&mut self, stream: ReplicaStream) -> Option<ReplicaStream> {
+        Some(stream)
+    }
+}
+
+impl ScanObserver for () {}
+
 /// Push-based step-1 scanner: feed time-ordered records one at a time,
 /// collect the finished candidate replica sets at the end. Record indices
 /// are whatever the caller passes in — global trace positions for both
@@ -448,9 +473,21 @@ pub(crate) fn normalise_fp(fp: u64) -> u64 {
 /// level-1 path directly — the reference implementation the equivalence
 /// tests compare against. Output order never depends on either table (see
 /// [`CandidateScanner::finish`]).
+///
+/// Level-1 candidates close exactly when their last sighting falls behind
+/// `now - max_replica_gap`, in `(start, ident, first index)` order, driven
+/// by a time-ordered queue of their sightings. Level-0 seeds age out
+/// through the generation sweep instead, never one record at a time.
 pub struct CandidateScanner {
     cfg: DetectorConfig,
     open: FxHashMap<ReplicaKey, OpenCandidate>,
+    /// `(time, key)` of every sighting that reached the exact map, in time
+    /// order: the level-1 expiry queue. An entry closes its key's candidate
+    /// only if that candidate's last sighting is still the entry's.
+    expiry: VecDeque<(u64, ReplicaKey)>,
+    /// Scratch: `(start, ident, first index, key)` of the exact-map
+    /// candidates expiring on one push.
+    stale: Vec<(u64, u16, usize, ReplicaKey)>,
     done: Vec<ReplicaStream>,
     counters: ScanCounters,
     prefilter: Option<PreFilter>,
@@ -490,6 +527,8 @@ impl CandidateScanner {
         Self {
             cfg,
             open: fx_map_with_capacity(exact_capacity),
+            expiry: VecDeque::new(),
+            stale: Vec::new(),
             done: Vec::new(),
             counters: ScanCounters::default(),
             prefilter,
@@ -500,14 +539,67 @@ impl CandidateScanner {
     /// Consumes one record (callers guarantee timestamp order).
     #[inline]
     pub fn push(&mut self, idx: usize, rec: &TraceRecord) {
+        self.push_observed(idx, rec, &mut ());
+    }
+
+    /// [`Self::push`], reporting what it did to `obs`.
+    #[inline]
+    pub(crate) fn push_observed<O: ScanObserver>(
+        &mut self,
+        idx: usize,
+        rec: &TraceRecord,
+        obs: &mut O,
+    ) {
+        self.expire_before(
+            rec.timestamp_ns.saturating_sub(self.cfg.max_replica_gap_ns),
+            obs,
+        );
         if self.prefilter.is_some() {
-            self.push_prefiltered(idx, rec);
+            self.push_prefiltered(idx, rec, obs);
         } else {
-            self.push_exact(idx, rec, normalise_fp(rec.fingerprint));
+            self.push_exact(idx, rec, normalise_fp(rec.fingerprint), obs);
         }
     }
 
-    fn push_prefiltered(&mut self, idx: usize, rec: &TraceRecord) {
+    /// Closes every exact-map candidate whose last sighting is before
+    /// `cutoff`. [`Self::push`] does this for its record's time itself.
+    #[inline]
+    pub(crate) fn expire_before<O: ScanObserver>(&mut self, cutoff: u64, obs: &mut O) {
+        if self.expiry.front().is_some_and(|&(ts, _)| ts < cutoff) {
+            self.expire(cutoff, obs);
+        }
+    }
+
+    #[cold]
+    fn expire<O: ScanObserver>(&mut self, cutoff: u64, obs: &mut O) {
+        while let Some(&(ts, key)) = self.expiry.front() {
+            if ts >= cutoff {
+                break;
+            }
+            self.expiry.pop_front();
+            // An entry whose candidate has since grown or closed is stale
+            // itself; the candidate's latest sighting has its own entry.
+            if let Some(cand) = self.open.get(&key) {
+                let last = cand.observations.last().expect("open candidate non-empty");
+                if last.timestamp_ns == ts {
+                    let start = cand.observations[0].timestamp_ns;
+                    self.stale
+                        .push((start, key.ident, cand.record_indices[0], key));
+                }
+            }
+        }
+        // A successor opened at its predecessor's last sighting time shares
+        // that entry's time, so it can be listed twice.
+        self.stale
+            .sort_unstable_by_key(|&(start, ident, first, _)| (start, ident, first));
+        self.stale.dedup_by_key(|&mut (_, _, first, _)| first);
+        for (_, _, _, key) in self.stale.drain(..) {
+            let cand = self.open.remove(&key).expect("stale candidate is open");
+            Self::close(key, cand, &mut self.done, &mut self.counters, obs);
+        }
+    }
+
+    fn push_prefiltered<O: ScanObserver>(&mut self, idx: usize, rec: &TraceRecord, obs: &mut O) {
         let fp = normalise_fp(rec.fingerprint);
         let pf = self.prefilter.as_mut().expect("prefilter enabled");
         let gen = pf.generation(rec.timestamp_ns);
@@ -532,7 +624,7 @@ impl CandidateScanner {
         if pf.meta[slot] & PROMOTED_BIT != 0 {
             // Everything with this fingerprint already lives at level 1.
             pf.meta[slot] = PROMOTED_BIT | gen;
-            self.push_exact(idx, rec, fp);
+            self.push_exact(idx, rec, fp, obs);
             return;
         }
         let seed = pf.seeds[slot];
@@ -560,10 +652,13 @@ impl CandidateScanner {
                 });
                 cand.record_indices.push(idx);
                 cand.last_ip_checksum = rec.ip_checksum;
-                self.open.insert(ReplicaKey::of(rec), cand);
+                let key = ReplicaKey::of(rec);
+                self.open.insert(key, cand);
+                self.expiry.push_back((rec.timestamp_ns, key));
                 pf.meta[slot] = PROMOTED_BIT | gen;
                 pf.promotions += 1;
                 trace::instant(&TR_PREFILTER_PROMOTION);
+                obs.promoted(seed.idx, seed.rec.timestamp_ns, rec, idx);
             } else {
                 if check.checksum_split {
                     self.counters.checksum_splits += 1;
@@ -577,6 +672,7 @@ impl CandidateScanner {
                 self.counters.opened += 1;
                 pf.seeds[slot] = PrefilterSeed { rec: *rec, idx };
                 pf.meta[slot] = gen;
+                obs.single_closed(seed.idx, seed.rec.timestamp_ns, rec);
             }
         } else {
             // True fingerprint collision between distinct keys: escalate
@@ -585,12 +681,15 @@ impl CandidateScanner {
             // Costs a probe; cannot change results.
             pf.collisions += 1;
             pf.meta[slot] = PROMOTED_BIT | gen;
-            self.open.insert(
-                ReplicaKey::of(&seed.rec),
-                OpenCandidate::new(&seed.rec, seed.idx, fp),
-            );
+            let (seed_key, key) = (ReplicaKey::of(&seed.rec), ReplicaKey::of(rec));
             self.open
-                .insert(ReplicaKey::of(rec), OpenCandidate::new(rec, idx, fp));
+                .insert(seed_key, OpenCandidate::new(&seed.rec, seed.idx, fp));
+            self.open.insert(key, OpenCandidate::new(rec, idx, fp));
+            // The seed's sighting is older than entries already queued.
+            let seed_ns = seed.rec.timestamp_ns;
+            let at = self.expiry.partition_point(|&(ts, _)| ts <= seed_ns);
+            self.expiry.insert(at, (seed_ns, seed_key));
+            self.expiry.push_back((rec.timestamp_ns, key));
             self.counters.opened += 1;
         }
     }
@@ -598,8 +697,9 @@ impl CandidateScanner {
     /// The exact-map (level-1) path: the whole of step 1 when the
     /// pre-filter is disabled, and the promoted-slot continuation when it
     /// is on.
-    fn push_exact(&mut self, idx: usize, rec: &TraceRecord, fp: u64) {
+    fn push_exact<O: ScanObserver>(&mut self, idx: usize, rec: &TraceRecord, fp: u64, obs: &mut O) {
         let key = ReplicaKey::of(rec);
+        self.expiry.push_back((rec.timestamp_ns, key));
         // Entry API: one hash of the (44-byte) key per record, on every
         // branch — get_mut + insert would hash twice for first sightings.
         match self.open.entry(key) {
@@ -609,6 +709,11 @@ impl CandidateScanner {
                 let check =
                     check_continuation(&self.cfg, last, cand.last_ip_checksum, cand.protocol, rec);
                 if check.joins {
+                    if cand.observations.len() == 1 {
+                        obs.promoted(cand.record_indices[0], last.timestamp_ns, rec, idx);
+                    } else {
+                        obs.joined(idx);
+                    }
                     cand.observations.push(Observation {
                         timestamp_ns: rec.timestamp_ns,
                         ttl: rec.ttl,
@@ -624,7 +729,10 @@ impl CandidateScanner {
                     // candidate and start over from this sighting —
                     // swapped in place, no rehash.
                     let old = std::mem::replace(cand, OpenCandidate::new(rec, idx, fp));
-                    Self::close(key, old, &mut self.done, &mut self.counters);
+                    if old.observations.len() == 1 {
+                        obs.single_closed(old.record_indices[0], last.timestamp_ns, rec);
+                    }
+                    Self::close(key, old, &mut self.done, &mut self.counters, obs);
                     self.counters.opened += 1;
                 }
             }
@@ -635,12 +743,12 @@ impl CandidateScanner {
         }
     }
 
-    /// Generation sweep: evicts everything last touched two or more
+    /// Generation sweep: evicts every seed last touched two or more
     /// windows ago — provably beyond `max_replica_gap_ns`, so nothing
-    /// evicted here could ever have joined a future sighting. Stale exact
-    /// candidates close now instead of at [`Self::finish`] (the final sort
-    /// erases the difference), stale seeds are discarded exactly as a
-    /// same-key stale split would have, and the survivors are reinserted.
+    /// evicted here could ever have joined a future sighting. Stale seeds
+    /// are discarded exactly as a same-key stale split would have, and the
+    /// survivors are reinserted. (Exact-map candidates leave through the
+    /// expiry queue, so none of them is stale here.)
     /// The table grows whenever survivors would fill more than a quarter
     /// of it, so every sweep is followed by at least half a table of
     /// inserts (O(1) amortised), and the table settles at the size of the
@@ -650,29 +758,8 @@ impl CandidateScanner {
     #[cold]
     fn sweep(&mut self, cur_gen: u64) {
         let pf = self.prefilter.as_mut().expect("prefilter enabled");
-        let gen_shift = pf.gen_shift;
         let stale = |g: u64| g.saturating_add(2) <= cur_gen;
         let mut evicted = 0u64;
-        let done = &mut self.done;
-        let counters = &mut self.counters;
-        self.open.retain(|key, cand| {
-            let last = cand.observations.last().expect("open candidate non-empty");
-            if stale((last.timestamp_ns >> gen_shift) & GEN_MASK) {
-                evicted += 1;
-                if cand.observations.len() >= 2 {
-                    done.push(ReplicaStream {
-                        key: *key,
-                        observations: std::mem::take(&mut cand.observations),
-                        record_indices: std::mem::take(&mut cand.record_indices),
-                    });
-                } else {
-                    counters.discarded += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
         pf.survivors.clear();
         let mut last_full_gen = 0usize;
         for i in 0..pf.fps.len() {
@@ -684,7 +771,7 @@ impl CandidateScanner {
             if stale(gen) {
                 // A seed that old can never be joined; close it discarded,
                 // just as the reference path eventually would.
-                counters.discarded += 1;
+                self.counters.discarded += 1;
                 evicted += 1;
             } else {
                 last_full_gen += usize::from(gen + 1 == cur_gen);
@@ -775,27 +862,33 @@ impl CandidateScanner {
         TM_PREFILTER_EVICTIONS.add(tele[3]);
         TM_PREFILTER_COLLISIONS.add(tele[4]);
         for (key, cand) in self.open.drain() {
-            Self::close(key, cand, &mut self.done, &mut self.counters);
+            Self::close(key, cand, &mut self.done, &mut self.counters, &mut ());
         }
-        // Table drain order is nondeterministic (and eviction re-times
+        // Table drain order is nondeterministic (and expiry re-times
         // closes); normalise.
         self.done
             .sort_by_key(|s| (s.start_ns(), s.record_indices[0]));
         (self.done, self.counters, self.split_fps)
     }
 
-    fn close(
+    /// The counters so far.
+    pub(crate) fn counters(&self) -> &ScanCounters {
+        &self.counters
+    }
+
+    fn close<O: ScanObserver>(
         key: ReplicaKey,
         cand: OpenCandidate,
         done: &mut Vec<ReplicaStream>,
         counters: &mut ScanCounters,
+        obs: &mut O,
     ) {
         if cand.observations.len() >= 2 {
-            done.push(ReplicaStream {
+            done.extend(obs.closed(ReplicaStream {
                 key,
                 observations: cand.observations,
                 record_indices: cand.record_indices,
-            });
+            }));
         } else {
             counters.discarded += 1;
         }

@@ -93,7 +93,7 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/4, --no-prefilter and --streaming byte-identical to serial"
+    banner "engine smoke: --threads 1/2/4, --no-prefilter and --streaming (with and without it) byte-identical to serial"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
@@ -108,7 +108,8 @@ run_engine_smoke() {
         # shellcheck disable=SC2086
         cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args --engine serial \
             > "$tmp/serial.txt"
-        for variant in "--threads 1" "--threads 2" "--threads 4" "--no-prefilter" "--streaming"; do
+        for variant in "--threads 1" "--threads 2" "--threads 4" "--no-prefilter" "--streaming" \
+            "--streaming --no-prefilter"; do
             # shellcheck disable=SC2086
             cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args $variant \
                 > "$tmp/variant.txt"

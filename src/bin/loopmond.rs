@@ -64,7 +64,8 @@ OPTIONS
   --pace-ms <ms>          sleep <ms> between batches on every link —
                           paces a demo fleet like a live one
   --horizon-ms <ms>       per-link history horizon for the bounded
-                          streaming engines (default: exact equivalence)
+                          streaming engines, never shorter than the
+                          replica gap (default: exact equivalence)
   --persistent-s <s>      persistent-loop threshold in seconds for the
                           event `class` field (default 60)
   --fleet <n>             fleet mode with <n> simulated links (1..=512)

@@ -294,25 +294,31 @@ fn ecmp_pcap() -> std::path::PathBuf {
 fn no_prefilter_output_is_byte_identical() {
     // The ablation flag must be output-invisible on both the looping
     // backbone fixture and the transient-ECMP fixture, through every
-    // output format and both the serial and block paths.
+    // output format and the serial, block and streaming paths.
     for (what, pcap) in [("backbone", demo_pcap()), ("ecmp", ecmp_pcap())] {
         for csv in ["loops", "streams", "summary"] {
-            for threads in ["1", "4"] {
+            for engine in [
+                &["--threads", "1"][..],
+                &["--threads", "4"],
+                &["--streaming"],
+            ] {
                 let on = loopdetect()
                     .arg(&pcap)
-                    .args(["--csv", csv, "--threads", threads])
+                    .args(["--csv", csv])
+                    .args(engine)
                     .output()
                     .unwrap();
                 assert!(on.status.success(), "{on:?}");
                 let off = loopdetect()
                     .arg(&pcap)
-                    .args(["--csv", csv, "--threads", threads, "--no-prefilter"])
+                    .args(["--csv", csv, "--no-prefilter"])
+                    .args(engine)
                     .output()
                     .unwrap();
                 assert!(off.status.success(), "{off:?}");
                 assert_eq!(
                     on.stdout, off.stdout,
-                    "--no-prefilter changed --csv {csv} --threads {threads} on {what}"
+                    "--no-prefilter changed --csv {csv} {engine:?} on {what}"
                 );
             }
         }

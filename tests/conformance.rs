@@ -32,6 +32,10 @@ fn engines(cfg: DetectorConfig) -> Vec<Box<dyn Engine>> {
         Box::new(BlockEngine::new(cfg, 8)),
         Box::new(StreamingEngine::new(cfg)),
         Box::new(StreamingEngine::new(cfg).with_history_horizon(safe_horizon)),
+        Box::new(StreamingEngine::new(DetectorConfig {
+            use_prefilter: false,
+            ..cfg
+        })),
     ]
 }
 

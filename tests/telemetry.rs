@@ -113,6 +113,37 @@ fn pcap_counters_match_input_length() {
     assert_eq!(timer_delta, 1);
 }
 
+/// Checks the `replica.*` step-1 counters one run published against the
+/// records it was fed and the raw candidates it reported.
+fn assert_step1_invariants(before: &Snapshot, after: &Snapshot, records: usize, raw: u64) {
+    // Invariant: every input record was scanned.
+    assert_eq!(
+        counter_delta(before, after, "replica.records_scanned"),
+        records as u64
+    );
+    // Invariant: every opened candidate was either kept (as a raw
+    // candidate) or discarded as a singleton.
+    let opened = counter_delta(before, after, "replica.candidates_opened");
+    let discarded = counter_delta(before, after, "replica.candidates_discarded");
+    assert_eq!(opened, discarded + raw);
+    // Invariant: with the default config the level-0 pre-filter sees every
+    // record exactly once, as a hit (fingerprint already resident) or a
+    // miss (empty slot seeded).
+    let pf_hits = counter_delta(before, after, "replica.prefilter_hits");
+    let pf_misses = counter_delta(before, after, "replica.prefilter_misses");
+    assert_eq!(pf_hits + pf_misses, records as u64);
+    // Every promotion moves a seeded candidate into the exact map, so
+    // promotions are bounded by the misses that seeded them.
+    let pf_promotions = counter_delta(before, after, "replica.prefilter_promotions");
+    assert!(pf_promotions <= pf_misses, "{pf_promotions} > {pf_misses}");
+    // The looping workload revisits its key: at least one hit + promotion.
+    assert!(pf_hits > 0, "looping trace must re-probe a resident key");
+    assert!(
+        pf_promotions > 0,
+        "looping trace must promote its candidate"
+    );
+}
+
 #[test]
 fn offline_detector_counters_are_consistent() {
     let _lock = WORKLOAD.lock().unwrap();
@@ -122,16 +153,7 @@ fn offline_detector_counters_are_consistent() {
     let result = Detector::new(DetectorConfig::default()).run(&recs);
     let after = telemetry::global().snapshot();
 
-    // Invariant: every input record was scanned.
-    assert_eq!(
-        counter_delta(&before, &after, "replica.records_scanned"),
-        recs.len() as u64
-    );
-    // Invariant: every opened candidate was either kept (as a raw
-    // candidate) or discarded as a singleton.
-    let opened = counter_delta(&before, &after, "replica.candidates_opened");
-    let discarded = counter_delta(&before, &after, "replica.candidates_discarded");
-    assert_eq!(opened, discarded + result.stats.raw_candidates);
+    assert_step1_invariants(&before, &after, recs.len(), result.stats.raw_candidates);
     // Invariant: validation partitions the raw candidates.
     let kept = counter_delta(&before, &after, "validate.streams_kept");
     let rej_short = counter_delta(&before, &after, "validate.rejected_short");
@@ -143,28 +165,51 @@ fn offline_detector_counters_are_consistent() {
         counter_delta(&before, &after, "merge.loops_total"),
         result.loops.len() as u64
     );
-    // Invariant: with the default config the level-0 pre-filter sees every
-    // record exactly once, as a hit (fingerprint already resident) or a
-    // miss (empty slot seeded).
-    let pf_hits = counter_delta(&before, &after, "replica.prefilter_hits");
-    let pf_misses = counter_delta(&before, &after, "replica.prefilter_misses");
-    assert_eq!(pf_hits + pf_misses, recs.len() as u64);
-    // Every promotion moves a seeded candidate into the exact map, so
-    // promotions are bounded by the misses that seeded them.
-    let pf_promotions = counter_delta(&before, &after, "replica.prefilter_promotions");
-    assert!(pf_promotions <= pf_misses, "{pf_promotions} > {pf_misses}");
-    // The looping workload revisits its key: at least one hit + promotion.
-    assert!(pf_hits > 0, "looping trace must re-probe a resident key");
-    assert!(
-        pf_promotions > 0,
-        "looping trace must promote its candidate"
-    );
     // All three stage timers ticked exactly once for this run.
     for stage in ["replica.detect", "validate", "merge"] {
         let calls =
             after.timers[stage].calls - before.timers.get(stage).map(|t| t.calls).unwrap_or(0);
         assert_eq!(calls, 1, "stage {stage}");
     }
+}
+
+#[test]
+fn streaming_engine_publishes_the_serial_step1_counters() {
+    use routing_loops::loopscope::pipeline::{run_pipeline, SliceSource, StreamingEngine};
+    let _lock = WORKLOAD.lock().unwrap();
+    let mut recs = looping_trace(8, 50);
+    // A replica whose IP checksum disagrees with its TTL rewrite forces a
+    // checksum split.
+    let last = recs
+        .iter()
+        .rposition(|r| r.dst == Ipv4Addr::new(203, 0, 113, 1))
+        .unwrap();
+    recs[last].ip_checksum ^= 0x0f0f;
+    let cfg = DetectorConfig::default();
+    let step1 = |before: &Snapshot, after: &Snapshot| {
+        [
+            "replica.records_scanned",
+            "replica.candidates_opened",
+            "replica.candidates_discarded",
+            "replica.checksum_splits",
+        ]
+        .map(|name| counter_delta(before, after, name))
+    };
+
+    let before = telemetry::global().snapshot();
+    Detector::new(cfg).run(&recs);
+    let mid = telemetry::global().snapshot();
+    let result = run_pipeline(
+        &mut SliceSource::new(&recs),
+        &mut StreamingEngine::new(cfg),
+        &mut [],
+    )
+    .unwrap();
+    let after = telemetry::global().snapshot();
+
+    assert_step1_invariants(&mid, &after, recs.len(), result.stats.raw_candidates);
+    assert_eq!(step1(&before, &mid), step1(&mid, &after));
+    assert_eq!(counter_delta(&mid, &after, "replica.checksum_splits"), 1);
 }
 
 #[test]
