@@ -189,12 +189,7 @@ impl BlockParallelDetector {
             ..Default::default()
         };
 
-        let mut looped_flags = vec![false; records.len()];
-        for c in &candidates {
-            for &idx in &c.record_indices {
-                looped_flags[idx] = true;
-            }
-        }
+        let looped_flags = validate::looped_flags(records.len(), &candidates);
 
         // Only the cheap per-range merge remains serial here; the O(n)
         // posting construction already happened inside the scan workers.

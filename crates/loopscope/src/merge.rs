@@ -7,11 +7,16 @@
 //! are not looped." One routing loop traps many packets, so the merged
 //! object — not the per-packet stream — is the unit Figure 9 and Table II
 //! report.
+//!
+//! `merge_runs` is the only implementation of the rule. It runs over one
+//! /24's streams in one canonical order and can stop at a barrier, so the
+//! offline detectors (no barrier) and the online detector (loops no
+//! future stream can join) share it.
 
 use crate::config::DetectorConfig;
 use crate::record::TraceRecord;
 use crate::stream::ReplicaStream;
-use crate::validate::PrefixIndex;
+use crate::validate::{PrefixHistory, PrefixIndex};
 use net_types::Ipv4Prefix;
 use std::collections::BTreeMap;
 use telemetry::{tm_debug, LazyCounter};
@@ -43,25 +48,21 @@ pub struct RoutingLoop {
     pub start_ns: u64,
     /// Last replica sighting across member streams.
     pub end_ns: u64,
-    /// Member streams in start order.
+    /// Member streams in the canonical order `(start, end, ident, first
+    /// record index)`.
     pub streams: Vec<ReplicaStream>,
 }
 
 impl RoutingLoop {
-    fn from_stream(s: ReplicaStream) -> Self {
+    /// The loop made of a non-empty run of streams to one /24, given in
+    /// canonical order.
+    fn new(streams: Vec<ReplicaStream>) -> Self {
         Self {
-            prefix: s.dst_slash24(),
-            start_ns: s.start_ns(),
-            end_ns: s.end_ns(),
-            streams: vec![s],
+            prefix: streams[0].dst_slash24(),
+            start_ns: streams[0].start_ns(),
+            end_ns: streams.iter().map(ReplicaStream::end_ns).max().unwrap_or(0),
+            streams,
         }
-    }
-
-    fn absorb(&mut self, s: ReplicaStream) {
-        debug_assert_eq!(self.prefix, s.dst_slash24());
-        self.start_ns = self.start_ns.min(s.start_ns());
-        self.end_ns = self.end_ns.max(s.end_ns());
-        self.streams.push(s);
     }
 
     /// Loop duration (Fig. 9's quantity).
@@ -116,10 +117,10 @@ impl RoutingLoop {
 /// Merges validated streams into routing loops.
 ///
 /// Takes the streams by reference — the caller keeps its vector (it is
-/// the [`crate::DetectionResult::streams`] output) and only the streams
-/// absorbed into loops are cloned, one each, inside. This is what lets
-/// each block worker hand its `validated` set to merge without a
-/// wholesale `Vec` clone.
+/// the [`crate::DetectionResult::streams`] output) and each stream is
+/// cloned once, into its /24's group. This is what lets each block
+/// worker hand its `validated` set to merge without a wholesale `Vec`
+/// clone.
 pub fn merge(
     _records: &[TraceRecord],
     streams: &[ReplicaStream],
@@ -127,61 +128,74 @@ pub fn merge(
     index: &PrefixIndex,
     cfg: &DetectorConfig,
 ) -> Vec<RoutingLoop> {
-    // Group by /24 (indices only; nothing is cloned yet).
-    let mut by_prefix: BTreeMap<Ipv4Prefix, Vec<usize>> = BTreeMap::new();
-    for (i, s) in streams.iter().enumerate() {
-        by_prefix.entry(s.dst_slash24()).or_default().push(i);
+    let mut by_prefix: BTreeMap<Ipv4Prefix, Vec<ReplicaStream>> = BTreeMap::new();
+    for s in streams {
+        by_prefix
+            .entry(s.dst_slash24())
+            .or_default()
+            .push(s.clone());
     }
+    // Prefixes in order, each one's loops in start order: the output is
+    // in `(prefix, start)` order.
     let mut out = Vec::new();
+    let is_looped = |id: usize| looped_flags[id];
     for (prefix, mut group) in by_prefix {
-        group.sort_by_key(|&i| (streams[i].start_ns(), streams[i].end_ns()));
-        let mut iter = group.into_iter().map(|i| streams[i].clone());
-        let mut current = RoutingLoop::from_stream(iter.next().expect("non-empty group"));
-        for s in iter {
-            let overlap = s.start_ns() <= current.end_ns;
-            let merged = if overlap {
-                true
-            } else {
-                let gap = s.start_ns() - current.end_ns;
-                let bridged = gap <= cfg.merge_gap_ns
-                    && gap_is_clean(prefix, current.end_ns, s.start_ns(), looped_flags, index);
-                if bridged {
-                    TM_GAP_CLOSURES.inc();
-                    tm_debug!("bridged a {} ns gap for {}", gap, prefix);
-                }
-                bridged
-            };
-            if merged {
-                TM_MERGE_DECISIONS.inc();
-                current.absorb(s);
-            } else {
-                out.push(std::mem::replace(&mut current, RoutingLoop::from_stream(s)));
-            }
-        }
-        out.push(current);
+        let history = index.history(prefix);
+        merge_runs(&mut group, history, is_looped, cfg, None, &mut out);
     }
-    TM_LOOPS_TOTAL.add(out.len() as u64);
-    out.sort_by_key(|l| (l.prefix, l.start_ns));
     out
 }
 
-/// The gap between two streams is bridgeable only if no *non-looped*
-/// packet to the subnet crossed during it.
-fn gap_is_clean(
-    prefix: Ipv4Prefix,
-    from: u64,
-    to: u64,
-    looped_flags: &[bool],
-    index: &PrefixIndex,
-) -> bool {
-    // Exclusive interior of the gap.
-    if to <= from + 1 {
-        return true;
+/// Step 3 over the validated streams to one /24: sorts them into the
+/// canonical order `(start, end, ident, first record index)` and joins
+/// each stream to the run before it when the two overlap, or when the gap
+/// between them is at most `merge_gap_ns` and every record to the /24 in
+/// its interior is looped (`history` and `is_looped` as for
+/// `validate::judge`).
+///
+/// A run is final once its end plus the merge gap lies before `barrier`,
+/// the earliest time a future stream could start; with no barrier every
+/// run is final. Runs come out in start order with increasing ends, so the
+/// final ones come first: each leaves `streams` as a loop, appended to
+/// `out` and counted in the `merge.*` counters. The first run that is not
+/// final stays, with the streams after it, and its end plus the merge gap
+/// is returned.
+pub(crate) fn merge_runs(
+    streams: &mut Vec<ReplicaStream>,
+    history: &PrefixHistory,
+    is_looped: impl Fn(usize) -> bool,
+    cfg: &DetectorConfig,
+    barrier: Option<u64>,
+    out: &mut Vec<RoutingLoop>,
+) -> Option<u64> {
+    streams.sort_by_key(|s| (s.start_ns(), s.end_ns(), s.key.ident, s.record_indices[0]));
+    let mut rest = std::mem::take(streams).into_iter().peekable();
+    while let Some(first) = rest.next() {
+        let (mut end, mut bridged) = (first.end_ns(), 0);
+        let mut run = vec![first];
+        while let Some(s) = rest.next_if(|s| {
+            s.start_ns() <= end
+                || (s.start_ns() - end <= cfg.merge_gap_ns
+                    && history.all_looped(end + 1, s.start_ns() - 1, &is_looped))
+        }) {
+            bridged += u64::from(s.start_ns() > end);
+            end = end.max(s.end_ns());
+            run.push(s);
+        }
+        let due = end.saturating_add(cfg.merge_gap_ns);
+        if barrier.is_some_and(|b| due >= b) {
+            *streams = run.into_iter().chain(rest).collect();
+            return Some(due);
+        }
+        TM_LOOPS_TOTAL.inc();
+        TM_MERGE_DECISIONS.add(run.len() as u64 - 1);
+        TM_GAP_CLOSURES.add(bridged);
+        if bridged > 0 {
+            tm_debug!("bridged {} gaps for {}", bridged, run[0].dst_slash24());
+        }
+        out.push(RoutingLoop::new(run));
     }
-    index
-        .in_window(prefix, from + 1, to - 1)
-        .iter()
-        .all(|(_, idx)| looped_flags[*idx])
+    None
 }
 
 #[cfg(test)]

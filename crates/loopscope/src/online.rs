@@ -21,8 +21,11 @@
 //! its level-0 fingerprint table holds the single sightings, and its
 //! exact map the candidates with two or more, which it closes in
 //! `(start, ident, first record)` order as soon as they fall a replica gap
-//! behind. This layer keeps only what steps 2–3 need, and a push costs
-//! amortised O(1) outside the moments evidence completes:
+//! behind. Steps 2–3 are the offline ones too: a closed candidate goes
+//! through `validate::judge`, and a /24's pending streams through
+//! `merge::merge_runs`, both querying the /24's [`PrefixHistory`]. This
+//! layer keeps only the state they need, and a push costs amortised O(1)
+//! outside the moments evidence completes:
 //!
 //! * **Step-1 events** arrive through the scanner's observer: a promotion
 //!   marks the candidate's records looped and its /24 as holding an open
@@ -44,35 +47,36 @@
 //!   the earliest such time).
 //! * **History trimming** pops the record log from its oldest end, so each
 //!   record is trimmed exactly once.
-//! * **Gap-clean and co-loop windows** are binary-searched in each /24's
-//!   time-sorted history.
+//! * **A record is looped** when the log says so: the history holds
+//!   sequence numbers, and the shared rules ask the log about each record
+//!   in their window.
 //!
 //! The fleet-total gauges are published once at the end of each public
 //! call ([`OnlineDetector::push`], [`OnlineDetector::push_batch`]), not
 //! per record, so detectors on different threads do not contend on them.
+//! The shared rules write the `validate.*` and `merge.*` counters per
+//! event, as offline: once per closed candidate and once per final loop.
 
 use crate::config::DetectorConfig;
 use crate::fxhash::FxHashMap;
 #[cfg(debug_assertions)]
 use crate::key::ReplicaKey;
-use crate::merge::RoutingLoop;
+use crate::merge::{merge_runs, RoutingLoop};
 use crate::record::TraceRecord;
 use crate::replica::{publish_checksum_splits, publish_scan_totals, ScanObserver};
 use crate::stream::ReplicaStream;
+use crate::validate::{judge, PrefixHistory, Verdict};
 use crate::CandidateScanner;
 use net_types::Ipv4Prefix;
 use std::collections::VecDeque;
-use std::ops::Range;
 use telemetry::trace::{self, TraceName};
-use telemetry::{tm_trace, LazyCounter, LazyGauge};
+use telemetry::{tm_trace, LazyGauge};
 
 // Fleet totals: every live detector adds its share as a delta and takes it
 // back when it is dropped, so concurrent detectors sum instead of
 // overwriting each other.
 static TM_OPEN_CANDIDATES: LazyGauge = LazyGauge::new("online.open_candidates");
 static TM_PREFIX_HISTORY: LazyGauge = LazyGauge::new("online.prefix_history");
-static TM_STREAMS_EMITTED: LazyCounter = LazyCounter::new("online.streams_emitted");
-static TM_LOOPS_EMITTED: LazyCounter = LazyCounter::new("online.loops_emitted");
 
 // Event-trace instants marking the moment evidence completed — the
 // temporal signal a cumulative counter cannot carry.
@@ -130,16 +134,15 @@ impl Recheck {
 
 #[derive(Debug, Default)]
 struct PrefixState {
-    /// Recent records to this /24: `(timestamp, record sequence number)`,
-    /// in time order.
-    history: VecDeque<(u64, u64)>,
+    /// Recent records to this /24, by record sequence number.
+    history: PrefixHistory,
     /// Validated streams not yet committed to an emitted loop. Merging is
     /// deferred until no open candidate can change the outcome, so the
     /// result is byte-identical to the offline merge.
     pending: Vec<ReplicaStream>,
     /// First-observation time of every open candidate to this prefix with
     /// two or more sightings, keyed by its first record sequence number.
-    open_cands: FxHashMap<u64, u64>,
+    open_cands: FxHashMap<usize, u64>,
     recheck: Recheck,
 }
 
@@ -164,20 +167,25 @@ enum Sighting {
 struct Log {
     records: VecDeque<(u64, Ipv4Prefix, Sighting)>,
     /// The next record's sequence number.
-    end: u64,
+    end: usize,
 }
 
 impl Log {
     /// The position of record `seq`, which must still be retained.
-    fn index(&self, seq: u64) -> usize {
-        (seq + self.records.len() as u64 - self.end) as usize
+    fn index(&self, seq: usize) -> usize {
+        seq + self.records.len() - self.end
     }
 
-    fn get(&self, seq: u64) -> Sighting {
+    fn get(&self, seq: usize) -> Sighting {
         self.records[self.index(seq)].2
     }
 
-    fn set(&mut self, seq: u64, sighting: Sighting) {
+    /// Whether record `seq` is looped in the §IV-A.2 sense.
+    fn is_looped(&self, seq: usize) -> bool {
+        self.get(seq) == Sighting::Looped
+    }
+
+    fn set(&mut self, seq: usize, sighting: Sighting) {
         let i = self.index(seq);
         self.records[i].2 = sighting;
     }
@@ -378,8 +386,7 @@ impl OnlineDetector {
         // the offline detector's global positions when the same trace is
         // replayed from the start.
         let seq = self.core.record(rec);
-        self.scanner
-            .push_observed(seq as usize, rec, &mut self.core);
+        self.scanner.push_observed(seq, rec, &mut self.core);
         self.core.stats.checksum_splits = self.scanner.counters().checksum_splits;
     }
 
@@ -394,8 +401,8 @@ impl OnlineDetector {
             core.close_candidate(stream);
         }
         // Force-flush every pending loop.
-        for (prefix, state) in &mut core.prefixes {
-            let (loops, _) = state.take_final_loops(*prefix, &core.cfg, &core.log, None);
+        for state in core.prefixes.values_mut() {
+            let (loops, _) = state.take_final_loops(&core.cfg, &core.log, None);
             for l in loops {
                 emit_loop(&mut core.stats, &mut core.events, l);
             }
@@ -412,11 +419,11 @@ impl OnlineDetector {
 impl Core {
     /// Logs `rec` as a new single sighting in its /24's history and returns
     /// its sequence number.
-    fn record(&mut self, rec: &TraceRecord) -> u64 {
+    fn record(&mut self, rec: &TraceRecord) -> usize {
         let seq = self.log.end;
         let prefix = Ipv4Prefix::slash24_of(rec.dst);
         let pstate = self.prefixes.entry(prefix).or_default();
-        pstate.history.push_back((rec.timestamp_ns, seq));
+        pstate.history.push(rec.timestamp_ns, seq);
         self.log
             .records
             .push_back((rec.timestamp_ns, prefix, Sighting::Single));
@@ -449,7 +456,7 @@ impl Core {
         rec: &TraceRecord,
         to: Sighting,
     ) -> &mut PrefixState {
-        self.log.set(idx as u64, to);
+        self.log.set(idx, to);
         let state = self
             .prefixes
             .get_mut(&Ipv4Prefix::slash24_of(rec.dst))
@@ -495,11 +502,10 @@ impl Core {
         if self.now > self.flush_due || self.recheck_now > 0 {
             let now = self.now;
             let mut due = u64::MAX;
-            for (prefix, state) in &mut self.prefixes {
+            for state in self.prefixes.values_mut() {
                 if state.recheck == Recheck::Now || state.recheck.due().is_some_and(|t| now > t) {
                     let barrier = state.barrier(now, cutoff, &self.log);
-                    let (loops, next) =
-                        state.take_final_loops(*prefix, &self.cfg, &self.log, Some(barrier));
+                    let (loops, next) = state.take_final_loops(&self.cfg, &self.log, Some(barrier));
                     for l in loops {
                         emit_loop(&mut self.stats, &mut self.events, l);
                     }
@@ -535,7 +541,7 @@ impl Core {
             .prefixes
             .get_mut(&prefix)
             .expect("every candidate's /24 has state");
-        state.open_cands.remove(&(stream.record_indices[0] as u64));
+        state.open_cands.remove(&stream.record_indices[0]);
         self.open -= 1;
         if let Recheck::Blocked {
             horizon,
@@ -551,19 +557,20 @@ impl Core {
             }
         }
         // Step 2.
-        if stream.len() < self.cfg.min_stream_len {
-            self.stats.rejected_short += 1;
-            return;
-        }
-        if self.cfg.covalidate_prefix
-            && !self.prefixes[&prefix].co_loop_holds(&self.cfg, &self.log, &stream)
-        {
-            self.stats.rejected_covalidation += 1;
-            return;
+        let log = &self.log;
+        match judge(&stream, &state.history, |id| log.is_looped(id), &self.cfg) {
+            Verdict::Kept => {}
+            Verdict::Short => {
+                self.stats.rejected_short += 1;
+                return;
+            }
+            Verdict::CoLoopVeto => {
+                self.stats.rejected_covalidation += 1;
+                return;
+            }
         }
         self.stats.streams_emitted += 1;
         self.stats.looped_sightings += stream.len() as u64;
-        TM_STREAMS_EMITTED.inc();
         trace::instant(&TR_STREAM_EMITTED);
         self.events.push(OnlineEvent::Stream(stream.clone()));
         // Step 3 is deferred: the stream joins the prefix's pending set and
@@ -574,7 +581,6 @@ impl Core {
         // that is `horizon`, a blocked /24 still needs every counted
         // candidate to close, so it stays blocked.
         let due = stream.end_ns().saturating_add(self.cfg.merge_gap_ns);
-        let state = self.prefixes.get_mut(&prefix).expect("present");
         state.pending.push(stream);
         let after = match state.recheck {
             Recheck::Idle => due,
@@ -603,11 +609,11 @@ impl ScanObserver for Core {
         self.joined(idx);
         self.settle(first_idx, first_ns, rec, Sighting::Looped)
             .open_cands
-            .insert(first_idx as u64, first_ns);
+            .insert(first_idx, first_ns);
     }
 
     fn joined(&mut self, idx: usize) {
-        self.log.set(idx as u64, Sighting::Looped);
+        self.log.set(idx, Sighting::Looped);
         self.open -= 1;
     }
 
@@ -627,50 +633,13 @@ impl ScanObserver for Core {
 }
 
 impl PrefixState {
-    /// Whether every remembered record in a window of the history is
-    /// looped. The history is time-sorted, so callers find the window's
-    /// ends by binary search.
-    fn all_looped(&self, log: &Log, window: Range<usize>) -> bool {
-        window.is_empty()
-            || self
-                .history
-                .range(window)
-                .all(|&(_, seq)| log.get(seq) == Sighting::Looped)
-    }
-
-    /// The offline gap-clean rule over retained history: no non-looped
-    /// packet to the prefix in the open interval `(from, to)`.
-    fn gap_is_clean(&self, log: &Log, from: u64, to: u64) -> bool {
-        if to <= from + 1 {
-            return true;
-        }
-        let lo = self.history.partition_point(|&(t, _)| t <= from);
-        let hi = self.history.partition_point(|&(t, _)| t < to);
-        self.all_looped(log, lo..hi)
-    }
-
-    /// The co-loop rule: every remembered packet to the prefix during the
-    /// stream, less a slack at both ends, is looped too.
-    fn co_loop_holds(&self, cfg: &DetectorConfig, log: &Log, stream: &ReplicaStream) -> bool {
-        let slack = (stream.mean_spacing_ns() as f64 * cfg.covalidate_slack_spacings) as u64;
-        let from = stream.start_ns().saturating_add(slack);
-        let to = stream.end_ns().saturating_sub(slack);
-        if from > to {
-            return true;
-        }
-        let lo = self.history.partition_point(|&(t, _)| t < from);
-        let hi = self.history.partition_point(|&(t, _)| t <= to);
-        self.all_looped(log, lo..hi)
-    }
-
     /// Start times of this /24's open single sightings, oldest first: its
     /// single sightings no older than `cutoff`.
     fn open_singles<'a>(&'a self, cutoff: u64, log: &'a Log) -> impl Iterator<Item = u64> + 'a {
-        let lo = self.history.partition_point(|&(t, _)| t < cutoff);
         self.history
-            .range(lo..)
-            .filter(|&&(_, seq)| log.get(seq) == Sighting::Single)
-            .map(|&(t, _)| t)
+            .since(cutoff)
+            .filter(|&(_, seq)| log.get(seq) == Sighting::Single)
+            .map(|(t, _)| t)
     }
 
     /// No future stream to this /24 starts before `min(now, start of its
@@ -694,61 +663,27 @@ impl PrefixState {
         }
     }
 
-    /// Runs the offline merge over the pending streams and takes out every
-    /// loop that no future stream can still join: future streams start no
-    /// earlier than `barrier`, so a loop whose end lies more than the merge
-    /// gap before it is final. With no barrier, everything is final (end of
-    /// trace). Also returns the first remaining loop's end plus the merge
-    /// gap.
+    /// Step 3 over the pending streams ([`merge_runs`]): takes out every
+    /// loop that no future stream can still join, since future streams
+    /// start no earlier than `barrier`, or every loop with no barrier (end
+    /// of trace). Also returns the first remaining loop's end plus the
+    /// merge gap.
     fn take_final_loops(
         &mut self,
-        prefix: Ipv4Prefix,
         cfg: &DetectorConfig,
         log: &Log,
         barrier: Option<u64>,
     ) -> (Vec<RoutingLoop>, Option<u64>) {
-        let due = |end: u64| end.saturating_add(cfg.merge_gap_ns);
-        // Offline-identical merge over pending streams, sorted by start.
-        // The sort is stable and the pending set stays sorted between
-        // calls, so ties keep their close order.
-        self.pending
-            .sort_by_key(|s| (s.start_ns(), s.end_ns(), s.key.ident));
-        // Loops come out in start order with increasing ends, so the final
-        // ones are a prefix of them: stop at the first that is not.
-        let mut bounds: Vec<(u64, u64, usize)> = Vec::new();
-        let mut next = None;
-        let mut i = 0;
-        while i < self.pending.len() {
-            let start = self.pending[i].start_ns();
-            let mut end = self.pending[i].end_ns();
-            let mut j = i + 1;
-            while let Some(s) = self.pending.get(j) {
-                let joins = s.start_ns() <= end
-                    || (s.start_ns() - end <= cfg.merge_gap_ns
-                        && self.gap_is_clean(log, end, s.start_ns()));
-                if !joins {
-                    break;
-                }
-                end = end.max(s.end_ns());
-                j += 1;
-            }
-            if barrier.is_some_and(|b| due(end) >= b) {
-                next = Some(due(end));
-                break;
-            }
-            bounds.push((start, end, j - i));
-            i = j;
-        }
-        let mut taken = self.pending.drain(..i);
-        let loops = bounds
-            .into_iter()
-            .map(|(start_ns, end_ns, n)| RoutingLoop {
-                prefix,
-                start_ns,
-                end_ns,
-                streams: taken.by_ref().take(n).collect(),
-            })
-            .collect();
+        let mut loops = Vec::new();
+        let is_looped = |id| log.is_looped(id);
+        let next = merge_runs(
+            &mut self.pending,
+            &self.history,
+            is_looped,
+            cfg,
+            barrier,
+            &mut loops,
+        );
         (loops, next)
     }
 }
@@ -756,7 +691,6 @@ impl PrefixState {
 /// Counts and emits one finalised loop.
 fn emit_loop(stats: &mut OnlineStats, events: &mut Vec<OnlineEvent>, l: RoutingLoop) {
     stats.loops_emitted += 1;
-    TM_LOOPS_EMITTED.inc();
     trace::instant(&TR_LOOP_EMITTED);
     tm_trace!(
         "loop finalised for {}: {} streams over {} ns",

@@ -779,7 +779,10 @@ pub fn run_pipeline_with_progress(
         // Canonical order: engines may emit in evidence-completion order;
         // the result must not depend on which engine ran. The first record
         // index is unique per stream (a record joins at most one
-        // candidate), so this total order equals the serial detector's.
+        // candidate), so this is a total order. It is not the order of
+        // `Detector::run`, which is `(start, ident, first index)`: streams
+        // that share a start can move. Loop members need no sort: every
+        // engine lists them in `merge::merge_runs`' canonical order.
         let _t = telemetry::span("pipeline.finish");
         streams.sort_by_key(|s| (s.start_ns(), s.record_indices.first().copied()));
         loops.sort_by_key(|l| (l.prefix, l.start_ns));

@@ -158,17 +158,7 @@ impl Detector {
             stats.checksum_splits
         );
 
-        // Per-record "is looped" flags from raw candidates: any packet with
-        // at least one replica counts as looped for the co-loop rule (§IV-
-        // A.2 asks whether packets "belong to a replica stream", prior to
-        // length filtering).
-        let mut looped_flags = vec![false; records.len()];
-        for c in &candidates {
-            for &idx in &c.record_indices {
-                looped_flags[idx] = true;
-            }
-        }
-
+        let looped_flags = validate::looped_flags(records.len(), &candidates);
         let index = PrefixIndex::build(records);
         let validated = {
             let _t = telemetry::span("validate");

@@ -276,16 +276,11 @@ impl<W: Write + Send> StatusLine<W> {
                 delta: 0,
                 rate_per_s: 0.0,
             });
+        // Every engine counts its step 2–3 output under these names.
         let streams = sample
             .counter("validate.streams_kept")
-            .map_or(0, |c| c.total)
-            + sample
-                .counter("online.streams_emitted")
-                .map_or(0, |c| c.total);
-        let loops = sample.counter("merge.loops_total").map_or(0, |c| c.total)
-            + sample
-                .counter("online.loops_emitted")
-                .map_or(0, |c| c.total);
+            .map_or(0, |c| c.total);
+        let loops = sample.counter("merge.loops_total").map_or(0, |c| c.total);
         let open = sample
             .gauges
             .get("online.open_candidates")

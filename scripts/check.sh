@@ -251,6 +251,23 @@ run_observability_smoke() {
         > /dev/null 2> "$tmp/metrics.jsonl"
     cargo run -p bench --release --bin validate_telemetry -- \
         "$tmp/metrics.jsonl" "$tmp/trace.json"
+    # Every engine counts steps 2–3 under the same names: the streaming
+    # run's kept streams and loops must equal the block engine's.
+    local mode name
+    for mode in threads streaming; do
+        if [ "$mode" = threads ]; then set -- --threads 2; else set -- --streaming; fi
+        cargo run --release --bin loopdetect -- "$tmp/demo.pcap" --csv summary "$@" \
+            --metrics "$tmp/$mode.json" > /dev/null
+    done
+    for name in validate.streams_kept merge.loops_total; do
+        local want got
+        want="$(grep -o "\"$name\":[0-9]*" "$tmp/threads.json" || true)"
+        got="$(grep -o "\"$name\":[0-9]*" "$tmp/streaming.json" || true)"
+        if [ -z "$want" ] || [ "$want" != "$got" ]; then
+            echo "error: --streaming $name is '${got}', --threads 2 has '${want}'" >&2
+            exit 1
+        fi
+    done
 }
 
 case "$mode" in

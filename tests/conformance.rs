@@ -375,6 +375,42 @@ fn simnet_tap_fixture_conformance() {
 }
 
 #[test]
+fn tied_streams_keep_one_member_order_on_every_engine() {
+    // Two looping packets to one /24 share their IP ident and their first
+    // and last sighting times, so their streams tie on (start, end,
+    // ident). A duplicate of the second packet's last sighting does not
+    // continue it: the second stream closes at once, the first only when
+    // it expires. The loop that holds both must list them in the same
+    // order on every engine, whichever closed first.
+    let sightings = |src: Ipv4Addr, dst: Ipv4Addr| -> Vec<TraceRecord> {
+        let mut p = Packet::tcp_flags(src, dst, 5555, 80, TcpFlags::ACK, &b"data"[..]);
+        p.ip.ident = 7;
+        p.ip.ttl = 60;
+        p.fill_checksums();
+        (0..4u64)
+            .map(|k| {
+                if k > 0 {
+                    p.ip.decrement_ttl();
+                    p.ip.decrement_ttl();
+                }
+                TraceRecord::from_packet(k * 1_000_000, &p)
+            })
+            .collect()
+    };
+    let a = sightings(Ipv4Addr::new(100, 7, 7, 7), Ipv4Addr::new(203, 0, 113, 1));
+    let b = sightings(Ipv4Addr::new(100, 8, 8, 8), Ipv4Addr::new(203, 0, 113, 2));
+    let mut records: Vec<TraceRecord> = a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect();
+    let mut duplicate = b[3];
+    duplicate.timestamp_ns += 500_000;
+    records.push(duplicate);
+    assert_eq!(records.len(), 9);
+
+    let result = assert_conformance("tied streams", &records);
+    assert_eq!(result.loops.len(), 1);
+    assert_eq!(result.loops[0].num_streams(), 2);
+}
+
+#[test]
 fn analysis_accumulator_conforms_across_engines() {
     let records = backbone_records();
     let cfg = DetectorConfig::default();

@@ -8,7 +8,7 @@
 
 use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
 use routing_loops::loopscope::online::OnlineDetector;
-use routing_loops::loopscope::{Detector, DetectorConfig};
+use routing_loops::loopscope::{Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Packet, TcpFlags};
 use routing_loops::simnet::{LinkId, SimTime, Tap};
 use std::io::Cursor;
@@ -262,14 +262,14 @@ fn online_detector_gauges_bounded_and_nonzero() {
         );
     }
 
-    // Invariant: streams kept + rejected account for every candidate the
-    // online pass closed with >= 2 sightings.
+    // Invariant: the online pass counts its streams and loops under the
+    // offline step 2–3 names.
     assert_eq!(
-        counter_delta(&before, &after, "online.streams_emitted"),
+        counter_delta(&before, &after, "validate.streams_kept"),
         stats.streams_emitted
     );
     assert_eq!(
-        counter_delta(&before, &after, "online.loops_emitted"),
+        counter_delta(&before, &after, "merge.loops_total"),
         stats.loops_emitted
     );
     assert!(stats.streams_emitted > 0, "workload must find the loop");
@@ -325,6 +325,92 @@ fn online_gauges_carry_the_live_share_after_each_push_batch() {
             "{name}"
         );
     }
+}
+
+/// `n` sightings, 1 ms apart, of one packet looping with TTL step 2.
+fn sightings(src: u8, dst: Ipv4Addr, ident: u16, start_ns: u64, n: u64) -> Vec<TraceRecord> {
+    let mut p = Packet::tcp_flags(
+        Ipv4Addr::new(100, 7, 7, src),
+        dst,
+        5555,
+        80,
+        TcpFlags::ACK,
+        &b"data"[..],
+    );
+    p.ip.ident = ident;
+    p.ip.ttl = 60;
+    p.fill_checksums();
+    (0..n)
+        .map(|k| {
+            if k > 0 {
+                p.ip.decrement_ttl();
+                p.ip.decrement_ttl();
+            }
+            TraceRecord::from_packet(start_ns + k * 1_000_000, &p)
+        })
+        .collect()
+}
+
+#[test]
+fn step23_counters_match_across_engines() {
+    use routing_loops::loopscope::{
+        run_pipeline, BlockEngine, Engine, SerialEngine, SliceSource, StreamingEngine,
+    };
+    let _lock = WORKLOAD.lock().unwrap();
+    const SEC: u64 = 1_000_000_000;
+    // On one /24: two overlapping streams, and a third one a clean 30 s
+    // later, all merged into one loop. Elsewhere: a two-sighting
+    // duplicate, a stream vetoed by a bystander to its /24, and
+    // background traffic.
+    let mut recs = [
+        sightings(1, Ipv4Addr::new(203, 0, 113, 1), 1, 0, 5),
+        sightings(2, Ipv4Addr::new(203, 0, 113, 2), 2, SEC / 2_000, 5),
+        sightings(3, Ipv4Addr::new(203, 0, 113, 3), 3, 30 * SEC, 5),
+        sightings(4, Ipv4Addr::new(198, 51, 100, 1), 4, SEC, 2),
+        sightings(5, Ipv4Addr::new(192, 0, 2, 1), 5, 2 * SEC, 5),
+        sightings(6, Ipv4Addr::new(192, 0, 2, 9), 6, 2 * SEC + 2_000_000, 1),
+    ]
+    .concat();
+    recs.extend(looping_trace(0, 50));
+    recs.sort_by_key(|r| r.timestamp_ns);
+
+    let names = [
+        "validate.streams_kept",
+        "validate.rejected_short",
+        "validate.rejected_covalidation",
+        "merge.loops_total",
+        "merge.merge_decisions",
+        "merge.gap_closures",
+    ];
+    let cfg = DetectorConfig::default();
+    let engines: [Box<dyn Engine>; 3] = [
+        Box::new(SerialEngine::new(cfg)),
+        Box::new(BlockEngine::new(cfg, 2)),
+        Box::new(StreamingEngine::new(cfg)),
+    ];
+    let mut deltas = Vec::new();
+    for mut engine in engines {
+        let before = telemetry::global().snapshot();
+        let result = run_pipeline(&mut SliceSource::new(&recs), engine.as_mut(), &mut []).unwrap();
+        let after = telemetry::global().snapshot();
+        let delta = names.map(|name| counter_delta(&before, &after, name));
+        let [kept, short, co_loop, loops, decisions, _] = delta;
+        let name = engine.name();
+        assert_eq!(kept, result.streams.len() as u64, "{name}");
+        assert_eq!(short, result.stats.rejected_short, "{name}");
+        assert_eq!(co_loop, result.stats.rejected_covalidation, "{name}");
+        assert_eq!(loops, result.loops.len() as u64, "{name}");
+        // Invariant: every kept stream starts a loop or is merged into one.
+        assert_eq!(decisions, kept - loops, "{name}");
+        deltas.push((name, delta));
+    }
+    for (name, delta) in &deltas {
+        assert_eq!(
+            *delta, deltas[0].1,
+            "{name} step 2–3 counters differ from serial"
+        );
+    }
+    assert_eq!(deltas[0].1, [3, 1, 1, 1, 2, 1], "the fixture's shape");
 }
 
 #[test]
