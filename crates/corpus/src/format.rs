@@ -1,5 +1,6 @@
 //! The `.ltc` ("loop trace columnar") on-disk format: layout constants,
-//! header codec, block column codec, checksums, and the typed error.
+//! header codec, checksums, the read-side block checks both readers
+//! share, and the typed error.
 //!
 //! The format stores exactly what the detector reads — the
 //! [`loopscope::ReplicaKey`] fields, timestamp, TTL, lengths, and the
@@ -360,6 +361,117 @@ impl CorpusError {
             path: path.to_path_buf(),
             source,
         }
+    }
+}
+
+/// Whether `prefix` starts with the `.ltc` magic bytes.
+pub fn is_ltc_magic(prefix: &[u8]) -> bool {
+    prefix.len() >= MAGIC.len() && prefix[..MAGIC.len()] == MAGIC
+}
+
+/// Sniffs a file's leading bytes for the `.ltc` magic. Short files (even
+/// empty ones) sniff as "not ltc" — the pcap layer then reports its own
+/// header error.
+pub fn sniff_is_ltc(path: &Path) -> std::io::Result<bool> {
+    use std::io::Read;
+    let mut prefix = Vec::with_capacity(MAGIC.len());
+    std::fs::File::open(path)?
+        .take(MAGIC.len() as u64)
+        .read_to_end(&mut prefix)?;
+    Ok(is_ltc_magic(&prefix))
+}
+
+/// A validated header and the file it labels errors with: the one owner
+/// of the read-side format rules. Both readers hand it raw bytes — the
+/// buffered reader its read buffer, the mapped reader a slice of the
+/// mapping — so each rule, and the error and offset it reports, exists
+/// once.
+#[derive(Clone)]
+pub(crate) struct LtcLayout {
+    pub(crate) path: PathBuf,
+    pub(crate) header: LtcHeader,
+}
+
+impl LtcLayout {
+    /// Validates the header from the file's leading bytes; `head` shorter
+    /// than [`HEADER_LEN`] is a truncated header.
+    pub(crate) fn parse(path: PathBuf, head: &[u8]) -> Result<Self, CorpusError> {
+        let Some(head) = head.get(..HEADER_LEN) else {
+            return Err(CorpusError::Truncated {
+                path,
+                offset: 0,
+                needed: HEADER_LEN as u64,
+                got: head.len() as u64,
+            });
+        };
+        let header = LtcHeader::decode(head.try_into().expect("header slice"), &path)?;
+        Ok(Self { path, header })
+    }
+
+    /// Number of blocks in the file.
+    pub(crate) fn blocks(&self) -> u64 {
+        block_count(self.header.records)
+    }
+
+    /// Records in block `b`.
+    pub(crate) fn block_records(&self, b: u64) -> usize {
+        let before = b * BLOCK_RECORDS as u64;
+        ((self.header.records - before).min(BLOCK_RECORDS as u64)) as usize
+    }
+
+    /// Verifies and decodes block `b`, appending its records to `out`.
+    /// `avail` holds the file's bytes from the block's offset on; bytes
+    /// past the block are ignored, too few is a truncation at the block's
+    /// offset, and a stored checksum that does not match is reported for
+    /// [`ChecksumRegion::Block`]`(b)` at the same offset.
+    pub(crate) fn decode_block(
+        &self,
+        b: u64,
+        avail: &[u8],
+        out: &mut Vec<loopscope::TraceRecord>,
+    ) -> Result<(), CorpusError> {
+        let k = self.block_records(b);
+        let offset = block_offset(b);
+        let Some(block) = avail.get(..block_len(k)) else {
+            return Err(CorpusError::Truncated {
+                path: self.path.clone(),
+                offset,
+                needed: block_len(k) as u64,
+                got: avail.len() as u64,
+            });
+        };
+        let (stored, data) = block.split_at(BLOCK_CHECKSUM_LEN);
+        let stored = u64::from_le_bytes(stored.try_into().expect("checksum prefix"));
+        let computed = block_checksum(b, data);
+        if stored != computed {
+            return Err(CorpusError::ChecksumMismatch {
+                path: self.path.clone(),
+                offset,
+                region: ChecksumRegion::Block(b),
+                expected: stored,
+                found: computed,
+            });
+        }
+        crate::columns::decode_columns_push(
+            data,
+            k,
+            out,
+            &self.path,
+            offset + BLOCK_CHECKSUM_LEN as u64,
+        )
+    }
+
+    /// Checks that nothing follows the last block: `trailing` is what the
+    /// file holds past [`expected_file_len`].
+    pub(crate) fn check_end(&self, trailing: &[u8]) -> Result<(), CorpusError> {
+        if trailing.is_empty() {
+            return Ok(());
+        }
+        Err(CorpusError::Corrupt {
+            path: self.path.clone(),
+            offset: expected_file_len(self.header.records),
+            what: "trailing bytes after the last block",
+        })
     }
 }
 

@@ -33,18 +33,17 @@ pub mod columns;
 pub mod format;
 pub mod mapped;
 pub mod reader;
-pub mod sequence;
 pub mod writer;
 
 pub use format::{
-    ChecksumRegion, CorpusError, LtcHeader, BLOCK_RECORDS, MAGIC, ROW_BYTES, VERSION,
+    is_ltc_magic, sniff_is_ltc, ChecksumRegion, CorpusError, LtcHeader, BLOCK_RECORDS, MAGIC,
+    ROW_BYTES, VERSION,
 };
 pub use mapped::{
     open_ltc_source, records_from_ltc_mmap, records_from_ltc_mmap_parallel, records_from_ltc_with,
     IngestMode, MappedColumnarSource, MappedLtc,
 };
-pub use reader::{records_from_ltc, records_from_ltc_parallel, ColumnarSource, LtcReader};
-pub use sequence::{is_ltc_magic, sniff_is_ltc, CorpusFileSequence};
+pub use reader::{records_from_ltc, ColumnarSource, LtcReader};
 pub use writer::{ltc_to_vec, write_ltc_file, LtcWriter};
 
 #[cfg(test)]
@@ -131,169 +130,185 @@ mod corruption_tests {
         }
     }
 
-    #[test]
-    fn empty_file_is_truncated_header() {
-        match LtcReader::new(Cursor::new(Vec::new()), "empty.ltc").err() {
-            Some(CorpusError::Truncated {
-                offset,
-                needed,
-                got,
-                path,
-            }) => {
-                assert_eq!(offset, 0);
-                assert_eq!(needed, HEADER_LEN as u64);
-                assert_eq!(got, 0);
-                assert_eq!(path.to_str().unwrap(), "empty.ltc");
-            }
-            other => panic!("expected truncated header, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_mid_header() {
-        let bytes = ltc_to_vec(&sample_records(10), 0);
-        let short = bytes[..HEADER_LEN - 5].to_vec();
-        match LtcReader::new(Cursor::new(short), "t.ltc").err() {
-            Some(CorpusError::Truncated {
-                offset: 0,
-                needed,
-                got,
-                ..
-            }) => {
-                assert_eq!(needed, HEADER_LEN as u64);
-                assert_eq!(got, (HEADER_LEN - 5) as u64);
-            }
-            other => panic!("expected truncated header, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_column_arrays() {
-        // Cut mid-way through the second block's column data.
-        let records = sample_records(8192 + 100);
-        let full = ltc_to_vec(&records, 0);
-        let cut = block_offset(1) as usize + 40; // inside block 1
-        let err = read_all(full[..cut].to_vec()).unwrap_err();
-        match err {
-            CorpusError::Truncated {
-                offset,
-                needed,
-                got,
-                ref path,
-            } => {
-                assert_eq!(offset, block_offset(1));
-                assert_eq!(got, 40);
-                assert!(needed > got);
-                assert_eq!(path.to_str().unwrap(), "test.ltc");
-            }
-            other => panic!("expected truncated block, got {other:?}"),
-        }
-        let msg = err.to_string();
-        assert!(msg.contains("test.ltc"), "message names the file: {msg}");
-        assert!(
-            msg.contains(&block_offset(1).to_string()),
-            "message names the offset: {msg}"
-        );
-    }
-
-    #[test]
-    fn bad_magic() {
-        let mut bytes = ltc_to_vec(&sample_records(4), 0);
-        bytes[0] ^= 0xff;
-        match read_all(bytes) {
-            Err(CorpusError::BadMagic { path, .. }) => {
-                assert_eq!(path.to_str().unwrap(), "test.ltc");
-            }
-            other => panic!("expected bad magic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_version() {
-        let mut bytes = ltc_to_vec(&sample_records(4), 0);
-        bytes[MAGIC.len()] = 99; // version u32 LE low byte
-        match read_all(bytes) {
-            Err(CorpusError::UnsupportedVersion { found, .. }) => assert_eq!(found, 99),
-            other => panic!("expected unsupported version, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn header_checksum_mismatch() {
-        let mut bytes = ltc_to_vec(&sample_records(4), 0);
-        bytes[16] ^= 0x01; // flip a record-count bit; header checksum must catch it
-        match read_all(bytes) {
-            Err(CorpusError::ChecksumMismatch {
-                region: ChecksumRegion::Header,
-                offset,
-                ..
-            }) => {
-                assert_eq!(offset, 32);
-            }
-            other => panic!("expected header checksum mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn block_checksum_mismatch_names_block_and_offset() {
-        let records = sample_records(8192 + 10);
-        let mut bytes = ltc_to_vec(&records, 0);
-        let victim = block_offset(1) as usize + 8 + 3; // a data byte in block 1
-        bytes[victim] ^= 0x10;
-        match read_all(bytes) {
-            Err(CorpusError::ChecksumMismatch {
-                region: ChecksumRegion::Block(1),
-                offset,
-                ..
-            }) => {
-                assert_eq!(offset, block_offset(1));
-            }
-            other => panic!("expected block 1 checksum mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn swapped_blocks_fail_checksum() {
-        // Two identical blocks swapped: byte-identical payloads, but the
-        // block index is mixed into each checksum, so the swap is caught.
-        let one_block = sample_records(8192);
-        let mut two = one_block.clone();
-        two.extend_from_slice(&one_block);
-        let bytes = ltc_to_vec(&two, 0);
-        let b0 = block_offset(0) as usize;
-        let b1 = block_offset(1) as usize;
-        let len = b1 - b0;
-        let mut swapped = bytes.clone();
-        swapped[b0..b0 + len].copy_from_slice(&bytes[b1..b1 + len]);
-        swapped[b1..b1 + len].copy_from_slice(&bytes[b0..b0 + len]);
-        // Payloads identical → checksums differ only via the mixed-in index.
-        match read_all(swapped) {
-            Err(CorpusError::ChecksumMismatch {
-                region: ChecksumRegion::Block(0),
-                ..
-            }) => {}
-            other => panic!("expected block 0 checksum mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_corrupt() {
-        let mut bytes = ltc_to_vec(&sample_records(20), 0);
-        let end = bytes.len() as u64;
-        bytes.extend_from_slice(b"junk");
-        match read_all(bytes) {
-            Err(CorpusError::Corrupt { offset, .. }) => assert_eq!(offset, end),
-            other => panic!("expected trailing-bytes corruption, got {other:?}"),
-        }
-    }
-
-    /// Writes corpus bytes to a unique temp file for the mapped reader
-    /// (mmap needs a real fd); returns the path.
+    /// Writes corpus bytes to a unique temp file (the mapped reader needs
+    /// a real fd); returns the path.
     fn write_temp(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("corpus-map-{}-{tag}.ltc", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         path
+    }
+
+    /// The error's variant, offset and checksum region.
+    fn locate(e: &CorpusError) -> (&'static str, Option<u64>, Option<ChecksumRegion>) {
+        match *e {
+            CorpusError::Io { .. } => ("io", None, None),
+            CorpusError::BadMagic { .. } => ("bad magic", Some(0), None),
+            CorpusError::UnsupportedVersion { .. } => ("version", Some(8), None),
+            CorpusError::ChecksumMismatch { offset, region, .. } => {
+                ("checksum", Some(offset), Some(region))
+            }
+            CorpusError::Truncated { offset, .. } => ("truncated", Some(offset), None),
+            CorpusError::Corrupt { offset, .. } => ("corrupt", Some(offset), None),
+        }
+    }
+
+    /// One damaged corpus image and what a reader must report for it.
+    struct Damage {
+        name: &'static str,
+        bytes: Vec<u8>,
+        expect: fn(&CorpusError),
+    }
+
+    /// Every header and block defect the format rules catch.
+    fn damaged_images() -> Vec<Damage> {
+        let short = ltc_to_vec(&sample_records(8192 + 100), 0);
+        let mut bad_sum = ltc_to_vec(&sample_records(8192 + 10), 0);
+        bad_sum[block_offset(1) as usize + 8 + 3] ^= 0x10; // a data byte in block 1
+                                                           // Two identical blocks swapped: byte-identical payloads, but the
+                                                           // block index is mixed into each checksum, so the swap is caught.
+        let one_block = sample_records(8192);
+        let bytes = ltc_to_vec(&[one_block.clone(), one_block].concat(), 0);
+        let (b0, b1) = (block_offset(0) as usize, block_offset(1) as usize);
+        let mut swapped = bytes.clone();
+        swapped[b0..b1].copy_from_slice(&bytes[b1..]);
+        swapped[b1..].copy_from_slice(&bytes[b0..b1]);
+        let mut trailing = ltc_to_vec(&sample_records(20), 0);
+        trailing.extend_from_slice(b"junk");
+        let with_header_byte = |i: usize, mask: u8| {
+            let mut b = ltc_to_vec(&sample_records(4), 0);
+            b[i] ^= mask;
+            b
+        };
+        vec![
+            Damage {
+                name: "empty",
+                bytes: Vec::new(),
+                expect: |e| match *e {
+                    CorpusError::Truncated {
+                        offset,
+                        needed,
+                        got,
+                        ..
+                    } => assert_eq!((offset, needed, got), (0, HEADER_LEN as u64, 0)),
+                    _ => panic!("expected truncated header, got {e:?}"),
+                },
+            },
+            Damage {
+                name: "mid_header",
+                bytes: short[..HEADER_LEN - 5].to_vec(),
+                expect: |e| match *e {
+                    CorpusError::Truncated {
+                        offset,
+                        needed,
+                        got,
+                        ..
+                    } => assert_eq!(
+                        (offset, needed, got),
+                        (0, HEADER_LEN as u64, (HEADER_LEN - 5) as u64)
+                    ),
+                    _ => panic!("expected truncated header, got {e:?}"),
+                },
+            },
+            Damage {
+                name: "bad_magic",
+                bytes: with_header_byte(0, 0xff),
+                expect: |e| assert!(matches!(e, CorpusError::BadMagic { .. }), "{e:?}"),
+            },
+            Damage {
+                name: "wrong_version",
+                bytes: with_header_byte(MAGIC.len(), 99 ^ 1), // version u32 LE low byte → 99
+                expect: |e| match *e {
+                    CorpusError::UnsupportedVersion { found, .. } => assert_eq!(found, 99),
+                    _ => panic!("expected unsupported version, got {e:?}"),
+                },
+            },
+            Damage {
+                // Flip a record-count bit; the header checksum must catch it.
+                name: "header_checksum",
+                bytes: with_header_byte(16, 0x01),
+                expect: |e| {
+                    assert_eq!(
+                        locate(e),
+                        ("checksum", Some(32), Some(ChecksumRegion::Header))
+                    )
+                },
+            },
+            Damage {
+                // Cut mid-way through the second block's column data.
+                name: "truncated_column_arrays",
+                bytes: short[..block_offset(1) as usize + 40].to_vec(),
+                expect: |e| match *e {
+                    CorpusError::Truncated {
+                        offset,
+                        needed,
+                        got,
+                        ..
+                    } => {
+                        assert_eq!(offset, block_offset(1));
+                        assert_eq!(got, 40);
+                        assert!(needed > got);
+                    }
+                    _ => panic!("expected truncated block, got {e:?}"),
+                },
+            },
+            Damage {
+                name: "block_checksum",
+                bytes: bad_sum,
+                expect: |e| {
+                    let want = (
+                        "checksum",
+                        Some(block_offset(1)),
+                        Some(ChecksumRegion::Block(1)),
+                    );
+                    assert_eq!(locate(e), want);
+                },
+            },
+            Damage {
+                name: "swapped_blocks",
+                bytes: swapped,
+                expect: |e| {
+                    assert_eq!(locate(e).2, Some(ChecksumRegion::Block(0)), "{e:?}");
+                },
+            },
+            Damage {
+                name: "trailing_bytes",
+                bytes: trailing,
+                expect: |e| {
+                    let end = super::format::expected_file_len(20);
+                    assert_eq!(locate(e), ("corrupt", Some(end), None));
+                },
+            },
+        ]
+    }
+
+    #[test]
+    fn both_readers_report_each_defect_identically() {
+        for damage in damaged_images() {
+            let path = write_temp(damage.name, &damage.bytes);
+            let buffered = LtcReader::open(&path)
+                .and_then(|mut reader| {
+                    let mut batch = Vec::new();
+                    while reader.next_block_into(&mut batch)? {}
+                    Ok(())
+                })
+                .expect_err(damage.name);
+            let mapped = super::mapped::records_from_ltc_mmap(&path).expect_err(damage.name);
+            for err in [&buffered, &mapped] {
+                (damage.expect)(err);
+                let msg = err.to_string();
+                assert!(
+                    msg.starts_with(path.to_str().unwrap()),
+                    "names the file: {msg}"
+                );
+                if let (_, Some(offset), _) = locate(err) {
+                    assert!(msg.contains(&offset.to_string()), "names the offset: {msg}");
+                }
+            }
+            assert_eq!(locate(&buffered), locate(&mapped), "{}", damage.name);
+            assert_eq!(buffered.to_string(), mapped.to_string(), "{}", damage.name);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -319,90 +334,6 @@ mod corruption_tests {
     }
 
     #[test]
-    fn mmap_bad_magic_names_file() {
-        let mut bytes = ltc_to_vec(&sample_records(4), 0);
-        bytes[0] ^= 0xff;
-        let path = write_temp("badmagic", &bytes);
-        match super::mapped::MappedLtc::open(&path) {
-            Err(CorpusError::BadMagic { path: p, .. }) => assert_eq!(p, path),
-            other => panic!("expected bad magic, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_block_checksum_names_block_and_offset() {
-        let mut bytes = ltc_to_vec(&sample_records(8192 + 10), 0);
-        let victim = block_offset(1) as usize + 8 + 3;
-        bytes[victim] ^= 0x10;
-        let path = write_temp("badsum", &bytes);
-        let err = super::mapped::records_from_ltc_mmap(&path).unwrap_err();
-        match err {
-            CorpusError::ChecksumMismatch {
-                region: ChecksumRegion::Block(1),
-                offset,
-                path: ref p,
-                ..
-            } => {
-                assert_eq!(offset, block_offset(1));
-                assert_eq!(p, &path);
-            }
-            other => panic!("expected block 1 checksum mismatch, got {other:?}"),
-        }
-        let msg = err.to_string();
-        assert!(
-            msg.contains(path.to_str().unwrap()),
-            "names the file: {msg}"
-        );
-        assert!(
-            msg.contains(&block_offset(1).to_string()),
-            "names the offset: {msg}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_truncation_names_offset() {
-        let full = ltc_to_vec(&sample_records(8192 + 100), 0);
-        let cut = block_offset(1) as usize + 40;
-        let path = write_temp("truncated", &full[..cut]);
-        match super::mapped::records_from_ltc_mmap(&path).unwrap_err() {
-            CorpusError::Truncated {
-                offset,
-                needed,
-                got,
-                ..
-            } => {
-                assert_eq!(offset, block_offset(1));
-                assert_eq!(got, 40);
-                assert!(needed > got);
-            }
-            other => panic!("expected truncated block, got {other:?}"),
-        }
-        // Too short for even the header: Truncated at offset 0.
-        let stub = write_temp("stub", &full[..HEADER_LEN - 5]);
-        match super::mapped::MappedLtc::open(&stub).unwrap_err() {
-            CorpusError::Truncated { offset: 0, .. } => {}
-            other => panic!("expected truncated header, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&stub).ok();
-    }
-
-    #[test]
-    fn mmap_trailing_bytes_are_corrupt() {
-        let mut bytes = ltc_to_vec(&sample_records(20), 0);
-        let end = bytes.len() as u64;
-        bytes.extend_from_slice(b"junk");
-        let path = write_temp("trailing", &bytes);
-        match super::mapped::records_from_ltc_mmap(&path).unwrap_err() {
-            CorpusError::Corrupt { offset, .. } => assert_eq!(offset, end),
-            other => panic!("expected trailing-bytes corruption, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn mmap_missing_file_falls_back_to_the_buffered_error() {
         let path = std::env::temp_dir().join("corpus-map-does-not-exist.ltc");
         // The `with` wrapper retries buffered on mapping failure; the
@@ -411,23 +342,5 @@ mod corruption_tests {
             Err(CorpusError::Io { path: p, .. }) => assert_eq!(p, path),
             other => panic!("expected io error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn parallel_read_matches_serial() {
-        let records = sample_records(3 * 8192 + 123);
-        let bytes = ltc_to_vec(&records, 5);
-        let dir = std::env::temp_dir().join(format!("corpus-par-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("par.ltc");
-        std::fs::write(&path, &bytes).unwrap();
-        let (serial, sk1) = super::reader::records_from_ltc(&path).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let (par, sk) = super::reader::records_from_ltc_parallel(&path, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(sk, sk1);
-        }
-        assert_eq!(serial, records);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

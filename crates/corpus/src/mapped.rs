@@ -9,9 +9,11 @@
 //! ([`records_from_ltc_mmap_parallel`]) decode disjoint block ranges of
 //! ONE shared mapping with zero per-worker file handles.
 //!
-//! Error semantics are identical to the buffered [`LtcReader`]: every
-//! defect surfaces as a typed [`CorpusError`] naming the file and the
-//! same byte offset the buffered reader would report (truncation is
+//! Error semantics are the buffered [`LtcReader`]'s by construction: both
+//! readers hand their bytes to the same block check (the crate's
+//! `LtcLayout`, which owns the header, block-length, block-checksum and
+//! trailing-bytes rules), so every defect surfaces as the same typed
+//! [`CorpusError`] naming the file and byte offset (truncation is
 //! discovered at the first incomplete block, trailing bytes after the
 //! last block, checksums per block in file order).
 //!
@@ -19,19 +21,17 @@
 //! [`IngestMode`] switch here — both as the ablation arm of the ingest
 //! bench and as the fallback when a file cannot be mapped (exotic
 //! filesystems, non-unix hosts where [`mmapio`] degrades to an owned
-//! buffer read).
+//! buffer read). It decodes serially; only the mapped path fans out.
 //!
 //! [`LtcReader`]: crate::reader::LtcReader
 
-use crate::columns::decode_columns_push;
 use crate::format::{
-    block_checksum, block_count, block_len, block_offset, expected_file_len, ChecksumRegion,
-    CorpusError, LtcHeader, BLOCK_CHECKSUM_LEN, BLOCK_RECORDS, HEADER_LEN,
+    block_offset, expected_file_len, CorpusError, LtcHeader, LtcLayout, BLOCK_RECORDS, ROW_BYTES,
 };
-use crate::reader::{records_from_ltc, records_from_ltc_parallel, to_source_error};
+use crate::reader::{records_from_ltc, to_source_error};
 use loopscope::pipeline::{PipelineError, RecordSource, SourceSummary};
 use loopscope::TraceRecord;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use telemetry::LazyCounter;
 
@@ -59,8 +59,7 @@ pub enum IngestMode {
 #[derive(Clone)]
 pub struct MappedLtc {
     map: Arc<mmapio::Mmap>,
-    path: PathBuf,
-    header: LtcHeader,
+    layout: LtcLayout,
 }
 
 impl MappedLtc {
@@ -77,31 +76,21 @@ impl MappedLtc {
         map.advise(mmapio::Advice::WillNeed);
         TM_MAPS.inc();
         TM_BYTES.add(map.len() as u64);
-        if map.len() < HEADER_LEN {
-            return Err(CorpusError::Truncated {
-                path: path.to_path_buf(),
-                offset: 0,
-                needed: HEADER_LEN as u64,
-                got: map.len() as u64,
-            });
-        }
-        let head: &[u8; HEADER_LEN] = map[..HEADER_LEN].try_into().expect("header slice");
-        let header = LtcHeader::decode(head, path)?;
+        let layout = LtcLayout::parse(path.to_path_buf(), &map)?;
         Ok(Self {
             map: Arc::new(map),
-            path: path.to_path_buf(),
-            header,
+            layout,
         })
     }
 
     /// The validated header.
     pub fn header(&self) -> &LtcHeader {
-        &self.header
+        &self.layout.header
     }
 
     /// The file this mapping reads (as labelled in errors).
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.layout.path
     }
 
     /// Whether the backing is a real kernel mapping (false: the
@@ -112,92 +101,45 @@ impl MappedLtc {
 
     /// Number of blocks in the file.
     pub fn blocks(&self) -> u64 {
-        block_count(self.header.records)
+        self.layout.blocks()
     }
 
-    /// Records in block `b`.
-    fn block_records(&self, b: u64) -> usize {
-        let before = b * BLOCK_RECORDS as u64;
-        ((self.header.records - before).min(BLOCK_RECORDS as u64)) as usize
-    }
-
-    /// The checksum-verified column bytes of block `b`, borrowed straight
-    /// from the mapping.
-    pub fn block_data(&self, b: u64) -> Result<&[u8], CorpusError> {
-        let k = self.block_records(b);
-        let need = block_len(k);
-        let off = block_offset(b);
-        let data: &[u8] = &self.map;
-        let avail = (data.len() as u64).saturating_sub(off);
-        if avail < need as u64 {
-            return Err(CorpusError::Truncated {
-                path: self.path.clone(),
-                offset: off,
-                needed: need as u64,
-                got: avail,
-            });
-        }
-        let block = &data[off as usize..off as usize + need];
-        let stored = u64::from_le_bytes(
-            block[..BLOCK_CHECKSUM_LEN]
-                .try_into()
-                .expect("checksum prefix"),
-        );
-        let computed = block_checksum(b, &block[BLOCK_CHECKSUM_LEN..]);
-        if stored != computed {
-            return Err(CorpusError::ChecksumMismatch {
-                path: self.path.clone(),
-                offset: off,
-                region: ChecksumRegion::Block(b),
-                expected: stored,
-                found: computed,
-            });
-        }
-        Ok(&block[BLOCK_CHECKSUM_LEN..])
+    /// The mapped bytes from `offset` to the end (empty past the end).
+    fn tail(&self, offset: u64) -> &[u8] {
+        usize::try_from(offset)
+            .ok()
+            .and_then(|o| self.map.get(o..))
+            .unwrap_or_default()
     }
 
     /// Decodes block `b` appended to `out` (verifying its checksum).
     pub fn decode_block_into(&self, b: u64, out: &mut Vec<TraceRecord>) -> Result<(), CorpusError> {
-        let data = self.block_data(b)?;
+        self.layout
+            .decode_block(b, self.tail(block_offset(b)), out)?;
         TM_BLOCKS.inc();
-        decode_columns_push(
-            data,
-            self.block_records(b),
-            out,
-            &self.path,
-            block_offset(b) + BLOCK_CHECKSUM_LEN as u64,
-        )
+        Ok(())
     }
 
     /// Verifies nothing follows the final block — the mapped equivalent
-    /// of the buffered reader's EOF probe. Only the owner of the final
-    /// block range calls this.
-    pub fn check_trailing(&self) -> Result<(), CorpusError> {
-        let expect = expected_file_len(self.header.records);
-        if self.map.len() as u64 > expect {
-            return Err(CorpusError::Corrupt {
-                path: self.path.clone(),
-                offset: expect,
-                what: "trailing bytes after the last block",
-            });
-        }
-        Ok(())
+    /// of the buffered reader's EOF probe.
+    fn check_end(&self) -> Result<(), CorpusError> {
+        self.layout
+            .check_end(self.tail(expected_file_len(self.header().records)))
     }
 
     /// Decodes blocks `[first, end)` appended to `out`; the range owning
     /// the final block also verifies nothing trails it.
-    pub fn decode_range_into(
+    fn decode_range_into(
         &self,
         first: u64,
         end: u64,
         out: &mut Vec<TraceRecord>,
     ) -> Result<(), CorpusError> {
-        let end = end.min(self.blocks());
         for b in first..end {
             self.decode_block_into(b, out)?;
         }
         if end >= self.blocks() {
-            self.check_trailing()?;
+            self.check_end()?;
         }
         Ok(())
     }
@@ -206,8 +148,8 @@ impl MappedLtc {
 impl std::fmt::Debug for MappedLtc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedLtc")
-            .field("path", &self.path)
-            .field("records", &self.header.records)
+            .field("path", &self.path())
+            .field("records", &self.header().records)
             .field("mapped", &self.is_mapped())
             .finish()
     }
@@ -226,11 +168,6 @@ impl MappedColumnarSource {
         Ok(Self {
             ltc: MappedLtc::open(path)?,
         })
-    }
-
-    /// Wraps an already-mapped file.
-    pub fn new(ltc: MappedLtc) -> Self {
-        Self { ltc }
     }
 
     /// The corpus header.
@@ -259,7 +196,7 @@ impl RecordSource for MappedColumnarSource {
             summary.records += batch.len() as u64;
             f(&batch)?;
         }
-        self.ltc.check_trailing().map_err(to_source_error)?;
+        self.ltc.check_end().map_err(to_source_error)?;
         Ok(summary)
     }
 
@@ -272,67 +209,68 @@ impl RecordSource for MappedColumnarSource {
 /// count)`. Identical output to [`records_from_ltc`], with no block
 /// buffer and no batch-to-output copy.
 pub fn records_from_ltc_mmap(path: &Path) -> Result<(Vec<TraceRecord>, u64), CorpusError> {
-    let _t = telemetry::span("corpus.read");
-    let ltc = MappedLtc::open(path)?;
-    let _tm = telemetry::span("ingest.mmap.decode");
-    let mut records = Vec::with_capacity(ltc.header().records as usize);
-    ltc.decode_range_into(0, ltc.blocks(), &mut records)?;
-    Ok((records, ltc.header().skipped))
+    records_from_ltc_mmap_parallel(path, 1)
 }
 
 /// [`records_from_ltc_mmap`] fanned out over `threads` contiguous block
 /// ranges of ONE shared mapping — no per-worker file handles, no seeks,
 /// no read buffers. Ranges are concatenated in file order, so the result
-/// is identical to the serial read.
+/// is identical to the serial read; one range decodes on the calling
+/// thread.
 pub fn records_from_ltc_mmap_parallel(
     path: &Path,
     threads: usize,
 ) -> Result<(Vec<TraceRecord>, u64), CorpusError> {
-    let _t = telemetry::span("corpus.read_parallel");
+    let _t = telemetry::span(if threads > 1 {
+        "corpus.read_parallel"
+    } else {
+        "corpus.read"
+    });
     let ltc = MappedLtc::open(path)?;
     let blocks = ltc.blocks();
     let n = (threads.max(1) as u64).min(blocks.max(1));
-    if n <= 1 {
-        let _tm = telemetry::span("ingest.mmap.decode");
-        let mut records = Vec::with_capacity(ltc.header().records as usize);
-        ltc.decode_range_into(0, blocks, &mut records)?;
-        return Ok((records, ltc.header().skipped));
-    }
     let chunk = blocks.div_ceil(n);
-    let ltc_ref = &ltc;
+    // Records before block `b`, capped by what the mapping can hold so a
+    // corrupt record count cannot size the allocation.
+    let fits = ltc.map.len() as u64 / ROW_BYTES as u64;
+    let rows = |b: u64| {
+        b.saturating_mul(BLOCK_RECORDS as u64)
+            .min(ltc.header().records.min(fits))
+    };
+    let decode = |w: u64| {
+        let _tm = telemetry::span("ingest.mmap.decode");
+        let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(blocks));
+        let mut part = Vec::with_capacity(rows(hi).saturating_sub(rows(lo)) as usize);
+        ltc.decode_range_into(lo, hi, &mut part).map(|()| part)
+    };
+    if n == 1 {
+        return Ok((decode(0)?, ltc.header().skipped));
+    }
     let parts: Vec<Result<Vec<TraceRecord>, CorpusError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(blocks);
-                scope.spawn(move || {
-                    let _tm = telemetry::span("ingest.mmap.decode");
-                    let mut part = Vec::with_capacity(
-                        ((hi.saturating_sub(lo)) * BLOCK_RECORDS as u64) as usize,
-                    );
-                    if lo < hi {
-                        ltc_ref.decode_range_into(lo, hi, &mut part)?;
-                    }
-                    Ok(part)
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || decode(w))).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("mmap range decoder panicked"))
             .collect()
     });
-    let mut records = Vec::with_capacity(ltc.header().records as usize);
-    for part in parts {
-        records.append(&mut part?);
-    }
-    Ok((records, ltc.header().skipped))
+    let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok((parts.concat(), ltc.header().skipped))
+}
+
+/// Counts and reports a failed mapping before the caller retries with
+/// buffered reads.
+fn note_fallback(path: &Path) {
+    TM_FALLBACKS.inc();
+    telemetry::tm_warn!(
+        "mmap unavailable for {}; falling back to buffered reads",
+        path.display()
+    );
 }
 
 /// Whole-file decode with the preferred backend: the shared mapping under
-/// [`IngestMode::Mmap`] (buffered fallback, counted, when mapping fails),
-/// buffered range readers under [`IngestMode::Buffered`]. `threads` > 1
-/// fans the decode out over contiguous block ranges either way.
+/// [`IngestMode::Mmap`], fanned out over `threads` contiguous block ranges
+/// (buffered fallback, counted, when mapping fails); the serial buffered
+/// reader under [`IngestMode::Buffered`], whatever `threads` says.
 pub fn records_from_ltc_with(
     path: &Path,
     threads: usize,
@@ -345,22 +283,12 @@ pub fn records_from_ltc_with(
                 // The file could not be mapped (or vanished mid-open); the
                 // buffered path either succeeds or produces the
                 // authoritative error.
-                TM_FALLBACKS.inc();
-                telemetry::tm_warn!(
-                    "mmap unavailable for {}; falling back to buffered reads",
-                    path.display()
-                );
-                records_from_ltc_with(path, threads, IngestMode::Buffered)
+                note_fallback(path);
+                records_from_ltc(path)
             }
             Err(e) => Err(e),
         },
-        IngestMode::Buffered => {
-            if threads > 1 {
-                records_from_ltc_parallel(path, threads)
-            } else {
-                records_from_ltc(path)
-            }
-        }
+        IngestMode::Buffered => records_from_ltc(path),
     }
 }
 
@@ -375,11 +303,7 @@ pub fn open_ltc_source(
         IngestMode::Mmap => match MappedColumnarSource::open(path) {
             Ok(src) => Ok(Box::new(src)),
             Err(CorpusError::Io { .. }) => {
-                TM_FALLBACKS.inc();
-                telemetry::tm_warn!(
-                    "mmap unavailable for {}; falling back to buffered reads",
-                    path.display()
-                );
+                note_fallback(path);
                 Ok(Box::new(crate::reader::ColumnarSource::open(path)?))
             }
             Err(e) => Err(e),

@@ -95,9 +95,9 @@ pub use monitor::{
 };
 pub use online::{OnlineDetector, OnlineEvent};
 pub use pipeline::{
-    run_pipeline, run_pipeline_with_progress, BlockEngine, Engine, EngineProgress,
-    PcapFileSequence, PcapSource, PipelineError, PipelineResult, RecordSource, SerialEngine, Sink,
-    SliceSource, SourceError, SourceSummary, StreamingEngine,
+    run_pipeline, run_pipeline_with_progress, BlockEngine, Engine, EngineProgress, PcapSource,
+    PipelineError, PipelineResult, RecordSource, SerialEngine, Sink, SliceSource, SourceError,
+    SourceSummary, StreamingEngine,
 };
 pub use record::{TraceRecord, TransportSummary};
 pub use replica::{CandidateScanner, DetectionResult, DetectionStats, Detector, ScanCounters};

@@ -220,6 +220,9 @@ impl<R: Read> PcapReader<R> {
     ///
     /// A partial record header at EOF is reported as corruption, not EOF —
     /// a trace cut off mid-record should never be silently accepted.
+    // Inlined into the callers' per-record loops: left to the compiler,
+    // `loopmond` called it out of line and used about 3% more CPU.
+    #[inline]
     pub fn read_into(&mut self, buf: &mut RecordBuf) -> Result<bool, PcapError> {
         let mut hdr_buf = [0u8; RECORD_HEADER_LEN];
         let got = self.read_from_block(&mut hdr_buf)?;

@@ -123,7 +123,7 @@ run_engine_smoke() {
 }
 
 run_corpus_smoke() {
-    banner "corpus smoke: pcap2ltc --verify + loopdetect pcap/ltc byte parity"
+    banner "corpus smoke: pcap2ltc --verify at 1 and 2 threads + loopdetect pcap/ltc byte parity"
     # Convert the demo fixture to its .ltc twin (with the converter's own
     # re-read verification), then prove the detector cannot tell the
     # containers apart: every output mode must be byte-identical — and
@@ -133,6 +133,15 @@ run_corpus_smoke() {
     trap 'rm -rf "$tmp"' RETURN
     cargo run --release --example pcap_analysis -- --emit-demo "$tmp/demo.pcap"
     cargo run --release --bin pcap2ltc -- "$tmp/demo.pcap" "$tmp/demo.ltc" --verify
+    # The 2-thread conversion runs the parallel pcap decode and, under
+    # --verify, the parallel mapped re-read; its corpus must be the
+    # 1-thread one byte for byte.
+    cargo run --release --bin pcap2ltc -- "$tmp/demo.pcap" "$tmp/demo.t2.ltc" \
+        --threads 2 --verify
+    if ! cmp -s "$tmp/demo.ltc" "$tmp/demo.t2.ltc"; then
+        echo "error: pcap2ltc --threads 2 wrote a different .ltc than --threads 1" >&2
+        exit 1
+    fi
     for args in "--csv loops" "--csv streams" "--csv summary" "--analysis"; do
         # shellcheck disable=SC2086
         cargo run --release --bin loopdetect -- "$tmp/demo.pcap" $args --threads 2 \

@@ -1,6 +1,7 @@
 //! Conversions between the simulator's tap records, pcap files, and the
 //! detector's trace records.
 
+use loopscope::pipeline::{PcapSource, RecordSource};
 use loopscope::TraceRecord;
 use pcaplib::{BlockIndex, FileHeader, PcapError, PcapReader, PcapWriter};
 use simnet::Tap;
@@ -40,44 +41,45 @@ pub fn write_tap_to_pcap<W: Write>(tap: &Tap, snaplen: u32, sink: W) -> Result<u
 /// Reads detector records back out of a pcap file. Records whose IP header
 /// is unparseable (non-IPv4 link noise) are skipped and counted.
 pub fn records_from_pcap<R: Read>(source: R) -> Result<(Vec<TraceRecord>, u64), PcapError> {
-    static TM_UNPARSEABLE: telemetry::LazyCounter =
-        telemetry::LazyCounter::new("pcap.unparseable_records");
     let _t = telemetry::span("pcap.read");
-    let mut reader = PcapReader::new(source)?;
-    let mut records = Vec::new();
-    let mut skipped = 0u64;
-    // Zero-allocation scan: one reusable buffer for the whole trace, and
-    // `from_wire_bytes` parses the borrowed capture without copying it.
-    let mut buf = pcaplib::RecordBuf::new();
-    while reader.read_into(&mut buf)? {
-        match TraceRecord::from_wire_bytes(buf.timestamp_ns(), buf.data()) {
-            Ok(rec) => records.push(rec),
-            Err(_) => skipped += 1,
-        }
-    }
-    TM_UNPARSEABLE.add(skipped);
+    let (records, skipped) = decode_all(PcapReader::new(source)?)?;
     if skipped > 0 {
         telemetry::tm_warn!("skipped {} unparseable records", skipped);
     }
     Ok((records, skipped))
 }
 
+/// Materialises every record `reader` has left through [`PcapSource`]'s
+/// decode loop: `(records, skipped)`.
+fn decode_all<R: Read>(reader: PcapReader<R>) -> Result<(Vec<TraceRecord>, u64), PcapError> {
+    let mut source = PcapSource::from(reader);
+    let mut records = Vec::new();
+    source.for_each_record(|rec| {
+        records.push(rec);
+        Ok::<_, PcapError>(())
+    })?;
+    Ok((records, source.skipped_hint()))
+}
+
 /// [`records_from_pcap`] fanned out over `threads` independent byte
 /// ranges of one file: a [`BlockIndex`] header walk finds record-aligned
 /// split offsets, then each worker opens its own handle and decodes its
-/// range through the same zero-alloc path. Ranges are concatenated in
-/// file order, so the records (and skip count) are identical to the
-/// serial read.
+/// range through the same decode loop. Ranges are concatenated in file
+/// order, so the records (and skip count) are identical to the serial
+/// read. One thread reads serially, with no header walk.
 pub fn records_from_pcap_parallel(
     path: &Path,
     threads: usize,
 ) -> Result<(Vec<TraceRecord>, u64), PcapError> {
+    if threads <= 1 {
+        return records_from_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
+    }
     let _t = telemetry::span("pcap.read_parallel");
     let index = {
         let _t = telemetry::span("pcap.index");
         BlockIndex::scan(std::io::BufReader::new(std::fs::File::open(path)?))?
     };
-    let ranges = index.split_ranges(threads.max(1));
+    let ranges = index.split_ranges(threads);
     if ranges.len() <= 1 {
         let file = std::fs::File::open(path)?;
         return records_from_pcap(std::io::BufReader::new(file));
@@ -91,17 +93,7 @@ pub fn records_from_pcap_parallel(
                     let mut file = std::fs::File::open(path)?;
                     file.seek(SeekFrom::Start(lo))?;
                     let limited = std::io::BufReader::new(file).take(hi - lo);
-                    let mut reader = PcapReader::resume(limited, header);
-                    let mut records = Vec::new();
-                    let mut skipped = 0u64;
-                    let mut buf = pcaplib::RecordBuf::new();
-                    while reader.read_into(&mut buf)? {
-                        match TraceRecord::from_wire_bytes(buf.timestamp_ns(), buf.data()) {
-                            Ok(rec) => records.push(rec),
-                            Err(_) => skipped += 1,
-                        }
-                    }
-                    Ok((records, skipped))
+                    decode_all(PcapReader::resume(limited, header))
                 })
             })
             .collect();
@@ -178,12 +170,7 @@ impl From<corpus::CorpusError> for ConvertError {
 /// pcap layer's error; the partially written `dst` is removed.
 pub fn pcap_to_ltc(src: &Path, dst: &Path, threads: usize) -> Result<(u64, u64), ConvertError> {
     let _t = telemetry::span("convert.pcap_to_ltc");
-    let (records, skipped) = if threads > 1 {
-        records_from_pcap_parallel(src, threads)?
-    } else {
-        let file = std::fs::File::open(src).map_err(PcapError::Io)?;
-        records_from_pcap(std::io::BufReader::new(file))?
-    };
+    let (records, skipped) = records_from_pcap_parallel(src, threads)?;
     match corpus::write_ltc_file(dst, &records, skipped) {
         Ok(n) => Ok((n, skipped)),
         Err(e) => {
@@ -201,12 +188,7 @@ pub fn verify_ltc_against_pcap(
     threads: usize,
 ) -> Result<(), ConvertError> {
     let _t = telemetry::span("convert.verify");
-    let (want, want_skipped) = if threads > 1 {
-        records_from_pcap_parallel(pcap, threads)?
-    } else {
-        let file = std::fs::File::open(pcap).map_err(PcapError::Io)?;
-        records_from_pcap(std::io::BufReader::new(file))?
-    };
+    let (want, want_skipped) = records_from_pcap_parallel(pcap, threads)?;
     let (got, got_skipped) =
         corpus::records_from_ltc_with(ltc, threads, corpus::IngestMode::default())?;
     if got.len() != want.len() {

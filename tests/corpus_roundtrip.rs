@@ -15,7 +15,7 @@ use routing_loops::convert::{
 };
 use routing_loops::corpus::{
     open_ltc_source, records_from_ltc, records_from_ltc_mmap, records_from_ltc_mmap_parallel,
-    records_from_ltc_parallel, ColumnarSource, CorpusFileSequence, IngestMode,
+    ColumnarSource, IngestMode,
 };
 use routing_loops::loopscope::pipeline::{
     LoopCsvSink, LoopJsonlSink, StreamCsvSink, StreamJsonlSink, SummaryCsvSink,
@@ -99,14 +99,6 @@ fn assert_pcap_ltc_parity(tag: &str, bytes: &[u8]) {
     let (via_ltc, skipped_ltc) = records_from_ltc(&ltc).expect("ltc");
     assert_eq!(via_pcap, via_ltc, "{tag}: decoded records diverge");
     assert_eq!(skipped_pcap, skipped_ltc, "{tag}: skip counts diverge");
-    for threads in [2, 4, 8] {
-        let (par, s) = records_from_ltc_parallel(&ltc, threads).expect("parallel ltc");
-        assert_eq!(
-            par, via_ltc,
-            "{tag}: parallel ltc read at {threads} threads"
-        );
-        assert_eq!(s, skipped_ltc);
-    }
     // The mapped reader is the default ingest path; it must reproduce the
     // buffered decode bit for bit at every worker count.
     let (mapped, skipped_mapped) = records_from_ltc_mmap(&ltc).expect("mmap ltc");
@@ -232,11 +224,6 @@ proptest! {
         let (via_ltc, skipped_ltc) = records_from_ltc(&ltc).expect("ltc");
         prop_assert_eq!(&via_pcap, &via_ltc, "decoded records diverge");
         prop_assert_eq!(skipped_pcap, skipped_ltc, "skip counts diverge");
-        for threads in [2usize, 8] {
-            let (par, s) = records_from_ltc_parallel(&ltc, threads).expect("parallel ltc");
-            prop_assert_eq!(&par, &via_ltc, "parallel read diverges");
-            prop_assert_eq!(s, skipped_ltc);
-        }
         remove(&[&pcap, &ltc]);
     }
 }
@@ -408,49 +395,4 @@ fn truncated_final_record_refuses_to_convert() {
         );
         remove(&[&pcap]);
     }
-}
-
-#[test]
-fn corpus_file_sequence_matches_concatenated_decode() {
-    // A mixed corpus: two `.ltc` files and one pcap, scanned as one
-    // multi-file source (per-file magic sniff), in path order, at several
-    // ingest thread counts.
-    let mut spec = paper_backbones(0.08).remove(2);
-    spec.name = "corpus-rt-seq".into();
-    let run = run_backbone(&spec);
-    let mut bytes = Vec::new();
-    write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, &mut bytes).expect("write pcap");
-    let (records, _) = records_from_pcap(std::io::Cursor::new(&bytes[..])).expect("pcap");
-    let third = records.len() / 3;
-
-    let pcap_a = temp_path("seq_a", "pcap");
-    std::fs::write(&pcap_a, &bytes).expect("write pcap");
-    let ltc_b = temp_path("seq_b", "ltc");
-    let ltc_c = temp_path("seq_c", "ltc");
-    routing_loops::corpus::write_ltc_file(&ltc_b, &records[..third], 0).expect("write ltc");
-    routing_loops::corpus::write_ltc_file(&ltc_c, &records[third..], 0).expect("write ltc");
-
-    let mut expect = records.clone();
-    expect.extend_from_slice(&records); // pcap_a then ltc_b ++ ltc_c
-
-    for mode in [IngestMode::Mmap, IngestMode::Buffered] {
-        for threads in [1usize, 2, 4] {
-            let mut seq = CorpusFileSequence::new([&pcap_a, &ltc_b.clone(), &ltc_c.clone()])
-                .with_ingest_threads(threads)
-                .with_ingest_mode(mode);
-            let mut got = Vec::new();
-            let summary = seq
-                .for_each_batch(&mut |batch| {
-                    got.extend_from_slice(batch);
-                    Ok(())
-                })
-                .expect("sequence scan");
-            assert_eq!(summary.records as usize, got.len());
-            assert_eq!(
-                got, expect,
-                "sequence diverges at {threads} ingest threads ({mode:?})"
-            );
-        }
-    }
-    remove(&[&pcap_a, &ltc_b, &ltc_c]);
 }

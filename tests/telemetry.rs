@@ -6,7 +6,11 @@
 //! before and after its workload and asserts on the *delta*; a mutex
 //! serialises the workloads so deltas are attributable.
 
-use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
+use routing_loops::convert::{
+    pcap_to_ltc, records_from_pcap, records_from_pcap_parallel, verify_ltc_against_pcap,
+    write_tap_to_pcap, PAPER_SNAPLEN,
+};
+use routing_loops::corpus::{open_ltc_source, records_from_ltc_with, IngestMode};
 use routing_loops::loopscope::online::OnlineDetector;
 use routing_loops::loopscope::{Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Packet, TcpFlags};
@@ -111,6 +115,71 @@ fn pcap_counters_match_input_length() {
     let timer_delta = after.timers["pcap.read"].calls
         - before.timers.get("pcap.read").map(|t| t.calls).unwrap_or(0);
     assert_eq!(timer_delta, 1);
+}
+
+/// A 40-byte-snaplen pcap of 3000 IPv4 packets — past one 64 KiB split
+/// block, so a 2-thread parallel read really splits — with a non-IPv4
+/// record in each half.
+fn noisy_pcap() -> Vec<u8> {
+    use routing_loops::pcaplib::{FileHeader, PcapWriter};
+    let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(PAPER_SNAPLEN)).unwrap();
+    for i in 0..3000u16 {
+        if i == 10 || i == 2500 {
+            w.write_bytes(u64::from(i) * 1_000, &[0xde, 0xad]).unwrap();
+        }
+        let mut p = Packet::tcp_flags(
+            Ipv4Addr::new(100, 0, 0, 1),
+            Ipv4Addr::new(203, 0, 113, (i % 200) as u8),
+            1,
+            2,
+            TcpFlags::ACK,
+            vec![0u8; 40],
+        );
+        p.ip.ident = i;
+        p.fill_checksums();
+        w.write_bytes(u64::from(i) * 1_000, &p.emit()).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// A unique temp path for this test binary.
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("telemetry_{}_{tag}", std::process::id()))
+}
+
+#[test]
+fn pcap_skips_reach_the_unparseable_counter_on_every_path() {
+    use routing_loops::loopscope::pipeline::{run_pipeline, PcapSource, SerialEngine};
+    let _lock = WORKLOAD.lock().unwrap();
+    let bytes = noisy_pcap();
+    let unparseable = |before: &Snapshot, after: &Snapshot| {
+        counter_delta(before, after, "pcap.unparseable_records")
+    };
+
+    let before = telemetry::global().snapshot();
+    let result = run_pipeline(
+        &mut PcapSource::new(Cursor::new(&bytes)).unwrap(),
+        &mut SerialEngine::new(DetectorConfig::default()),
+        &mut [],
+    )
+    .unwrap();
+    let after = telemetry::global().snapshot();
+    assert_eq!(result.skipped, 2);
+    assert_eq!(unparseable(&before, &after), result.skipped, "PcapSource");
+
+    let path = temp_path("noisy.pcap");
+    std::fs::write(&path, &bytes).unwrap();
+    let before = telemetry::global().snapshot();
+    let (_, skipped) = records_from_pcap_parallel(&path, 2).unwrap();
+    let after = telemetry::global().snapshot();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(skipped, 2);
+    assert_eq!(unparseable(&before, &after), skipped, "parallel read");
+    assert!(
+        !after.timers.contains_key("pcap.read")
+            || after.timers["pcap.read"].calls == before.timers["pcap.read"].calls,
+        "the 2-thread read split the file instead of reading it serially"
+    );
 }
 
 /// Checks the `replica.*` step-1 counters one run published against the
@@ -481,7 +550,7 @@ fn name_matches(pattern: &[&str], name: &[&str]) -> bool {
 #[test]
 fn metric_catalogue_covers_every_emitted_name() {
     use routing_loops::loopscope::pipeline::{
-        run_pipeline, BlockEngine, Engine, SerialEngine, SliceSource, StreamingEngine,
+        run_pipeline, BlockEngine, Engine, PcapSource, SerialEngine, SliceSource, StreamingEngine,
     };
     let _lock = WORKLOAD.lock().unwrap();
     let recs = looping_trace(6, 40);
@@ -494,9 +563,36 @@ fn metric_catalogue_covers_every_emitted_name() {
     for mut engine in engines {
         run_pipeline(&mut SliceSource::new(&recs), engine.as_mut(), &mut []).unwrap();
     }
+    // Every ingest path: the pcap source, the 2-thread conversion and its
+    // verify, both `.ltc` sources, the whole-file `.ltc` decode in both
+    // modes, and the mapped decode falling back on a missing file.
+    let (pcap, ltc) = (temp_path("catalogue.pcap"), temp_path("catalogue.ltc"));
+    std::fs::write(&pcap, noisy_pcap()).unwrap();
+    let file = std::io::BufReader::new(std::fs::File::open(&pcap).unwrap());
+    run_pipeline(
+        &mut PcapSource::new(file).unwrap(),
+        &mut SerialEngine::new(cfg),
+        &mut [],
+    )
+    .unwrap();
+    pcap_to_ltc(&pcap, &ltc, 2).unwrap();
+    verify_ltc_against_pcap(&ltc, &pcap, 2).unwrap();
+    for mode in [IngestMode::Mmap, IngestMode::Buffered] {
+        let mut source = open_ltc_source(&ltc, mode).unwrap();
+        run_pipeline(source.as_mut(), &mut SerialEngine::new(cfg), &mut []).unwrap();
+        records_from_ltc_with(&ltc, 2, mode).unwrap();
+    }
+    assert!(records_from_ltc_with(&temp_path("missing.ltc"), 2, IngestMode::Mmap).is_err());
+    std::fs::remove_file(&pcap).ok();
+    std::fs::remove_file(&ltc).ok();
+
     let snap = telemetry::global().snapshot();
     assert!(snap.timers.contains_key("block.w1.scan"), "block@2 ran");
     assert!(snap.timers.contains_key("pipeline.run"), "pipeline timers");
+    assert!(
+        snap.counters.contains_key("ingest.mmap.fallbacks"),
+        "fallback ran"
+    );
 
     let rows = design_metric_rows();
     let emitted = snap
