@@ -162,14 +162,17 @@ fn decode_blob(tag: u8, blob: &[u8]) -> Option<TransportSummary> {
 /// `chunks_exact` lane cursors. `bytes` may borrow a mapping or a block
 /// buffer. `path` and `data_offset` (the file offset of `bytes[0]`) locate
 /// any defect in the error: an out-of-band transport tag of record `i` is
-/// reported at `data_offset + 35k + i`.
+/// reported at `data_offset + 35k + i`. Returns whether every record's
+/// stored fingerprint is the one its replica-key fields hash to — checked
+/// here, while each record's fields are still in registers, which cost
+/// about half as much as a second pass over the block.
 pub fn decode_columns_push(
     bytes: &[u8],
     k: usize,
     out: &mut Vec<TraceRecord>,
     path: &Path,
     data_offset: u64,
-) -> Result<(), CorpusError> {
+) -> Result<bool, CorpusError> {
     assert_eq!(bytes.len(), k * ROW_BYTES, "caller sizes the block slice");
     let (ts, rest) = bytes.split_at(8 * k);
     let (fp, rest) = rest.split_at(8 * k);
@@ -199,6 +202,7 @@ pub fn decode_columns_push(
     let mut blob = blob.chunks_exact(BLOB_BYTES);
 
     out.reserve(k);
+    let mut fingerprints_match = true;
     for i in 0..k {
         let transport = decode_blob(tag[i], blob.next().expect("blob lane sized"))
             .ok_or_else(|| out_of_band_tag_error(path, data_offset + (35 * k + i) as u64))?;
@@ -216,9 +220,10 @@ pub fn decode_columns_push(
             ttl: ttl[i],
             transport,
         };
+        fingerprints_match &= r.fingerprint == loopscope::ReplicaKey::of(&r).fingerprint();
         out.push(r);
     }
-    Ok(())
+    Ok(fingerprints_match)
 }
 
 fn out_of_band_tag_error(path: &Path, offset: u64) -> CorpusError {

@@ -282,6 +282,18 @@ pub enum CorpusError {
         /// Bytes actually available.
         got: u64,
     },
+    /// A record's stored fingerprint is not the one its replica-key
+    /// fields hash to. The detectors trust the column: a wrong value
+    /// splits a key into two candidates, and a column of equal values
+    /// chains every key onto one index entry.
+    FingerprintMismatch {
+        /// The file.
+        path: PathBuf,
+        /// Byte offset of the stored fingerprint.
+        offset: u64,
+        /// The record's index in the file.
+        record: u64,
+    },
     /// Structurally invalid content at a specific offset (bad transport
     /// tag, trailing bytes after the last block, …).
     Corrupt {
@@ -336,6 +348,15 @@ impl std::fmt::Display for CorpusError {
             } => write!(
                 f,
                 "{}: truncated at offset {offset}: needed {needed} bytes, found {got}",
+                path.display()
+            ),
+            CorpusError::FingerprintMismatch {
+                path,
+                offset,
+                record,
+            } => write!(
+                f,
+                "{}: record {record}: stored fingerprint does not match its replica-key fields (offset {offset})",
                 path.display()
             ),
             CorpusError::Corrupt { path, offset, what } => {
@@ -423,7 +444,10 @@ impl LtcLayout {
     /// `avail` holds the file's bytes from the block's offset on; bytes
     /// past the block are ignored, too few is a truncation at the block's
     /// offset, and a stored checksum that does not match is reported for
-    /// [`ChecksumRegion::Block`]`(b)` at the same offset.
+    /// [`ChecksumRegion::Block`]`(b)` at the same offset. Each decoded
+    /// record's stored fingerprint is checked against its replica-key
+    /// fields ([`CorpusError::FingerprintMismatch`]): this is the one
+    /// place every `.ltc` read path checks it.
     pub(crate) fn decode_block(
         &self,
         b: u64,
@@ -452,13 +476,21 @@ impl LtcLayout {
                 found: computed,
             });
         }
-        crate::columns::decode_columns_push(
-            data,
-            k,
-            out,
-            &self.path,
-            offset + BLOCK_CHECKSUM_LEN as u64,
-        )
+        let first = out.len();
+        let data_offset = offset + BLOCK_CHECKSUM_LEN as u64;
+        if crate::columns::decode_columns_push(data, k, out, &self.path, data_offset)? {
+            return Ok(());
+        }
+        let i = out[first..]
+            .iter()
+            .position(|r| r.fingerprint != loopscope::ReplicaKey::of(r).fingerprint())
+            .expect("the decode found a mismatch");
+        Err(CorpusError::FingerprintMismatch {
+            path: self.path.clone(),
+            // The fingerprint lane follows the k timestamps.
+            offset: data_offset + (8 * k + 8 * i) as u64,
+            record: b * BLOCK_RECORDS as u64 + i as u64,
+        })
     }
 
     /// Checks that nothing follows the last block: `trailing` is what the

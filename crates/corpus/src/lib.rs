@@ -149,6 +149,7 @@ mod corruption_tests {
                 ("checksum", Some(offset), Some(region))
             }
             CorpusError::Truncated { offset, .. } => ("truncated", Some(offset), None),
+            CorpusError::FingerprintMismatch { offset, .. } => ("fingerprint", Some(offset), None),
             CorpusError::Corrupt { offset, .. } => ("corrupt", Some(offset), None),
         }
     }
@@ -175,6 +176,11 @@ mod corruption_tests {
         swapped[b1..].copy_from_slice(&bytes[b0..b1]);
         let mut trailing = ltc_to_vec(&sample_records(20), 0);
         trailing.extend_from_slice(b"junk");
+        // Record 8192 + 5 (block 1, row 5) claims its neighbour's
+        // fingerprint; the block checksum is recomputed over the change.
+        let mut tampered = sample_records(8192 + 10);
+        tampered[8192 + 5].fingerprint = tampered[8192 + 6].fingerprint;
+        let tampered = ltc_to_vec(&tampered, 0);
         let with_header_byte = |i: usize, mask: u8| {
             let mut b = ltc_to_vec(&sample_records(4), 0);
             b[i] ^= mask;
@@ -269,6 +275,18 @@ mod corruption_tests {
                 bytes: swapped,
                 expect: |e| {
                     assert_eq!(locate(e).2, Some(ChecksumRegion::Block(0)), "{e:?}");
+                },
+            },
+            Damage {
+                name: "tampered_fingerprint",
+                bytes: tampered,
+                expect: |e| match *e {
+                    CorpusError::FingerprintMismatch { offset, record, .. } => {
+                        assert_eq!(record, 8192 + 5);
+                        assert_eq!(offset, block_offset(1) + 8 + 8 * 10 + 8 * 5);
+                        assert!(e.to_string().contains("stored fingerprint does not match"));
+                    }
+                    _ => panic!("expected fingerprint mismatch, got {e:?}"),
                 },
             },
             Damage {

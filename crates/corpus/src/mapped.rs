@@ -6,8 +6,11 @@
 //! per-block `read` syscall, and no intermediate batch copy. Because the
 //! format's block/record addressing is pure arithmetic, a block's bytes
 //! are `&map[block_offset(b)..][..block_len(k)]` — so N parallel workers
-//! ([`records_from_ltc_mmap_parallel`]) decode disjoint block ranges of
-//! ONE shared mapping with zero per-worker file handles.
+//! ([`MappedLtc::decode_segments`]) decode disjoint block ranges of ONE
+//! shared mapping with zero per-worker file handles, each into its own
+//! vector. [`MappedColumnarSource`] hands those vectors to the batch
+//! engines as segments, uncopied; [`records_from_ltc_mmap_parallel`]
+//! joins them for callers that want one vector.
 //!
 //! Error semantics are the buffered [`LtcReader`]'s by construction: both
 //! readers hand their bytes to the same block check (the crate's
@@ -30,7 +33,10 @@ use crate::format::{
 };
 use crate::reader::{records_from_ltc, to_source_error};
 use loopscope::pipeline::{PipelineError, RecordSource, SourceSummary};
+use loopscope::segment::{decode_parallel, DecodeControl, Segments};
 use loopscope::TraceRecord;
+use std::borrow::Cow;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 use telemetry::LazyCounter;
@@ -112,10 +118,15 @@ impl MappedLtc {
             .unwrap_or_default()
     }
 
-    /// Decodes block `b` appended to `out` (verifying its checksum).
+    /// Decodes block `b` appended to `out` (verifying its checksum), then
+    /// releases the block's pages from the resident set: a whole-file
+    /// decode holds the mapping's unread part and the decoded records,
+    /// not both in full.
     pub fn decode_block_into(&self, b: u64, out: &mut Vec<TraceRecord>) -> Result<(), CorpusError> {
-        self.layout
-            .decode_block(b, self.tail(block_offset(b)), out)?;
+        let offset = block_offset(b);
+        self.layout.decode_block(b, self.tail(offset), out)?;
+        let end = block_offset(b + 1);
+        self.map.release(offset as usize..end as usize);
         TM_BLOCKS.inc();
         Ok(())
     }
@@ -128,20 +139,68 @@ impl MappedLtc {
     }
 
     /// Decodes blocks `[first, end)` appended to `out`; the range owning
-    /// the final block also verifies nothing trails it.
+    /// the final block also verifies nothing trails it. Stops early, with
+    /// [`ControlFlow::Break`], when `control` asks after a block.
     fn decode_range_into(
         &self,
         first: u64,
         end: u64,
         out: &mut Vec<TraceRecord>,
-    ) -> Result<(), CorpusError> {
+        control: &DecodeControl,
+    ) -> Result<ControlFlow<()>, CorpusError> {
         for b in first..end {
             self.decode_block_into(b, out)?;
+            let rows = self.layout.block_records(b) as u64;
+            if control.advance(rows).is_break() && b + 1 < end {
+                return Ok(ControlFlow::Break(()));
+            }
         }
         if end >= self.blocks() {
             self.check_end()?;
         }
-        Ok(())
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Decodes the whole file as up to `parts` trace-ordered segments:
+    /// contiguous block ranges of the one mapping, each decoded by its own
+    /// thread into its own vector, while the calling thread polls `poll`
+    /// (see [`decode_parallel`]). The error reported is the first in file
+    /// order; a stop request leaves the ranges before the first stopped
+    /// one and that one's decoded blocks, marked `interrupted`.
+    pub fn decode_segments(
+        &self,
+        parts: usize,
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<Segments<'static>, CorpusError> {
+        let blocks = self.blocks();
+        let n = (parts.max(1) as u64).min(blocks.max(1));
+        let chunk = blocks.div_ceil(n);
+        // Records before block `b`, capped by what the mapping can hold so
+        // a corrupt record count cannot size the allocation.
+        let fits = self.map.len() as u64 / ROW_BYTES as u64;
+        let rows = |b: u64| {
+            b.saturating_mul(BLOCK_RECORDS as u64)
+                .min(self.header().records.min(fits))
+        };
+        let decoded = decode_parallel("ltc-r", n as usize, poll, |w, control| {
+            let _tm = telemetry::span("ingest.mmap.decode");
+            let (lo, hi) = (w as u64 * chunk, ((w as u64 + 1) * chunk).min(blocks));
+            let mut part = Vec::with_capacity(rows(hi).saturating_sub(rows(lo)) as usize);
+            let end = self.decode_range_into(lo, hi, &mut part, control);
+            (part, end)
+        });
+        let mut segments = Segments {
+            skipped: self.header().skipped,
+            ..Segments::default()
+        };
+        for (part, end) in decoded {
+            segments.parts.push(Cow::Owned(part));
+            if end?.is_break() {
+                segments.interrupted = true;
+                break;
+            }
+        }
+        Ok(segments)
     }
 }
 
@@ -200,6 +259,23 @@ impl RecordSource for MappedColumnarSource {
         Ok(summary)
     }
 
+    fn segments(
+        &mut self,
+        parts: usize,
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<Result<Segments<'_>, PipelineError>> {
+        let _t = telemetry::span(if parts > 1 {
+            "corpus.read_parallel"
+        } else {
+            "corpus.read"
+        });
+        Some(
+            self.ltc
+                .decode_segments(parts, poll)
+                .map_err(to_source_error),
+        )
+    }
+
     fn skipped_hint(&self) -> u64 {
         self.ltc.header().skipped
     }
@@ -213,10 +289,10 @@ pub fn records_from_ltc_mmap(path: &Path) -> Result<(Vec<TraceRecord>, u64), Cor
 }
 
 /// [`records_from_ltc_mmap`] fanned out over `threads` contiguous block
-/// ranges of ONE shared mapping — no per-worker file handles, no seeks,
-/// no read buffers. Ranges are concatenated in file order, so the result
-/// is identical to the serial read; one range decodes on the calling
-/// thread.
+/// ranges of ONE shared mapping ([`MappedLtc::decode_segments`]) — no
+/// per-worker file handles, no seeks, no read buffers. The ranges are
+/// joined in file order, so the result is identical to the serial read;
+/// one range is moved, not copied.
 pub fn records_from_ltc_mmap_parallel(
     path: &Path,
     threads: usize,
@@ -226,35 +302,10 @@ pub fn records_from_ltc_mmap_parallel(
     } else {
         "corpus.read"
     });
-    let ltc = MappedLtc::open(path)?;
-    let blocks = ltc.blocks();
-    let n = (threads.max(1) as u64).min(blocks.max(1));
-    let chunk = blocks.div_ceil(n);
-    // Records before block `b`, capped by what the mapping can hold so a
-    // corrupt record count cannot size the allocation.
-    let fits = ltc.map.len() as u64 / ROW_BYTES as u64;
-    let rows = |b: u64| {
-        b.saturating_mul(BLOCK_RECORDS as u64)
-            .min(ltc.header().records.min(fits))
-    };
-    let decode = |w: u64| {
-        let _tm = telemetry::span("ingest.mmap.decode");
-        let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(blocks));
-        let mut part = Vec::with_capacity(rows(hi).saturating_sub(rows(lo)) as usize);
-        ltc.decode_range_into(lo, hi, &mut part).map(|()| part)
-    };
-    if n == 1 {
-        return Ok((decode(0)?, ltc.header().skipped));
-    }
-    let parts: Vec<Result<Vec<TraceRecord>, CorpusError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || decode(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mmap range decoder panicked"))
-            .collect()
-    });
-    let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((parts.concat(), ltc.header().skipped))
+    let segments =
+        MappedLtc::open(path)?.decode_segments(threads, &mut |_| ControlFlow::Continue(()))?;
+    let skipped = segments.skipped;
+    Ok((segments.concat(), skipped))
 }
 
 /// Counts and reports a failed mapping before the caller retries with

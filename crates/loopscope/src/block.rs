@@ -5,7 +5,10 @@
 //! (EXPERIMENTS.md §P5/§P6). The time-sorted trace is split into `W`
 //! contiguous ranges; each worker runs the full candidate scan on its own
 //! range in place, and a cheap boundary-reconciliation pass stitches the
-//! per-range results back into exactly the serial output.
+//! per-range results back into exactly the serial output. The ranges need
+//! not be one slice: [`BlockParallelDetector::run_segments`] takes the
+//! trace as the trace-ordered segments the ingest threads decoded, and
+//! [`BlockParallelDetector::run`] cuts one slice into such segments.
 //!
 //! # Why block partitioning is sound
 //!
@@ -25,7 +28,7 @@
 //!   the key must have a sighting within `max_replica_gap_ns` *before* the
 //!   split point and another within `max_replica_gap_ns` *after* it.
 //!
-//! Reconciliation therefore computes, per split point, the set of
+//! Reconciliation therefore computes, per segment boundary, the set of
 //! ingest-time fingerprints appearing in both the tail window `[T - gap,
 //! T)` and the head window `[T, L + gap]` (where `T` is the first
 //! timestamp at/after the split and `L` the last before it — windows are
@@ -47,9 +50,9 @@
 //! looped flags come from candidates to that same /24), and step 3 merges
 //! streams with identical prefixes, checking only packets to that prefix.
 //! So the reconciled candidate list is partitioned by [`shard_of`] and
-//! validated/merged by `W` workers sharing the
-//! *global* record slice, looped flags, and prefix index — again, no
-//! record movement. The final stitch re-sorts with the serial pipeline's
+//! validated/merged by `W` workers sharing the *global* looped flags and
+//! prefix index (neither step reads a record) — again, no record
+//! movement. The final stitch re-sorts with the serial pipeline's
 //! canonical orderings (`(start, ident, first_index)` for streams,
 //! `(prefix, start)` for loops), which are total orders, so output is
 //! byte-identical to [`Detector::run`] at every worker count — including
@@ -152,18 +155,46 @@ impl BlockParallelDetector {
             .collect();
         splits.sort_unstable();
         splits.dedup();
+        let segments: Vec<&[TraceRecord]> = range_bounds(records.len(), &splits)
+            .into_iter()
+            .map(|(lo, hi)| &records[lo..hi])
+            .collect();
+        self.run_segments(&segments)
+    }
 
-        let workers = splits.len() + 1;
+    /// Runs the full pipeline on a time-sorted trace given as trace-ordered
+    /// segments — typically decoded by one thread each — with one worker
+    /// per non-empty segment. The records stay where they are: candidates
+    /// and index postings carry trace-global indices (a segment's records
+    /// are numbered after all records of the segments before it), and the
+    /// order check and reconciliation windows cross segment ends.
+    ///
+    /// # Panics
+    /// Panics when records are not sorted by timestamp.
+    pub fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
+        let mut segs: Vec<&[TraceRecord]> =
+            segments.iter().copied().filter(|s| !s.is_empty()).collect();
+        if segs.is_empty() {
+            segs.push(&[]);
+        }
+        let mut bases = Vec::with_capacity(segs.len());
+        let mut total = 0;
+        for seg in &segs {
+            bases.push(total);
+            total += seg.len();
+        }
+
+        let workers = segs.len();
         telemetry::global()
             .gauge("block.workers")
             .set(workers as i64);
 
-        // Phase A: per-range candidate scans, share-nothing. Each worker
-        // also builds its range's share of the step-2 prefix index, so
+        // Phase A: per-segment candidate scans, share-nothing. Each worker
+        // also builds its segment's share of the step-2 prefix index, so
         // the formerly serial index rebuild overlaps the scan. The workers
         // check timestamp order as they scan, which keeps that pass over
         // the trace off the serial path too.
-        let mut partials = self.scan_ranges(records, &splits);
+        let mut partials = self.scan_segments(&segs, &bases);
         assert!(
             partials.iter().all(|p| p.sorted),
             "trace records must be sorted by timestamp"
@@ -174,22 +205,22 @@ impl BlockParallelDetector {
             .collect();
 
         // Boundary reconciliation: find fingerprints whose serial
-        // candidates could differ from the per-range ones, rescan exactly
-        // those keys serially, and splice.
+        // candidates could differ from the per-segment ones, rescan
+        // exactly those keys serially, and splice.
         let (candidates, checksum_splits) = {
             let _t = telemetry::span("block.reconcile");
-            self.reconcile(records, &splits, partials)
+            self.reconcile(&segs, &bases, partials)
         };
         publish_checksum_splits(checksum_splits);
 
         let mut stats = DetectionStats {
-            total_records: records.len() as u64,
+            total_records: total as u64,
             raw_candidates: candidates.len() as u64,
             checksum_splits,
             ..Default::default()
         };
 
-        let looped_flags = validate::looped_flags(records.len(), &candidates);
+        let looped_flags = validate::looped_flags(total, &candidates);
 
         // Only the cheap per-range merge remains serial here; the O(n)
         // posting construction already happened inside the scan workers.
@@ -199,7 +230,7 @@ impl BlockParallelDetector {
         };
 
         // Phase B: validate + merge, partitioned by destination /24.
-        let finished = self.finish_candidates(records, candidates, &looped_flags, &index, workers);
+        let finished = self.finish_candidates(candidates, &looped_flags, &index, workers);
 
         // Stitch: canonical serial orderings over the concatenation.
         let (streams, loops) = {
@@ -235,17 +266,22 @@ impl BlockParallelDetector {
         }
     }
 
-    /// Phase A: each worker scans its own contiguous range in place,
-    /// pushing global record indices.
-    fn scan_ranges(&self, records: &[TraceRecord], splits: &[usize]) -> Vec<ScanPartial> {
-        let bounds = range_bounds(records.len(), splits);
+    /// Phase A: each worker scans its own segment in place, pushing
+    /// global record indices.
+    fn scan_segments(&self, segs: &[&[TraceRecord]], bases: &[usize]) -> Vec<ScanPartial> {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
+            let handles: Vec<_> = segs
                 .iter()
+                .zip(bases)
                 .enumerate()
-                .map(|(w, &(lo, hi))| {
-                    let slice = &records[lo..hi];
+                .map(|(w, (&slice, &base))| {
                     let cfg = self.cfg;
+                    // The record before the segment: the order check
+                    // crosses segment ends.
+                    let prev_ns = w
+                        .checked_sub(1)
+                        .and_then(|p| segs[p].last())
+                        .map_or(0, |r| r.timestamp_ns);
                     std::thread::Builder::new()
                         .name(format!("block-w{w}"))
                         .spawn_scoped(scope, move || {
@@ -255,8 +291,7 @@ impl BlockParallelDetector {
                                 .counter(block_metric(w, "records"))
                                 .add(slice.len() as u64);
                             let mut scanner = CandidateScanner::new(cfg);
-                            let mut prev_ns =
-                                lo.checked_sub(1).map_or(0, |i| records[i].timestamp_ns);
+                            let mut prev_ns = prev_ns;
                             let mut sorted = true;
                             for (off, rec) in slice.iter().enumerate() {
                                 if rec.timestamp_ns < prev_ns {
@@ -264,7 +299,7 @@ impl BlockParallelDetector {
                                     break;
                                 }
                                 prev_ns = rec.timestamp_ns;
-                                scanner.push(lo + off, rec);
+                                scanner.push(base + off, rec);
                             }
                             let (candidates, counters, split_fps) = scanner.finish_with_splits();
                             publish_scan_totals(slice.len(), &counters);
@@ -273,7 +308,7 @@ impl BlockParallelDetector {
                                 .timer(block_metric(w, "scan"))
                                 .record(scan_ns);
                             let index_started = Instant::now();
-                            let index_part = PrefixIndex::build_range(records, lo, hi);
+                            let index_part = PrefixIndex::build_range(slice, base);
                             telemetry::global()
                                 .timer(block_metric(w, "index"))
                                 .record(index_started.elapsed().as_nanos() as u64);
@@ -302,11 +337,11 @@ impl BlockParallelDetector {
     /// count.
     fn reconcile(
         &self,
-        records: &[TraceRecord],
-        splits: &[usize],
+        segs: &[&[TraceRecord]],
+        bases: &[usize],
         partials: Vec<ScanPartial>,
     ) -> (Vec<ReplicaStream>, u64) {
-        let affected = affected_fingerprints(records, splits, self.cfg.max_replica_gap_ns);
+        let affected = affected_fingerprints(segs, self.cfg.max_replica_gap_ns);
 
         // Rescan every record of an affected key, serially, in global
         // order. The affected set is tiny next to the trace (a handful of
@@ -315,9 +350,11 @@ impl BlockParallelDetector {
         let mut rescan_splits = 0u64;
         if !affected.is_empty() {
             let mut scanner = CandidateScanner::with_capacity(self.cfg, affected.len());
-            for (idx, rec) in records.iter().enumerate() {
-                if affected.contains(&normalise_fp(rec.fingerprint)) {
-                    scanner.push(idx, rec);
+            for (seg, &base) in segs.iter().zip(bases) {
+                for (off, rec) in seg.iter().enumerate() {
+                    if affected.contains(&normalise_fp(rec.fingerprint)) {
+                        scanner.push(base + off, rec);
+                    }
                 }
             }
             let (c, counters, _fps) = scanner.finish_with_splits();
@@ -348,11 +385,11 @@ impl BlockParallelDetector {
     }
 
     /// Phase B: validate + merge over `workers` destination-/24 groups.
-    /// Workers share the full record slice, looped flags, and prefix
-    /// index — candidates are the only thing partitioned.
+    /// Workers share the looped flags and prefix index — candidates are
+    /// the only thing partitioned. Neither step reads a record: the index
+    /// holds what they need.
     fn finish_candidates(
         &self,
-        records: &[TraceRecord],
         candidates: Vec<ReplicaStream>,
         looped_flags: &[bool],
         index: &PrefixIndex,
@@ -377,7 +414,7 @@ impl BlockParallelDetector {
                             let streams = {
                                 let _agg = telemetry::span("block.validate");
                                 validate::validate(
-                                    records,
+                                    &[],
                                     group,
                                     looped_flags,
                                     index,
@@ -391,7 +428,7 @@ impl BlockParallelDetector {
                             let merge_started = Instant::now();
                             let loops = {
                                 let _agg = telemetry::span("block.merge");
-                                merge::merge(records, &streams, looped_flags, index, &cfg)
+                                merge::merge(&[], &streams, looped_flags, index, &cfg)
                             };
                             telemetry::global()
                                 .timer(block_metric(w, "merge"))
@@ -460,25 +497,29 @@ fn range_bounds(len: usize, splits: &[usize]) -> Vec<(usize, usize)> {
 }
 
 /// The normalised fingerprints whose candidates may differ between the
-/// per-range scans and the serial scan: keys with a sighting within
-/// `gap_ns` on *both* sides of some split point (see module docs).
-fn affected_fingerprints(records: &[TraceRecord], splits: &[usize], gap_ns: u64) -> FxHashSet<u64> {
+/// per-segment scans and the serial scan: keys with a sighting within
+/// `gap_ns` on *both* sides of some segment boundary (see module docs).
+/// `segs` are non-empty and in trace order.
+fn affected_fingerprints(segs: &[&[TraceRecord]], gap_ns: u64) -> FxHashSet<u64> {
     let mut affected = FxHashSet::default();
-    for &s in splits {
-        let t_right = records[s].timestamp_ns;
-        let l_left = records[s - 1].timestamp_ns;
-        // Tail window over the whole prefix of the trace (a key can span
-        // an entire quiet middle range), head window over the whole
-        // suffix.
-        let tail_lo =
-            records[..s].partition_point(|r| r.timestamp_ns < t_right.saturating_sub(gap_ns));
-        let head_hi =
-            s + records[s..].partition_point(|r| r.timestamp_ns <= l_left.saturating_add(gap_ns));
-        let tail_fps: FxHashSet<u64> = records[tail_lo..s]
+    for w in 1..segs.len() {
+        let t_right = segs[w][0].timestamp_ns;
+        let l_left = segs[w - 1][segs[w - 1].len() - 1].timestamp_ns;
+        // Tail window over the whole trace before the boundary (a key can
+        // span an entire quiet middle segment), head window over the whole
+        // trace after it; both may cross several segments.
+        let tail_fps: FxHashSet<u64> = segs[..w]
             .iter()
+            .rev()
+            .flat_map(|seg| seg.iter().rev())
+            .take_while(|r| r.timestamp_ns >= t_right.saturating_sub(gap_ns))
             .map(|r| normalise_fp(r.fingerprint))
             .collect();
-        for rec in &records[s..head_hi] {
+        for rec in segs[w..]
+            .iter()
+            .flat_map(|seg| seg.iter())
+            .take_while(|r| r.timestamp_ns <= l_left.saturating_add(gap_ns))
+        {
             let fp = normalise_fp(rec.fingerprint);
             if tail_fps.contains(&fp) {
                 affected.insert(fp);
@@ -690,8 +731,10 @@ mod tests {
         // Second burst of the same key far beyond the replica gap.
         let resume = records.last().unwrap().timestamp_ns + 10_000_000_000;
         records.extend(looping_records(resume, 40_000_000, 58, 4, 5, dst));
-        let affected =
-            affected_fingerprints(&records, &[4], DetectorConfig::default().max_replica_gap_ns);
+        let affected = affected_fingerprints(
+            &[&records[..4], &records[4..]],
+            DetectorConfig::default().max_replica_gap_ns,
+        );
         assert!(
             affected.is_empty(),
             "non-fresh boundary must not mark keys affected"

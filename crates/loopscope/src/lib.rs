@@ -81,6 +81,7 @@ pub mod online;
 pub mod pipeline;
 pub mod record;
 pub mod replica;
+pub mod segment;
 pub mod stream;
 pub mod traffic_class;
 pub mod validate;

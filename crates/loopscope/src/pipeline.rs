@@ -14,9 +14,13 @@
 //!   an in-memory slice ([`SliceSource`]) or a pcap stream decoded through
 //!   the zero-alloc [`pcaplib::PcapReader::read_into`] path
 //!   ([`PcapSource`], whose [`PcapSource::for_each_record`] is the one
-//!   pcap decode loop — the root crate's whole-file readers run it too).
+//!   pcap decode loop — every other pcap reader runs it too).
 //!   `.ltc` corpora plug in through the `corpus` crate's sources, and
-//!   simulator taps through the root crate's `TapSource` wrapper.
+//!   simulator taps through the root crate's `TapSource` wrapper. A
+//!   source that can also hand over the whole trace at once does so as
+//!   [`Segments`] ([`RecordSource::segments`]): a slice as one borrowed
+//!   part, a pcap file ([`crate::segment::PcapFileSource`]) or a mapped
+//!   `.ltc` as up to N parts decoded by N threads.
 //! * An [`Engine`] consumes the batches and emits
 //!   [`OnlineEvent`]s. All three detectors implement it — [`SerialEngine`],
 //!   [`BlockEngine`], [`StreamingEngine`] — under one contract: on the
@@ -41,8 +45,13 @@ use crate::merge::{LoopKind, RoutingLoop};
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
 use crate::replica::{DetectionResult, DetectionStats, Detector};
+pub use crate::segment::Segments;
 use crate::stream::ReplicaStream;
 use std::io::Write;
+use std::ops::ControlFlow;
+
+static TM_UNPARSEABLE: telemetry::LazyCounter =
+    telemetry::LazyCounter::new("pcap.unparseable_records");
 
 /// Records per batch handed to the engine by streaming sources.
 const PCAP_BATCH: usize = 1024;
@@ -136,18 +145,26 @@ pub trait RecordSource {
         f: &mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
     ) -> Result<SourceSummary, PipelineError>;
 
-    /// The whole trace as one in-memory slice, when the source already
-    /// holds it. Lets [`run_pipeline`] hand the slice straight to
-    /// [`Engine::run_slice`], skipping the per-batch copy — the offline
-    /// detectors' hot path stays exactly as fast as calling them directly.
-    fn as_slice(&self) -> Option<&[TraceRecord]> {
+    /// The whole source at once, as up to `parts` trace-ordered
+    /// [`Segments`], for engines that want the whole trace before they
+    /// detect ([`Engine::segment_parts`]). `None` (the default) means the
+    /// source only streams batches. A slice answers with itself as one
+    /// borrowed part; a source that must decode may split the work over
+    /// `parts` threads, calling `poll` with the records decoded so far
+    /// meanwhile and stopping at the first [`ControlFlow::Break`] (the
+    /// result is then a prefix, marked `interrupted`).
+    fn segments(
+        &mut self,
+        _parts: usize,
+        _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<Result<Segments<'_>, PipelineError>> {
         None
     }
 
     /// Unparseable records skipped so far: by the decode this source
     /// runs, or — for a `.ltc` corpus — by the conversion that wrote it.
-    /// Read when no [`SourceSummary`] comes back: on the slice fast path,
-    /// and after a cancelled pass, where it is the count up to the break.
+    /// Read after a cancelled pass, where no [`SourceSummary`] comes back:
+    /// it is the count up to the break.
     fn skipped_hint(&self) -> u64 {
         0
     }
@@ -178,8 +195,12 @@ impl RecordSource for SliceSource<'_> {
         })
     }
 
-    fn as_slice(&self) -> Option<&[TraceRecord]> {
-        Some(self.records)
+    fn segments(
+        &mut self,
+        _parts: usize,
+        _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<Result<Segments<'_>, PipelineError>> {
+        Some(Ok(Segments::borrowed(self.records)))
     }
 }
 
@@ -189,8 +210,8 @@ impl RecordSource for SliceSource<'_> {
 ///
 /// [`PcapSource::for_each_record`] is the only pcap decode loop in the
 /// tree: the batched pipeline source, the root crate's whole-file
-/// `records_from_pcap`, and each range worker of its parallel twin all
-/// run it.
+/// `records_from_pcap`, and each range worker of
+/// [`crate::segment::decode_pcap_segments`] all run it.
 pub struct PcapSource<R: std::io::Read> {
     reader: pcaplib::PcapReader<R>,
     skipped: u64,
@@ -207,7 +228,8 @@ impl<R: std::io::Read> PcapSource<R> {
     /// Decodes every remaining record: each parseable one goes to
     /// `on_record`, each unparseable one is counted as skipped. This
     /// call's skips are published to `pcap.unparseable_records` once, on
-    /// return — also when the reader or `on_record` fails. Errors from
+    /// return — also when the reader or `on_record` fails — unless the
+    /// reader defers its counts ([`Self::publish_deferred`]). Errors from
     /// `on_record` propagate unchanged.
     // Inlined so a caller's output vector can stay in registers: without
     // the hint, the materialising `records_from_pcap` ran about 8% slower
@@ -217,8 +239,6 @@ impl<R: std::io::Read> PcapSource<R> {
         &mut self,
         mut on_record: impl FnMut(TraceRecord) -> Result<(), E>,
     ) -> Result<(), E> {
-        static TM_UNPARSEABLE: telemetry::LazyCounter =
-            telemetry::LazyCounter::new("pcap.unparseable_records");
         // One reusable buffer for the whole pass, and `from_wire_bytes`
         // parses the borrowed capture without copying it.
         let mut buf = pcaplib::RecordBuf::new();
@@ -239,14 +259,23 @@ impl<R: std::io::Read> PcapSource<R> {
             }
         };
         self.skipped += skipped;
-        TM_UNPARSEABLE.add(skipped);
+        if !self.reader.defers_counts() {
+            TM_UNPARSEABLE.add(skipped);
+        }
         result
+    }
+
+    /// Publishes what a [resumed](pcaplib::PcapReader::resume) reader's
+    /// passes kept back: its `pcap.*` record counts and the skips.
+    pub fn publish_deferred(&mut self) {
+        self.reader.take_counts().publish();
+        TM_UNPARSEABLE.add(self.skipped);
     }
 }
 
 impl<R: std::io::Read> From<pcaplib::PcapReader<R>> for PcapSource<R> {
     /// Wraps a reader whose file header was already validated — e.g. one
-    /// resumed mid-file by a parallel range decode.
+    /// resumed mid-file by a range decode.
     fn from(reader: pcaplib::PcapReader<R>) -> Self {
         Self { reader, skipped: 0 }
     }
@@ -301,8 +330,9 @@ pub struct EngineProgress {
 /// [`Engine::feed`] calls followed by exactly one [`Engine::finish`].
 /// Batches can arrive over an arbitrarily long wall-clock span — the
 /// monitor runtime keeps one engine per link alive for the life of the
-/// link — and the one-shot [`Engine::run_slice`] is a thin wrapper over
-/// feed + finish (buffering engines override it to skip their copy).
+/// link. An engine that detects only once it holds the whole trace asks
+/// for it as segments instead ([`Engine::segment_parts`]) and runs them
+/// in one [`Engine::run_segments`] call, with no copy.
 ///
 /// The contract all implementations share: on the same timestamp-ordered
 /// input, the *set* of emitted streams and loops and every stats field
@@ -323,15 +353,24 @@ pub trait Engine {
     /// Current progress, callable at any time.
     fn progress(&self) -> EngineProgress;
 
-    /// Runs the whole trace in one call when the caller already owns a
-    /// slice. Default is `feed` + `finish`; buffering engines override it
-    /// to skip their internal copy.
-    fn run_slice(
+    /// How many segments [`run_pipeline`] should ask a source for
+    /// ([`RecordSource::segments`]) before running
+    /// [`Engine::run_segments`]. 0 (the default): stream batches through
+    /// [`Engine::feed`].
+    fn segment_parts(&self) -> usize {
+        0
+    }
+
+    /// Runs the whole trace, given as trace-ordered segments, in one
+    /// call. Default: feed each segment, then finish.
+    fn run_segments(
         &mut self,
-        records: &[TraceRecord],
+        segments: &[&[TraceRecord]],
         emit: &mut dyn FnMut(OnlineEvent),
     ) -> DetectionStats {
-        self.feed(records, emit);
+        for segment in segments {
+            self.feed(segment, emit);
+        }
         self.finish(emit)
     }
 }
@@ -348,36 +387,58 @@ fn emit_detection(result: DetectionResult, emit: &mut dyn FnMut(OnlineEvent)) ->
     stats
 }
 
-/// A whole-trace detector: runs steps 1–3 over a timestamp-ordered slice
+/// A whole-trace detector: runs steps 1–3 over a timestamp-ordered trace
 /// in one call. [`BufferingEngine`] puts one behind the [`Engine`]
 /// interface.
 pub trait OfflineDetector {
     /// The engine name reported through [`Engine::name`].
     const NAME: &'static str;
 
-    /// Runs the three-step pipeline over `records`.
-    fn run(&self, records: &[TraceRecord]) -> DetectionResult;
+    /// The segments this detector works on in parallel.
+    fn parts(&self) -> usize;
+
+    /// Runs the three-step pipeline over the concatenation of `segments`.
+    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult;
 }
 
 impl OfflineDetector for Detector {
     const NAME: &'static str = "serial";
 
-    fn run(&self, records: &[TraceRecord]) -> DetectionResult {
-        Detector::run(self, records)
+    fn parts(&self) -> usize {
+        1
+    }
+
+    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
+        match segments {
+            [] => self.run(&[]),
+            [records] => self.run(records),
+            // Sources return one part when asked for one.
+            _ => self.run(&segments.concat()),
+        }
     }
 }
 
 impl OfflineDetector for BlockParallelDetector {
     const NAME: &'static str = "block";
 
-    fn run(&self, records: &[TraceRecord]) -> DetectionResult {
-        BlockParallelDetector::run(self, records)
+    fn parts(&self) -> usize {
+        self.threads()
+    }
+
+    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
+        match segments {
+            // One part (a slice, or a source too small to split): cut it
+            // into `threads` even ranges.
+            [records] => self.run(records),
+            _ => BlockParallelDetector::run_segments(self, segments),
+        }
     }
 }
 
-/// An [`OfflineDetector`] behind the [`Engine`] interface. Buffers batches
-/// and runs the detector at [`Engine::finish`]; [`Engine::run_slice`]
-/// runs it on the caller's slice with no copy.
+/// An [`OfflineDetector`] behind the [`Engine`] interface. Asks for the
+/// trace as [`OfflineDetector::parts`] segments and runs the detector on
+/// them where they lie; batches fed instead are buffered and detected at
+/// [`Engine::finish`].
 pub struct BufferingEngine<D> {
     det: D,
     buf: Vec<TraceRecord>,
@@ -435,7 +496,7 @@ impl<D: OfflineDetector> Engine for BufferingEngine<D> {
     fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
         let buf = std::mem::take(&mut self.buf);
         self.done = true;
-        emit_detection(self.det.run(&buf), emit)
+        emit_detection(self.det.run_segments(&[&buf]), emit)
     }
 
     fn progress(&self) -> EngineProgress {
@@ -445,14 +506,18 @@ impl<D: OfflineDetector> Engine for BufferingEngine<D> {
         }
     }
 
-    fn run_slice(
+    fn segment_parts(&self) -> usize {
+        self.det.parts()
+    }
+
+    fn run_segments(
         &mut self,
-        records: &[TraceRecord],
+        segments: &[&[TraceRecord]],
         emit: &mut dyn FnMut(OnlineEvent),
     ) -> DetectionStats {
-        self.records += records.len() as u64;
+        self.records += segments.iter().map(|s| s.len() as u64).sum::<u64>();
         self.done = true;
-        emit_detection(self.det.run(records), emit)
+        emit_detection(self.det.run_segments(segments), emit)
     }
 }
 
@@ -568,9 +633,7 @@ pub fn run_pipeline(
     engine: &mut dyn Engine,
     sinks: &mut [&mut dyn Sink],
 ) -> Result<PipelineResult, PipelineError> {
-    run_pipeline_with_progress(source, engine, sinks, &mut |_| {
-        std::ops::ControlFlow::Continue(())
-    })
+    run_pipeline_with_progress(source, engine, sinks, &mut |_| ControlFlow::Continue(()))
 }
 
 /// Marks an engine emission in the event trace: one instant per closed
@@ -587,21 +650,24 @@ fn trace_emission(ev: &OnlineEvent) {
 }
 
 /// [`run_pipeline`] with a progress callback, invoked after every batch
-/// (and once after the final flush) with the engine's live state.
+/// (and once after the final flush) with the engine's live state. While
+/// a source decodes segments, it is invoked instead with the records
+/// decoded so far and no open-candidate count.
 ///
 /// The callback also carries the cancellation channel: returning
-/// [`std::ops::ControlFlow::Break`] stops pulling from the source, after which the
+/// [`ControlFlow::Break`] stops pulling from the source, after which the
 /// engine is flushed normally, the sinks see the partial result, and the
 /// returned [`PipelineResult`] has `interrupted` set. This is how SIGINT
-/// becomes a graceful drain instead of a mid-stream death. On the
-/// in-memory fast path the whole trace is one [`Engine::run_slice`] call,
-/// so a break can only take effect after it — short in-memory runs finish
+/// becomes a graceful drain instead of a mid-stream death. A segmented
+/// decode stops each worker at its next batch and detects the decoded
+/// prefix. A slice is one segment already in memory, so a break there
+/// can only take effect after detection — short in-memory runs finish
 /// rather than cancel.
 pub fn run_pipeline_with_progress(
     source: &mut dyn RecordSource,
     engine: &mut dyn Engine,
     sinks: &mut [&mut dyn Sink],
-    progress: &mut dyn FnMut(&EngineProgress) -> std::ops::ControlFlow<()>,
+    progress: &mut dyn FnMut(&EngineProgress) -> ControlFlow<()>,
 ) -> Result<PipelineResult, PipelineError> {
     let _run = telemetry::span("pipeline.run");
     let mut streams: Vec<ReplicaStream> = Vec::new();
@@ -617,16 +683,32 @@ pub fn run_pipeline_with_progress(
         }
     };
 
-    let (summary, stats) = if let Some(slice) = source.as_slice() {
-        // Fast path: the trace is already in memory, so the engine gets it
-        // whole and buffering engines skip their internal copy.
-        if let (Some(first), Some(last)) = (slice.first(), slice.last()) {
-            trace_start = Some(first.timestamp_ns);
-            trace_end = last.timestamp_ns;
-        }
+    let parts = engine.segment_parts();
+    let segmented = if parts > 0 {
+        source.segments(parts, &mut |decoded| {
+            progress(&EngineProgress {
+                records: decoded,
+                open_candidates: None,
+            })
+        })
+    } else {
+        None
+    };
+    let (summary, stats) = if let Some(segments) = segmented {
+        // The whole trace at once: the engine runs on the segments where
+        // they lie, with no batch copy.
+        let segments = segments?;
+        interrupted = segments.interrupted;
+        let views: Vec<&[TraceRecord]> = segments.parts.iter().map(|p| &**p).collect();
+        trace_start = views.iter().find_map(|v| v.first()).map(|r| r.timestamp_ns);
+        trace_end = views
+            .iter()
+            .rev()
+            .find_map(|v| v.last())
+            .map_or(0, |r| r.timestamp_ns);
         if !sinks.is_empty() {
             let _t = telemetry::span("pipeline.ingest");
-            for rec in slice {
+            for rec in views.iter().flat_map(|v| v.iter()) {
                 for sink in sinks.iter_mut() {
                     sink.on_record(rec).map_err(PipelineError::Sink)?;
                 }
@@ -634,14 +716,14 @@ pub fn run_pipeline_with_progress(
         }
         let stats = {
             let _t = telemetry::span("pipeline.detect");
-            engine.run_slice(slice, &mut emit)
+            engine.run_segments(&views, &mut emit)
         };
-        // One-shot slice runs cannot cancel mid-detect; a Break here is moot.
+        // Detection cannot cancel mid-run; a Break here is moot.
         let _ = progress(&engine.progress());
         (
             SourceSummary {
-                records: slice.len() as u64,
-                skipped: source.skipped_hint(),
+                records: segments.records(),
+                skipped: segments.skipped,
             },
             stats,
         )
@@ -665,8 +747,8 @@ pub fn run_pipeline_with_progress(
                 engine.feed(batch, &mut emit);
             }
             match progress(&engine.progress()) {
-                std::ops::ControlFlow::Continue(()) => Ok(()),
-                std::ops::ControlFlow::Break(()) => Err(PipelineError::Interrupted),
+                ControlFlow::Continue(()) => Ok(()),
+                ControlFlow::Break(()) => Err(PipelineError::Interrupted),
             }
         });
         let summary = match pulled {
@@ -1156,6 +1238,73 @@ mod tests {
         assert!(result.interrupted);
         assert_eq!(result.records, PCAP_BATCH as u64, "one batch consumed");
         assert_eq!(result.skipped, 1, "skips before the break");
+    }
+
+    #[test]
+    fn progress_break_over_a_segmented_noisy_pcap_detects_the_decoded_prefix() {
+        // A non-IPv4 record before every thousandth packet, from the
+        // fourth on. A break at the first poll, before the decode starts,
+        // stops every worker after its first batch: the first range is
+        // the first incomplete one, so the run detects its first batch
+        // and counts the skips among it.
+        const N: u64 = 60_000;
+        let noise_before = |n: u64| (0..n).filter(|i| i % 1000 == 3).count() as u64;
+        let mut w = pcaplib::PcapWriter::new(Vec::new(), pcaplib::FileHeader::raw_ip(40)).unwrap();
+        let mut records = Vec::new();
+        for i in 0..N {
+            if i % 1000 == 3 {
+                w.write_bytes(i * 1_000, &[0xde, 0xad]).unwrap();
+            }
+            let mut p = Packet::tcp_flags(
+                Ipv4Addr::new(100, 2, 2, 2),
+                Ipv4Addr::new(20, 0, (i % 5) as u8, 1),
+                1000,
+                80,
+                TcpFlags::ACK,
+                &b""[..],
+            );
+            p.ip.ident = i as u16;
+            p.fill_checksums();
+            w.write_bytes(i * 1_000, &p.emit()).unwrap();
+            records.push(TraceRecord::from_packet(i * 1_000, &p));
+        }
+        let path = std::env::temp_dir().join(format!(
+            "loopscope_segmented_break_{}.pcap",
+            std::process::id()
+        ));
+        std::fs::write(&path, w.finish().unwrap()).unwrap();
+        for threads in [1, 2, 3] {
+            let mut source = crate::segment::PcapFileSource::open(&path).unwrap();
+            let mut engine = BlockEngine::new(DetectorConfig::default(), threads);
+            let mut polls = Vec::new();
+            let result = run_pipeline_with_progress(&mut source, &mut engine, &mut [], &mut |p| {
+                polls.push(*p);
+                ControlFlow::Break(())
+            })
+            .expect("interrupted run still returns a result");
+            assert!(result.interrupted, "threads={threads}");
+            assert_eq!(result.records, crate::segment::BATCH, "threads={threads}");
+            assert_eq!(
+                result.skipped,
+                noise_before(result.records),
+                "threads={threads}"
+            );
+            assert_eq!(result.skipped, 5, "threads={threads}");
+            assert_eq!(
+                polls[0],
+                EngineProgress {
+                    records: 0,
+                    open_candidates: None
+                },
+                "threads={threads}: polled before decoding"
+            );
+            let prefix = &records[..result.records as usize];
+            let want = Detector::new(DetectorConfig::default()).run(prefix);
+            assert_eq!(result.stats, want.stats, "threads={threads}");
+            assert_eq!(result.loops, want.loops, "threads={threads}");
+            assert_eq!(result.trace_end_ns, prefix.last().unwrap().timestamp_ns);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -88,24 +88,23 @@ impl PrefixIndex {
     /// Builds the index from a time-sorted trace.
     pub fn build(records: &[TraceRecord]) -> Self {
         Self {
-            by_prefix: Self::build_range(records, 0, records.len()),
+            by_prefix: Self::build_range(records, 0),
         }
     }
 
-    /// Indexes the contiguous range `[lo, hi)` of a trace, with
-    /// trace-global record indices. Callers that already fan workers over
+    /// Indexes one contiguous range of a trace, whose first record has
+    /// trace-global index `base`. Callers that already fan workers over
     /// contiguous ranges (the block-parallel scan) build these partials
     /// in-worker, overlapped with their other work, and pay only the
     /// [`Self::from_partials`] merge afterwards.
-    pub fn build_range(records: &[TraceRecord], lo: usize, hi: usize) -> IndexPartial {
-        let slice = &records[lo..hi];
+    pub fn build_range(range: &[TraceRecord], base: usize) -> IndexPartial {
         // Distinct /24s are far rarer than records; a /64 estimate is
         // enough to dodge the rehash cascade without over-allocating.
-        let mut part: IndexPartial = fx_map_with_capacity((slice.len() / 64).max(16));
-        for (off, rec) in slice.iter().enumerate() {
+        let mut part: IndexPartial = fx_map_with_capacity((range.len() / 64).max(16));
+        for (off, rec) in range.iter().enumerate() {
             part.entry(rec.dst_slash24())
                 .or_default()
-                .push(rec.timestamp_ns, lo + off);
+                .push(rec.timestamp_ns, base + off);
         }
         part
     }

@@ -61,6 +61,7 @@ mod sys {
     pub const MAP_FAILED: isize = -1;
     pub const MADV_SEQUENTIAL: c_int = 2;
     pub const MADV_WILLNEED: c_int = 3;
+    pub const MADV_DONTNEED: c_int = 4;
     /// Linux-only: pre-fault the whole range at map time, trading one
     /// longer syscall for the per-page fault a sequential scan would
     /// otherwise take on every touched page. Not in POSIX; the BSDs use
@@ -70,6 +71,10 @@ mod sys {
     #[cfg(not(target_os = "linux"))]
     pub const MAP_POPULATE: c_int = 0;
 }
+
+/// Granularity of [`Mmap::release`]: a multiple of the page size of every
+/// platform the workspace runs on (4 KiB, 16 KiB, 64 KiB).
+pub const RELEASE_ALIGN: usize = 64 * 1024;
 
 /// Access-pattern hints forwarded to `madvise(2)` (ignored by the
 /// owned-buffer fallback, where the data is already resident).
@@ -199,6 +204,33 @@ impl Mmap {
         }
     }
 
+    /// Drops the pages wholly inside `range` (bytes of the mapping,
+    /// aligned inward to [`RELEASE_ALIGN`]) from this process's resident
+    /// set: a scan that has consumed them says so, and a mapping read once
+    /// front to back never holds more than its unread part. The bytes stay
+    /// mapped — reading them again faults them back in from the file.
+    /// Best-effort, like [`Self::advise`]; a no-op on the owned fallback.
+    pub fn release(&self, range: std::ops::Range<usize>) {
+        #[cfg(unix)]
+        if let Backing::Mapped { ptr, len } = &self.backing {
+            let start = range.start.next_multiple_of(RELEASE_ALIGN);
+            let end = range.end.min(*len) / RELEASE_ALIGN * RELEASE_ALIGN;
+            if start < end {
+                // SAFETY: [start, end) lies inside the live mapping and
+                // starts on a page boundary (the mapping does, and
+                // RELEASE_ALIGN is a multiple of every page size).
+                // MADV_DONTNEED on a read-only private file mapping only
+                // unmaps clean pages; the next read refetches the same
+                // bytes, so no slice ever observes a change.
+                unsafe {
+                    sys::madvise(ptr.add(start).cast(), end - start, sys::MADV_DONTNEED);
+                }
+            }
+        }
+        #[cfg(not(unix))]
+        let _ = range;
+    }
+
     /// The mapped bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.backing {
@@ -308,6 +340,18 @@ mod tests {
         map.advise(Advice::Sequential);
         map.advise(Advice::WillNeed);
         assert_eq!(&*map, b"0123456789");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn released_pages_read_back_unchanged() {
+        let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 239) as u8).collect();
+        let path = temp_file("release", &payload);
+        let map = Mmap::map_path(&path).expect("map");
+        map.release(0..map.len());
+        map.release(1..RELEASE_ALIGN + 1);
+        map.release(map.len() - 10..usize::MAX);
+        assert_eq!(&*map, &payload[..]);
         std::fs::remove_file(&path).ok();
     }
 

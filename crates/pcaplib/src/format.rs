@@ -38,6 +38,17 @@ impl fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
+impl PcapError {
+    /// Whether the input ended inside a record: a truncated capture, or a
+    /// reader bounded at a byte that is not a record boundary.
+    pub fn is_eof_inside_record(&self) -> bool {
+        matches!(
+            self,
+            PcapError::Corrupt("EOF inside record header" | "EOF inside record body")
+        )
+    }
+}
+
 impl From<std::io::Error> for PcapError {
     fn from(e: std::io::Error) -> Self {
         PcapError::Io(e)

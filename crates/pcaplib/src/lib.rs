@@ -44,8 +44,8 @@ pub mod split;
 pub mod writer;
 
 pub use format::{FileHeader, LinkType, PcapError, RecordHeader, TsResolution};
-pub use reader::{PcapReader, RecordBuf, INLINE_RECORD_CAP, PUBLISH_EVERY};
-pub use split::{BlockIndex, SplitPoint, SPLIT_BLOCK_LEN};
+pub use reader::{PcapReader, ReadCounts, RecordBuf, INLINE_RECORD_CAP, PUBLISH_EVERY};
+pub use split::split_ranges;
 pub use writer::PcapWriter;
 
 /// One captured record: a timestamp, the original on-the-wire length, and

@@ -19,7 +19,10 @@
 //! reader counts records and truncations locally and adds them to
 //! `pcap.records_total` / `pcap.truncated_records` every
 //! [`PUBLISH_EVERY`] records, at end-of-file and when it is dropped.
-//! `pcap.malformed_records` is rare and published at once.
+//! `pcap.malformed_records` is rare and published at once. A reader
+//! [resumed](PcapReader::resume) mid-file publishes nothing on its own:
+//! its range may turn out not to start on a record, so its owner takes
+//! the [`ReadCounts`] and publishes them once the start is proven.
 
 use crate::format::{FileHeader, PcapError, RecordHeader, FILE_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::CapturedPacket;
@@ -38,6 +41,33 @@ pub(crate) const MAX_SANE_CAPLEN: u32 = 256 * 1024;
 /// Records a reader reads between publications of its local counts to
 /// `pcap.records_total` and `pcap.truncated_records`.
 pub const PUBLISH_EVERY: u64 = 4096;
+
+/// Records, truncations and framing errors a reader has counted but not
+/// yet added to the shared `pcap.*` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCounts {
+    /// Records read (`pcap.records_total`).
+    pub records: u64,
+    /// Records cut short by the snap length (`pcap.truncated_records`).
+    pub truncated: u64,
+    /// Framing errors (`pcap.malformed_records`): at most one per pass.
+    pub malformed: u64,
+}
+
+impl ReadCounts {
+    /// Adds the counts to the shared counters.
+    pub fn publish(&self) {
+        for (counter, n) in [
+            (&TM_RECORDS_TOTAL, self.records),
+            (&TM_TRUNCATED, self.truncated),
+            (&TM_MALFORMED, self.malformed),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
 
 /// Bytes read from the source per refill of the internal block buffer.
 const BLOCK_LEN: usize = 64 * 1024;
@@ -134,10 +164,11 @@ pub struct PcapReader<R: Read> {
     source: R,
     header: FileHeader,
     records_read: u64,
-    /// Records and truncated records read since the counters were last
-    /// published.
-    unpublished_records: u64,
-    unpublished_truncated: u64,
+    /// What was read since the counters were last published.
+    unpublished: ReadCounts,
+    /// Whether the counts wait for [`PcapReader::take_counts`] instead of
+    /// being published as they accrue.
+    deferred: bool,
     /// Block buffer: `block[pos..filled]` is unconsumed source data.
     block: Box<[u8]>,
     pos: usize,
@@ -150,35 +181,43 @@ impl<R: Read> PcapReader<R> {
         let mut buf = [0u8; FILE_HEADER_LEN];
         source.read_exact(&mut buf)?;
         let header = FileHeader::decode(&buf)?;
-        Ok(Self {
-            source,
-            header,
-            records_read: 0,
-            unpublished_records: 0,
-            unpublished_truncated: 0,
-            block: vec![0u8; BLOCK_LEN].into_boxed_slice(),
-            pos: 0,
-            filled: 0,
-        })
+        Ok(Self::with_header(source, header, false))
     }
 
-    /// Resumes reading mid-stream: `source` must be positioned at a
-    /// record boundary of a capture whose global header is `header`
-    /// (typically a [`crate::split::SplitPoint`] offset from a
-    /// [`crate::split::BlockIndex`] scan). The reader behaves exactly as
-    /// if the records before the boundary did not exist — bound the
-    /// source (e.g. [`Read::take`]) to stop at a range end.
+    /// Resumes reading mid-stream: `source` is positioned at a byte
+    /// offset of a capture whose global header is `header` (typically a
+    /// [`crate::split::split_ranges`] range start). From a record start
+    /// the reader behaves exactly as if the records before it did not
+    /// exist — bound the source (e.g. [`Read::take`]) to stop at a range
+    /// end. Its counts are deferred: nothing reaches the shared counters
+    /// until the owner calls [`Self::take_counts`] and publishes them.
     pub fn resume(source: R, header: FileHeader) -> Self {
+        Self::with_header(source, header, true)
+    }
+
+    fn with_header(source: R, header: FileHeader, deferred: bool) -> Self {
         Self {
             source,
             header,
             records_read: 0,
-            unpublished_records: 0,
-            unpublished_truncated: 0,
+            unpublished: ReadCounts::default(),
+            deferred,
             block: vec![0u8; BLOCK_LEN].into_boxed_slice(),
             pos: 0,
             filled: 0,
         }
+    }
+
+    /// Hands over the counts not yet published and forgets them: a
+    /// resumed reader's whole tally, or what a publishing reader read
+    /// since its last publication.
+    pub fn take_counts(&mut self) -> ReadCounts {
+        std::mem::take(&mut self.unpublished)
+    }
+
+    /// Whether this reader defers its counts (see [`Self::resume`]).
+    pub fn defers_counts(&self) -> bool {
+        self.deferred
     }
 
     /// The decoded file header.
@@ -231,22 +270,14 @@ impl<R: Read> PcapReader<R> {
             return Ok(false);
         }
         if got < RECORD_HEADER_LEN {
-            TM_MALFORMED.inc();
-            tm_warn!(
-                "EOF inside record header after {} records",
-                self.records_read
-            );
-            return Err(PcapError::Corrupt("EOF inside record header"));
+            return Err(self.malformed(PcapError::Corrupt("EOF inside record header")));
         }
         let rec = RecordHeader::decode(&hdr_buf, self.header.swapped);
         if rec.incl_len > MAX_SANE_CAPLEN {
-            TM_MALFORMED.inc();
-            tm_warn!("oversized record ({} bytes) rejected", rec.incl_len);
-            return Err(PcapError::OversizedRecord(rec.incl_len));
+            return Err(self.malformed(PcapError::OversizedRecord(rec.incl_len)));
         }
         if rec.incl_len > rec.orig_len {
-            TM_MALFORMED.inc();
-            return Err(PcapError::Corrupt("incl_len exceeds orig_len"));
+            return Err(self.malformed(PcapError::Corrupt("incl_len exceeds orig_len")));
         }
         let n = rec.incl_len as usize;
         let got = if n <= INLINE_RECORD_CAP {
@@ -256,31 +287,47 @@ impl<R: Read> PcapReader<R> {
             self.read_from_block(&mut buf.spill[..n])?
         };
         if got < n {
-            TM_MALFORMED.inc();
-            return Err(PcapError::Corrupt("EOF inside record body"));
+            return Err(self.malformed(PcapError::Corrupt("EOF inside record body")));
         }
         buf.timestamp_ns = rec.timestamp_ns(self.header.resolution);
         buf.orig_len = rec.orig_len;
         buf.len = rec.incl_len;
         self.records_read += 1;
-        self.unpublished_records += 1;
+        self.unpublished.records += 1;
         if rec.incl_len < rec.orig_len {
-            self.unpublished_truncated += 1;
+            self.unpublished.truncated += 1;
         }
-        if self.unpublished_records == PUBLISH_EVERY {
+        if self.unpublished.records == PUBLISH_EVERY {
             self.publish_counts();
         }
         Ok(true)
     }
 
-    /// Adds the locally counted records and truncations to the shared
-    /// counters.
-    fn publish_counts(&mut self) {
-        if self.unpublished_records > 0 {
-            TM_RECORDS_TOTAL.add(std::mem::take(&mut self.unpublished_records));
+    /// Counts a framing error — published at once unless deferred — and
+    /// returns it.
+    #[cold]
+    fn malformed(&mut self, e: PcapError) -> PcapError {
+        if self.deferred {
+            self.unpublished.malformed += 1;
+            return e;
         }
-        if self.unpublished_truncated > 0 {
-            TM_TRUNCATED.add(std::mem::take(&mut self.unpublished_truncated));
+        match e {
+            PcapError::Corrupt("EOF inside record header") => tm_warn!(
+                "EOF inside record header after {} records",
+                self.records_read
+            ),
+            PcapError::OversizedRecord(n) => tm_warn!("oversized record ({n} bytes) rejected"),
+            _ => {}
+        }
+        TM_MALFORMED.inc();
+        e
+    }
+
+    /// Adds the locally counted records and truncations to the shared
+    /// counters, unless they are deferred.
+    fn publish_counts(&mut self) {
+        if !self.deferred {
+            self.take_counts().publish();
         }
     }
 
@@ -308,7 +355,8 @@ impl<R: Read> PcapReader<R> {
 
 impl<R: Read> Drop for PcapReader<R> {
     /// Publishes what was read since the last publication, so a reader
-    /// abandoned mid-file still counts every record it returned.
+    /// abandoned mid-file still counts every record it returned (a
+    /// deferred reader leaves its counts to its owner).
     fn drop(&mut self) {
         self.publish_counts();
     }
@@ -465,6 +513,30 @@ mod tests {
             Err(PcapError::Corrupt("EOF inside record body"))
         ));
         assert_eq!(r.records_read(), 199);
+    }
+
+    #[test]
+    fn resumed_reader_keeps_its_counts_for_its_owner() {
+        let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(40)).unwrap();
+        for i in 0..10u64 {
+            w.write_bytes(i, &vec![0u8; if i % 2 == 0 { 60 } else { 20 }])
+                .unwrap();
+        }
+        let mut file = w.finish().unwrap();
+        file.truncate(file.len() - 3);
+        let body = file[crate::format::FILE_HEADER_LEN..].to_vec();
+        let mut r = PcapReader::resume(Cursor::new(body), FileHeader::raw_ip(40));
+        assert!(r.defers_counts());
+        let mut buf = RecordBuf::new();
+        while r.read_into(&mut buf).is_ok_and(|more| more) {}
+        let want = ReadCounts {
+            records: 9,
+            truncated: 5,
+            malformed: 1,
+        };
+        assert_eq!(r.take_counts(), want);
+        assert_eq!(r.take_counts(), ReadCounts::default(), "handed over once");
+        assert!(!PcapReader::new(Cursor::new(file)).unwrap().defers_counts());
     }
 
     #[test]

@@ -1,241 +1,232 @@
-//! Block-range indexing for parallel pcap reads.
+//! Byte-range splitting of one pcap capture for parallel decode, with no
+//! header walk.
 //!
-//! Classic pcap has no framing beyond the per-record headers, so a byte
-//! range cannot be decoded without knowing where records start. A
-//! [`BlockIndex`] is one cheap header-walking pass over a capture that
-//! remembers the first record-start offset at (or after) every
-//! [`SPLIT_BLOCK_LEN`] boundary — just enough structure to cut the file
-//! into independently decodable byte ranges, without storing an offset
-//! per record. [`BlockIndex::split_offsets`] then turns a desired part
-//! count into interior split offsets that are always snapped to record
-//! starts: a split point that would land mid-record moves forward to the
-//! next record boundary, a final block shorter than the granularity
-//! simply yields a shorter last range, and a file too small to have any
-//! interior boundary yields no splits at all (one range).
+//! Classic pcap has no framing beyond the per-record headers, so an
+//! offset in the middle of a file cannot be known to start a record
+//! without walking every header before it. [`split_ranges`] does not
+//! walk. For each ideal split offset it reads one [`WINDOW_LEN`] window
+//! and takes the first position where a chain of [`CHAIN_LEN`]
+//! plausible record headers starts, in time order. A header is plausible
+//! when its `incl_len` is at most the snap length (and the reader's
+//! 256 KiB cap) and at most its `orig_len`, its `orig_len` is not 0 (no
+//! link carries an empty packet), and its sub-second field is below one
+//! second in the file's resolution. The last two rules matter on real
+//! captures: zero payload bytes read as an empty record header, and
+//! without them about one guess in twelve on the benchmark's traces
+//! started inside the record before a true start.
+//!
+//! That is only a guess: payload bytes can forge a chain. The proof
+//! comes from the decode. The first range starts right after the file
+//! header, so its start is proven. A range decoded from a proven start
+//! through a reader bounded at its end ([`std::io::Read::take`]) either
+//! ends exactly there, which proves the next range's start, or ends
+//! inside a record ([`PcapError::is_eof_inside_record`]), which disproves
+//! it. A caller that sees a disproof decodes the rest of the file
+//! serially from the last proven start, so a wrong guess costs time,
+//! never correctness.
 //!
 //! Each range is consumed by a [`PcapReader::resume`] reader positioned
 //! at the range start with the already-decoded file header, so the
 //! zero-alloc `read_into` path works unchanged mid-file.
 
-use crate::format::{FileHeader, PcapError, RecordHeader, FILE_HEADER_LEN, RECORD_HEADER_LEN};
+use crate::format::{FileHeader, RecordHeader, TsResolution, FILE_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::reader::MAX_SANE_CAPLEN;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 
 #[cfg(doc)]
-use crate::reader::PcapReader;
+use crate::{format::PcapError, reader::PcapReader};
 
-/// Granularity of the index: one entry per this many bytes of capture.
-pub const SPLIT_BLOCK_LEN: u64 = 64 * 1024;
+/// Bytes read at each ideal split offset to look for a record start.
+pub const WINDOW_LEN: usize = 64 * 1024;
 
-/// One indexed record boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitPoint {
-    /// Byte offset of a record header (the first at/after a block
-    /// boundary).
-    pub offset: u64,
-    /// Records preceding this offset.
-    pub records_before: u64,
-}
+/// Plausible record headers that must follow one another from a guessed
+/// record start (fewer when the chain reaches the end of the file or runs
+/// past the window).
+pub const CHAIN_LEN: usize = 8;
 
-/// A block-granular map of record boundaries in one pcap capture.
-#[derive(Debug, Clone)]
-pub struct BlockIndex {
-    header: FileHeader,
-    entries: Vec<SplitPoint>,
-    records: u64,
+/// Up to `parts` `[lo, hi)` byte ranges covering the record area
+/// `[FILE_HEADER_LEN, len)` of a capture of `len` bytes whose file header
+/// is `header`, in file order. The first starts at [`FILE_HEADER_LEN`];
+/// every other start is a guessed record start near an even split of the
+/// bytes. An ideal offset whose window holds no chain adds no range, so a
+/// small file may get fewer ranges, and an empty one a single empty range.
+pub fn split_ranges<R: Read + Seek>(
+    source: &mut R,
+    header: &FileHeader,
     len: u64,
-}
-
-impl BlockIndex {
-    /// Scans a capture front to back, validating record framing exactly
-    /// like [`PcapReader`] (oversized or inconsistent lengths and EOF
-    /// inside a record are corruption, not EOF).
-    pub fn scan<R: Read>(mut source: R) -> Result<Self, PcapError> {
-        let mut hdr_buf = [0u8; FILE_HEADER_LEN];
-        source.read_exact(&mut hdr_buf)?;
-        let header = FileHeader::decode(&hdr_buf)?;
-
-        let mut entries = Vec::new();
-        let mut offset = FILE_HEADER_LEN as u64;
-        let mut records = 0u64;
-        let mut next_boundary = SPLIT_BLOCK_LEN.max(FILE_HEADER_LEN as u64);
-        let mut scratch = [0u8; 4096];
-        loop {
-            let mut rec_hdr = [0u8; RECORD_HEADER_LEN];
-            match read_full(&mut source, &mut rec_hdr)? {
-                0 => break,
-                n if n < RECORD_HEADER_LEN => {
-                    return Err(PcapError::Corrupt("EOF inside record header"));
-                }
-                _ => {}
-            }
-            let rec = RecordHeader::decode(&rec_hdr, header.swapped);
-            if rec.incl_len > MAX_SANE_CAPLEN {
-                return Err(PcapError::OversizedRecord(rec.incl_len));
-            }
-            if rec.incl_len > rec.orig_len {
-                return Err(PcapError::Corrupt("incl_len exceeds orig_len"));
-            }
-            if offset >= next_boundary {
-                entries.push(SplitPoint {
-                    offset,
-                    records_before: records,
-                });
-                next_boundary = (offset / SPLIT_BLOCK_LEN + 1) * SPLIT_BLOCK_LEN;
-            }
-            let mut remaining = rec.incl_len as usize;
-            while remaining > 0 {
-                let take = remaining.min(scratch.len());
-                if read_full(&mut source, &mut scratch[..take])? < take {
-                    return Err(PcapError::Corrupt("EOF inside record body"));
-                }
-                remaining -= take;
-            }
-            offset += (RECORD_HEADER_LEN + rec.incl_len as usize) as u64;
-            records += 1;
-        }
-        Ok(Self {
-            header,
-            entries,
-            records,
-            len: offset,
-        })
-    }
-
-    /// The capture's decoded file header.
-    pub fn header(&self) -> FileHeader {
-        self.header
-    }
-
-    /// Total records in the capture.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Total byte length of the capture (header + all records).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
-    /// The indexed block-boundary record starts.
-    pub fn entries(&self) -> &[SplitPoint] {
-        &self.entries
-    }
-
-    /// Up to `parts - 1` interior split offsets cutting the record area
-    /// into roughly even byte ranges, each snapped forward to the first
-    /// indexed record start at/after its ideal position. Sorted, unique,
-    /// and strictly inside `(FILE_HEADER_LEN, len_bytes())` — possibly
-    /// empty (small file), in which case there is a single range.
-    pub fn split_offsets(&self, parts: usize) -> Vec<u64> {
-        let body = self.len - FILE_HEADER_LEN as u64;
-        if parts <= 1 || body == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for k in 1..parts as u64 {
-            let ideal = FILE_HEADER_LEN as u64 + body * k / parts as u64;
-            let i = self.entries.partition_point(|e| e.offset < ideal);
-            if let Some(e) = self.entries.get(i) {
-                out.push(e.offset);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&o| o > FILE_HEADER_LEN as u64 && o < self.len);
-        out
-    }
-
-    /// The `[lo, hi)` byte range per part implied by
-    /// [`Self::split_offsets`], starting after the file header.
-    pub fn split_ranges(&self, parts: usize) -> Vec<(u64, u64)> {
-        let splits = self.split_offsets(parts);
-        let mut ranges = Vec::with_capacity(splits.len() + 1);
-        let mut lo = FILE_HEADER_LEN as u64;
-        for s in splits {
-            ranges.push((lo, s));
-            lo = s;
-        }
-        ranges.push((lo, self.len));
-        ranges
-    }
-}
-
-/// `read` until `buf` is full or EOF; returns bytes read.
-fn read_full<R: Read>(source: &mut R, buf: &mut [u8]) -> Result<usize, PcapError> {
-    let mut got = 0;
-    while got < buf.len() {
-        let n = source.read(&mut buf[got..])?;
-        if n == 0 {
+    parts: usize,
+) -> std::io::Result<Vec<(u64, u64)>> {
+    let first = FILE_HEADER_LEN as u64;
+    let len = len.max(first);
+    let body = len - first;
+    let mut starts = vec![first];
+    let mut window = Vec::with_capacity(WINDOW_LEN);
+    for k in 1..parts.max(1) as u64 {
+        let last = *starts.last().expect("the first range");
+        let from = (first + body * k / parts as u64).max(last + 1);
+        if from >= len {
             break;
         }
-        got += n;
+        window.clear();
+        source.seek(SeekFrom::Start(from))?;
+        source
+            .by_ref()
+            .take(WINDOW_LEN as u64)
+            .read_to_end(&mut window)?;
+        let at_eof = from + window.len() as u64 >= len;
+        if let Some(at) = (0..window.len()).find(|&at| chain_starts(&window[at..], at_eof, header))
+        {
+            starts.push(from + at as u64);
+        }
     }
-    Ok(got)
+    let ends = starts[1..].iter().copied().chain([len]);
+    Ok(starts.iter().copied().zip(ends).collect())
+}
+
+/// Whether `bytes` begins with a chain of plausible record headers whose
+/// timestamps never decrease: [`CHAIN_LEN`] of them, or at least one and
+/// then exactly the end of the file (`at_eof`: `bytes` runs to the end of
+/// the file) or the end of the window (otherwise).
+fn chain_starts(bytes: &[u8], at_eof: bool, header: &FileHeader) -> bool {
+    let max_caplen = match header.snaplen {
+        0 => MAX_SANE_CAPLEN,
+        snaplen => snaplen.min(MAX_SANE_CAPLEN),
+    };
+    let frac_limit = match header.resolution {
+        TsResolution::Micro => 1_000_000,
+        TsResolution::Nano => 1_000_000_000,
+    };
+    let mut pos = 0usize;
+    let mut prev_ts = (0, 0);
+    for verified in 0..CHAIN_LEN {
+        let Some(raw) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
+            // A header cut by the end of the file is no record; one cut
+            // by the window cannot be checked.
+            return verified > 0 && (pos == bytes.len() || !at_eof);
+        };
+        let rec = RecordHeader::decode(raw.try_into().expect("16 bytes"), header.swapped);
+        let ts = (rec.ts_sec, rec.ts_frac);
+        if rec.incl_len > max_caplen
+            || rec.incl_len > rec.orig_len
+            || rec.orig_len == 0
+            || rec.ts_frac >= frac_limit
+            || ts < prev_ts
+        {
+            return false;
+        }
+        prev_ts = ts;
+        pos += RECORD_HEADER_LEN + rec.incl_len as usize;
+        if pos > bytes.len() {
+            return !at_eof;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::PcapError;
     use crate::reader::{PcapReader, RecordBuf};
     use crate::writer::PcapWriter;
     use std::io::{Cursor, Read};
 
+    /// `n` records with `body_len`-byte bodies of 0xee, which no header
+    /// chain can start inside.
     fn capture(n: usize, body_len: usize) -> Vec<u8> {
         let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
         for i in 0..n {
-            w.write_bytes(i as u64 * 1_000, &vec![i as u8; body_len])
+            w.write_bytes(i as u64 * 1_000, &vec![0xee; body_len])
                 .unwrap();
         }
         w.finish().unwrap()
     }
 
+    fn ranges(file: &[u8], parts: usize) -> Vec<(u64, u64)> {
+        let header = FileHeader::raw_ip(65535);
+        split_ranges(&mut Cursor::new(file), &header, file.len() as u64, parts).unwrap()
+    }
+
+    /// Decodes `[lo, hi)` with a bounded resumed reader: the timestamps
+    /// read and how the range ended.
+    fn decode(file: &[u8], (lo, hi): (u64, u64)) -> (Vec<u64>, Result<(), PcapError>) {
+        let mut cur = Cursor::new(file);
+        cur.set_position(lo);
+        let mut r = PcapReader::resume(cur.take(hi - lo), FileHeader::raw_ip(65535));
+        let mut buf = RecordBuf::new();
+        let mut ts = Vec::new();
+        loop {
+            match r.read_into(&mut buf) {
+                Ok(true) => ts.push(buf.timestamp_ns()),
+                Ok(false) => return (ts, Ok(())),
+                Err(e) => return (ts, Err(e)),
+            }
+        }
+    }
+
     #[test]
-    fn scan_counts_records_and_length() {
+    fn small_capture_splits_into_contiguous_ranges() {
         let file = capture(100, 40);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
-        assert_eq!(idx.records(), 100);
-        assert_eq!(idx.len_bytes(), file.len() as u64);
-        // 100 * 56-byte records fit in one block: no interior entries.
-        assert!(idx.entries().is_empty());
-        assert!(idx.split_offsets(8).is_empty());
+        for parts in [1, 2, 8] {
+            let r = ranges(&file, parts);
+            assert!(r.len() <= parts);
+            assert_eq!(r[0].0, FILE_HEADER_LEN as u64);
+            assert_eq!(r.last().unwrap().1, file.len() as u64);
+            assert!(r.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+        }
         assert_eq!(
-            idx.split_ranges(8),
+            ranges(&file, 1),
             vec![(FILE_HEADER_LEN as u64, file.len() as u64)]
         );
     }
 
     #[test]
-    fn entries_land_on_record_starts() {
-        // 1000-byte bodies force several block boundaries mid-record; every
-        // entry must still be a decodable record start.
+    fn split_points_are_record_starts() {
+        // 1000-byte bodies put most ideal offsets mid-record; every
+        // guessed start must still be a record start.
         let file = capture(300, 1000);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
-        assert!(!idx.entries().is_empty());
-        for e in idx.entries() {
-            let mut r = PcapReader::resume(Cursor::new(&file[e.offset as usize..]), idx.header());
-            let mut buf = RecordBuf::new();
-            assert!(r.read_into(&mut buf).unwrap());
-            assert_eq!(buf.timestamp_ns(), e.records_before * 1_000);
+        let record_len = (RECORD_HEADER_LEN + 1000) as u64;
+        for parts in [2, 3, 4, 8] {
+            let r = ranges(&file, parts);
+            assert_eq!(r.len(), parts, "parts={parts}");
+            for &(lo, _) in &r {
+                assert_eq!((lo - FILE_HEADER_LEN as u64) % record_len, 0, "{lo}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_payload_tails_are_not_taken_for_records() {
+        // 40-byte captures of 60-byte packets whose captured bytes end in
+        // 12 or 16 zero bytes (empty payloads): an empty record header
+        // just before each true one.
+        let header = FileHeader::raw_ip(40);
+        let mut w = PcapWriter::new(Vec::new(), header).unwrap();
+        for i in 0..4000u64 {
+            let zeros = if i % 2 == 0 { 12 } else { 16 };
+            let body = [vec![0xee; 40 - zeros], vec![0; zeros], vec![0xee; 20]].concat();
+            w.write_bytes(1_000_000_000 + i * 1_000, &body).unwrap();
+        }
+        let file = w.finish().unwrap();
+        for parts in [2, 3, 4, 8] {
+            let len = file.len() as u64;
+            let r = split_ranges(&mut Cursor::new(&file), &header, len, parts).unwrap();
+            assert_eq!(r.len(), parts);
+            for (lo, _) in r {
+                assert_eq!((lo - FILE_HEADER_LEN as u64) % 56, 0, "parts={parts}: {lo}");
+            }
         }
     }
 
     #[test]
     fn split_ranges_decode_to_the_serial_record_stream() {
         let file = capture(500, 1000);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
         for parts in [1, 2, 3, 4, 8] {
-            let ranges = idx.split_ranges(parts);
-            assert_eq!(ranges.first().unwrap().0, FILE_HEADER_LEN as u64);
-            assert_eq!(ranges.last().unwrap().1, file.len() as u64);
             let mut timestamps = Vec::new();
-            for &(lo, hi) in &ranges {
-                let slice = &file[lo as usize..hi as usize];
-                let mut r = PcapReader::resume(Cursor::new(slice), idx.header());
-                let mut buf = RecordBuf::new();
-                while r.read_into(&mut buf).unwrap() {
-                    timestamps.push(buf.timestamp_ns());
-                }
+            for range in ranges(&file, parts) {
+                let (ts, end) = decode(&file, range);
+                end.unwrap();
+                timestamps.extend(ts);
             }
             let want: Vec<u64> = (0..500).map(|i| i * 1_000).collect();
             assert_eq!(timestamps, want, "parts={parts}");
@@ -245,33 +236,39 @@ mod tests {
     #[test]
     fn one_record_file_with_eight_parts_has_one_range() {
         let file = capture(1, 40);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
-        assert_eq!(idx.records(), 1);
-        assert_eq!(idx.split_ranges(8).len(), 1);
+        assert_eq!(ranges(&file, 8).len(), 1);
     }
 
     #[test]
-    fn empty_capture_scans_clean() {
+    fn empty_capture_has_one_empty_range() {
         let file = capture(0, 0);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
-        assert_eq!(idx.records(), 0);
-        assert!(idx.split_offsets(4).is_empty());
+        let r = ranges(&file, 4);
+        assert_eq!(r, vec![(FILE_HEADER_LEN as u64, FILE_HEADER_LEN as u64)]);
+        let (ts, end) = decode(&file, r[0]);
+        assert!(ts.is_empty() && end.is_ok());
     }
 
     #[test]
     fn truncated_final_record_is_corrupt() {
-        let mut file = capture(200, 1000);
-        file.truncate(file.len() - 7);
-        assert!(matches!(
-            BlockIndex::scan(Cursor::new(&file)),
-            Err(PcapError::Corrupt("EOF inside record body"))
-        ));
-        let mut file = capture(200, 1000);
-        file.truncate(file.len() - 1005); // into the last record's header
-        assert!(matches!(
-            BlockIndex::scan(Cursor::new(&file)),
-            Err(PcapError::Corrupt("EOF inside record header"))
-        ));
+        for (cut, what) in [
+            (7, "EOF inside record body"),
+            (1005, "EOF inside record header"),
+        ] {
+            let mut file = capture(200, 1000);
+            file.truncate(file.len() - cut);
+            let r = ranges(&file, 4);
+            assert_eq!(r.len(), 4);
+            for (i, &range) in r.iter().enumerate() {
+                let (_, end) = decode(&file, range);
+                if i + 1 < r.len() {
+                    end.unwrap();
+                } else {
+                    let e = end.unwrap_err();
+                    assert!(matches!(e, PcapError::Corrupt(w) if w == what), "{e}");
+                    assert!(e.is_eof_inside_record());
+                }
+            }
+        }
     }
 
     #[test]
@@ -279,30 +276,39 @@ mod tests {
         // A resumed reader over a bounded sub-range stops at the range end
         // exactly as if the file ended there.
         let file = capture(300, 1000);
-        let idx = BlockIndex::scan(Cursor::new(&file)).unwrap();
-        let ranges = idx.split_ranges(4);
-        let (lo, hi) = ranges[1];
-        let mut cur = Cursor::new(&file);
-        cur.set_position(lo);
-        let limited = cur.take(hi - lo);
-        let mut r = PcapReader::resume(limited, idx.header());
-        let mut buf = RecordBuf::new();
-        let mut n = 0u64;
-        while r.read_into(&mut buf).unwrap() {
-            n += 1;
+        let record_len = (RECORD_HEADER_LEN + 1000) as u64;
+        let (lo, hi) = ranges(&file, 4)[1];
+        let (ts, end) = decode(&file, (lo, hi));
+        end.unwrap();
+        let first = (lo - FILE_HEADER_LEN as u64) / record_len;
+        assert_eq!(ts.len() as u64, (hi - lo) / record_len);
+        assert_eq!(ts[0], first * 1_000);
+    }
+
+    #[test]
+    fn a_forged_chain_is_disproved_by_the_range_before_it() {
+        // One huge record whose body is a run of plausible 16-byte
+        // headers with empty bodies: the guessed split lands inside it,
+        // and the first range, bounded there, ends inside a record.
+        let mut forged = Vec::new();
+        for i in 0..4000u32 {
+            forged.extend(
+                RecordHeader {
+                    ts_sec: i,
+                    ts_frac: 0,
+                    incl_len: 0,
+                    orig_len: 60,
+                }
+                .encode(),
+            );
         }
-        let next_before = idx
-            .entries()
-            .iter()
-            .find(|e| e.offset == hi)
-            .map(|e| e.records_before)
-            .unwrap();
-        let records_before = idx
-            .entries()
-            .iter()
-            .find(|e| e.offset == lo)
-            .map(|e| e.records_before)
-            .unwrap();
-        assert_eq!(n, next_before - records_before);
+        let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
+        w.write_bytes(0, &forged).unwrap();
+        let file = w.finish().unwrap();
+        let r = ranges(&file, 2);
+        assert_eq!(r.len(), 2, "the forged chain is taken for a record start");
+        let (ts, end) = decode(&file, r[0]);
+        assert!(ts.is_empty());
+        assert!(end.unwrap_err().is_eof_inside_record());
     }
 }

@@ -93,31 +93,36 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/4, --no-prefilter and --streaming (with and without it) byte-identical to serial"
+    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
     # generations, so the level-0 candidate table grows to the window and
     # sweeps in place many times; --no-prefilter is the exact-map path
-    # without that table.
+    # without that table. Its .ltc twin runs the same variants through
+    # the mapped segments. --threads 3 splits the input unevenly, and
+    # --threads 8 asks for more segments than the machine has cores.
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     cargo run --release --example pcap_analysis -- --emit-demo "$tmp/long.pcap" 0.3
-    for args in "--csv loops" "--csv streams" "--csv summary"; do
-        # shellcheck disable=SC2086
-        cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args --engine serial \
-            > "$tmp/serial.txt"
-        for variant in "--threads 1" "--threads 2" "--threads 4" "--no-prefilter" "--streaming" \
-            "--streaming --no-prefilter"; do
+    cargo run --release --bin pcap2ltc -- "$tmp/long.pcap" "$tmp/long.ltc"
+    for input in long.pcap long.ltc; do
+        for args in "--csv loops" "--csv streams" "--csv summary"; do
             # shellcheck disable=SC2086
-            cargo run --release --bin loopdetect -- "$tmp/long.pcap" $args $variant \
-                > "$tmp/variant.txt"
-            if ! cmp -s "$tmp/serial.txt" "$tmp/variant.txt"; then
-                echo "error: loopdetect '$args $variant' output differs from --engine serial" >&2
-                diff "$tmp/serial.txt" "$tmp/variant.txt" >&2 || true
-                exit 1
-            fi
+            cargo run --release --bin loopdetect -- "$tmp/$input" $args --engine serial \
+                > "$tmp/serial.txt"
+            for variant in "--threads 1" "--threads 2" "--threads 3" "--threads 4" "--threads 8" \
+                "--no-prefilter" "--streaming" "--streaming --no-prefilter"; do
+                # shellcheck disable=SC2086
+                cargo run --release --bin loopdetect -- "$tmp/$input" $args $variant \
+                    > "$tmp/variant.txt"
+                if ! cmp -s "$tmp/serial.txt" "$tmp/variant.txt"; then
+                    echo "error: loopdetect $input '$args $variant' output differs from --engine serial" >&2
+                    diff "$tmp/serial.txt" "$tmp/variant.txt" >&2 || true
+                    exit 1
+                fi
+            done
         done
     done
 }

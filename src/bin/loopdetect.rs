@@ -38,13 +38,13 @@ use routing_loops::loopscope::analysis::{AnalysisAccumulator, AnalysisReport};
 use routing_loops::loopscope::merge::LoopKind;
 use routing_loops::loopscope::pipeline::{
     run_pipeline_with_progress, BlockEngine, Engine, EngineProgress, LoopCsvSink, LoopJsonlSink,
-    PcapSource, PipelineResult, RecordSource, SerialEngine, Sink, StreamCsvSink, StreamJsonlSink,
+    PipelineResult, RecordSource, SerialEngine, Sink, SourceError, StreamCsvSink, StreamJsonlSink,
     StreamingEngine, SummaryCsvSink, OPEN_TAIL_GAP_NS,
 };
+use routing_loops::loopscope::segment::PcapFileSource;
 use routing_loops::loopscope::{analysis, impact, DetectorConfig};
 use routing_loops::shutdown;
 use std::fs::File;
-use std::io::BufReader;
 use std::io::Write;
 use std::process::exit;
 
@@ -481,14 +481,20 @@ fn main() {
             },
         )
     } else {
-        let file = File::open(&args.path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {}: {e}", args.path);
-            exit(1);
-        });
-        Box::new(PcapSource::new(BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse {}: {e}", args.path);
-            exit(1);
-        }))
+        // The batch engines get the file as one segment per worker, each
+        // decoded by its own thread; --streaming reads it batch by batch.
+        Box::new(
+            PcapFileSource::open(&args.path).unwrap_or_else(|e| match e {
+                SourceError::Io(e) => {
+                    eprintln!("error: cannot open {}: {e}", args.path);
+                    exit(1);
+                }
+                SourceError::Pcap(e) => {
+                    eprintln!("error: cannot parse {}: {e}", args.path);
+                    exit(1);
+                }
+            }),
+        )
     };
 
     // Mode selection is engine selection: all three run the same pipeline.

@@ -31,10 +31,8 @@
 //! Diagnostics go to stderr; the event stream alone goes to `--events`.
 
 use routing_loops::corpus::{self, IngestMode};
-use routing_loops::loopscope::pipeline::{PcapSource, PipelineError, RecordSource, SourceError};
-use routing_loops::loopscope::{
-    DetectorConfig, MonitorConfig, MonitorRuntime, OutOfOrder, ReplicaKey, TraceRecord,
-};
+use routing_loops::loopscope::pipeline::{PcapSource, PipelineError, RecordSource};
+use routing_loops::loopscope::{DetectorConfig, MonitorConfig, MonitorRuntime, OutOfOrder};
 use routing_loops::shutdown;
 use routing_loops::simnet::{FleetSpec, SimDuration};
 use routing_loops::sources::TapSource;
@@ -425,16 +423,11 @@ fn run_job(
     budget: &AtomicI64,
     pace: Option<std::time::Duration>,
 ) -> Result<(), JobError> {
-    // A `.ltc` stores each record's fingerprint rather than computing it.
-    let (id, mut source, stored_fingerprints): (String, Box<dyn RecordSource>, bool) = match job {
+    let (id, mut source): (String, Box<dyn RecordSource>) = match job {
         Job::Fleet(i) => {
             let spec = spec.expect("fleet jobs carry a spec");
             let tap = spec.run_link(*i);
-            (
-                FleetSpec::link_name(*i),
-                Box::new(TapSource::new(&tap)),
-                false,
-            )
+            (FleetSpec::link_name(*i), Box::new(TapSource::new(&tap)))
         }
         Job::File(path) => {
             let p = std::path::Path::new(path);
@@ -451,16 +444,13 @@ fn run_job(
                         .map_err(|e| JobError::Link(format!("cannot parse {path}: {e}")))?,
                 )
             };
-            (link_id_for_file(path), source, is_ltc)
+            (link_id_for_file(path), source)
         }
     };
 
     let mut link = runtime.add_link(&id);
     let chunk_len = if pace.is_some() { PACED_CHUNK } else { CHUNK };
     let pulled = source.for_each_batch(&mut |batch| {
-        if stored_fingerprints {
-            check_stored_fingerprints(batch, link.records())?;
-        }
         for chunk in batch.chunks(chunk_len) {
             if shutdown::requested() {
                 return Err(PipelineError::Interrupted);
@@ -494,27 +484,6 @@ fn run_job(
     link.finish()
         .map_err(|e| JobError::Sink(format!("link {id}: event sink: {e}")))?;
     Ok(())
-}
-
-/// Refuses a batch holding a record whose stored fingerprint is not its
-/// replica key's; `first` numbers the batch's first record. The online
-/// detector's candidate index trusts the fingerprint: a wrong one splits
-/// a key into two candidates, and a column of equal values chains every
-/// key onto one index entry, which the daemon would walk per record.
-fn check_stored_fingerprints(batch: &[TraceRecord], first: u64) -> Result<(), PipelineError> {
-    match batch
-        .iter()
-        .position(|r| r.fingerprint != ReplicaKey::of(r).fingerprint())
-    {
-        None => Ok(()),
-        Some(i) => Err(PipelineError::Source(SourceError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "record {}: stored fingerprint does not match its replica-key fields",
-                first + i as u64
-            ),
-        )))),
-    }
 }
 
 /// Whether `e` is the refusal of a batch whose records go back in time;

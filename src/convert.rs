@@ -2,10 +2,11 @@
 //! detector's trace records.
 
 use loopscope::pipeline::{PcapSource, RecordSource};
+use loopscope::segment::decode_pcap_segments;
 use loopscope::TraceRecord;
-use pcaplib::{BlockIndex, FileHeader, PcapError, PcapReader, PcapWriter};
+use pcaplib::{FileHeader, PcapError, PcapReader, PcapWriter};
 use simnet::Tap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// The monitors the paper used stored the first 40 bytes of each packet;
@@ -42,31 +43,25 @@ pub fn write_tap_to_pcap<W: Write>(tap: &Tap, snaplen: u32, sink: W) -> Result<u
 /// is unparseable (non-IPv4 link noise) are skipped and counted.
 pub fn records_from_pcap<R: Read>(source: R) -> Result<(Vec<TraceRecord>, u64), PcapError> {
     let _t = telemetry::span("pcap.read");
-    let (records, skipped) = decode_all(PcapReader::new(source)?)?;
+    let mut source = PcapSource::from(PcapReader::new(source)?);
+    let mut records = Vec::new();
+    source.for_each_record(|rec| {
+        records.push(rec);
+        Ok::<_, PcapError>(())
+    })?;
+    let skipped = source.skipped_hint();
     if skipped > 0 {
         telemetry::tm_warn!("skipped {} unparseable records", skipped);
     }
     Ok((records, skipped))
 }
 
-/// Materialises every record `reader` has left through [`PcapSource`]'s
-/// decode loop: `(records, skipped)`.
-fn decode_all<R: Read>(reader: PcapReader<R>) -> Result<(Vec<TraceRecord>, u64), PcapError> {
-    let mut source = PcapSource::from(reader);
-    let mut records = Vec::new();
-    source.for_each_record(|rec| {
-        records.push(rec);
-        Ok::<_, PcapError>(())
-    })?;
-    Ok((records, source.skipped_hint()))
-}
-
-/// [`records_from_pcap`] fanned out over `threads` independent byte
-/// ranges of one file: a [`BlockIndex`] header walk finds record-aligned
-/// split offsets, then each worker opens its own handle and decodes its
-/// range through the same decode loop. Ranges are concatenated in file
-/// order, so the records (and skip count) are identical to the serial
-/// read. One thread reads serially, with no header walk.
+/// [`records_from_pcap`] fanned out over up to `threads` byte ranges of
+/// one file: [`decode_pcap_segments`] guesses record-aligned split
+/// offsets with no header walk, decodes each range on its own thread
+/// through the same decode loop, and proves every guess. The ranges are
+/// joined in file order, so the records, skip count and error are those
+/// of the serial read. One thread reads serially.
 pub fn records_from_pcap_parallel(
     path: &Path,
     threads: usize,
@@ -74,42 +69,10 @@ pub fn records_from_pcap_parallel(
     if threads <= 1 {
         return records_from_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
     }
-    let _t = telemetry::span("pcap.read_parallel");
-    let index = {
-        let _t = telemetry::span("pcap.index");
-        BlockIndex::scan(std::io::BufReader::new(std::fs::File::open(path)?))?
-    };
-    let ranges = index.split_ranges(threads);
-    if ranges.len() <= 1 {
-        let file = std::fs::File::open(path)?;
-        return records_from_pcap(std::io::BufReader::new(file));
-    }
-    let header = index.header();
-    let parts: Vec<Result<(Vec<TraceRecord>, u64), PcapError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let mut file = std::fs::File::open(path)?;
-                    file.seek(SeekFrom::Start(lo))?;
-                    let limited = std::io::BufReader::new(file).take(hi - lo);
-                    decode_all(PcapReader::resume(limited, header))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pcap range reader panicked"))
-            .collect()
-    });
-    let mut records = Vec::with_capacity(index.records() as usize);
-    let mut skipped = 0u64;
-    for part in parts {
-        let (mut recs, skip) = part?;
-        records.append(&mut recs);
-        skipped += skip;
-    }
-    Ok((records, skipped))
+    let segments =
+        decode_pcap_segments(path, threads, &mut |_| std::ops::ControlFlow::Continue(()))?;
+    let skipped = segments.skipped;
+    Ok((segments.concat(), skipped))
 }
 
 /// Failure converting a pcap capture to a `.ltc` corpus: either side of

@@ -3,13 +3,14 @@
 //! `loopscope` cannot depend on `simnet` (the detector is deliberately
 //! simulator-agnostic), so the [`RecordSource`] implementation for taps
 //! lives here: a [`TapSource`] converts a tap's observations into
-//! [`loopscope::TraceRecord`]s once and then feeds the pipeline through
-//! the in-memory fast path.
+//! [`loopscope::TraceRecord`]s once and then hands the pipeline its
+//! records as one in-memory segment.
 
 use crate::convert::records_from_tap;
-use loopscope::pipeline::{PipelineError, RecordSource, SourceSummary};
+use loopscope::pipeline::{PipelineError, RecordSource, Segments, SourceSummary};
 use loopscope::TraceRecord;
 use simnet::Tap;
+use std::ops::ControlFlow;
 
 /// A [`RecordSource`] over a simulated tap's observations.
 pub struct TapSource {
@@ -43,8 +44,12 @@ impl RecordSource for TapSource {
         })
     }
 
-    fn as_slice(&self) -> Option<&[TraceRecord]> {
-        Some(&self.records)
+    fn segments(
+        &mut self,
+        _parts: usize,
+        _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<Result<Segments<'_>, PipelineError>> {
+        Some(Ok(Segments::borrowed(&self.records)))
     }
 }
 

@@ -2,7 +2,11 @@
 //! flows straddling split points, byte-level split offsets landing
 //! mid-record in the pcap stream, truncated captures, degenerate worker
 //! counts, and serial-vs-block byte-identity under proptest-chosen split
-//! offsets.
+//! offsets. The segmented pcap decode is tortured too: payloads that forge
+//! record-header chains at every guessed split offset, link noise around
+//! the splits, framing errors inside a range, byte-swapped and
+//! microsecond files, and files too small to split must all decode, and
+//! detect, exactly as the serial read does.
 
 use proptest::prelude::*;
 use routing_loops::backbone::{paper_backbones, run_backbone};
@@ -10,9 +14,13 @@ use routing_loops::convert::{
     records_from_pcap, records_from_pcap_parallel, write_tap_to_pcap, PAPER_SNAPLEN,
 };
 use routing_loops::loopscope::block::BlockParallelDetector;
+use routing_loops::loopscope::pipeline::{run_pipeline, BlockEngine, Engine, SerialEngine};
+use routing_loops::loopscope::segment::PcapFileSource;
 use routing_loops::loopscope::{Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Packet, TcpFlags};
+use routing_loops::pcaplib::{FileHeader, PcapWriter, RecordHeader, TsResolution};
 use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
 
 /// A looping flow as the monitor would see it: the same packet sighted
 /// every `spacing_ns` with the TTL two lower each time.
@@ -139,8 +147,8 @@ fn backbone_fixture_at_power_of_two_thread_counts() {
 
 #[test]
 fn pcap_path_with_mid_record_splits_is_byte_identical() {
-    // Small records mean the 64 KiB byte-level split boundaries almost
-    // always land mid-record; the BlockIndex must snap them to record
+    // Small records mean the ideal byte-level split offsets almost
+    // always land mid-record; the splitter must move them to record
     // starts and the end-to-end parallel read + detect must equal the
     // serial read + detect.
     let packets = mixed_packets();
@@ -164,7 +172,7 @@ fn pcap_path_with_mid_record_splits_is_byte_identical() {
         records_from_pcap(std::io::Cursor::new(&bytes[..])).unwrap();
     let cfg = DetectorConfig::default();
     let serial = Detector::new(cfg).run(&serial_records);
-    for threads in [1, 2, 4, 8] {
+    for threads in [1, 2, 3, 4, 8] {
         let (par_records, skipped) = records_from_pcap_parallel(&path, threads).unwrap();
         assert_eq!(serial_records, par_records, "threads={threads}");
         assert_eq!(serial_skipped, skipped, "threads={threads}");
@@ -202,8 +210,15 @@ fn truncated_pcap_fails_identically_in_parallel() {
         std::process::id()
     ));
     std::fs::write(&path, &bytes).unwrap();
-    assert!(records_from_pcap(std::io::Cursor::new(&bytes[..])).is_err());
-    assert!(records_from_pcap_parallel(&path, 4).is_err());
+    let serial = records_from_pcap(std::io::Cursor::new(&bytes[..])).unwrap_err();
+    for threads in [2, 3, 4, 8] {
+        let parallel = records_from_pcap_parallel(&path, threads).unwrap_err();
+        assert_eq!(
+            format!("{parallel:?}"),
+            format!("{serial:?}"),
+            "threads={threads}"
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -225,5 +240,258 @@ proptest! {
         prop_assert_eq!(&serial.streams, &block.streams, "splits {:?}", &splits);
         prop_assert_eq!(&serial.loops, &block.loops, "splits {:?}", &splits);
         prop_assert_eq!(&serial.stats, &block.stats, "splits {:?}", &splits);
+    }
+}
+
+/// Thread counts the segmented decode is checked at: one range, an even
+/// and an odd split, and more ranges than a small machine has cores.
+const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// 1,400 records: 200 looping packets sighted 6 times each, 2 ms apart,
+/// 50 ms between packets, over 40 /24s, with one background packet per
+/// loop.
+fn many_loops() -> Vec<(u64, Packet)> {
+    let mut packets = Vec::new();
+    for g in 0..200u64 {
+        let dst = Ipv4Addr::new(203, 0, (g % 40) as u8, 9);
+        packets.extend(loop_packets(
+            1_000 + g * 50_000_000,
+            2_000_000,
+            60,
+            6,
+            g as u16,
+            dst,
+        ));
+        let mut p = Packet::tcp_flags(
+            Ipv4Addr::new(100, 12, 0, 2),
+            Ipv4Addr::new(198, 51, (g % 7) as u8, 1),
+            50_000,
+            443,
+            TcpFlags::ACK,
+            &b"bg"[..],
+        );
+        p.ip.ident = 20_000 + g as u16;
+        p.fill_checksums();
+        packets.push((g * 50_000_000 + 25_000_000, p));
+    }
+    packets.sort_by_key(|(ts, _)| *ts);
+    packets
+}
+
+/// Writes `records` (timestamp, captured bytes) as a pcap with `header`.
+fn pcap_of(header: FileHeader, records: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut w = PcapWriter::new(Vec::new(), header).unwrap();
+    for (ts, data) in records {
+        w.write_bytes(*ts, data).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+fn emitted(packets: &[(u64, Packet)]) -> Vec<(u64, Vec<u8>)> {
+    packets.iter().map(|(ts, p)| (*ts, p.emit())).collect()
+}
+
+/// `n` plausible record headers with empty bodies and the earliest
+/// timestamp: bytes that a guessed split offset anywhere inside them takes
+/// for a chain of records, which runs on into the true records after them.
+fn forged_headers(n: usize) -> Vec<u8> {
+    RecordHeader {
+        ts_sec: 0,
+        ts_frac: 0,
+        incl_len: 0,
+        orig_len: 60,
+    }
+    .encode()
+    .repeat(n)
+}
+
+/// The same file with every header field stored big-endian.
+fn byte_swapped(le: &[u8]) -> Vec<u8> {
+    let mut out = le.to_vec();
+    for (at, width) in [(0, 4), (4, 2), (6, 2), (8, 4), (12, 4), (16, 4), (20, 4)] {
+        out[at..at + width].reverse();
+    }
+    let mut pos = 24;
+    while pos + 16 <= le.len() {
+        let incl_len = u32::from_le_bytes(le[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        for field in 0..4 {
+            out[pos + 4 * field..pos + 4 * field + 4].reverse();
+        }
+        pos += 16 + incl_len;
+    }
+    out
+}
+
+/// The inputs of the split parity test: (name, file bytes).
+fn adversarial_pcaps() -> Vec<(&'static str, Vec<u8>)> {
+    let packets = many_loops();
+    let full = FileHeader::raw_ip(65535);
+    // Every packet carries 40 to 62 forged headers after its IP/TCP
+    // headers; the varying lengths put the ideal split offsets inside
+    // them.
+    let forged: Vec<(u64, Vec<u8>)> = packets
+        .iter()
+        .zip(0usize..)
+        .map(|((ts, p), i)| (*ts, [p.emit(), forged_headers(40 + i % 23)].concat()))
+        .collect();
+    // Link noise on both sides of every split: a non-IPv4 record before
+    // every third packet.
+    let noisy: Vec<(u64, Vec<u8>)> = emitted(&packets)
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, (ts, data))| {
+            let noise = (i % 3 == 0).then(|| (ts, vec![0xde, 0xad, 0xbe]));
+            noise.into_iter().chain([(ts, data)])
+        })
+        .collect();
+    let paper = FileHeader::raw_ip(PAPER_SNAPLEN);
+    let mut truncated = pcap_of(paper, &emitted(&packets));
+    truncated.truncate(truncated.len() - 7);
+    // An oversized incl_len in the second range at every thread count:
+    // past half of the file, before five eighths of it.
+    let mut oversized = pcap_of(paper, &emitted(&packets));
+    let mut pos = 24;
+    while pos < oversized.len() * 9 / 16 {
+        pos += 16 + u32::from_le_bytes(oversized[pos + 8..pos + 12].try_into().unwrap()) as usize;
+    }
+    oversized[pos + 8..pos + 12].copy_from_slice(&10_000_000u32.to_le_bytes());
+    let mut micro = paper;
+    micro.resolution = TsResolution::Micro;
+    let few = emitted(&packets[..20]);
+    vec![
+        ("forged_chains", pcap_of(full, &forged)),
+        ("noise_around_splits", pcap_of(paper, &noisy)),
+        ("truncated_final_record", truncated),
+        ("oversized_in_range_2", oversized),
+        ("byte_swapped", byte_swapped(&pcap_of(full, &forged))),
+        ("microseconds", pcap_of(micro, &emitted(&packets))),
+        ("smaller_than_a_window", pcap_of(paper, &few)),
+        ("fewer_records_than_threads", pcap_of(paper, &few[..3])),
+    ]
+}
+
+/// A decode's outcome: records and skips, or the error's variant and
+/// message.
+type Decoded = Result<(Vec<TraceRecord>, u64), (String, String)>;
+
+fn described<T>(
+    r: Result<T, impl std::fmt::Debug + std::fmt::Display>,
+) -> Result<T, (String, String)> {
+    r.map_err(|e| (format!("{e:?}"), e.to_string()))
+}
+
+/// Runs `loopdetect <path> <args>`: exit code, stdout, and the stderr
+/// lines that are not logging.
+fn loopdetect(path: &Path, args: &[&str]) -> (Option<i32>, String, Vec<String>) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_loopdetect"))
+        .arg(path)
+        .args(args)
+        .output()
+        .expect("run loopdetect");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let errors = stderr
+        .lines()
+        .filter(|l| l.starts_with("error"))
+        .map(String::from)
+        .collect();
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        errors,
+    )
+}
+
+/// `pcap.split_fallbacks` in a `--metrics` snapshot (0 when absent).
+fn fallbacks(metrics: &Path) -> u64 {
+    let json = std::fs::read_to_string(metrics).unwrap();
+    json.split("\"pcap.split_fallbacks\":")
+        .nth(1)
+        .map_or(0, |rest| {
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()
+                .unwrap()
+                .parse()
+                .unwrap()
+        })
+}
+
+fn temp(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("block_boundaries_{}_{tag}", std::process::id()))
+}
+
+#[test]
+fn segmented_decode_matches_the_serial_read_on_adversarial_pcaps() {
+    let cfg = DetectorConfig::default();
+    for (name, bytes) in adversarial_pcaps() {
+        let path = temp(&format!("{name}.pcap"));
+        std::fs::write(&path, &bytes).unwrap();
+        let serial: Decoded = described(records_from_pcap(std::io::Cursor::new(&bytes[..])));
+        let reference = serial
+            .as_ref()
+            .ok()
+            .map(|(records, _)| Detector::new(cfg).run(records));
+        // The batch path (the serial reader) is the CLI's reference.
+        let cli_reference: Vec<_> = ["summary", "streams"]
+            .iter()
+            .map(|csv| loopdetect(&path, &["--csv", csv, "--streaming"]))
+            .collect();
+        let metrics = temp(&format!("{name}.json"));
+        for threads in THREADS {
+            let what = format!("{name} at {threads} threads");
+            let parallel: Decoded = described(records_from_pcap_parallel(&path, threads));
+            assert_eq!(parallel, serial, "{what}: records_from_pcap_parallel");
+
+            let mut engine: Box<dyn Engine> = if threads == 1 {
+                Box::new(SerialEngine::new(cfg))
+            } else {
+                Box::new(BlockEngine::new(cfg, threads))
+            };
+            let mut source = PcapFileSource::open(&path).unwrap();
+            let piped = described(run_pipeline(&mut source, engine.as_mut(), &mut []));
+            match (&serial, &reference, piped) {
+                (Ok((records, skipped)), Some(reference), Ok(result)) => {
+                    assert_eq!(result.records, records.len() as u64, "{what}");
+                    assert_eq!(result.skipped, *skipped, "{what}");
+                    assert_eq!(result.loops, reference.loops, "{what}");
+                    assert_eq!(result.stats, reference.stats, "{what}");
+                    let mut streams = reference.streams.clone();
+                    streams.sort_by_key(|s| (s.start_ns(), s.record_indices.first().copied()));
+                    assert_eq!(result.streams, streams, "{what}");
+                }
+                (Err((_, serial_msg)), None, Err((_, msg))) => {
+                    assert!(
+                        msg.ends_with(serial_msg.as_str()),
+                        "{what}: {msg} vs {serial_msg}"
+                    );
+                }
+                (_, _, piped) => panic!("{what}: serial {serial:?}, pipeline {piped:?}"),
+            }
+
+            let thread_arg = threads.to_string();
+            for (csv, want) in ["summary", "streams"].iter().zip(&cli_reference) {
+                let got = loopdetect(
+                    &path,
+                    &[
+                        "--csv",
+                        csv,
+                        "--threads",
+                        &thread_arg,
+                        "--metrics",
+                        metrics.to_str().unwrap(),
+                    ],
+                );
+                assert_eq!(&got, want, "{what}: loopdetect --csv {csv}");
+            }
+            if name == "forged_chains" && threads > 1 {
+                assert!(
+                    fallbacks(&metrics) > 0,
+                    "{what}: a forged chain must be disproved"
+                );
+            } else if serial.is_ok() && name != "byte_swapped" {
+                assert_eq!(fallbacks(&metrics), 0, "{what}: no guess may fail here");
+            }
+        }
+        let _ = std::fs::remove_file(&metrics);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -757,3 +757,41 @@ fn pcap2ltc_rejects_bad_invocations_and_bad_input() {
     assert!(!dst.exists(), "failed conversion must not leave a corpus");
     let _ = std::fs::remove_file(&junk);
 }
+
+#[test]
+fn tampered_ltc_fingerprints_are_refused_on_every_read_path() {
+    // Every record of the corpus claims the first record's fingerprint,
+    // which would chain every key into one candidate-index entry. Each
+    // read path checks the column as it decodes a block.
+    let bytes = std::fs::read(demo_pcap()).expect("read pcap");
+    let (mut records, skipped) =
+        routing_loops::convert::records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
+    let shared = records[0].fingerprint;
+    for r in &mut records {
+        r.fingerprint = shared;
+    }
+    let ltc = std::env::temp_dir().join(format!("loopdetect_tampered_{}.ltc", std::process::id()));
+    std::fs::write(&ltc, routing_loops::corpus::ltc_to_vec(&records, skipped))
+        .expect("write tampered corpus");
+    for args in [
+        &["--threads", "1"][..],
+        &["--threads", "2"],
+        &["--streaming"],
+        &["--threads", "2", "--no-mmap"],
+    ] {
+        let out = loopdetect()
+            .arg(&ltc)
+            .args(["--csv", "loops"])
+            .args(args)
+            .output()
+            .expect("run loopdetect");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: no partial report");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("record 1: stored fingerprint does not match"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&ltc);
+}

@@ -142,6 +142,30 @@ fn noisy_pcap() -> Vec<u8> {
     w.finish().unwrap()
 }
 
+/// `noisy_pcap` with 20 to 50 forged record headers (empty bodies, the
+/// earliest timestamp) after each packet: every guessed split offset
+/// inside them is wrong, so a segmented decode falls back to a serial one.
+fn forged_pcap() -> Vec<u8> {
+    use routing_loops::pcaplib::{FileHeader, PcapReader, PcapWriter, RecordHeader};
+    let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
+    let mut r = PcapReader::new(Cursor::new(noisy_pcap())).unwrap();
+    let mut i = 0usize;
+    while let Some(p) = r.next_packet().unwrap() {
+        let forged = RecordHeader {
+            ts_sec: 0,
+            ts_frac: 0,
+            incl_len: 0,
+            orig_len: 60,
+        }
+        .encode()
+        .repeat(20 + i % 31);
+        let data: Vec<u8> = p.data.iter().copied().chain(forged).collect();
+        w.write_bytes(p.timestamp_ns, &data).unwrap();
+        i += 1;
+    }
+    w.finish().unwrap()
+}
+
 /// A unique temp path for this test binary.
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("telemetry_{}_{tag}", std::process::id()))
@@ -180,6 +204,77 @@ fn pcap_skips_reach_the_unparseable_counter_on_every_path() {
             || after.timers["pcap.read"].calls == before.timers["pcap.read"].calls,
         "the 2-thread read split the file instead of reading it serially"
     );
+}
+
+#[test]
+fn segmented_pcap_reads_publish_the_serial_reads_counters() {
+    use routing_loops::loopscope::pipeline::{run_pipeline, BlockEngine, SerialEngine};
+    use routing_loops::loopscope::segment::PcapFileSource;
+    let _lock = WORKLOAD.lock().unwrap();
+    const NAMES: [&str; 5] = [
+        "pcap.records_total",
+        "pcap.truncated_records",
+        "pcap.malformed_records",
+        "pcap.unparseable_records",
+        "pcap.split_fallbacks",
+    ];
+    let deltas = |run: &mut dyn FnMut()| {
+        let before = telemetry::global().snapshot();
+        run();
+        let after = telemetry::global().snapshot();
+        NAMES.map(|n| counter_delta(&before, &after, n))
+    };
+    let mut truncated = noisy_pcap();
+    truncated.truncate(truncated.len() - 7);
+    for (name, bytes) in [
+        ("noisy", noisy_pcap()),
+        ("forged", forged_pcap()),
+        ("truncated", truncated),
+    ] {
+        let path = temp_path(&format!("{name}.pcap"));
+        std::fs::write(&path, &bytes).unwrap();
+        let serial = deltas(&mut || {
+            let _ = records_from_pcap(Cursor::new(&bytes));
+        });
+        assert_eq!(serial[4], 0, "{name}: the serial read never splits");
+        for threads in [1, 2, 3] {
+            let segmented = deltas(&mut || {
+                let mut source = PcapFileSource::open(&path).unwrap();
+                let _ = if threads == 1 {
+                    run_pipeline(
+                        &mut source,
+                        &mut SerialEngine::new(DetectorConfig::default()),
+                        &mut [],
+                    )
+                } else {
+                    run_pipeline(
+                        &mut source,
+                        &mut BlockEngine::new(DetectorConfig::default(), threads),
+                        &mut [],
+                    )
+                };
+            });
+            assert_eq!(segmented[..4], serial[..4], "{name} at {threads} threads");
+            let fallbacks = segmented[4];
+            if name == "forged" && threads > 1 {
+                assert!(
+                    fallbacks > 0,
+                    "{name} at {threads} threads: the guess must fail"
+                );
+            } else if name != "forged" {
+                assert_eq!(fallbacks, 0, "{name} at {threads} threads");
+            }
+            let parallel = deltas(&mut || {
+                let _ = records_from_pcap_parallel(&path, threads);
+            });
+            assert_eq!(
+                parallel[..4],
+                serial[..4],
+                "{name}: parallel read at {threads} threads"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Checks the `replica.*` step-1 counters one run published against the
@@ -552,6 +647,7 @@ fn metric_catalogue_covers_every_emitted_name() {
     use routing_loops::loopscope::pipeline::{
         run_pipeline, BlockEngine, Engine, PcapSource, SerialEngine, SliceSource, StreamingEngine,
     };
+    use routing_loops::loopscope::segment::PcapFileSource;
     let _lock = WORKLOAD.lock().unwrap();
     let recs = looping_trace(6, 40);
     let cfg = DetectorConfig::default();
@@ -567,7 +663,9 @@ fn metric_catalogue_covers_every_emitted_name() {
     // verify, both `.ltc` sources, the whole-file `.ltc` decode in both
     // modes, and the mapped decode falling back on a missing file.
     let (pcap, ltc) = (temp_path("catalogue.pcap"), temp_path("catalogue.ltc"));
+    let forged = temp_path("catalogue-forged.pcap");
     std::fs::write(&pcap, noisy_pcap()).unwrap();
+    std::fs::write(&forged, forged_pcap()).unwrap();
     let file = std::io::BufReader::new(std::fs::File::open(&pcap).unwrap());
     run_pipeline(
         &mut PcapSource::new(file).unwrap(),
@@ -575,16 +673,30 @@ fn metric_catalogue_covers_every_emitted_name() {
         &mut [],
     )
     .unwrap();
+    // The segmented pcap path, with and without a split fallback.
+    for path in [&pcap, &forged] {
+        let mut engine = BlockEngine::new(cfg, 2);
+        run_pipeline(
+            &mut PcapFileSource::open(path).unwrap(),
+            &mut engine,
+            &mut [],
+        )
+        .unwrap();
+    }
     pcap_to_ltc(&pcap, &ltc, 2).unwrap();
     verify_ltc_against_pcap(&ltc, &pcap, 2).unwrap();
     for mode in [IngestMode::Mmap, IngestMode::Buffered] {
         let mut source = open_ltc_source(&ltc, mode).unwrap();
         run_pipeline(source.as_mut(), &mut SerialEngine::new(cfg), &mut []).unwrap();
+        // Segmented under Mmap, batches under Buffered.
+        let mut source = open_ltc_source(&ltc, mode).unwrap();
+        run_pipeline(source.as_mut(), &mut BlockEngine::new(cfg, 2), &mut []).unwrap();
         records_from_ltc_with(&ltc, 2, mode).unwrap();
     }
     assert!(records_from_ltc_with(&temp_path("missing.ltc"), 2, IngestMode::Mmap).is_err());
-    std::fs::remove_file(&pcap).ok();
-    std::fs::remove_file(&ltc).ok();
+    for path in [&pcap, &forged, &ltc] {
+        std::fs::remove_file(path).ok();
+    }
 
     let snap = telemetry::global().snapshot();
     assert!(snap.timers.contains_key("block.w1.scan"), "block@2 ran");
@@ -592,6 +704,10 @@ fn metric_catalogue_covers_every_emitted_name() {
     assert!(
         snap.counters.contains_key("ingest.mmap.fallbacks"),
         "fallback ran"
+    );
+    assert!(
+        snap.counters.contains_key("pcap.split_fallbacks"),
+        "split fallback ran"
     );
 
     let rows = design_metric_rows();
