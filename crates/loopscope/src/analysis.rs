@@ -11,7 +11,7 @@
 use crate::merge::RoutingLoop;
 use crate::record::TraceRecord;
 use crate::stream::ReplicaStream;
-use crate::traffic_class;
+use crate::traffic_class::{self, ClassCounts};
 use stats::{CategoricalDist, Cdf, Histogram};
 
 /// Table I row material for one trace.
@@ -73,8 +73,8 @@ pub struct AnalysisAccumulator {
     last_ts: u64,
     total_packets: u64,
     total_bytes: u64,
-    mix_all: CategoricalDist,
-    mix_looped: CategoricalDist,
+    mix_all: ClassCounts,
+    mix_looped: ClassCounts,
     ttl_delta: Histogram,
     stream_size: Cdf,
     spacing_ms: Cdf,
@@ -100,8 +100,8 @@ impl AnalysisAccumulator {
             last_ts: 0,
             total_packets: 0,
             total_bytes: 0,
-            mix_all: CategoricalDist::new(&traffic_class::CATEGORIES),
-            mix_looped: CategoricalDist::new(&traffic_class::CATEGORIES),
+            mix_all: ClassCounts::new(),
+            mix_looped: ClassCounts::new(),
             ttl_delta: Histogram::new(),
             stream_size: Cdf::new(),
             spacing_ms: Cdf::new(),
@@ -114,13 +114,15 @@ impl AnalysisAccumulator {
         }
     }
 
-    /// Folds one captured record (Table I counts, Figure 5 mix).
+    /// Folds one captured record (Table I counts, Figure 5 mix): a few
+    /// counter bumps, with no allocation and no label lookup.
+    #[inline]
     pub fn add_record(&mut self, rec: &TraceRecord) {
         self.first_ts.get_or_insert(rec.timestamp_ns);
         self.last_ts = rec.timestamp_ns;
         self.total_packets += 1;
         self.total_bytes += u64::from(rec.total_len);
-        self.mix_all.record(&traffic_class::classify(rec));
+        self.mix_all.add_record(rec);
     }
 
     /// Folds one validated replica stream (Figures 2, 3, 4, 6, 7, 8).
@@ -133,10 +135,8 @@ impl AnalysisAccumulator {
             .push((s.start_ns() as f64 / 1e9, s.key.dst));
         // Every sighting of this stream classifies identically — the key
         // carries the destination and the full transport summary.
-        self.mix_looped.record_n(
-            &traffic_class::classify_parts(s.key.dst, &s.key.transport),
-            s.len() as u64,
-        );
+        self.mix_looped
+            .add(s.key.dst, &s.key.transport, s.len() as u64);
         self.looped_packets += 1;
         self.looped_sightings += s.len() as u64;
         if (192..=223).contains(&s.key.dst.octets()[0]) {
@@ -177,8 +177,8 @@ impl AnalysisAccumulator {
             spacing_cdf_ms: self.spacing_ms.clone(),
             stream_duration_cdf_ms: self.stream_duration_ms.clone(),
             loop_duration_cdf_s: self.loop_duration_s.clone(),
-            mix_all: self.mix_all.clone(),
-            mix_looped: self.mix_looped.clone(),
+            mix_all: self.mix_all.dist(),
+            mix_looped: self.mix_looped.dist(),
             dest_scatter: self.dest_scatter.clone(),
             class_c_share: if streams == 0 {
                 0.0
@@ -267,14 +267,11 @@ pub fn mix_all(records: &[TraceRecord]) -> CategoricalDist {
 /// all replicas of a stream share the classified header fields, so this
 /// equals classifying the underlying records individually.
 pub fn mix_looped(streams: &[ReplicaStream]) -> CategoricalDist {
-    let mut dist = CategoricalDist::new(&traffic_class::CATEGORIES);
+    let mut counts = ClassCounts::new();
     for s in streams {
-        dist.record_n(
-            &traffic_class::classify_parts(s.key.dst, &s.key.transport),
-            s.len() as u64,
-        );
+        counts.add(s.key.dst, &s.key.transport, s.len() as u64);
     }
-    dist
+    counts.dist()
 }
 
 /// Figure 7 support: number of *distinct* looped /24s per time bucket —

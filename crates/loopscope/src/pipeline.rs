@@ -618,6 +618,17 @@ pub trait Sink {
         Ok(())
     }
 
+    /// Observes a run of ingested records in trace order; the pipeline
+    /// calls this once per segment or batch. Default: [`Sink::on_record`]
+    /// for each. The default is compiled per sink, so the loop inlines
+    /// the sink's own `on_record` and vanishes where that is a no-op.
+    fn on_records(&mut self, recs: &[TraceRecord]) -> std::io::Result<()> {
+        for rec in recs {
+            self.on_record(rec)?;
+        }
+        Ok(())
+    }
+
     /// Consumes the finished result.
     fn on_result(&mut self, result: &PipelineResult) -> std::io::Result<()>;
 }
@@ -647,6 +658,14 @@ fn trace_emission(ev: &OnlineEvent) {
         OnlineEvent::Stream(_) => trace::instant(&TR_STREAM_CLOSED),
         OnlineEvent::Loop(_) => trace::instant(&TR_LOOP_CLOSED),
     }
+}
+
+/// Hands `recs` to every sink, one [`Sink::on_records`] call each.
+fn deliver(sinks: &mut [&mut dyn Sink], recs: &[TraceRecord]) -> Result<(), PipelineError> {
+    for sink in sinks.iter_mut() {
+        sink.on_records(recs).map_err(PipelineError::Sink)?;
+    }
+    Ok(())
 }
 
 /// [`run_pipeline`] with a progress callback, invoked after every batch
@@ -708,10 +727,8 @@ pub fn run_pipeline_with_progress(
             .map_or(0, |r| r.timestamp_ns);
         if !sinks.is_empty() {
             let _t = telemetry::span("pipeline.ingest");
-            for rec in views.iter().flat_map(|v| v.iter()) {
-                for sink in sinks.iter_mut() {
-                    sink.on_record(rec).map_err(PipelineError::Sink)?;
-                }
+            for view in &views {
+                deliver(sinks, view)?;
             }
         }
         let stats = {
@@ -734,11 +751,7 @@ pub fn run_pipeline_with_progress(
             }
             if !sinks.is_empty() {
                 let _t = telemetry::span("pipeline.ingest");
-                for rec in batch {
-                    for sink in sinks.iter_mut() {
-                        sink.on_record(rec).map_err(PipelineError::Sink)?;
-                    }
-                }
+                deliver(sinks, batch)?;
             }
             trace_start.get_or_insert(batch[0].timestamp_ns);
             trace_end = batch.last().expect("non-empty").timestamp_ns;

@@ -7,13 +7,18 @@
 //! walk. For each ideal split offset it reads one [`WINDOW_LEN`] window
 //! and takes the first position where a chain of [`CHAIN_LEN`]
 //! plausible record headers starts, in time order. A header is plausible
-//! when its `incl_len` is at most the snap length (and the reader's
-//! 256 KiB cap) and at most its `orig_len`, its `orig_len` is not 0 (no
-//! link carries an empty packet), and its sub-second field is below one
-//! second in the file's resolution. The last two rules matter on real
-//! captures: zero payload bytes read as an empty record header, and
-//! without them about one guess in twelve on the benchmark's traces
-//! started inside the record before a true start.
+//! when its `orig_len` is not 0 (no link carries an empty packet), its
+//! `incl_len` is exactly `min(orig_len, snap length)` (what a capture
+//! writes: the whole packet, or the snap length of it) and at most the
+//! reader's 256 KiB cap, and its sub-second field is below one second in
+//! the file's resolution. Each rule matters on real captures: zero
+//! payload bytes read as an empty record header, and without the
+//! `orig_len` and sub-second rules about one guess in twelve on the
+//! benchmark's traces started inside the record before a true start; a
+//! header read 4 bytes late takes the packet's first 4 bytes for its
+//! `orig_len`, which the exact `incl_len` rule refuses on untruncated
+//! captures. A capture whose records are cut shorter than that rule
+//! says gets no guessed starts, and is decoded as one range.
 //!
 //! That is only a guess: payload bytes can forge a chain. The proof
 //! comes from the decode. The first range starts right after the file
@@ -88,9 +93,10 @@ pub fn split_ranges<R: Read + Seek>(
 /// then exactly the end of the file (`at_eof`: `bytes` runs to the end of
 /// the file) or the end of the window (otherwise).
 fn chain_starts(bytes: &[u8], at_eof: bool, header: &FileHeader) -> bool {
-    let max_caplen = match header.snaplen {
-        0 => MAX_SANE_CAPLEN,
-        snaplen => snaplen.min(MAX_SANE_CAPLEN),
+    // A snap length of 0 stands for none.
+    let snaplen = match header.snaplen {
+        0 => u32::MAX,
+        snaplen => snaplen,
     };
     let frac_limit = match header.resolution {
         TsResolution::Micro => 1_000_000,
@@ -106,9 +112,9 @@ fn chain_starts(bytes: &[u8], at_eof: bool, header: &FileHeader) -> bool {
         };
         let rec = RecordHeader::decode(raw.try_into().expect("16 bytes"), header.swapped);
         let ts = (rec.ts_sec, rec.ts_frac);
-        if rec.incl_len > max_caplen
-            || rec.incl_len > rec.orig_len
-            || rec.orig_len == 0
+        if rec.orig_len == 0
+            || rec.incl_len != rec.orig_len.min(snaplen)
+            || rec.incl_len > MAX_SANE_CAPLEN
             || rec.ts_frac >= frac_limit
             || ts < prev_ts
         {
@@ -192,6 +198,66 @@ mod tests {
             for &(lo, _) in &r {
                 assert_eq!((lo - FILE_HEADER_LEN as u64) % record_len, 0, "{lo}");
             }
+        }
+    }
+
+    /// `n` untruncated 40-byte IPv4/TCP packets under a 65535 snap
+    /// length, `spacing_ns` apart: a header read 4 bytes late has
+    /// `incl_len` 40 and the packet's first 4 bytes for its `orig_len`.
+    fn untruncated_ipv4(n: u64, spacing_ns: u64) -> Vec<u8> {
+        let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
+        for i in 0..n {
+            let mut packet = vec![0x45, 0x00, 0x00, 40, 0, 0, 0x40, 0x00, 64, 6, 0xbe, 0xef];
+            packet.extend([100, 0, (i >> 8) as u8, i as u8, 203, 0, 113, 9]);
+            packet.extend([0x0f, 0xa0, 0x00, 0x50]);
+            packet.extend((i as u32).to_be_bytes());
+            packet.extend([0, 0, 0, 7, 0x50, 0x10, 0x04, 0x00, 0xca, 0xfe, 0, 0]);
+            w.write_bytes(1_000_000_000 + i * spacing_ns, &packet)
+                .unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn untruncated_captures_split_at_record_starts() {
+        for spacing_ns in [1_000, 37_000, 1_000_000] {
+            let file = untruncated_ipv4(4000, spacing_ns);
+            for parts in [2, 3, 4, 8] {
+                let r = ranges(&file, parts);
+                assert_eq!(r.len(), parts, "spacing {spacing_ns}, parts={parts}");
+                for &(lo, _) in &r {
+                    assert_eq!(
+                        (lo - FILE_HEADER_LEN as u64) % 56,
+                        0,
+                        "spacing {spacing_ns}, parts={parts}: {lo}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn records_cut_below_the_snap_length_get_one_range() {
+        // 60-byte packets captured as 40 bytes under a 65535 snap length:
+        // no header obeys `incl_len == min(orig_len, snaplen)`, so nothing
+        // is guessed, and the one range decodes every record.
+        let header = FileHeader::raw_ip(65535);
+        let mut w = PcapWriter::new(Vec::new(), header).unwrap();
+        for i in 0..2000u64 {
+            w.write_packet(&crate::CapturedPacket {
+                timestamp_ns: i * 1_000,
+                orig_len: 60,
+                data: vec![0xee; 40],
+            })
+            .unwrap();
+        }
+        let file = w.finish().unwrap();
+        for parts in [2, 3, 4, 8] {
+            let r = ranges(&file, parts);
+            assert_eq!(r, vec![(FILE_HEADER_LEN as u64, file.len() as u64)]);
+            let (ts, end) = decode(&file, r[0]);
+            end.unwrap();
+            assert_eq!(ts, (0..2000).map(|i| i * 1_000).collect::<Vec<_>>());
         }
     }
 
@@ -287,20 +353,21 @@ mod tests {
 
     #[test]
     fn a_forged_chain_is_disproved_by_the_range_before_it() {
-        // One huge record whose body is a run of plausible 16-byte
-        // headers with empty bodies: the guessed split lands inside it,
-        // and the first range, bounded there, ends inside a record.
+        // One huge record whose body is a run of plausible records with
+        // 4-byte bodies: the guessed split lands inside it, and the first
+        // range, bounded there, ends inside a record.
         let mut forged = Vec::new();
         for i in 0..4000u32 {
             forged.extend(
                 RecordHeader {
                     ts_sec: i,
                     ts_frac: 0,
-                    incl_len: 0,
-                    orig_len: 60,
+                    incl_len: 4,
+                    orig_len: 4,
                 }
                 .encode(),
             );
+            forged.extend([0xee; 4]);
         }
         let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
         w.write_bytes(0, &forged).unwrap();

@@ -113,21 +113,35 @@ impl CategoricalDist {
     /// Unknown labels panic: the schema is fixed and a typo is a programmer
     /// error, not data.
     pub fn record(&mut self, hits: &[&str]) {
-        self.record_n(hits, 1);
-    }
-
-    /// Records `n` identically-classified items at once — what incremental
-    /// accumulators use when a whole replica stream's sightings share one
-    /// classification.
-    pub fn record_n(&mut self, hits: &[&str], n: u64) {
-        self.items += n;
+        self.items += 1;
         for hit in hits {
             let idx = self
                 .labels
                 .iter()
                 .position(|l| l == hit)
                 .unwrap_or_else(|| panic!("unknown category {hit:?}"));
-            self.counts[idx] += n;
+            self.counts[idx] += 1;
+        }
+    }
+
+    /// Records `n` identically-classified items hitting the categories
+    /// whose schema indices are the set bits of `set` — what incremental
+    /// accumulators use: they count items per classification and add each
+    /// classification's total once, with no label lookup.
+    ///
+    /// # Panics
+    /// Panics when `set` has a bit at or above the schema length.
+    pub fn record_set(&mut self, set: u64, n: u64) {
+        assert!(
+            set.checked_shr(self.labels.len() as u32).unwrap_or(0) == 0,
+            "category set {set:#x} outside a schema of {}",
+            self.labels.len()
+        );
+        self.items += n;
+        for (i, count) in self.counts.iter_mut().enumerate().take(64) {
+            if set & (1 << i) != 0 {
+                *count += n;
+            }
         }
     }
 
@@ -244,6 +258,27 @@ mod tests {
         assert!((d.fraction("ACK") - 2.0 / 3.0).abs() < 1e-12);
         assert!((d.fraction("SYN") - 1.0 / 3.0).abs() < 1e-12);
         assert!((d.fraction("UDP") - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn categorical_record_set_matches_labels() {
+        let mut by_label = CategoricalDist::new(&["TCP", "SYN", "ACK", "UDP"]);
+        for _ in 0..4 {
+            by_label.record(&["TCP", "SYN", "ACK"]);
+        }
+        by_label.record(&["UDP"]);
+        let mut by_set = CategoricalDist::new(&["TCP", "SYN", "ACK", "UDP"]);
+        by_set.record_set(0b0111, 4);
+        by_set.record_set(0b1000, 1);
+        assert_eq!(by_set.items(), by_label.items());
+        assert_eq!(by_set.fractions(), by_label.fractions());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a schema of 2")]
+    fn categorical_record_set_outside_schema_panics() {
+        let mut d = CategoricalDist::new(&["TCP", "UDP"]);
+        d.record_set(0b100, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use routing_loops::loopscope::pipeline::{run_pipeline, BlockEngine, Engine, Seri
 use routing_loops::loopscope::segment::PcapFileSource;
 use routing_loops::loopscope::{Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Packet, TcpFlags};
-use routing_loops::pcaplib::{FileHeader, PcapWriter, RecordHeader, TsResolution};
+use routing_loops::pcaplib::{CapturedPacket, FileHeader, PcapWriter, RecordHeader, TsResolution};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
@@ -291,18 +291,20 @@ fn emitted(packets: &[(u64, Packet)]) -> Vec<(u64, Vec<u8>)> {
     packets.iter().map(|(ts, p)| (*ts, p.emit())).collect()
 }
 
-/// `n` plausible record headers with empty bodies and the earliest
-/// timestamp: bytes that a guessed split offset anywhere inside them takes
-/// for a chain of records, which runs on into the true records after them.
+/// `n` plausible records with 4-byte bodies and the earliest timestamp:
+/// bytes that a guessed split offset anywhere inside them takes for a
+/// chain of records, which runs on into the true records after them.
 fn forged_headers(n: usize) -> Vec<u8> {
-    RecordHeader {
+    let mut record = RecordHeader {
         ts_sec: 0,
         ts_frac: 0,
-        incl_len: 0,
-        orig_len: 60,
+        incl_len: 4,
+        orig_len: 4,
     }
     .encode()
-    .repeat(n)
+    .to_vec();
+    record.extend([0xee; 4]);
+    record.repeat(n)
 }
 
 /// The same file with every header field stored big-endian.
@@ -358,8 +360,24 @@ fn adversarial_pcaps() -> Vec<(&'static str, Vec<u8>)> {
     let mut micro = paper;
     micro.resolution = TsResolution::Micro;
     let few = emitted(&packets[..20]);
+    // Every record cut 20 bytes short of the whole packet under a snap
+    // length that would have kept it: no header obeys the split guess's
+    // `incl_len == min(orig_len, snaplen)`, so the file is one range.
+    let mut w = PcapWriter::new(Vec::new(), full).unwrap();
+    for (ts, data) in emitted(&packets) {
+        let orig_len = data.len() as u32 + 20;
+        w.write_packet(&CapturedPacket {
+            timestamp_ns: ts,
+            orig_len,
+            data,
+        })
+        .unwrap();
+    }
+    let cut_short = w.finish().unwrap();
     vec![
         ("forged_chains", pcap_of(full, &forged)),
+        ("untruncated", pcap_of(full, &emitted(&packets))),
+        ("cut_below_the_snap_length", cut_short),
         ("noise_around_splits", pcap_of(paper, &noisy)),
         ("truncated_final_record", truncated),
         ("oversized_in_range_2", oversized),

@@ -142,23 +142,25 @@ fn noisy_pcap() -> Vec<u8> {
     w.finish().unwrap()
 }
 
-/// `noisy_pcap` with 20 to 50 forged record headers (empty bodies, the
-/// earliest timestamp) after each packet: every guessed split offset
-/// inside them is wrong, so a segmented decode falls back to a serial one.
+/// `noisy_pcap` with 20 to 50 forged records (4-byte bodies, the earliest
+/// timestamp) after each packet: every guessed split offset inside them
+/// is wrong, so a segmented decode falls back to a serial one.
 fn forged_pcap() -> Vec<u8> {
     use routing_loops::pcaplib::{FileHeader, PcapReader, PcapWriter, RecordHeader};
     let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
     let mut r = PcapReader::new(Cursor::new(noisy_pcap())).unwrap();
     let mut i = 0usize;
     while let Some(p) = r.next_packet().unwrap() {
-        let forged = RecordHeader {
+        let mut record = RecordHeader {
             ts_sec: 0,
             ts_frac: 0,
-            incl_len: 0,
-            orig_len: 60,
+            incl_len: 4,
+            orig_len: 4,
         }
         .encode()
-        .repeat(20 + i % 31);
+        .to_vec();
+        record.extend([0xee; 4]);
+        let forged = record.repeat(20 + i % 31);
         let data: Vec<u8> = p.data.iter().copied().chain(forged).collect();
         w.write_bytes(p.timestamp_ns, &data).unwrap();
         i += 1;
