@@ -17,9 +17,11 @@
 //!    wall-clock speedup to be physically possible.
 //! 3. **Stage breakdown**: per-stage wall time extracted from the
 //!    telemetry timers, for the serial pipeline and each parallel run.
+//!    The serial row is the block core at one worker, on the calling
+//!    thread, read through the paper's step names ([`SERIAL_STAGES`]).
 //!    The block engine reports ONE uniform stage schema
 //!    ([`BLOCK_STAGES`]) at every thread count — one worker runs the
-//!    same machinery as eight, so there is no serial-name special case —
+//!    same machinery as eight —
 //!    plus a per-worker `scan/validate/merge/busy` row for each worker.
 //!    Every row is scoped to its own instrumented run via snapshot
 //!    deltas (no cross-row accumulation, no registry reset). Worker-side
@@ -37,19 +39,21 @@ use loopscope::{DetectorConfig, PipelineResult, TraceRecord};
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use std::time::Instant;
 
-/// Serial pipeline stage timers, in pipeline order.
+/// Serial pipeline stage timers, in pipeline order: the paper's three
+/// steps, as the one-worker block core publishes them.
 pub const SERIAL_STAGES: [&str; 3] = ["replica.detect", "validate", "merge"];
 
 /// Block-parallel stage timers, in pipeline order — the SAME schema at
-/// every thread count (one worker runs the full block machinery). The
-/// scan/validate/merge stages aggregate across workers (worker-seconds);
-/// reconcile, index, and stitch run on the calling thread (wall time).
+/// every thread count (one worker runs the same core on the calling
+/// thread). The scan (scan plus index share), validate and merge stages
+/// aggregate across workers (worker-seconds); reconcile, index, and
+/// stitch run on the calling thread (wall time).
 pub const BLOCK_STAGES: [&str; 6] = [
     "block.scan",
     "block.reconcile",
     "block.index",
-    "block.validate",
-    "block.merge",
+    "validate",
+    "merge",
     "block.stitch",
 ];
 

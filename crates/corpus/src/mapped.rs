@@ -263,17 +263,15 @@ impl RecordSource for MappedColumnarSource {
         &mut self,
         parts: usize,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Option<Result<Segments<'_>, PipelineError>> {
+    ) -> Result<Segments<'_>, PipelineError> {
         let _t = telemetry::span(if parts > 1 {
             "corpus.read_parallel"
         } else {
             "corpus.read"
         });
-        Some(
-            self.ltc
-                .decode_segments(parts, poll)
-                .map_err(to_source_error),
-        )
+        self.ltc
+            .decode_segments(parts, poll)
+            .map_err(to_source_error)
     }
 
     fn skipped_hint(&self) -> u64 {

@@ -1,4 +1,7 @@
-//! Share-nothing block-parallel detection.
+//! Share-nothing block-parallel detection: the one offline driver of
+//! steps 1–3. [`Detector::run`] and the serial engine are its one-segment
+//! case, which scans, validates and merges on the calling thread and
+//! spawns nothing; more segments fan out one worker each.
 //!
 //! **Records never move** between threads: a dispatcher that hands every
 //! record to a worker costs more than the entire serial run
@@ -55,14 +58,16 @@
 //! movement. The final stitch re-sorts with the serial pipeline's
 //! canonical orderings (`(start, ident, first_index)` for streams,
 //! `(prefix, start)` for loops), which are total orders, so output is
-//! byte-identical to [`Detector::run`] at every worker count — including
-//! `W = 1`, which runs the same machinery (uniform telemetry schema, no
-//! serial special case).
+//! byte-identical at every worker count. `W = 1` is not a special case:
+//! it is the same code with one segment, nothing to reconcile and the
+//! workers' work done inline, so every worker count publishes the same
+//! metric names and reports an unsorted trace in the same words.
 
 use crate::config::DetectorConfig;
 use crate::fxhash::FxHashSet;
 use crate::key::ReplicaKey;
 use crate::merge::{self, RoutingLoop};
+use crate::monitor::OutOfOrder;
 use crate::record::TraceRecord;
 use crate::replica::{
     normalise_fp, publish_checksum_splits, publish_scan_totals, CandidateScanner, DetectionResult,
@@ -87,10 +92,10 @@ struct ScanPartial {
     /// This range's share of the step-2 [`PrefixIndex`], built here so the
     /// index work overlaps the scan instead of serialising after it.
     index_part: IndexPartial,
-    /// Whether the range, and the step into it from the record before,
-    /// is in timestamp order. The scan stops at the first record that is
-    /// not.
-    sorted: bool,
+    /// The first record of the range that is earlier than the record
+    /// before it (which may be the last record of the range before). The
+    /// scan stops there.
+    out_of_order: Option<OutOfOrder>,
 }
 
 /// One worker's share of the step-2/3 validate+merge.
@@ -101,8 +106,8 @@ struct FinishPartial {
     rejected_covalidation: u64,
 }
 
-/// The share-nothing block-parallel detector: output byte-identical to
-/// [`Detector::run`] at every worker count.
+/// The share-nothing block-parallel detector: the one offline steps 1–3
+/// core. [`Detector::run`] is its one-segment case.
 #[derive(Debug, Clone)]
 pub struct BlockParallelDetector {
     cfg: DetectorConfig,
@@ -167,10 +172,12 @@ impl BlockParallelDetector {
     /// per non-empty segment. The records stay where they are: candidates
     /// and index postings carry trace-global indices (a segment's records
     /// are numbered after all records of the segments before it), and the
-    /// order check and reconciliation windows cross segment ends.
+    /// order check and reconciliation windows cross segment ends. One
+    /// segment runs on the calling thread and spawns nothing.
     ///
     /// # Panics
-    /// Panics when records are not sorted by timestamp.
+    /// Panics when records are not sorted by timestamp, naming the first
+    /// record that is earlier than the one before it.
     pub fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
         let mut segs: Vec<&[TraceRecord]> =
             segments.iter().copied().filter(|s| !s.is_empty()).collect();
@@ -195,10 +202,9 @@ impl BlockParallelDetector {
         // check timestamp order as they scan, which keeps that pass over
         // the trace off the serial path too.
         let mut partials = self.scan_segments(&segs, &bases);
-        assert!(
-            partials.iter().all(|p| p.sorted),
-            "trace records must be sorted by timestamp"
-        );
+        if let Some(err) = partials.iter().find_map(|p| p.out_of_order) {
+            panic!("trace records must be sorted by timestamp: {err}");
+        }
         let index_parts: Vec<IndexPartial> = partials
             .iter_mut()
             .map(|p| std::mem::take(&mut p.index_part))
@@ -251,7 +257,7 @@ impl BlockParallelDetector {
         stats.looped_sightings = streams.iter().map(|s| s.len() as u64).sum();
         stats.routing_loops = loops.len() as u64;
         tm_info!(
-            "block detection complete: {} records over {} workers, {} validated streams, {} routing loops",
+            "detection complete: {} records over {} workers, {} validated streams, {} routing loops",
             stats.total_records,
             workers,
             stats.validated_streams,
@@ -269,66 +275,57 @@ impl BlockParallelDetector {
     /// Phase A: each worker scans its own segment in place, pushing
     /// global record indices.
     fn scan_segments(&self, segs: &[&[TraceRecord]], bases: &[usize]) -> Vec<ScanPartial> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = segs
-                .iter()
-                .zip(bases)
-                .enumerate()
-                .map(|(w, (&slice, &base))| {
-                    let cfg = self.cfg;
-                    // The record before the segment: the order check
-                    // crosses segment ends.
-                    let prev_ns = w
-                        .checked_sub(1)
-                        .and_then(|p| segs[p].last())
-                        .map_or(0, |r| r.timestamp_ns);
-                    std::thread::Builder::new()
-                        .name(format!("block-w{w}"))
-                        .spawn_scoped(scope, move || {
-                            let started = Instant::now();
-                            let _agg = telemetry::span("block.scan");
-                            telemetry::global()
-                                .counter(block_metric(w, "records"))
-                                .add(slice.len() as u64);
-                            let mut scanner = CandidateScanner::new(cfg);
-                            let mut prev_ns = prev_ns;
-                            let mut sorted = true;
-                            for (off, rec) in slice.iter().enumerate() {
-                                if rec.timestamp_ns < prev_ns {
-                                    sorted = false;
-                                    break;
-                                }
-                                prev_ns = rec.timestamp_ns;
-                                scanner.push(base + off, rec);
-                            }
-                            let (candidates, counters, split_fps) = scanner.finish_with_splits();
-                            publish_scan_totals(slice.len(), &counters);
-                            let scan_ns = started.elapsed().as_nanos() as u64;
-                            telemetry::global()
-                                .timer(block_metric(w, "scan"))
-                                .record(scan_ns);
-                            let index_started = Instant::now();
-                            let index_part = PrefixIndex::build_range(slice, base);
-                            telemetry::global()
-                                .timer(block_metric(w, "index"))
-                                .record(index_started.elapsed().as_nanos() as u64);
-                            telemetry::global()
-                                .timer(block_metric(w, "busy"))
-                                .record(started.elapsed().as_nanos() as u64);
-                            ScanPartial {
-                                candidates,
-                                split_fps,
-                                index_part,
-                                sorted,
-                            }
-                        })
-                        .expect("spawn block scan worker")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("block scan worker panicked"))
-                .collect()
+        let cfg = self.cfg;
+        let ranges: Vec<(&[TraceRecord], usize)> =
+            segs.iter().copied().zip(bases.iter().copied()).collect();
+        fan_out(ranges, |w, (slice, base)| {
+            let started = Instant::now();
+            let _agg = telemetry::span("block.scan");
+            telemetry::global()
+                .counter(block_metric(w, "records"))
+                .add(slice.len() as u64);
+            // The record before the segment: the order check crosses
+            // segment ends.
+            let mut previous_ns = w
+                .checked_sub(1)
+                .and_then(|p| segs[p].last())
+                .map_or(0, |r| r.timestamp_ns);
+            let mut out_of_order = None;
+            let (candidates, counters, split_fps) = {
+                let _t = telemetry::span("replica.detect");
+                let mut scanner = CandidateScanner::new(cfg);
+                for (off, rec) in slice.iter().enumerate() {
+                    if rec.timestamp_ns < previous_ns {
+                        out_of_order = Some(OutOfOrder {
+                            record: (base + off) as u64,
+                            timestamp_ns: rec.timestamp_ns,
+                            previous_ns,
+                        });
+                        break;
+                    }
+                    previous_ns = rec.timestamp_ns;
+                    scanner.push(base + off, rec);
+                }
+                scanner.finish_with_splits()
+            };
+            publish_scan_totals(slice.len(), &counters);
+            telemetry::global()
+                .timer(block_metric(w, "scan"))
+                .record(started.elapsed().as_nanos() as u64);
+            let index_started = Instant::now();
+            let index_part = PrefixIndex::build_range(slice, base);
+            telemetry::global()
+                .timer(block_metric(w, "index"))
+                .record(index_started.elapsed().as_nanos() as u64);
+            telemetry::global()
+                .timer(block_metric(w, "busy"))
+                .record(started.elapsed().as_nanos() as u64);
+            ScanPartial {
+                candidates,
+                split_fps,
+                index_part,
+                out_of_order,
+            }
         })
     }
 
@@ -400,58 +397,65 @@ impl BlockParallelDetector {
             let w = shard_of(&cand.key, workers);
             groups[w].push(cand);
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .map(|(w, group)| {
-                    let cfg = self.cfg;
-                    std::thread::Builder::new()
-                        .name(format!("block-w{w}"))
-                        .spawn_scoped(scope, move || {
-                            let started = Instant::now();
-                            let mut stats = DetectionStats::default();
-                            let streams = {
-                                let _agg = telemetry::span("block.validate");
-                                validate::validate(
-                                    &[],
-                                    group,
-                                    looped_flags,
-                                    index,
-                                    &cfg,
-                                    &mut stats,
-                                )
-                            };
-                            telemetry::global()
-                                .timer(block_metric(w, "validate"))
-                                .record(started.elapsed().as_nanos() as u64);
-                            let merge_started = Instant::now();
-                            let loops = {
-                                let _agg = telemetry::span("block.merge");
-                                merge::merge(&[], &streams, looped_flags, index, &cfg)
-                            };
-                            telemetry::global()
-                                .timer(block_metric(w, "merge"))
-                                .record(merge_started.elapsed().as_nanos() as u64);
-                            telemetry::global()
-                                .timer(block_metric(w, "busy"))
-                                .record(started.elapsed().as_nanos() as u64);
-                            FinishPartial {
-                                streams,
-                                loops,
-                                rejected_short: stats.rejected_short,
-                                rejected_covalidation: stats.rejected_covalidation,
-                            }
-                        })
-                        .expect("spawn block finish worker")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("block finish worker panicked"))
-                .collect()
+        let cfg = self.cfg;
+        fan_out(groups, |w, group| {
+            let started = Instant::now();
+            let mut stats = DetectionStats::default();
+            let streams = {
+                let _agg = telemetry::span("validate");
+                validate::validate(&[], group, looped_flags, index, &cfg, &mut stats)
+            };
+            telemetry::global()
+                .timer(block_metric(w, "validate"))
+                .record(started.elapsed().as_nanos() as u64);
+            let merge_started = Instant::now();
+            let loops = {
+                let _agg = telemetry::span("merge");
+                merge::merge(&[], &streams, looped_flags, index, &cfg)
+            };
+            telemetry::global()
+                .timer(block_metric(w, "merge"))
+                .record(merge_started.elapsed().as_nanos() as u64);
+            telemetry::global()
+                .timer(block_metric(w, "busy"))
+                .record(started.elapsed().as_nanos() as u64);
+            FinishPartial {
+                streams,
+                loops,
+                rejected_short: stats.rejected_short,
+                rejected_covalidation: stats.rejected_covalidation,
+            }
         })
     }
+}
+
+/// Runs `work(w, input)` for each input in order and returns the results
+/// in order: on the calling thread when there is one input, otherwise on
+/// one scoped thread per input, named `block-w<w>`.
+///
+/// # Panics
+/// Panics when a worker panics.
+fn fan_out<I: Send, T: Send>(inputs: Vec<I>, work: impl Fn(usize, I) -> T + Sync) -> Vec<T> {
+    if inputs.len() == 1 {
+        return inputs.into_iter().map(|input| work(0, input)).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(w, input)| {
+                let work = &work;
+                std::thread::Builder::new()
+                    .name(format!("block-w{w}"))
+                    .spawn_scoped(scope, move || work(w, input))
+                    .expect("spawn block worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("block worker panicked"))
+            .collect()
+    })
 }
 
 /// Evenly spaced interior split points for `len` records over `threads`
@@ -770,14 +774,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
+    #[should_panic(
+        expected = "trace records must be sorted by timestamp: record 4 at 1000 ns is earlier than the record before it at 5120000000 ns"
+    )]
     fn unsorted_inside_a_range_panics() {
         BlockParallelDetector::new(DetectorConfig::default(), 2)
             .run_with_splits(&step_back_at(4), &[2]);
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
+    #[should_panic(
+        expected = "trace records must be sorted by timestamp: record 4 at 1000 ns is earlier than the record before it at 5120000000 ns"
+    )]
     fn unsorted_across_a_split_panics() {
         // Each range is sorted on its own; only the step from the record
         // before the split into the range is out of order.

@@ -23,15 +23,16 @@
 //! traffic (Figs. 5–6), the destination scatter (Fig. 7), stream and loop
 //! duration CDFs (Figs. 8–9), and the loss/escape impact estimates (§VI).
 //!
-//! For multi-core machines, [`block`] fans the same pipeline out
-//! share-nothing: the trace is split into contiguous record ranges, each
-//! worker scans its own range in place, and a boundary-reconciliation
-//! pass keeps the output byte-identical to serial at every thread count
-//! (see DESIGN.md for the soundness argument).
+//! [`block`] drives the three steps offline, for one worker or many:
+//! the trace is split into contiguous record ranges, each worker scans
+//! its own range in place, and a boundary-reconciliation pass keeps the
+//! output byte-identical at every thread count (see DESIGN.md for the
+//! soundness argument). [`Detector::run`] is its one-range case, run on
+//! the calling thread.
 //!
 //! For continuous operation, [`online`] runs the same three steps as a
 //! single bounded-memory pass, with step 1 on the same
-//! [`replica::CandidateScanner`] the offline detectors use, and
+//! [`replica::CandidateScanner`] the offline core uses, and
 //! [`monitor`] multiplexes many links through one runtime — a bounded
 //! streaming engine per link feeding a unified, per-link-attributed
 //! loop-event sink — which is what the `loopmond` fleet daemon drives.

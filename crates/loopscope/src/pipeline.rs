@@ -5,9 +5,9 @@
 //! through which every execution mode runs it:
 //!
 //! ```text
-//!   RecordSource ──batches──▶ Engine ──events──▶ canonical order ──▶ Sinks
-//!   (slice, pcap,             (serial, block,    (streams, loops)    (CSV, JSONL,
-//!    .ltc, tap)                streaming)                             analysis, …)
+//!   RecordSource ──segments──▶ Engine ──events──▶ canonical order ──▶ Sinks
+//!   (slice, pcap,  or batches  (serial, block,    (streams, loops)    (CSV, JSONL,
+//!    .ltc, tap)                 streaming)                             analysis, …)
 //! ```
 //!
 //! * A [`RecordSource`] yields timestamp-ordered [`TraceRecord`] batches:
@@ -16,17 +16,19 @@
 //!   ([`PcapSource`], whose [`PcapSource::for_each_record`] is the one
 //!   pcap decode loop — every other pcap reader runs it too).
 //!   `.ltc` corpora plug in through the `corpus` crate's sources, and
-//!   simulator taps through the root crate's `TapSource` wrapper. A
-//!   source that can also hand over the whole trace at once does so as
-//!   [`Segments`] ([`RecordSource::segments`]): a slice as one borrowed
-//!   part, a pcap file ([`crate::segment::PcapFileSource`]) or a mapped
-//!   `.ltc` as up to N parts decoded by N threads.
-//! * An [`Engine`] consumes the batches and emits
-//!   [`OnlineEvent`]s. All three detectors implement it — [`SerialEngine`],
-//!   [`BlockEngine`], [`StreamingEngine`] — under one contract: on the
-//!   same input they produce the same streams, loops, and
-//!   [`DetectionStats`] (the conformance tests assert equality on every
-//!   fixture).
+//!   simulator taps through the root crate's `TapSource` wrapper. Every
+//!   source also hands over the whole trace at once, as [`Segments`]
+//!   ([`RecordSource::segments`]): a slice as one borrowed part, a pcap
+//!   file ([`crate::segment::PcapFileSource`]) or a mapped `.ltc` as up
+//!   to N parts decoded by N threads, and any other source as its
+//!   batches drained into one owned part.
+//! * An [`Engine`] turns the trace into [`OnlineEvent`]s. The offline
+//!   engines — [`SerialEngine`] and [`BlockEngine`], one engine over the
+//!   one offline core ([`BlockParallelDetector`]) at one worker or N —
+//!   take it as segments; [`StreamingEngine`] takes it batch by batch.
+//!   All three share one contract: on the same input they produce the
+//!   same streams, loops, and [`DetectionStats`] (the conformance tests
+//!   assert equality on every fixture).
 //! * A [`Sink`] observes each record as it is ingested (for single-pass
 //!   whole-trace statistics) and the finished [`PipelineResult`] (for
 //!   per-stream/per-loop output). CSV and JSONL emitters live here;
@@ -44,9 +46,10 @@ use crate::config::DetectorConfig;
 use crate::merge::{LoopKind, RoutingLoop};
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
-use crate::replica::{DetectionResult, DetectionStats, Detector};
+use crate::replica::DetectionStats;
 pub use crate::segment::Segments;
 use crate::stream::ReplicaStream;
+use std::borrow::Cow;
 use std::io::Write;
 use std::ops::ControlFlow;
 
@@ -147,18 +150,41 @@ pub trait RecordSource {
 
     /// The whole source at once, as up to `parts` trace-ordered
     /// [`Segments`], for engines that want the whole trace before they
-    /// detect ([`Engine::segment_parts`]). `None` (the default) means the
-    /// source only streams batches. A slice answers with itself as one
-    /// borrowed part; a source that must decode may split the work over
-    /// `parts` threads, calling `poll` with the records decoded so far
-    /// meanwhile and stopping at the first [`ControlFlow::Break`] (the
-    /// result is then a prefix, marked `interrupted`).
+    /// detect ([`Engine::segment_parts`]). A source that must decode may
+    /// split the work over `parts` threads, calling `poll` with the records
+    /// decoded so far meanwhile and stopping at the first
+    /// [`ControlFlow::Break`] (the result is then a prefix, marked
+    /// `interrupted`).
+    ///
+    /// The default drains [`RecordSource::for_each_batch`] into one owned
+    /// segment, polling after each batch; on a break it returns the
+    /// batches read so far, with [`RecordSource::skipped_hint`] as the
+    /// skip count. A slice answers with itself as one borrowed part
+    /// instead, and a pcap file ([`crate::segment::PcapFileSource`]) or a
+    /// mapped `.ltc` with up to `parts` parts decoded by as many threads.
     fn segments(
         &mut self,
         _parts: usize,
-        _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Option<Result<Segments<'_>, PipelineError>> {
-        None
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<Segments<'_>, PipelineError> {
+        let mut records = Vec::new();
+        let pulled = self.for_each_batch(&mut |batch| {
+            records.extend_from_slice(batch);
+            match poll(records.len() as u64) {
+                ControlFlow::Continue(()) => Ok(()),
+                ControlFlow::Break(()) => Err(PipelineError::Interrupted),
+            }
+        });
+        let (skipped, interrupted) = match pulled {
+            Ok(summary) => (summary.skipped, false),
+            Err(PipelineError::Interrupted) => (self.skipped_hint(), true),
+            Err(e) => return Err(e),
+        };
+        Ok(Segments {
+            parts: vec![Cow::Owned(records)],
+            skipped,
+            interrupted,
+        })
     }
 
     /// Unparseable records skipped so far: by the decode this source
@@ -199,8 +225,8 @@ impl RecordSource for SliceSource<'_> {
         &mut self,
         _parts: usize,
         _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Option<Result<Segments<'_>, PipelineError>> {
-        Some(Ok(Segments::borrowed(self.records)))
+    ) -> Result<Segments<'_>, PipelineError> {
+        Ok(Segments::borrowed(self.records))
     }
 }
 
@@ -323,16 +349,19 @@ pub struct EngineProgress {
     pub open_candidates: Option<usize>,
 }
 
-/// One detection engine: consumes record batches, emits validated streams
-/// and merged loops as [`OnlineEvent`]s, and reports [`DetectionStats`].
+/// One detection engine: turns a trace into validated streams and merged
+/// loops, emitted as [`OnlineEvent`]s, and reports [`DetectionStats`].
 ///
-/// The primary contract is the incremental feed path: any number of
+/// An engine takes the trace in one of two shapes. The offline engines
+/// ([`BlockEngine`], [`SerialEngine`]) detect once they hold the whole
+/// trace: [`run_pipeline`] asks the source for it as
+/// [`Engine::segment_parts`] segments and runs them in one
+/// [`Engine::run_segments`] call, where they lie. The streaming engine
+/// (`segment_parts` 0) is fed batches instead: any number of
 /// [`Engine::feed`] calls followed by exactly one [`Engine::finish`].
 /// Batches can arrive over an arbitrarily long wall-clock span — the
 /// monitor runtime keeps one engine per link alive for the life of the
-/// link. An engine that detects only once it holds the whole trace asks
-/// for it as segments instead ([`Engine::segment_parts`]) and runs them
-/// in one [`Engine::run_segments`] call, with no copy.
+/// link.
 ///
 /// The contract all implementations share: on the same timestamp-ordered
 /// input, the *set* of emitted streams and loops and every stats field
@@ -361,163 +390,138 @@ pub trait Engine {
         0
     }
 
-    /// Runs the whole trace, given as trace-ordered segments, in one
-    /// call. Default: feed each segment, then finish.
+    /// Runs the whole trace, given as trace-ordered segments, in one call.
     fn run_segments(
         &mut self,
         segments: &[&[TraceRecord]],
         emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        for segment in segments {
-            self.feed(segment, emit);
-        }
-        self.finish(emit)
-    }
+    ) -> DetectionStats;
 }
 
-/// Moves a finished offline result out through the event interface.
-fn emit_detection(result: DetectionResult, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
-    let stats = result.stats;
-    for s in result.streams {
-        emit(OnlineEvent::Stream(s));
-    }
-    for l in result.loops {
-        emit(OnlineEvent::Loop(l));
-    }
-    stats
-}
-
-/// A whole-trace detector: runs steps 1–3 over a timestamp-ordered trace
-/// in one call. [`BufferingEngine`] puts one behind the [`Engine`]
-/// interface.
-pub trait OfflineDetector {
-    /// The engine name reported through [`Engine::name`].
-    const NAME: &'static str;
-
-    /// The segments this detector works on in parallel.
-    fn parts(&self) -> usize;
-
-    /// Runs the three-step pipeline over the concatenation of `segments`.
-    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult;
-}
-
-impl OfflineDetector for Detector {
-    const NAME: &'static str = "serial";
-
-    fn parts(&self) -> usize {
-        1
-    }
-
-    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
-        match segments {
-            [] => self.run(&[]),
-            [records] => self.run(records),
-            // Sources return one part when asked for one.
-            _ => self.run(&segments.concat()),
-        }
-    }
-}
-
-impl OfflineDetector for BlockParallelDetector {
-    const NAME: &'static str = "block";
-
-    fn parts(&self) -> usize {
-        self.threads()
-    }
-
-    fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
-        match segments {
-            // One part (a slice, or a source too small to split): cut it
-            // into `threads` even ranges.
-            [records] => self.run(records),
-            _ => BlockParallelDetector::run_segments(self, segments),
-        }
-    }
-}
-
-/// An [`OfflineDetector`] behind the [`Engine`] interface. Asks for the
-/// trace as [`OfflineDetector::parts`] segments and runs the detector on
-/// them where they lie; batches fed instead are buffered and detected at
+/// The offline engine: the block core ([`BlockParallelDetector`]) behind
+/// the [`Engine`] interface. It asks for the trace as one segment per
+/// worker and scans each where it lies, with a boundary-reconciliation
+/// pass keeping the output byte-identical at every worker count; a trace
+/// that arrives as one segment is cut into even ranges. This is the
+/// default engine. Batches fed instead are buffered and detected at
 /// [`Engine::finish`].
-pub struct BufferingEngine<D> {
-    det: D,
+pub struct BlockEngine {
+    det: BlockParallelDetector,
+    name: &'static str,
     buf: Vec<TraceRecord>,
     records: u64,
     done: bool,
 }
 
-/// The exact offline detector ([`Detector`]) behind the [`Engine`]
-/// interface.
-pub type SerialEngine = BufferingEngine<Detector>;
-
-/// The share-nothing block-parallel detector ([`BlockParallelDetector`])
-/// behind the [`Engine`] interface: the trace is split into contiguous
-/// record ranges scanned in place by independent workers, with a
-/// boundary-reconciliation pass keeping the output byte-identical to
-/// [`SerialEngine`] at every thread count. This is the default parallel
-/// engine.
-pub type BlockEngine = BufferingEngine<BlockParallelDetector>;
-
-impl<D> BufferingEngine<D> {
-    fn with_detector(det: D) -> Self {
+impl BlockEngine {
+    /// A block engine over `threads` workers.
+    pub fn new(cfg: DetectorConfig, threads: usize) -> Self {
         Self {
-            det,
+            det: BlockParallelDetector::new(cfg, threads),
+            name: "block",
             buf: Vec::new(),
             records: 0,
             done: false,
         }
     }
-}
 
-impl SerialEngine {
-    /// A serial engine with the given configuration.
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self::with_detector(Detector::new(cfg))
-    }
-}
-
-impl BlockEngine {
-    /// A block-parallel engine over `threads` workers.
-    pub fn new(cfg: DetectorConfig, threads: usize) -> Self {
-        Self::with_detector(BlockParallelDetector::new(cfg, threads))
-    }
-}
-
-impl<D: OfflineDetector> Engine for BufferingEngine<D> {
-    fn name(&self) -> &'static str {
-        D::NAME
-    }
-
-    fn feed(&mut self, batch: &[TraceRecord], _emit: &mut dyn FnMut(OnlineEvent)) {
-        self.records += batch.len() as u64;
-        self.buf.extend_from_slice(batch);
-    }
-
-    fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
-        let buf = std::mem::take(&mut self.buf);
-        self.done = true;
-        emit_detection(self.det.run_segments(&[&buf]), emit)
-    }
-
-    fn progress(&self) -> EngineProgress {
-        EngineProgress {
-            records: self.records,
-            open_candidates: if self.done { Some(0) } else { None },
-        }
-    }
-
-    fn segment_parts(&self) -> usize {
-        self.det.parts()
-    }
-
-    fn run_segments(
+    fn detect(
         &mut self,
         segments: &[&[TraceRecord]],
         emit: &mut dyn FnMut(OnlineEvent),
     ) -> DetectionStats {
         self.records += segments.iter().map(|s| s.len() as u64).sum::<u64>();
         self.done = true;
-        emit_detection(self.det.run_segments(segments), emit)
+        let result = match segments {
+            [records] => self.det.run(records),
+            _ => self.det.run_segments(segments),
+        };
+        let stats = result.stats;
+        for s in result.streams {
+            emit(OnlineEvent::Stream(s));
+        }
+        for l in result.loops {
+            emit(OnlineEvent::Loop(l));
+        }
+        stats
+    }
+}
+
+impl Engine for BlockEngine {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn feed(&mut self, batch: &[TraceRecord], _emit: &mut dyn FnMut(OnlineEvent)) {
+        self.buf.extend_from_slice(batch);
+    }
+
+    fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
+        let buf = std::mem::take(&mut self.buf);
+        self.detect(&[&buf], emit)
+    }
+
+    fn progress(&self) -> EngineProgress {
+        EngineProgress {
+            records: self.records + self.buf.len() as u64,
+            open_candidates: if self.done { Some(0) } else { None },
+        }
+    }
+
+    fn segment_parts(&self) -> usize {
+        self.det.threads()
+    }
+
+    fn run_segments(
+        &mut self,
+        segments: &[&[TraceRecord]],
+        emit: &mut dyn FnMut(OnlineEvent),
+    ) -> DetectionStats {
+        self.detect(segments, emit)
+    }
+}
+
+/// `--engine serial`: the [`BlockEngine`] with one worker, which runs the
+/// block core on the calling thread, reporting itself as "serial".
+pub struct SerialEngine(BlockEngine);
+
+impl SerialEngine {
+    /// A one-worker engine with the given configuration.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Self(BlockEngine {
+            name: "serial",
+            ..BlockEngine::new(cfg, 1)
+        })
+    }
+}
+
+impl Engine for SerialEngine {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn feed(&mut self, batch: &[TraceRecord], emit: &mut dyn FnMut(OnlineEvent)) {
+        self.0.feed(batch, emit);
+    }
+
+    fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
+        self.0.finish(emit)
+    }
+
+    fn progress(&self) -> EngineProgress {
+        self.0.progress()
+    }
+
+    fn segment_parts(&self) -> usize {
+        self.0.segment_parts()
+    }
+
+    fn run_segments(
+        &mut self,
+        segments: &[&[TraceRecord]],
+        emit: &mut dyn FnMut(OnlineEvent),
+    ) -> DetectionStats {
+        self.0.run_segments(segments, emit)
     }
 }
 
@@ -572,6 +576,19 @@ impl Engine for StreamingEngine {
             records: self.records,
             open_candidates: Some(self.det.as_ref().map_or(0, OnlineDetector::open_candidates)),
         }
+    }
+
+    /// Feeds the segments in order, then finishes: what the streaming
+    /// detector makes of a trace handed over whole.
+    fn run_segments(
+        &mut self,
+        segments: &[&[TraceRecord]],
+        emit: &mut dyn FnMut(OnlineEvent),
+    ) -> DetectionStats {
+        for segment in segments {
+            self.feed(segment, emit);
+        }
+        self.finish(emit)
     }
 }
 
@@ -668,20 +685,22 @@ fn deliver(sinks: &mut [&mut dyn Sink], recs: &[TraceRecord]) -> Result<(), Pipe
     Ok(())
 }
 
-/// [`run_pipeline`] with a progress callback, invoked after every batch
-/// (and once after the final flush) with the engine's live state. While
-/// a source decodes segments, it is invoked instead with the records
-/// decoded so far and no open-candidate count.
+/// [`run_pipeline`] with a progress callback. Under the streaming engine
+/// it is invoked after every batch (and once after the final flush) with
+/// the engine's live state. While a source hands an offline engine its
+/// segments, it is invoked instead with the records read so far and no
+/// open-candidate count, then once after detection.
 ///
 /// The callback also carries the cancellation channel: returning
 /// [`ControlFlow::Break`] stops pulling from the source, after which the
 /// engine is flushed normally, the sinks see the partial result, and the
 /// returned [`PipelineResult`] has `interrupted` set. This is how SIGINT
 /// becomes a graceful drain instead of a mid-stream death. A segmented
-/// decode stops each worker at its next batch and detects the decoded
-/// prefix. A slice is one segment already in memory, so a break there
-/// can only take effect after detection — short in-memory runs finish
-/// rather than cancel.
+/// decode stops each worker at its next batch, and the default segment
+/// drain stops after the batch in hand; either way the prefix read so
+/// far is detected. A slice is one segment already in memory, so a break
+/// there can only take effect after detection — short in-memory runs
+/// finish rather than cancel.
 pub fn run_pipeline_with_progress(
     source: &mut dyn RecordSource,
     engine: &mut dyn Engine,
@@ -703,20 +722,15 @@ pub fn run_pipeline_with_progress(
     };
 
     let parts = engine.segment_parts();
-    let segmented = if parts > 0 {
-        source.segments(parts, &mut |decoded| {
+    let (summary, stats) = if parts > 0 {
+        // The whole trace at once: the engine runs on the segments where
+        // they lie, with no batch copy.
+        let segments = source.segments(parts, &mut |decoded| {
             progress(&EngineProgress {
                 records: decoded,
                 open_candidates: None,
             })
-        })
-    } else {
-        None
-    };
-    let (summary, stats) = if let Some(segments) = segmented {
-        // The whole trace at once: the engine runs on the segments where
-        // they lie, with no batch copy.
-        let segments = segments?;
+        })?;
         interrupted = segments.interrupted;
         let views: Vec<&[TraceRecord]> = segments.parts.iter().map(|p| &**p).collect();
         trace_start = views.iter().find_map(|v| v.first()).map(|r| r.timestamp_ns);
@@ -745,6 +759,7 @@ pub fn run_pipeline_with_progress(
             stats,
         )
     } else {
+        // The streaming engine: batch by batch, detecting as it goes.
         let pulled = source.for_each_batch(&mut |batch| {
             if batch.is_empty() {
                 return Ok(());
@@ -1184,9 +1199,11 @@ mod tests {
 
     #[test]
     fn progress_break_drains_gracefully() {
-        // Cancel after the first batch: the engine must still be flushed,
-        // the result marked interrupted, and the record count must match
-        // what the engine actually consumed (one 7-record chunk).
+        // Cancel at the first poll, after the first batch: the engine must
+        // still be flushed, the result marked interrupted, and the record
+        // count must match what the engine actually consumed (one 7-record
+        // chunk). The offline engines get the chunk through the default
+        // segment drain, the streaming engine through `feed`.
         struct Chunked<'a>(&'a [TraceRecord]);
         impl RecordSource for Chunked<'_> {
             fn for_each_batch(
@@ -1203,21 +1220,32 @@ mod tests {
             }
         }
         let recs = looped_trace();
-        let mut source = Chunked(&recs);
-        let mut engine = StreamingEngine::new(DetectorConfig::default());
-        let mut calls = 0u32;
-        let result = run_pipeline_with_progress(&mut source, &mut engine, &mut [], &mut |_| {
-            calls += 1;
-            if calls == 1 {
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
-            }
-        })
-        .expect("interrupted run still returns a result");
-        assert!(result.interrupted);
-        assert_eq!(result.records, 7, "engine consumed exactly one chunk");
-        assert_eq!(result.stats.total_records, 7);
+        let cfg = DetectorConfig::default();
+        for engine in [
+            &mut SerialEngine::new(cfg) as &mut dyn Engine,
+            &mut BlockEngine::new(cfg, 2),
+            &mut StreamingEngine::new(cfg),
+        ] {
+            let name = engine.name();
+            let mut source = Chunked(&recs);
+            let mut calls = 0u32;
+            let result = run_pipeline_with_progress(&mut source, engine, &mut [], &mut |_| {
+                calls += 1;
+                if calls == 1 {
+                    std::ops::ControlFlow::Break(())
+                } else {
+                    std::ops::ControlFlow::Continue(())
+                }
+            })
+            .expect("interrupted run still returns a result");
+            assert!(result.interrupted, "{name}");
+            assert_eq!(
+                result.records, 7,
+                "{name}: engine consumed exactly one chunk"
+            );
+            assert_eq!(result.stats.total_records, 7, "{name}");
+            assert_eq!(result.trace_end_ns, recs[6].timestamp_ns, "{name}");
+        }
     }
 
     #[test]
@@ -1312,7 +1340,7 @@ mod tests {
                 "threads={threads}: polled before decoding"
             );
             let prefix = &records[..result.records as usize];
-            let want = Detector::new(DetectorConfig::default()).run(prefix);
+            let want = crate::Detector::new(DetectorConfig::default()).run(prefix);
             assert_eq!(result.stats, want.stats, "threads={threads}");
             assert_eq!(result.loops, want.loops, "threads={threads}");
             assert_eq!(result.trace_end_ns, prefix.last().unwrap().timestamp_ns);

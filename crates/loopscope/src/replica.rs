@@ -1,11 +1,12 @@
-//! Step 1 — replica detection — and the overall detection pipeline.
+//! Step 1 — replica detection — and the detector's front door.
 //!
-//! Candidate grouping is exposed in two shapes: [`Detector::run`] drives
-//! the whole batch pipeline, while [`CandidateScanner`] is the push-based
-//! core it delegates to — the only step-1 implementation. Each
-//! block-parallel worker ([`crate::block`]) feeds it record by record over
-//! its own range, and the online detector ([`crate::online`]) feeds it one
-//! push at a time and learns what each push did through an observer.
+//! [`CandidateScanner`] is the push-based step-1 core, the only step-1
+//! implementation. Each worker of the block core ([`crate::block`], the
+//! one offline steps 1–3 driver) feeds it record by record over its own
+//! range, and the online detector ([`crate::online`]) feeds it one push at
+//! a time and learns what each push did through an observer.
+//! [`Detector::run`] is the block core's one-segment case: the whole trace
+//! scanned, validated and merged on the calling thread.
 //!
 //! The scanner is a *two-level candidate index*. Level 0 is an
 //! open-addressing fingerprint table probed with the 64-bit
@@ -18,16 +19,16 @@
 //! byte-identical to the single-map reference path
 //! (`DetectorConfig::use_prefilter = false`).
 
+use crate::block::BlockParallelDetector;
 use crate::config::DetectorConfig;
 use crate::fxhash::{fx_map_with_capacity, FxHashMap};
 use crate::key::ReplicaKey;
-use crate::merge::{self, RoutingLoop};
+use crate::merge::RoutingLoop;
 use crate::record::TraceRecord;
 use crate::stream::{Observation, ReplicaStream};
-use crate::validate::{self, PrefixIndex};
 use std::collections::VecDeque;
 use telemetry::trace::{self, TraceName};
-use telemetry::{tm_debug, tm_info, LazyCounter};
+use telemetry::LazyCounter;
 
 static TM_RECORDS_SCANNED: LazyCounter = LazyCounter::new("replica.records_scanned");
 static TM_CANDIDATES_OPENED: LazyCounter = LazyCounter::new("replica.candidates_opened");
@@ -128,92 +129,21 @@ impl Detector {
         &self.cfg
     }
 
-    /// Runs the full pipeline on a time-sorted trace.
+    /// Runs the full pipeline on a time-sorted trace: the block core
+    /// ([`BlockParallelDetector::run_segments`]) with the trace as one
+    /// segment, on the calling thread.
     ///
     /// # Panics
     /// Panics when records are not sorted by timestamp — a trace that is
     /// out of order is corrupt and analysing it would silently produce
     /// nonsense.
     pub fn run(&self, records: &[TraceRecord]) -> DetectionResult {
-        assert!(
-            records
-                .windows(2)
-                .all(|w| w[0].timestamp_ns <= w[1].timestamp_ns),
-            "trace records must be sorted by timestamp"
-        );
-        let mut stats = DetectionStats {
-            total_records: records.len() as u64,
-            ..Default::default()
-        };
-        let candidates = {
-            let _t = telemetry::span("replica.detect");
-            self.find_candidates(records, &mut stats)
-        };
-        stats.raw_candidates = candidates.len() as u64;
-        publish_checksum_splits(stats.checksum_splits);
-        tm_debug!(
-            "step 1: {} records -> {} raw candidates ({} checksum splits)",
-            records.len(),
-            candidates.len(),
-            stats.checksum_splits
-        );
-
-        let looped_flags = validate::looped_flags(records.len(), &candidates);
-        let index = PrefixIndex::build(records);
-        let validated = {
-            let _t = telemetry::span("validate");
-            validate::validate(
-                records,
-                candidates,
-                &looped_flags,
-                &index,
-                &self.cfg,
-                &mut stats,
-            )
-        };
-        stats.validated_streams = validated.len() as u64;
-        stats.looped_sightings = validated.iter().map(|s| s.len() as u64).sum();
-
-        let loops = {
-            let _t = telemetry::span("merge");
-            merge::merge(records, &validated, &looped_flags, &index, &self.cfg)
-        };
-        stats.routing_loops = loops.len() as u64;
-        tm_info!(
-            "detection complete: {} records, {} validated streams, {} routing loops",
-            stats.total_records,
-            stats.validated_streams,
-            stats.routing_loops
-        );
-
-        DetectionResult {
-            streams: validated,
-            loops,
-            looped_flags,
-            stats,
-        }
-    }
-
-    /// Step 1: groups records into candidate replica sets (>= 2 sightings
-    /// each).
-    fn find_candidates(
-        &self,
-        records: &[TraceRecord],
-        stats: &mut DetectionStats,
-    ) -> Vec<ReplicaStream> {
-        let mut scanner = CandidateScanner::new(self.cfg);
-        for (idx, rec) in records.iter().enumerate() {
-            scanner.push(idx, rec);
-        }
-        let (done, counters) = scanner.finish();
-        stats.checksum_splits += counters.checksum_splits;
-        publish_scan_totals(records.len(), &counters);
-        done
+        BlockParallelDetector::new(self.cfg, 1).run_segments(&[records])
     }
 }
 
 /// Adds one scanner's totals to the `replica.*` counters. Called once per
-/// scan (per worker in the block engine), never per record.
+/// scan (per block worker), never per record.
 pub(crate) fn publish_scan_totals(records: usize, counters: &ScanCounters) {
     TM_RECORDS_SCANNED.add(records as u64);
     TM_CANDIDATES_OPENED.add(counters.opened);
@@ -1177,7 +1107,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
+    #[should_panic(
+        expected = "trace records must be sorted by timestamp: record 1 at 1000000 ns is earlier than the record before it at 2000000 ns"
+    )]
     fn unsorted_trace_panics() {
         let mut recs = looping_records(0, 1_000_000, 60, 2, 3, 1, Ipv4Addr::new(203, 0, 113, 1));
         recs.swap(0, 2);

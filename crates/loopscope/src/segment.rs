@@ -340,8 +340,8 @@ impl RecordSource for PcapFileSource {
         &mut self,
         parts: usize,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Option<Result<Segments<'_>, PipelineError>> {
-        Some(decode_pcap_segments(&self.path, parts, poll).map_err(PipelineError::from))
+    ) -> Result<Segments<'_>, PipelineError> {
+        decode_pcap_segments(&self.path, parts, poll).map_err(PipelineError::from)
     }
 
     fn skipped_hint(&self) -> u64 {

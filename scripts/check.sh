@@ -93,7 +93,7 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc, CSV and --analysis"
+    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers), CSV and --analysis"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
@@ -103,19 +103,27 @@ run_engine_smoke() {
     # the mapped segments. --threads 3 splits the input unevenly, and
     # --threads 8 asks for more segments than the machine has cores.
     # --analysis checks the §V report, whose record fold runs once per
-    # segment or batch, so it sees every engine's ingest shape.
+    # segment or batch, so it sees every engine's ingest shape. On the
+    # .ltc input, --no-mmap reads the buffered source, which reaches the
+    # batch engines through the default one-segment drain of its batches,
+    # at one, two and three workers.
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     cargo run --release --example pcap_analysis -- --emit-demo "$tmp/long.pcap" 0.3
     cargo run --release --bin pcap2ltc -- "$tmp/long.pcap" "$tmp/long.ltc"
+    local variants=("--threads 1" "--threads 2" "--threads 3" "--threads 4" "--threads 8"
+        "--no-prefilter" "--streaming" "--streaming --no-prefilter")
     for input in long.pcap long.ltc; do
+        local extra=()
+        if [[ "$input" == *.ltc ]]; then
+            extra=("--no-mmap" "--threads 2 --no-mmap" "--threads 3 --no-mmap")
+        fi
         for args in "--csv loops" "--csv streams" "--csv summary" "--analysis"; do
             # shellcheck disable=SC2086
             cargo run --release --bin loopdetect -- "$tmp/$input" $args --engine serial \
                 > "$tmp/serial.txt"
-            for variant in "--threads 1" "--threads 2" "--threads 3" "--threads 4" "--threads 8" \
-                "--no-prefilter" "--streaming" "--streaming --no-prefilter"; do
+            for variant in "${variants[@]}" "${extra[@]}"; do
                 # shellcheck disable=SC2086
                 cargo run --release --bin loopdetect -- "$tmp/$input" $args $variant \
                     > "$tmp/variant.txt"

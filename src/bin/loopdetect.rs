@@ -73,9 +73,10 @@ OPTIONS
                                  (ablation; output is byte-identical)
   --streaming                    use the single-pass bounded-memory detector
   --threads <N>                  workers for parallel detection
-                                 (default: available cores; 1 = the exact
-                                 serial legacy path; output is always
-                                 byte-identical to --threads 1)
+                                 (default: available cores; 1 = the serial
+                                 engine, one worker on the calling thread;
+                                 output is always byte-identical to
+                                 --threads 1)
   --engine <E>                   detection engine: serial, block (share-
                                  nothing block-parallel; the default when
                                  --threads > 1), or streaming (same as

@@ -48,8 +48,8 @@ impl RecordSource for TapSource {
         &mut self,
         _parts: usize,
         _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Option<Result<Segments<'_>, PipelineError>> {
-        Some(Ok(Segments::borrowed(&self.records)))
+    ) -> Result<Segments<'_>, PipelineError> {
+        Ok(Segments::borrowed(&self.records))
     }
 }
 

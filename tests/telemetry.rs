@@ -737,3 +737,145 @@ fn metric_catalogue_covers_every_emitted_name() {
         "metrics missing from DESIGN.md's catalogue: {undocumented:?}"
     );
 }
+
+/// A raw-IP pcap of 3000 one-pass packets (past one 64 KiB split block,
+/// so a 2-thread read really splits) around three 6-sighting loops to
+/// distinct /24s and one loop vetoed by a bystander to its /24.
+fn looping_pcap() -> Vec<u8> {
+    use routing_loops::pcaplib::{FileHeader, PcapWriter};
+    let mut packets: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut push = |t_ns: u64, dst: Ipv4Addr, ident: u16, ttl: u8| {
+        let mut p = Packet::tcp_flags(
+            Ipv4Addr::new(100, 7, 7, 7),
+            dst,
+            5555,
+            80,
+            TcpFlags::ACK,
+            &b"data"[..],
+        );
+        p.ip.ident = ident;
+        p.ip.ttl = ttl;
+        p.fill_checksums();
+        packets.push((t_ns, p.emit().to_vec()));
+    };
+    for (j, dst) in [
+        [203, 0, 113, 1],
+        [198, 51, 100, 1],
+        [192, 0, 2, 1],
+        [10, 9, 9, 1],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for k in 0..6u64 {
+            let t_ns = 500_000_000 * j as u64 + 1_000_000 * k + 7;
+            push(t_ns, Ipv4Addr::from(dst), j as u16, 60 - 2 * k as u8);
+        }
+    }
+    push(1_502_000_000, Ipv4Addr::new(10, 9, 9, 2), 999, 50);
+    for i in 0..3000u64 {
+        push(
+            i * 1_000_000,
+            Ipv4Addr::new(20, 0, (i % 5) as u8, 1),
+            1000 + i as u16,
+            57,
+        );
+    }
+    packets.sort_by_key(|&(t_ns, _)| t_ns);
+    let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(65535)).unwrap();
+    for (t_ns, bytes) in &packets {
+        w.write_bytes(*t_ns, bytes).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// The metric names one `loopdetect --metrics -` run publishes, each
+/// prefixed with its kind, and with every `w<N>` worker segment written
+/// `wN`.
+fn published_names(input: &std::path::Path, args: &[&str]) -> std::collections::BTreeSet<String> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_loopdetect"))
+        .arg(input)
+        .args(["--csv", "summary", "--metrics", "-"])
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let doc = stdout.lines().last().expect("metrics document");
+    telemetry::json::validate(doc).expect("metrics document is JSON");
+    // Metric names are the keys two objects deep:
+    // `{"<kind>s":{"<name>":...}}`.
+    let (mut depth, mut kind, mut names) = (0, String::new(), std::collections::BTreeSet::new());
+    let mut rest = doc;
+    while let Some(c) = rest.chars().next() {
+        if c == '"' {
+            let end = rest[1..].find('"').expect("closed string") + 1;
+            let key = &rest[1..end];
+            rest = &rest[end + 1..];
+            if rest.starts_with(':') {
+                match depth {
+                    1 => kind = key.trim_end_matches('s').to_string(),
+                    2 => {
+                        let name: Vec<String> = key
+                            .split('.')
+                            .map(|seg| {
+                                let worker = seg.len() > 1
+                                    && seg.starts_with('w')
+                                    && seg[1..].bytes().all(|b| b.is_ascii_digit());
+                                if worker {
+                                    "wN".into()
+                                } else {
+                                    seg.into()
+                                }
+                            })
+                            .collect();
+                        names.insert(format!("{kind} {}", name.join(".")));
+                    }
+                    _ => {}
+                }
+            }
+            continue;
+        }
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            _ => {}
+        }
+        rest = &rest[c.len_utf8()..];
+    }
+    names
+}
+
+#[test]
+fn serial_and_block_engines_publish_one_metric_vocabulary() {
+    // One offline core: `--engine serial` (one worker, on the calling
+    // thread) and `--threads 2` (two workers) publish the same metric
+    // names, per-worker names compared whatever the worker number. Each
+    // run is its own process, so the names are exactly what it published.
+    let pcap = temp_path("vocabulary.pcap");
+    let ltc = temp_path("vocabulary.ltc");
+    std::fs::write(&pcap, looping_pcap()).unwrap();
+    pcap_to_ltc(&pcap, &ltc, 1).unwrap();
+    for (input, ingest) in [(&pcap, &[][..]), (&ltc, &["--no-mmap"][..])] {
+        let serial = published_names(input, &[&["--engine", "serial"][..], ingest].concat());
+        let block = published_names(input, &[&["--threads", "2"][..], ingest].concat());
+        for name in [
+            "timer replica.detect",
+            "timer validate",
+            "timer merge",
+            "timer block.wN.busy",
+            "counter validate.rejected_covalidation",
+            "counter merge.loops_total",
+        ] {
+            assert!(serial.contains(name), "{input:?}: serial run lacks {name}");
+        }
+        assert_eq!(
+            serial.symmetric_difference(&block).collect::<Vec<_>>(),
+            Vec::<&String>::new(),
+            "{input:?}: names published by one engine only"
+        );
+    }
+    for path in [&pcap, &ltc] {
+        std::fs::remove_file(path).ok();
+    }
+}
