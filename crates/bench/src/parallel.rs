@@ -11,7 +11,9 @@
 //!    exactly what every consumer sees.
 //! 2. **Throughput**: records/second for serial and per thread count, the
 //!    speedup over serial, and the pcap-ingest rate of the zero-alloc
-//!    reader. `bench_parallel --gate <baseline.json>` turns these into CI
+//!    reader. Every row runs once untimed, then the timed repeats of all
+//!    rows interleave, so no row's best carries a warm-up the others
+//!    skipped. `bench_parallel --gate <baseline.json>` turns these into CI
 //!    floors (serial regression, per-core-count scaling) — the scaling
 //!    floors are enforced only on machines with enough cores for
 //!    wall-clock speedup to be physically possible.
@@ -45,13 +47,13 @@ pub const SERIAL_STAGES: [&str; 3] = ["replica.detect", "validate", "merge"];
 
 /// Block-parallel stage timers, in pipeline order — the SAME schema at
 /// every thread count (one worker runs the same core on the calling
-/// thread). The scan (scan plus index share), validate and merge stages
-/// aggregate across workers (worker-seconds); reconcile, index, and
-/// stitch run on the calling thread (wall time).
-pub const BLOCK_STAGES: [&str; 6] = [
+/// thread). The scan (the whole range worker: scan, index share and kept
+/// records), validate and merge stages aggregate across workers
+/// (worker-seconds); reconcile and stitch run on the calling thread (wall
+/// time).
+pub const BLOCK_STAGES: [&str; 5] = [
     "block.scan",
     "block.reconcile",
-    "block.index",
     "validate",
     "merge",
     "block.stitch",
@@ -279,16 +281,25 @@ fn detect(records: &[TraceRecord], engine: &mut dyn Engine) -> PipelineResult {
     run_pipeline(&mut source, engine, &mut []).expect("in-memory pipeline cannot fail")
 }
 
-fn time_best<F: FnMut() -> PipelineResult>(repeats: usize, mut f: F) -> (u64, PipelineResult) {
-    let mut best_ns = u64::MAX;
-    let mut out = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        let r = f();
-        best_ns = best_ns.min(t.elapsed().as_nanos() as u64);
-        out = Some(r);
+/// Best-of-`repeats` wall time and the last result of each row, where
+/// row `i` runs `run(i)`. Every row first runs once untimed, then the
+/// timed repeats interleave, pass `k` starting at row `k`: no row pays
+/// for running first in the process or for the row before it.
+fn time_rows<F: FnMut(usize) -> PipelineResult>(
+    rows: usize,
+    repeats: usize,
+    mut run: F,
+) -> Vec<(u64, PipelineResult)> {
+    let mut out: Vec<(u64, PipelineResult)> = (0..rows).map(|i| (u64::MAX, run(i))).collect();
+    for pass in 0..repeats.max(1) {
+        for k in 0..rows {
+            let i = (pass + k) % rows;
+            let t = Instant::now();
+            let r = run(i);
+            out[i] = (out[i].0.min(t.elapsed().as_nanos() as u64), r);
+        }
     }
-    (best_ns, out.expect("at least one repeat"))
+    out
 }
 
 /// Runs `run` once and returns the listed stage timers' totals for *that
@@ -532,8 +543,13 @@ pub fn bench_ingest(n_records: usize, repeats: usize) -> IngestBench {
 /// against serial.
 pub fn run_on(records: &[TraceRecord], thread_counts: &[usize], repeats: usize) -> ParallelBench {
     let cfg = DetectorConfig::default();
-    let (serial_best_ns, serial) =
-        time_best(repeats, || detect(records, &mut SerialEngine::new(cfg)));
+    // Row 0 is serial, row `i` the block engine at `thread_counts[i - 1]`.
+    let mut timed = time_rows(thread_counts.len() + 1, repeats, |row| match row {
+        0 => detect(records, &mut SerialEngine::new(cfg)),
+        i => detect(records, &mut BlockEngine::new(cfg, thread_counts[i - 1])),
+    })
+    .into_iter();
+    let (serial_best_ns, serial) = timed.next().expect("the serial row");
     let serial_stages = measure_stages(&SERIAL_STAGES, || {
         detect(records, &mut SerialEngine::new(cfg));
     });
@@ -546,15 +562,12 @@ pub fn run_on(records: &[TraceRecord], thread_counts: &[usize], repeats: usize) 
     };
     let samples = thread_counts
         .iter()
-        .map(|&threads| {
-            let (best_ns, result) = time_best(repeats, || {
-                detect(records, &mut BlockEngine::new(cfg, threads))
-            });
+        .zip(timed)
+        .map(|(&threads, (best_ns, result))| {
             // One instrumented run yields both the stage row and the
             // per-worker rows (same snapshot delta). Uniform schema at
             // EVERY thread count: one block worker runs the same
-            // scan/reconcile/index/validate/merge/stitch machinery as
-            // eight.
+            // scan/reconcile/validate/merge/stitch machinery as eight.
             let mut keys: Vec<&'static str> = BLOCK_STAGES.to_vec();
             for w in 0..threads {
                 for field in WORKER_FIELDS {

@@ -6,10 +6,11 @@
 //! per-block `read` syscall, and no intermediate batch copy. Because the
 //! format's block/record addressing is pure arithmetic, a block's bytes
 //! are `&map[block_offset(b)..][..block_len(k)]` — so N parallel workers
-//! ([`MappedLtc::decode_segments`]) decode disjoint block ranges of ONE
-//! shared mapping with zero per-worker file handles, each into its own
-//! vector. [`MappedColumnarSource`] hands those vectors to the batch
-//! engines as segments, uncopied; [`records_from_ltc_mmap_parallel`]
+//! ([`MappedLtc::read_ranges`]) decode disjoint block ranges of ONE
+//! shared mapping with zero per-worker file handles, each block into its
+//! range's consumer. [`MappedColumnarSource`] has the batch engines' range
+//! scans take each block as it is decoded, from one reused buffer per
+//! worker; [`records_from_ltc_mmap_parallel`] collects the ranges and
 //! joins them for callers that want one vector.
 //!
 //! Error semantics are the buffered [`LtcReader`]'s by construction: both
@@ -24,7 +25,8 @@
 //! [`IngestMode`] switch here — both as the ablation arm of the ingest
 //! bench and as the fallback when a file cannot be mapped (exotic
 //! filesystems, non-unix hosts where [`mmapio`] degrades to an owned
-//! buffer read). It decodes serially; only the mapped path fans out.
+//! buffer read). Its batch-engine read fans out over block ranges too, one
+//! file handle and read buffer per worker.
 //!
 //! [`LtcReader`]: crate::reader::LtcReader
 
@@ -32,13 +34,14 @@ use crate::format::{
     block_offset, expected_file_len, CorpusError, LtcHeader, LtcLayout, BLOCK_RECORDS, ROW_BYTES,
 };
 use crate::reader::{records_from_ltc, to_source_error};
+use loopscope::block::{RangeScan, ScanStart};
 use loopscope::pipeline::{PipelineError, RecordSource, SourceSummary};
-use loopscope::segment::{decode_parallel, DecodeControl, Segments};
+use loopscope::segment::{decode_parallel, DecodeControl, RangeConsumer, RangeEnd, Ranges};
 use loopscope::TraceRecord;
-use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 use telemetry::LazyCounter;
 
 static TM_MAPS: LazyCounter = LazyCounter::new("ingest.mmap.maps");
@@ -138,69 +141,79 @@ impl MappedLtc {
             .check_end(self.tail(expected_file_len(self.header().records)))
     }
 
-    /// Decodes blocks `[first, end)` appended to `out`; the range owning
-    /// the final block also verifies nothing trails it. Stops early, with
-    /// [`ControlFlow::Break`], when `control` asks after a block.
-    fn decode_range_into(
+    /// Decodes blocks `[first, end)` into `consumer`, one block per
+    /// chunk; the range owning the final block also verifies nothing
+    /// trails it. Stops early when the consumer refuses a block or
+    /// `control` asks after one. Returns how the range ended and the time
+    /// spent decoding.
+    fn read_range<C: RangeConsumer>(
         &self,
         first: u64,
         end: u64,
-        out: &mut Vec<TraceRecord>,
+        consumer: &mut C,
         control: &DecodeControl,
-    ) -> Result<ControlFlow<()>, CorpusError> {
+    ) -> Result<(RangeEnd, u64), CorpusError> {
+        let mut decode_ns = 0;
         for b in first..end {
-            self.decode_block_into(b, out)?;
+            let started = Instant::now();
+            self.decode_block_into(b, consumer.chunk_buffer())?;
+            decode_ns += started.elapsed().as_nanos() as u64;
+            if consumer.take_chunk().is_break() {
+                return Ok((RangeEnd::Refused, decode_ns));
+            }
             let rows = self.layout.block_records(b) as u64;
             if control.advance(rows).is_break() && b + 1 < end {
-                return Ok(ControlFlow::Break(()));
+                return Ok((RangeEnd::Stopped, decode_ns));
             }
         }
         if end >= self.blocks() {
             self.check_end()?;
         }
-        Ok(ControlFlow::Continue(()))
+        Ok((RangeEnd::Complete, decode_ns))
     }
 
-    /// Decodes the whole file as up to `parts` trace-ordered segments:
+    /// Reads the whole file as up to `parts` trace-ordered ranges:
     /// contiguous block ranges of the one mapping, each decoded by its own
-    /// thread into its own vector, while the calling thread polls `poll`
-    /// (see [`decode_parallel`]). The error reported is the first in file
-    /// order; a stop request leaves the ranges before the first stopped
-    /// one and that one's decoded blocks, marked `interrupted`.
-    pub fn decode_segments(
+    /// thread into a consumer from `start`, while the calling thread polls
+    /// `poll` (see [`decode_parallel`]). The error reported is the first in
+    /// file order; a stop request leaves the ranges before the first
+    /// stopped one and that one's decoded blocks, marked `interrupted`.
+    /// The workers' decode time is the `ingest.mmap.decode` timer.
+    pub fn read_ranges<C: RangeConsumer>(
         &self,
         parts: usize,
+        start: &(dyn Fn() -> C + Sync),
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'static>, CorpusError> {
+    ) -> Result<Ranges<C>, CorpusError> {
         let blocks = self.blocks();
         let n = (parts.max(1) as u64).min(blocks.max(1));
         let chunk = blocks.div_ceil(n);
         // Records before block `b`, capped by what the mapping can hold so
-        // a corrupt record count cannot size the allocation.
+        // a corrupt record count cannot size an allocation.
         let fits = self.map.len() as u64 / ROW_BYTES as u64;
         let rows = |b: u64| {
             b.saturating_mul(BLOCK_RECORDS as u64)
                 .min(self.header().records.min(fits))
         };
-        let decoded = decode_parallel("ltc-r", n as usize, poll, |w, control| {
-            let _tm = telemetry::span("ingest.mmap.decode");
+        let read = decode_parallel("ltc-r", n as usize, poll, |w, control| {
             let (lo, hi) = (w as u64 * chunk, ((w as u64 + 1) * chunk).min(blocks));
-            let mut part = Vec::with_capacity(rows(hi).saturating_sub(rows(lo)) as usize);
-            let end = self.decode_range_into(lo, hi, &mut part, control);
-            (part, end)
+            let mut consumer = start();
+            consumer.expect(rows(hi).saturating_sub(rows(lo)) as usize);
+            let end = self.read_range(lo, hi, &mut consumer, control);
+            consumer.end();
+            (consumer, end)
         });
-        let mut segments = Segments {
-            skipped: self.header().skipped,
-            ..Segments::default()
-        };
-        for (part, end) in decoded {
-            segments.parts.push(Cow::Owned(part));
-            if end?.is_break() {
-                segments.interrupted = true;
+        let mut ranges = Ranges::new(self.header().skipped);
+        for (consumer, end) in read {
+            let (end, decode_ns) = end?;
+            telemetry::global()
+                .timer("ingest.mmap.decode")
+                .record(decode_ns);
+            if ranges.push(consumer, end).is_break() {
                 break;
             }
         }
-        Ok(segments)
+        Ok(ranges)
     }
 }
 
@@ -259,18 +272,14 @@ impl RecordSource for MappedColumnarSource {
         Ok(summary)
     }
 
-    fn segments(
+    fn scan(
         &mut self,
         parts: usize,
+        start: &ScanStart<'_>,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'_>, PipelineError> {
-        let _t = telemetry::span(if parts > 1 {
-            "corpus.read_parallel"
-        } else {
-            "corpus.read"
-        });
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
         self.ltc
-            .decode_segments(parts, poll)
+            .read_ranges(parts, start, poll)
             .map_err(to_source_error)
     }
 
@@ -287,10 +296,10 @@ pub fn records_from_ltc_mmap(path: &Path) -> Result<(Vec<TraceRecord>, u64), Cor
 }
 
 /// [`records_from_ltc_mmap`] fanned out over `threads` contiguous block
-/// ranges of ONE shared mapping ([`MappedLtc::decode_segments`]) — no
-/// per-worker file handles, no seeks, no read buffers. The ranges are
-/// joined in file order, so the result is identical to the serial read;
-/// one range is moved, not copied.
+/// ranges of ONE shared mapping ([`MappedLtc::read_ranges`], each range
+/// collected into its own vector) — no per-worker file handles, no seeks,
+/// no read buffers. The ranges are joined in file order, so the result is
+/// identical to the serial read; one range is moved, not copied.
 pub fn records_from_ltc_mmap_parallel(
     path: &Path,
     threads: usize,
@@ -300,10 +309,10 @@ pub fn records_from_ltc_mmap_parallel(
     } else {
         "corpus.read"
     });
-    let segments =
-        MappedLtc::open(path)?.decode_segments(threads, &mut |_| ControlFlow::Continue(()))?;
-    let skipped = segments.skipped;
-    Ok((segments.concat(), skipped))
+    let ranges = MappedLtc::open(path)?
+        .read_ranges(threads, &Vec::new, &mut |_| ControlFlow::Continue(()))?;
+    let skipped = ranges.skipped;
+    Ok((ranges.concat(), skipped))
 }
 
 /// Counts and reports a failed mapping before the caller retries with

@@ -1,5 +1,7 @@
 //! Reading `.ltc` corpus files through buffered `Read`: block-at-a-time
-//! streaming, a pipeline [`RecordSource`], and a serial whole-file decode.
+//! streaming, a pipeline [`RecordSource`] whose batch-engine read fans
+//! out over block ranges, each worker with its own file handle, and a
+//! serial whole-file decode.
 //!
 //! This is the `--no-mmap` path and the fallback when a file cannot be
 //! mapped. Every format rule it applies — header, block length, block
@@ -7,10 +9,13 @@
 //! mapped reader uses too, so both report the same error at the same
 //! offset.
 
-use crate::format::{block_len, CorpusError, LtcHeader, LtcLayout, HEADER_LEN};
+use crate::format::{block_len, block_offset, CorpusError, LtcHeader, LtcLayout, HEADER_LEN};
+use loopscope::block::{RangeScan, ScanStart};
 use loopscope::pipeline::{PipelineError, RecordSource, SourceError, SourceSummary};
+use loopscope::segment::{decode_parallel, DecodeControl, RangeConsumer, RangeEnd, Ranges};
 use loopscope::TraceRecord;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Reads as much as possible into `buf`; returns how many bytes landed
@@ -36,6 +41,9 @@ pub struct LtcReader<R: Read> {
     layout: LtcLayout,
     /// Next block to read.
     block: u64,
+    /// The block this reader stops before: the file's block count, or a
+    /// block range's end.
+    end: u64,
     /// Whether the end-of-file check (no trailing bytes) has run.
     at_end: bool,
     buf: Vec<u8>,
@@ -56,9 +64,11 @@ impl<R: Read> LtcReader<R> {
         let path = path.into();
         let mut head = [0u8; HEADER_LEN];
         let got = read_full(&mut src, &mut head).map_err(|e| CorpusError::io(&path, e))?;
+        let layout = LtcLayout::parse(path, &head[..got])?;
         Ok(Self {
             src,
-            layout: LtcLayout::parse(path, &head[..got])?,
+            end: layout.blocks(),
+            layout,
             block: 0,
             at_end: false,
             buf: Vec::new(),
@@ -79,8 +89,15 @@ impl<R: Read> LtcReader<R> {
     /// once the file's blocks are exhausted.
     pub fn next_block_into(&mut self, out: &mut Vec<TraceRecord>) -> Result<bool, CorpusError> {
         out.clear();
-        if self.block >= self.layout.blocks() {
-            if !self.at_end {
+        self.append_next_block(out)
+    }
+
+    /// Decodes the next block appended to `out`. Returns `false` once the
+    /// reader's blocks are exhausted; a reader that ends at the file's
+    /// last block then checks that nothing trails it.
+    fn append_next_block(&mut self, out: &mut Vec<TraceRecord>) -> Result<bool, CorpusError> {
+        if self.block >= self.end {
+            if self.end == self.layout.blocks() && !self.at_end {
                 self.at_end = true;
                 let mut probe = [0u8; 1];
                 let extra = read_full(&mut self.src, &mut probe)
@@ -106,9 +123,76 @@ pub(crate) fn to_source_error(e: CorpusError) -> PipelineError {
     PipelineError::Source(SourceError::Io(std::io::Error::other(e)))
 }
 
+/// Reads blocks `[first, end)` of the file `layout` validated into
+/// `consumer`, one block per chunk, through a file handle of its own; the
+/// range owning the final block also verifies nothing trails it. Stops
+/// early when the consumer refuses a block or `control` asks after one.
+fn read_block_range<C: RangeConsumer>(
+    layout: &LtcLayout,
+    (first, end): (u64, u64),
+    consumer: &mut C,
+    control: &DecodeControl,
+) -> Result<RangeEnd, CorpusError> {
+    let io = |e| CorpusError::io(&layout.path, e);
+    let mut file = std::fs::File::open(&layout.path).map_err(io)?;
+    file.seek(SeekFrom::Start(block_offset(first)))
+        .map_err(io)?;
+    let mut reader = LtcReader {
+        src: std::io::BufReader::new(file),
+        layout: layout.clone(),
+        block: first,
+        end,
+        at_end: false,
+        buf: Vec::new(),
+    };
+    for b in first..end {
+        reader.append_next_block(consumer.chunk_buffer())?;
+        if consumer.take_chunk().is_break() {
+            return Ok(RangeEnd::Refused);
+        }
+        let rows = layout.block_records(b) as u64;
+        if control.advance(rows).is_break() && b + 1 < end {
+            return Ok(RangeEnd::Stopped);
+        }
+    }
+    reader.append_next_block(consumer.chunk_buffer())?;
+    Ok(RangeEnd::Complete)
+}
+
+/// Reads the file `layout` validated as up to `parts` trace-ordered block
+/// ranges, each on its own thread with its own file handle, into a
+/// consumer from `start`, while the calling thread polls `poll`. The
+/// error reported is the first in file order, as for the mapped
+/// [`crate::MappedLtc::read_ranges`].
+fn read_ranges<C: RangeConsumer>(
+    layout: &LtcLayout,
+    parts: usize,
+    start: &(dyn Fn() -> C + Sync),
+    poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+) -> Result<Ranges<C>, CorpusError> {
+    let blocks = layout.blocks();
+    let n = (parts.max(1) as u64).min(blocks.max(1));
+    let chunk = blocks.div_ceil(n);
+    let read = decode_parallel("ltc-b", n as usize, poll, |w, control| {
+        let bounds = (w as u64 * chunk, ((w as u64 + 1) * chunk).min(blocks));
+        let mut consumer = start();
+        let end = read_block_range(layout, bounds, &mut consumer, control);
+        consumer.end();
+        (consumer, end)
+    });
+    let mut ranges = Ranges::new(layout.header.skipped);
+    for (consumer, end) in read {
+        if ranges.push(consumer, end?).is_break() {
+            break;
+        }
+    }
+    Ok(ranges)
+}
+
 /// A pipeline [`RecordSource`] streaming a `.ltc` corpus file block by
 /// block — fixed-width rows, no header walk, no per-record hashing (the
-/// fingerprint column was computed at conversion).
+/// fingerprint column was computed at conversion). The batch engines have
+/// it read the file as block ranges, one worker and file handle each.
 pub struct ColumnarSource<R: Read> {
     reader: LtcReader<R>,
 }
@@ -151,6 +235,15 @@ impl<R: Read> RecordSource for ColumnarSource<R> {
             f(&batch)?;
         }
         Ok(summary)
+    }
+
+    fn scan(
+        &mut self,
+        parts: usize,
+        start: &ScanStart<'_>,
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
+        read_ranges(&self.reader.layout, parts, start, poll).map_err(to_source_error)
     }
 
     fn skipped_hint(&self) -> u64 {

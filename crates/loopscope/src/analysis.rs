@@ -57,6 +57,63 @@ pub struct AnalysisReport {
     pub class_c_share: f64,
 }
 
+/// The per-record part of the §V fold: Table I's packet and byte counts
+/// and time span, and Figure 5's traffic mix. Folds of consecutive runs
+/// of a trace merge in trace order, so a batch engine folds each range in
+/// the worker that reads it and merges the folds afterwards.
+#[derive(Debug, Clone)]
+pub struct RecordFold {
+    first_ts: Option<u64>,
+    last_ts: u64,
+    total_packets: u64,
+    total_bytes: u64,
+    mix_all: ClassCounts,
+}
+
+impl Default for RecordFold {
+    fn default() -> Self {
+        Self {
+            first_ts: None,
+            last_ts: 0,
+            total_packets: 0,
+            total_bytes: 0,
+            mix_all: ClassCounts::new(),
+        }
+    }
+}
+
+impl RecordFold {
+    /// Folds one record: a few counter bumps, with no allocation and no
+    /// label lookup.
+    #[inline]
+    pub fn add(&mut self, rec: &TraceRecord) {
+        self.first_ts.get_or_insert(rec.timestamp_ns);
+        self.last_ts = rec.timestamp_ns;
+        self.total_packets += 1;
+        self.total_bytes += u64::from(rec.total_len);
+        self.mix_all.add_record(rec);
+    }
+
+    /// Folds a run of records in trace order.
+    pub fn add_all(&mut self, recs: &[TraceRecord]) {
+        for rec in recs {
+            self.add(rec);
+        }
+    }
+
+    /// Folds in what `later` saw, whose records all come after this
+    /// fold's.
+    pub fn merge(&mut self, later: &RecordFold) {
+        if let Some(first) = later.first_ts {
+            self.first_ts.get_or_insert(first);
+            self.last_ts = later.last_ts;
+        }
+        self.total_packets += later.total_packets;
+        self.total_bytes += later.total_bytes;
+        self.mix_all.merge(&later.mix_all);
+    }
+}
+
 /// Single-pass fold of the entire §V statistic suite.
 ///
 /// Feed it records (via [`AnalysisAccumulator::add_record`] or the
@@ -69,11 +126,7 @@ pub struct AnalysisReport {
 /// field the classifier reads (that is what makes them replicas).
 #[derive(Debug, Clone)]
 pub struct AnalysisAccumulator {
-    first_ts: Option<u64>,
-    last_ts: u64,
-    total_packets: u64,
-    total_bytes: u64,
-    mix_all: ClassCounts,
+    records: RecordFold,
     mix_looped: ClassCounts,
     ttl_delta: Histogram,
     stream_size: Cdf,
@@ -96,11 +149,7 @@ impl AnalysisAccumulator {
     /// An empty accumulator.
     pub fn new() -> Self {
         Self {
-            first_ts: None,
-            last_ts: 0,
-            total_packets: 0,
-            total_bytes: 0,
-            mix_all: ClassCounts::new(),
+            records: RecordFold::default(),
             mix_looped: ClassCounts::new(),
             ttl_delta: Histogram::new(),
             stream_size: Cdf::new(),
@@ -118,11 +167,13 @@ impl AnalysisAccumulator {
     /// counter bumps, with no allocation and no label lookup.
     #[inline]
     pub fn add_record(&mut self, rec: &TraceRecord) {
-        self.first_ts.get_or_insert(rec.timestamp_ns);
-        self.last_ts = rec.timestamp_ns;
-        self.total_packets += 1;
-        self.total_bytes += u64::from(rec.total_len);
-        self.mix_all.add_record(rec);
+        self.records.add(rec);
+    }
+
+    /// Folds the records another fold saw, which come after every record
+    /// folded here so far.
+    pub fn add_records(&mut self, fold: &RecordFold) {
+        self.records.merge(fold);
     }
 
     /// Folds one validated replica stream (Figures 2, 3, 4, 6, 7, 8).
@@ -151,16 +202,17 @@ impl AnalysisAccumulator {
 
     /// The Table I row from what has been folded so far.
     pub fn summary(&self) -> TraceSummary {
-        let duration_ns = self.last_ts - self.first_ts.unwrap_or(self.last_ts);
+        let r = &self.records;
+        let duration_ns = r.last_ts - r.first_ts.unwrap_or(r.last_ts);
         let avg_bandwidth_bps = if duration_ns > 0 {
-            self.total_bytes as f64 * 8.0 / (duration_ns as f64 / 1e9)
+            r.total_bytes as f64 * 8.0 / (duration_ns as f64 / 1e9)
         } else {
             0.0
         };
         TraceSummary {
             duration_ns,
-            total_packets: self.total_packets,
-            total_bytes: self.total_bytes,
+            total_packets: r.total_packets,
+            total_bytes: r.total_bytes,
             avg_bandwidth_bps,
             looped_packets: self.looped_packets,
             looped_sightings: self.looped_sightings,
@@ -177,7 +229,7 @@ impl AnalysisAccumulator {
             spacing_cdf_ms: self.spacing_ms.clone(),
             stream_duration_cdf_ms: self.stream_duration_ms.clone(),
             loop_duration_cdf_s: self.loop_duration_s.clone(),
-            mix_all: self.mix_all.dist(),
+            mix_all: self.records.mix_all.dist(),
             mix_looped: self.mix_looped.dist(),
             dest_scatter: self.dest_scatter.clone(),
             class_c_share: if streams == 0 {
@@ -192,6 +244,15 @@ impl AnalysisAccumulator {
 impl crate::pipeline::Sink for AnalysisAccumulator {
     fn on_record(&mut self, rec: &TraceRecord) -> std::io::Result<()> {
         self.add_record(rec);
+        Ok(())
+    }
+
+    fn folds_records(&self) -> bool {
+        true
+    }
+
+    fn on_record_fold(&mut self, fold: &RecordFold) -> std::io::Result<()> {
+        self.add_records(fold);
         Ok(())
     }
 
@@ -210,10 +271,11 @@ impl crate::pipeline::Sink for AnalysisAccumulator {
 pub fn trace_summary(records: &[TraceRecord], streams: &[ReplicaStream]) -> TraceSummary {
     let mut acc = AnalysisAccumulator::new();
     for rec in records {
-        acc.first_ts.get_or_insert(rec.timestamp_ns);
-        acc.last_ts = rec.timestamp_ns;
-        acc.total_packets += 1;
-        acc.total_bytes += u64::from(rec.total_len);
+        let r = &mut acc.records;
+        r.first_ts.get_or_insert(rec.timestamp_ns);
+        r.last_ts = rec.timestamp_ns;
+        r.total_packets += 1;
+        r.total_bytes += u64::from(rec.total_len);
     }
     acc.looped_packets = streams.len() as u64;
     acc.looped_sightings = streams.iter().map(|s| s.len() as u64).sum();

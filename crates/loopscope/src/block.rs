@@ -1,17 +1,20 @@
 //! Share-nothing block-parallel detection: the one offline driver of
-//! steps 1–3. [`Detector::run`] and the serial engine are its one-segment
+//! steps 1–3. [`Detector::run`] and the serial engine are its one-range
 //! case, which scans, validates and merges on the calling thread and
-//! spawns nothing; more segments fan out one worker each.
+//! spawns nothing; more ranges fan out one worker each.
 //!
 //! **Records never move** between threads: a dispatcher that hands every
 //! record to a worker costs more than the entire serial run
 //! (EXPERIMENTS.md §P5/§P6). The time-sorted trace is split into `W`
 //! contiguous ranges; each worker runs the full candidate scan on its own
-//! range in place, and a cheap boundary-reconciliation pass stitches the
-//! per-range results back into exactly the serial output. The ranges need
-//! not be one slice: [`BlockParallelDetector::run_segments`] takes the
-//! trace as the trace-ordered segments the ingest threads decoded, and
-//! [`BlockParallelDetector::run`] cuts one slice into such segments.
+//! range, and a cheap boundary-reconciliation pass stitches the per-range
+//! results back into exactly the serial output. A range's worker is a
+//! [`RangeScan`]: the source's reader thread decodes the range in
+//! cache-sized chunks ([`crate::segment`]) and each chunk goes straight
+//! through the order check, the step-1 scanner, the range's share of the
+//! step-2 prefix index and the §V record fold, where it lies. A trace
+//! already in memory is scanned the same way, one slice per worker
+//! ([`BlockParallelDetector::run_segments`]).
 //!
 //! # Why block partitioning is sound
 //!
@@ -31,22 +34,58 @@
 //!   the key must have a sighting within `max_replica_gap_ns` *before* the
 //!   split point and another within `max_replica_gap_ns` *after* it.
 //!
-//! Reconciliation therefore computes, per segment boundary, the set of
+//! Reconciliation therefore computes, per range boundary, the set of
 //! ingest-time fingerprints appearing in both the tail window `[T - gap,
 //! T)` and the head window `[T, L + gap]` (where `T` is the first
 //! timestamp at/after the split and `L` the last before it — windows are
 //! taken over the whole trace, not just the adjacent ranges, so a key
 //! spanning an entire quiet middle range is still caught). Every candidate
 //! whose (normalised) fingerprint is in that *affected* set is discarded
-//! from the per-range results and re-derived by one serial rescan
-//! restricted to records carrying an affected fingerprint, in global trace
-//! order with global indices. Fingerprint collisions are harmless: the
-//! affected set is keyed by fingerprint, so colliding keys are always
-//! rescanned (or kept) together, and the rescan itself runs the exact
-//! scanner. Checksum-split counts are reconciled the same way: per-range
-//! splits charged to unaffected fingerprints are kept, splits from the
-//! rescan are added, and splits charged to affected fingerprints are
-//! dropped with their candidates.
+//! from the per-range results and re-derived by one serial rescan of the
+//! affected fingerprints' records, in global trace order with global
+//! indices. Fingerprint collisions are harmless: the affected set is keyed
+//! by fingerprint, so colliding keys are always rescanned (or kept)
+//! together, and the rescan itself runs the exact scanner. Checksum-split
+//! counts are reconciled the same way: per-range splits charged to
+//! unaffected fingerprints are kept, splits from the rescan are added, and
+//! splits charged to affected fingerprints are dropped with their
+//! candidates.
+//!
+//! # Why reconciling over the kept records is exact
+//!
+//! A worker does not keep its range. It keeps what reconciliation reads:
+//! every record whose replica key recurs within `max_replica_gap_ns` — an
+//! earlier or later record of the range with the same key at most the gap
+//! away — plus the range's head and tail windows, its records within the
+//! gap of its first and of its last record. That is a few percent of a
+//! trace: the looped sightings and two gaps of traffic per range. The
+//! scanner finds the recurring records as it goes, at no cost on its
+//! first-sighting path: a level-0 hit reports the record and the seed it
+//! hit, a sighting of a key with an open candidate reports itself and
+//! that candidate's first sighting (`ScanObserver::recurred`; a
+//! fingerprint collision or a seed up to two gaps old reports more than
+//! needed, which costs memory, not exactness). Whatever is still a lone
+//! sighting at the range's end completes the tail window.
+//!
+//! * The affected set is exact: a boundary's head and tail windows lie
+//!   inside the head and tail windows of the ranges around it. `[T, L +
+//!   gap]` starts at the next range's first record and ends no later than
+//!   the gap after it; when that range is shorter than the gap, the window
+//!   runs on through the next range's head window, and so on. `[T - gap,
+//!   T)` is the mirror image over tail windows.
+//! * The rescan is exact: a record whose key has no other record within
+//!   the gap on either side is *isolated*, and the scan of its key is the
+//!   same with or without it. Its previous sighting is more than the gap
+//!   before it, so its arrival can only close the key's candidate as stale
+//!   — the next sighting, more than the gap after it, would have done that
+//!   too, and the close order is re-sorted away — and open a candidate of
+//!   one sighting, which the next sighting closes as stale again. A
+//!   one-sighting candidate reaches neither the candidate list nor the
+//!   split count (a split needs a fresh sighting). So the rescan of the
+//!   kept records of an affected fingerprint finds exactly the candidates
+//!   and splits the rescan of all its records would. Near a range edge,
+//!   where a record's neighbours may lie in the next range, the head and
+//!   tail windows keep it whatever its neighbours.
 //!
 //! Steps 2–3 are keyed no coarser than the destination /24: step 2's
 //! co-loop rule consults only packets to the candidate's own /24 (whose
@@ -54,15 +93,17 @@
 //! streams with identical prefixes, checking only packets to that prefix.
 //! So the reconciled candidate list is partitioned by [`shard_of`] and
 //! validated/merged by `W` workers sharing the *global* looped flags and
-//! prefix index (neither step reads a record) — again, no record
+//! prefix index (neither step reads a record; each range's index part is
+//! queried where the range's worker built it) — again, no record
 //! movement. The final stitch re-sorts with the serial pipeline's
 //! canonical orderings (`(start, ident, first_index)` for streams,
 //! `(prefix, start)` for loops), which are total orders, so output is
 //! byte-identical at every worker count. `W = 1` is not a special case:
-//! it is the same code with one segment, nothing to reconcile and the
+//! it is the same code with one range, nothing to reconcile and the
 //! workers' work done inline, so every worker count publishes the same
 //! metric names and reports an unsorted trace in the same words.
 
+use crate::analysis::RecordFold;
 use crate::config::DetectorConfig;
 use crate::fxhash::FxHashSet;
 use crate::key::ReplicaKey;
@@ -70,12 +111,14 @@ use crate::merge::{self, RoutingLoop};
 use crate::monitor::OutOfOrder;
 use crate::record::TraceRecord;
 use crate::replica::{
-    normalise_fp, publish_checksum_splits, publish_scan_totals, CandidateScanner, DetectionResult,
-    DetectionStats,
+    normalise_fp, publish_checksum_splits, publish_prefilter, publish_scan_totals,
+    CandidateScanner, DetectionResult, DetectionStats, ScanCounters, ScanObserver,
 };
+use crate::segment::RangeConsumer;
 use crate::stream::ReplicaStream;
 use crate::validate::{self, IndexPartial, PrefixIndex};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::tm_info;
@@ -83,19 +126,321 @@ use telemetry::tm_info;
 #[cfg(doc)]
 use crate::replica::Detector;
 
-/// One worker's share of the step-1 scan.
-struct ScanPartial {
-    /// Candidates found in this range, carrying global record indices.
-    candidates: Vec<ReplicaStream>,
-    /// Normalised fingerprints behind this range's checksum-split events.
-    split_fps: Vec<u64>,
-    /// This range's share of the step-2 [`PrefixIndex`], built here so the
-    /// index work overlaps the scan instead of serialising after it.
-    index_part: IndexPartial,
-    /// The first record of the range that is earlier than the record
-    /// before it (which may be the last record of the range before). The
-    /// scan stops there.
+/// Starts a fresh [`RangeScan`] for one range; a source's range worker
+/// calls it on its own thread.
+pub type ScanStart<'a> = dyn Fn() -> RangeScan + Sync + 'a;
+
+/// A record a range worker keeps for reconciliation, with its index.
+#[derive(Debug, Clone, Copy)]
+struct Kept {
+    /// The record's index: in its range while the worker scans, in the
+    /// trace once reconciliation starts.
+    idx: usize,
+    rec: TraceRecord,
+}
+
+/// Keeps every record the scanner reports as recurring (see the module
+/// docs): the record being pushed in order, earlier ones — reported when
+/// a later sighting arrives — apart.
+struct KeepRecurring<'a> {
+    /// The end of the range's head window, kept whole.
+    head_end: u64,
+    current: usize,
+    kept: &'a mut Vec<Kept>,
+    earlier: &'a mut Vec<Kept>,
+}
+
+/// What a range scan keeps of each record besides what the scanner
+/// reports.
+trait Keep: ScanObserver {
+    /// Takes record `idx` just before the scanner does.
+    fn next(&mut self, idx: usize, rec: &TraceRecord);
+}
+
+/// Keeps nothing: the trace's only range.
+impl Keep for () {
+    #[inline]
+    fn next(&mut self, _idx: usize, _rec: &TraceRecord) {}
+}
+
+impl Keep for KeepRecurring<'_> {
+    #[inline]
+    fn next(&mut self, idx: usize, rec: &TraceRecord) {
+        self.current = idx;
+        if rec.timestamp_ns <= self.head_end {
+            self.kept.push(Kept { idx, rec: *rec });
+        }
+    }
+}
+
+impl ScanObserver for KeepRecurring<'_> {
+    #[inline]
+    fn recurred(&mut self, idx: usize, rec: &TraceRecord) {
+        let kept = Kept { idx, rec: *rec };
+        if idx != self.current {
+            self.earlier.push(kept);
+        } else if self.kept.last().is_none_or(|k| k.idx != idx) {
+            self.kept.push(kept);
+        }
+    }
+}
+
+/// Pushes `chunk`, whose first record is record `first` of the range, to
+/// `scanner` until the first record earlier than the one before it (the
+/// one before the chunk at `last_ns`), keeping what `keep` keeps. Returns
+/// the records pushed and the last one's time.
+#[inline]
+fn scan_chunk<K: Keep>(
+    scanner: &mut CandidateScanner,
+    chunk: &[TraceRecord],
+    first: usize,
+    mut last_ns: u64,
+    keep: &mut K,
+) -> (usize, u64) {
+    for (off, rec) in chunk.iter().enumerate() {
+        if rec.timestamp_ns < last_ns {
+            return (off, last_ns);
+        }
+        last_ns = rec.timestamp_ns;
+        keep.next(first + off, rec);
+        scanner.push_observed(first + off, rec, keep);
+    }
+    (chunk.len(), last_ns)
+}
+
+/// The records of two lists sorted by index, in index order, each once.
+fn merge_kept(a: Vec<Kept>, b: Vec<Kept>) -> Vec<Kept> {
+    let mut out: Vec<Kept> = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.idx < x.idx => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        };
+        let Some(k) = next else {
+            return out;
+        };
+        if out.last().is_none_or(|last| last.idx != k.idx) {
+            out.push(k);
+        }
+    }
+}
+
+/// One range's worker: the order check, the step-1 scan, the range's share
+/// of the step-2 prefix index, the §V record fold and the records kept for
+/// reconciliation, fed chunk by chunk in trace order. Record indices are
+/// counted from the range's first record; the block core adds the range's
+/// place in the trace once every range has been read. Publishes its
+/// timers as it ends and its counters only when the block core takes the
+/// range into the trace: a pcap range whose start a split guess got wrong
+/// is dropped unpublished.
+pub struct RangeScan {
+    scanner: Option<CandidateScanner>,
+    gap: u64,
+    /// Whether the range keeps records for reconciliation: not when it is
+    /// the trace's only range, which has no boundary to reconcile.
+    keeps: bool,
+    index: IndexPartial,
+    fold: Option<RecordFold>,
+    /// The reader's decode buffer, reused chunk after chunk.
+    chunk: Vec<TraceRecord>,
+    records: usize,
+    first_ns: Option<u64>,
+    last_ns: u64,
+    /// The first record earlier than the one before it, numbered in the
+    /// range; the scan stops there.
     out_of_order: Option<OutOfOrder>,
+    candidates: Vec<ReplicaStream>,
+    split_fps: Vec<u64>,
+    counters: ScanCounters,
+    /// The records reconciliation may read (see the module docs): while
+    /// the range is read, the head window and the records the scanner
+    /// reports recurring as they are pushed, in range order; after
+    /// [`Self::end`], all of them with the tail window, in range order.
+    kept: Vec<Kept>,
+    /// Records the scanner reports recurring after they were pushed.
+    earlier: Vec<Kept>,
+    started: Instant,
+    scan_ns: u64,
+    index_ns: u64,
+    busy_ns: u64,
+    span: Option<telemetry::Span>,
+}
+
+impl RangeScan {
+    /// A worker for one range, folding its records when `fold` is set.
+    pub(crate) fn new(cfg: DetectorConfig, fold: bool) -> Self {
+        Self {
+            scanner: Some(CandidateScanner::new(cfg)),
+            gap: cfg.max_replica_gap_ns,
+            keeps: true,
+            index: IndexPartial::default(),
+            fold: fold.then(RecordFold::default),
+            chunk: Vec::new(),
+            records: 0,
+            first_ns: None,
+            last_ns: 0,
+            out_of_order: None,
+            candidates: Vec::new(),
+            split_fps: Vec::new(),
+            counters: ScanCounters::default(),
+            kept: Vec::new(),
+            earlier: Vec::new(),
+            started: Instant::now(),
+            scan_ns: 0,
+            index_ns: 0,
+            busy_ns: 0,
+            span: Some(telemetry::span("block.scan")),
+        }
+    }
+
+    /// The same worker for one of `ranges` ranges of the trace. The only
+    /// range keeps no records: there is nothing to reconcile.
+    pub(crate) fn for_ranges(mut self, ranges: usize) -> Self {
+        self.keeps = ranges > 1;
+        self
+    }
+
+    /// Takes the range's next records, in place. Breaks (and takes no
+    /// more) at the first record earlier than the one before it.
+    pub(crate) fn push(&mut self, chunk: &[TraceRecord]) -> ControlFlow<()> {
+        let Some(scanner) = self.scanner.as_mut() else {
+            return ControlFlow::Break(());
+        };
+        if self.out_of_order.is_some() {
+            return ControlFlow::Break(());
+        }
+        let started = Instant::now();
+        let first = self.records;
+        let Some(head) = chunk.first() else {
+            return ControlFlow::Continue(());
+        };
+        let head_end = self
+            .first_ns
+            .get_or_insert(head.timestamp_ns)
+            .saturating_add(self.gap);
+        let (taken, last_ns) = if self.keeps {
+            let mut keep = KeepRecurring {
+                head_end,
+                current: 0,
+                kept: &mut self.kept,
+                earlier: &mut self.earlier,
+            };
+            scan_chunk(scanner, chunk, first, self.last_ns, &mut keep)
+        } else {
+            scan_chunk(scanner, chunk, first, self.last_ns, &mut ())
+        };
+        if taken < chunk.len() {
+            self.out_of_order = Some(OutOfOrder {
+                record: (first + taken) as u64,
+                timestamp_ns: chunk[taken].timestamp_ns,
+                previous_ns: last_ns,
+            });
+        }
+        self.last_ns = last_ns;
+        let chunk = &chunk[..taken];
+        let scanned = Instant::now();
+        PrefixIndex::extend_range(&mut self.index, chunk, first);
+        self.index_ns += scanned.elapsed().as_nanos() as u64;
+        self.scan_ns += (scanned - started).as_nanos() as u64;
+        if let Some(fold) = &mut self.fold {
+            fold.add_all(chunk);
+        }
+        self.records += taken;
+        if self.out_of_order.is_some() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Closes the range: finishes the scan and the kept set, and records
+    /// the range's timers. Idempotent.
+    pub(crate) fn end(&mut self) {
+        let Some(scanner) = self.scanner.take() else {
+            return;
+        };
+        let started = Instant::now();
+        if self.keeps {
+            // The tail window: what was not reported recurring is still a
+            // lone sighting there.
+            let tail = self.last_ns.saturating_sub(self.gap);
+            let mut earlier = std::mem::take(&mut self.earlier);
+            earlier.extend(
+                scanner
+                    .lone_sightings_since(tail)
+                    .map(|(idx, &rec)| Kept { idx, rec }),
+            );
+            earlier.sort_unstable_by_key(|k| k.idx);
+            self.kept = merge_kept(std::mem::take(&mut self.kept), earlier);
+        }
+        (self.candidates, self.counters, self.split_fps) = scanner.finish_with_splits();
+        self.scan_ns += started.elapsed().as_nanos() as u64;
+        self.busy_ns = self.started.elapsed().as_nanos() as u64;
+        telemetry::global()
+            .timer("replica.detect")
+            .record(self.scan_ns);
+        self.span = None;
+    }
+
+    /// Whether the scan refused a record earlier than the one before it.
+    pub(crate) fn refused(&self) -> bool {
+        self.out_of_order.is_some()
+    }
+
+    /// Records taken so far.
+    pub(crate) fn records(&self) -> u64 {
+        self.records as u64
+    }
+
+    /// The first record's timestamp (`None` before any record).
+    pub(crate) fn first_ns(&self) -> Option<u64> {
+        self.first_ns
+    }
+
+    /// The last record's timestamp (0 before any record).
+    pub(crate) fn last_ns(&self) -> u64 {
+        self.last_ns
+    }
+
+    /// The range's record fold, when it folds.
+    pub(crate) fn fold(&self) -> Option<&RecordFold> {
+        self.fold.as_ref()
+    }
+
+    /// Publishes the range's counters and per-worker metrics as worker `w`.
+    fn publish(&self, w: usize) {
+        let reg = telemetry::global();
+        publish_scan_totals(self.records, &self.counters);
+        publish_prefilter(&self.counters);
+        reg.counter(block_metric(w, "records"))
+            .add(self.records as u64);
+        reg.counter(block_metric(w, "kept"))
+            .add(self.kept.len() as u64);
+        reg.timer(block_metric(w, "scan")).record(self.scan_ns);
+        reg.timer(block_metric(w, "index")).record(self.index_ns);
+        reg.timer(block_metric(w, "busy")).record(self.busy_ns);
+    }
+}
+
+impl RangeConsumer for RangeScan {
+    fn chunk_buffer(&mut self) -> &mut Vec<TraceRecord> {
+        &mut self.chunk
+    }
+
+    fn take_chunk(&mut self) -> ControlFlow<()> {
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let flow = self.push(&chunk);
+        chunk.clear();
+        self.chunk = chunk;
+        flow
+    }
+
+    fn end(&mut self) {
+        RangeScan::end(self);
+        self.chunk = Vec::new();
+    }
 }
 
 /// One worker's share of the step-2/3 validate+merge.
@@ -107,7 +452,7 @@ struct FinishPartial {
 }
 
 /// The share-nothing block-parallel detector: the one offline steps 1–3
-/// core. [`Detector::run`] is its one-segment case.
+/// core. [`Detector::run`] is its one-range case.
 #[derive(Debug, Clone)]
 pub struct BlockParallelDetector {
     cfg: DetectorConfig,
@@ -141,8 +486,7 @@ impl BlockParallelDetector {
     /// # Panics
     /// Panics when records are not sorted by timestamp.
     pub fn run(&self, records: &[TraceRecord]) -> DetectionResult {
-        let splits = even_splits(records.len(), self.threads);
-        self.run_with_splits(records, &splits)
+        self.run_segments(&even_slices(records, self.threads))
     }
 
     /// [`Self::run`] with explicit interior split points (record indices,
@@ -168,54 +512,58 @@ impl BlockParallelDetector {
     }
 
     /// Runs the full pipeline on a time-sorted trace given as trace-ordered
-    /// segments — typically decoded by one thread each — with one worker
-    /// per non-empty segment. The records stay where they are: candidates
-    /// and index postings carry trace-global indices (a segment's records
-    /// are numbered after all records of the segments before it), and the
-    /// order check and reconciliation windows cross segment ends. One
-    /// segment runs on the calling thread and spawns nothing.
+    /// slices, one worker per slice scanning it where it lies (one slice
+    /// runs on the calling thread and spawns nothing).
     ///
     /// # Panics
     /// Panics when records are not sorted by timestamp, naming the first
     /// record that is earlier than the one before it.
     pub fn run_segments(&self, segments: &[&[TraceRecord]]) -> DetectionResult {
-        let mut segs: Vec<&[TraceRecord]> =
-            segments.iter().copied().filter(|s| !s.is_empty()).collect();
-        if segs.is_empty() {
-            segs.push(&[]);
-        }
-        let mut bases = Vec::with_capacity(segs.len());
-        let mut total = 0;
-        for seg in &segs {
-            bases.push(total);
-            total += seg.len();
-        }
+        let cfg = self.cfg;
+        let ranges = scan_slices(segments, &|| {
+            RangeScan::new(cfg, false).for_ranges(segments.len())
+        });
+        self.detect_ranges(ranges)
+            .unwrap_or_else(|err| panic!("trace records must be sorted by timestamp: {err}"))
+    }
 
-        let workers = segs.len();
+    /// Steps 1–3 over a trace read as trace-ordered ranges (see
+    /// [`crate::segment`]): the order check across range ends, then
+    /// reconciliation, validation and merging. Fails with the first record
+    /// in trace order that is earlier than the one before it.
+    pub(crate) fn detect_ranges(
+        &self,
+        mut ranges: Vec<RangeScan>,
+    ) -> Result<DetectionResult, OutOfOrder> {
+        for range in &mut ranges {
+            range.end();
+        }
+        assert!(
+            ranges.len() < 2 || ranges.iter().all(|r| r.keeps),
+            "a range that keeps no records is the trace's only range"
+        );
+        check_order(&ranges)?;
+        ranges.retain(|r| r.records > 0);
+        let mut bases = Vec::with_capacity(ranges.len());
+        let mut total = 0;
+        for range in &ranges {
+            bases.push(total);
+            total += range.records;
+        }
+        let workers = ranges.len().max(1);
         telemetry::global()
             .gauge("block.workers")
             .set(workers as i64);
-
-        // Phase A: per-segment candidate scans, share-nothing. Each worker
-        // also builds its segment's share of the step-2 prefix index, so
-        // the formerly serial index rebuild overlaps the scan. The workers
-        // check timestamp order as they scan, which keeps that pass over
-        // the trace off the serial path too.
-        let mut partials = self.scan_segments(&segs, &bases);
-        if let Some(err) = partials.iter().find_map(|p| p.out_of_order) {
-            panic!("trace records must be sorted by timestamp: {err}");
+        for (w, range) in ranges.iter().enumerate() {
+            range.publish(w);
         }
-        let index_parts: Vec<IndexPartial> = partials
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.index_part))
-            .collect();
 
         // Boundary reconciliation: find fingerprints whose serial
-        // candidates could differ from the per-segment ones, rescan
-        // exactly those keys serially, and splice.
+        // candidates could differ from the per-range ones, rescan exactly
+        // those keys' kept records serially, and splice.
         let (candidates, checksum_splits) = {
             let _t = telemetry::span("block.reconcile");
-            self.reconcile(&segs, &bases, partials)
+            self.reconcile(&mut ranges, &bases)
         };
         publish_checksum_splits(checksum_splits);
 
@@ -227,16 +575,18 @@ impl BlockParallelDetector {
         };
 
         let looped_flags = validate::looped_flags(total, &candidates);
-
-        // Only the cheap per-range merge remains serial here; the O(n)
-        // posting construction already happened inside the scan workers.
-        let index = {
-            let _t = telemetry::span("block.index");
-            PrefixIndex::from_partials(index_parts)
-        };
+        let index = PrefixIndex::from_partials(
+            ranges
+                .iter_mut()
+                .zip(&bases)
+                .map(|(range, &base)| (base, std::mem::take(&mut range.index)))
+                .collect(),
+        );
+        drop(ranges);
 
         // Phase B: validate + merge, partitioned by destination /24.
-        let finished = self.finish_candidates(candidates, &looped_flags, &index, workers);
+        let finishers = self.threads.min(total).max(1);
+        let finished = self.finish_candidates(candidates, &looped_flags, &index, finishers);
 
         // Stitch: canonical serial orderings over the concatenation.
         let (streams, loops) = {
@@ -264,94 +614,45 @@ impl BlockParallelDetector {
             stats.routing_loops
         );
 
-        DetectionResult {
+        Ok(DetectionResult {
             streams,
             loops,
             looped_flags,
             stats,
-        }
-    }
-
-    /// Phase A: each worker scans its own segment in place, pushing
-    /// global record indices.
-    fn scan_segments(&self, segs: &[&[TraceRecord]], bases: &[usize]) -> Vec<ScanPartial> {
-        let cfg = self.cfg;
-        let ranges: Vec<(&[TraceRecord], usize)> =
-            segs.iter().copied().zip(bases.iter().copied()).collect();
-        fan_out(ranges, |w, (slice, base)| {
-            let started = Instant::now();
-            let _agg = telemetry::span("block.scan");
-            telemetry::global()
-                .counter(block_metric(w, "records"))
-                .add(slice.len() as u64);
-            // The record before the segment: the order check crosses
-            // segment ends.
-            let mut previous_ns = w
-                .checked_sub(1)
-                .and_then(|p| segs[p].last())
-                .map_or(0, |r| r.timestamp_ns);
-            let mut out_of_order = None;
-            let (candidates, counters, split_fps) = {
-                let _t = telemetry::span("replica.detect");
-                let mut scanner = CandidateScanner::new(cfg);
-                for (off, rec) in slice.iter().enumerate() {
-                    if rec.timestamp_ns < previous_ns {
-                        out_of_order = Some(OutOfOrder {
-                            record: (base + off) as u64,
-                            timestamp_ns: rec.timestamp_ns,
-                            previous_ns,
-                        });
-                        break;
-                    }
-                    previous_ns = rec.timestamp_ns;
-                    scanner.push(base + off, rec);
-                }
-                scanner.finish_with_splits()
-            };
-            publish_scan_totals(slice.len(), &counters);
-            telemetry::global()
-                .timer(block_metric(w, "scan"))
-                .record(started.elapsed().as_nanos() as u64);
-            let index_started = Instant::now();
-            let index_part = PrefixIndex::build_range(slice, base);
-            telemetry::global()
-                .timer(block_metric(w, "index"))
-                .record(index_started.elapsed().as_nanos() as u64);
-            telemetry::global()
-                .timer(block_metric(w, "busy"))
-                .record(started.elapsed().as_nanos() as u64);
-            ScanPartial {
-                candidates,
-                split_fps,
-                index_part,
-                out_of_order,
-            }
         })
     }
 
-    /// Boundary reconciliation (see module docs): returns the exact serial
-    /// candidate list (sorted `(start, first_index)`) and checksum-split
-    /// count.
-    fn reconcile(
-        &self,
-        segs: &[&[TraceRecord]],
-        bases: &[usize],
-        partials: Vec<ScanPartial>,
-    ) -> (Vec<ReplicaStream>, u64) {
-        let affected = affected_fingerprints(segs, self.cfg.max_replica_gap_ns);
+    /// Boundary reconciliation (see module docs) over the ranges' kept
+    /// records, after moving every index the ranges hold into the trace's
+    /// numbering: returns the exact serial candidate list (sorted
+    /// `(start, first_index)`) and checksum-split count.
+    fn reconcile(&self, ranges: &mut [RangeScan], bases: &[usize]) -> (Vec<ReplicaStream>, u64) {
+        for (range, &base) in ranges.iter_mut().zip(bases) {
+            for k in &mut range.kept {
+                k.idx += base;
+            }
+            for idx in range
+                .candidates
+                .iter_mut()
+                .flat_map(|c| &mut c.record_indices)
+            {
+                *idx += base;
+            }
+        }
+        let kept: Vec<&[Kept]> = ranges.iter().map(|r| &r.kept[..]).collect();
+        let affected = affected_fingerprints(&kept, self.cfg.max_replica_gap_ns);
 
-        // Rescan every record of an affected key, serially, in global
-        // order. The affected set is tiny next to the trace (a handful of
-        // keys per boundary), so this is one cheap filtered pass.
+        // Rescan every kept record of an affected fingerprint, serially,
+        // in global order. The affected set is tiny next to the trace (a
+        // handful of keys per boundary), so this is one cheap filtered
+        // pass over the kept records.
         let mut rescan_candidates = Vec::new();
         let mut rescan_splits = 0u64;
         if !affected.is_empty() {
             let mut scanner = CandidateScanner::with_capacity(self.cfg, affected.len());
-            for (seg, &base) in segs.iter().zip(bases) {
-                for (off, rec) in seg.iter().enumerate() {
-                    if affected.contains(&normalise_fp(rec.fingerprint)) {
-                        scanner.push(base + off, rec);
-                    }
+            for k in kept.iter().flat_map(|part| part.iter()) {
+                if affected.contains(&normalise_fp(k.rec.fingerprint)) {
+                    scanner.push(k.idx, &k.rec);
                 }
             }
             let (c, counters, _fps) = scanner.finish_with_splits();
@@ -361,14 +662,14 @@ impl BlockParallelDetector {
 
         let mut candidates = Vec::new();
         let mut checksum_splits = rescan_splits;
-        for part in partials {
-            checksum_splits += part
+        for range in ranges {
+            checksum_splits += range
                 .split_fps
                 .iter()
                 .filter(|fp| !affected.contains(fp))
                 .count() as u64;
             candidates.extend(
-                part.candidates
+                std::mem::take(&mut range.candidates)
                     .into_iter()
                     .filter(|c| !affected.contains(&normalise_fp(c.key.fingerprint()))),
             );
@@ -429,6 +730,48 @@ impl BlockParallelDetector {
     }
 }
 
+/// The first record of the ranges, in trace order, that is earlier than
+/// the record before it — which may be the last record of an earlier
+/// range — numbered in the trace.
+fn check_order(ranges: &[RangeScan]) -> Result<(), OutOfOrder> {
+    let mut base = 0u64;
+    let mut previous_ns = None;
+    for range in ranges {
+        if let (Some(previous_ns), Some(first_ns)) = (previous_ns, range.first_ns) {
+            if first_ns < previous_ns {
+                return Err(OutOfOrder {
+                    record: base,
+                    timestamp_ns: first_ns,
+                    previous_ns,
+                });
+            }
+        }
+        if let Some(err) = range.out_of_order {
+            return Err(OutOfOrder {
+                record: base + err.record,
+                ..err
+            });
+        }
+        if range.records > 0 {
+            previous_ns = Some(range.last_ns);
+        }
+        base += range.records as u64;
+    }
+    Ok(())
+}
+
+/// Scans each slice where it lies with a scan from `start`, one worker
+/// per slice (on the calling thread when there is one), and returns the
+/// ended scans in order.
+pub(crate) fn scan_slices(slices: &[&[TraceRecord]], start: &ScanStart<'_>) -> Vec<RangeScan> {
+    fan_out(slices.to_vec(), |_, slice| {
+        let mut scan = start();
+        let _ = scan.push(slice);
+        scan.end();
+        scan
+    })
+}
+
 /// Runs `work(w, input)` for each input in order and returns the results
 /// in order: on the calling thread when there is one input, otherwise on
 /// one scoped thread per input, named `block-w<w>`.
@@ -436,7 +779,7 @@ impl BlockParallelDetector {
 /// # Panics
 /// Panics when a worker panics.
 fn fan_out<I: Send, T: Send>(inputs: Vec<I>, work: impl Fn(usize, I) -> T + Sync) -> Vec<T> {
-    if inputs.len() == 1 {
+    if inputs.len() <= 1 {
         return inputs.into_iter().map(|input| work(0, input)).collect();
     }
     std::thread::scope(|scope| {
@@ -466,6 +809,14 @@ pub fn even_splits(len: usize, threads: usize) -> Vec<usize> {
     (1..workers)
         .map(|w| w * chunk)
         .filter(|&s| s > 0 && s < len)
+        .collect()
+}
+
+/// `records` cut into (up to) `parts` even slices.
+pub(crate) fn even_slices(records: &[TraceRecord], parts: usize) -> Vec<&[TraceRecord]> {
+    range_bounds(records.len(), &even_splits(records.len(), parts))
+        .into_iter()
+        .map(|(lo, hi)| &records[lo..hi])
         .collect()
 }
 
@@ -501,30 +852,31 @@ fn range_bounds(len: usize, splits: &[usize]) -> Vec<(usize, usize)> {
 }
 
 /// The normalised fingerprints whose candidates may differ between the
-/// per-segment scans and the serial scan: keys with a sighting within
-/// `gap_ns` on *both* sides of some segment boundary (see module docs).
-/// `segs` are non-empty and in trace order.
-fn affected_fingerprints(segs: &[&[TraceRecord]], gap_ns: u64) -> FxHashSet<u64> {
+/// per-range scans and the serial scan: keys with a sighting within
+/// `gap_ns` on *both* sides of some range boundary (see module docs).
+/// `ranges` are the non-empty ranges' kept records, in trace order; each
+/// holds its range's first and last record.
+fn affected_fingerprints(ranges: &[&[Kept]], gap_ns: u64) -> FxHashSet<u64> {
     let mut affected = FxHashSet::default();
-    for w in 1..segs.len() {
-        let t_right = segs[w][0].timestamp_ns;
-        let l_left = segs[w - 1][segs[w - 1].len() - 1].timestamp_ns;
+    for w in 1..ranges.len() {
+        let t_right = ranges[w][0].rec.timestamp_ns;
+        let l_left = ranges[w - 1][ranges[w - 1].len() - 1].rec.timestamp_ns;
         // Tail window over the whole trace before the boundary (a key can
-        // span an entire quiet middle segment), head window over the whole
-        // trace after it; both may cross several segments.
-        let tail_fps: FxHashSet<u64> = segs[..w]
+        // span an entire quiet middle range), head window over the whole
+        // trace after it; both may cross several ranges.
+        let tail_fps: FxHashSet<u64> = ranges[..w]
             .iter()
             .rev()
-            .flat_map(|seg| seg.iter().rev())
-            .take_while(|r| r.timestamp_ns >= t_right.saturating_sub(gap_ns))
-            .map(|r| normalise_fp(r.fingerprint))
+            .flat_map(|range| range.iter().rev())
+            .take_while(|k| k.rec.timestamp_ns >= t_right.saturating_sub(gap_ns))
+            .map(|k| normalise_fp(k.rec.fingerprint))
             .collect();
-        for rec in segs[w..]
+        for k in ranges[w..]
             .iter()
-            .flat_map(|seg| seg.iter())
-            .take_while(|r| r.timestamp_ns <= l_left.saturating_add(gap_ns))
+            .flat_map(|range| range.iter())
+            .take_while(|k| k.rec.timestamp_ns <= l_left.saturating_add(gap_ns))
         {
-            let fp = normalise_fp(rec.fingerprint);
+            let fp = normalise_fp(k.rec.fingerprint);
             if tail_fps.contains(&fp) {
                 affected.insert(fp);
             }
@@ -560,6 +912,9 @@ static BLOCK_VALIDATE: [&str; PREBUILT_WORKERS] = block_name_table!("validate";
 static BLOCK_MERGE: [&str; PREBUILT_WORKERS] = block_name_table!("merge";
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
     16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
+static BLOCK_KEPT: [&str; PREBUILT_WORKERS] = block_name_table!("kept";
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
 static BLOCK_BUSY: [&str; PREBUILT_WORKERS] = block_name_table!("busy";
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
     16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
@@ -575,6 +930,7 @@ pub fn block_metric(worker: usize, field: &str) -> &'static str {
             "index" => return BLOCK_INDEX[worker],
             "validate" => return BLOCK_VALIDATE[worker],
             "merge" => return BLOCK_MERGE[worker],
+            "kept" => return BLOCK_KEPT[worker],
             "busy" => return BLOCK_BUSY[worker],
             _ => {}
         }
@@ -735,8 +1091,14 @@ mod tests {
         // Second burst of the same key far beyond the replica gap.
         let resume = records.last().unwrap().timestamp_ns + 10_000_000_000;
         records.extend(looping_records(resume, 40_000_000, 58, 4, 5, dst));
+        let kept = |range: &[TraceRecord]| -> Vec<Kept> {
+            (0..)
+                .zip(range)
+                .map(|(idx, &rec)| Kept { idx, rec })
+                .collect()
+        };
         let affected = affected_fingerprints(
-            &[&records[..4], &records[4..]],
+            &[&kept(&records[..4]), &kept(&records[4..])],
             DetectorConfig::default().max_replica_gap_ns,
         );
         assert!(

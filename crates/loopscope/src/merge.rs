@@ -16,7 +16,7 @@
 use crate::config::DetectorConfig;
 use crate::record::TraceRecord;
 use crate::stream::ReplicaStream;
-use crate::validate::{PrefixHistory, PrefixIndex};
+use crate::validate::PrefixIndex;
 use net_types::Ipv4Prefix;
 use std::collections::BTreeMap;
 use telemetry::{tm_debug, LazyCounter};
@@ -138,10 +138,9 @@ pub fn merge(
     // Prefixes in order, each one's loops in start order: the output is
     // in `(prefix, start)` order.
     let mut out = Vec::new();
-    let is_looped = |id: usize| looped_flags[id];
     for (prefix, mut group) in by_prefix {
-        let history = index.history(prefix);
-        merge_runs(&mut group, history, is_looped, cfg, None, &mut out);
+        let all_looped = |from, to| index.all_looped(prefix, from, to, |id| looped_flags[id]);
+        merge_runs(&mut group, all_looped, cfg, None, &mut out);
     }
     out
 }
@@ -150,8 +149,7 @@ pub fn merge(
 /// canonical order `(start, end, ident, first record index)` and joins
 /// each stream to the run before it when the two overlap, or when the gap
 /// between them is at most `merge_gap_ns` and every record to the /24 in
-/// its interior is looped (`history` and `is_looped` as for
-/// `validate::judge`).
+/// its interior is looped (`all_looped` as for `validate::judge`).
 ///
 /// A run is final once its end plus the merge gap lies before `barrier`,
 /// the earliest time a future stream could start; with no barrier every
@@ -162,8 +160,7 @@ pub fn merge(
 /// is returned.
 pub(crate) fn merge_runs(
     streams: &mut Vec<ReplicaStream>,
-    history: &PrefixHistory,
-    is_looped: impl Fn(usize) -> bool,
+    all_looped: impl Fn(u64, u64) -> bool,
     cfg: &DetectorConfig,
     barrier: Option<u64>,
     out: &mut Vec<RoutingLoop>,
@@ -175,8 +172,7 @@ pub(crate) fn merge_runs(
         let mut run = vec![first];
         while let Some(s) = rest.next_if(|s| {
             s.start_ns() <= end
-                || (s.start_ns() - end <= cfg.merge_gap_ns
-                    && history.all_looped(end + 1, s.start_ns() - 1, &is_looped))
+                || (s.start_ns() - end <= cfg.merge_gap_ns && all_looped(end + 1, s.start_ns() - 1))
         }) {
             bridged += u64::from(s.start_ns() > end);
             end = end.max(s.end_ns());

@@ -139,6 +139,26 @@ impl std::fmt::Display for OutOfOrder {
 
 impl std::error::Error for OutOfOrder {}
 
+impl OutOfOrder {
+    /// The first of `records` earlier than the record before it, given
+    /// the timestamp of the record before the first (0 for none) and the
+    /// first's position in its stream.
+    pub fn first_in(records: &[TraceRecord], previous_ns: u64, first: u64) -> Option<Self> {
+        let mut previous_ns = previous_ns;
+        for (i, rec) in records.iter().enumerate() {
+            if rec.timestamp_ns < previous_ns {
+                return Some(OutOfOrder {
+                    record: first + i as u64,
+                    timestamp_ns: rec.timestamp_ns,
+                    previous_ns,
+                });
+            }
+            previous_ns = rec.timestamp_ns;
+        }
+        None
+    }
+}
+
 /// Renders one per-link-attributed event line (no trailing newline).
 ///
 /// The body fields after the `link`/`event` attribution are exactly the
@@ -374,19 +394,12 @@ impl LinkMonitor {
     /// Accepts `batch` only if its timestamps never go backwards, starting
     /// from the last record already fed.
     fn check_order(&mut self, batch: &[TraceRecord]) -> std::io::Result<()> {
-        let mut previous_ns = self.last_ns;
-        for (i, rec) in batch.iter().enumerate() {
-            if rec.timestamp_ns < previous_ns {
-                let err = OutOfOrder {
-                    record: self.records + i as u64,
-                    timestamp_ns: rec.timestamp_ns,
-                    previous_ns,
-                };
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, err));
-            }
-            previous_ns = rec.timestamp_ns;
+        if let Some(err) = OutOfOrder::first_in(batch, self.last_ns, self.records) {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, err));
         }
-        self.last_ns = previous_ns;
+        if let Some(last) = batch.last() {
+            self.last_ns = last.timestamp_ns;
+        }
         Ok(())
     }
 

@@ -558,7 +558,8 @@ impl Core {
         }
         // Step 2.
         let log = &self.log;
-        match judge(&stream, &state.history, |id| log.is_looped(id), &self.cfg) {
+        let all_looped = |from, to| state.history.all_looped(from, to, |id| log.is_looped(id));
+        match judge(&stream, all_looped, &self.cfg) {
             Verdict::Kept => {}
             Verdict::Short => {
                 self.stats.rejected_short += 1;
@@ -675,15 +676,9 @@ impl PrefixState {
         barrier: Option<u64>,
     ) -> (Vec<RoutingLoop>, Option<u64>) {
         let mut loops = Vec::new();
-        let is_looped = |id| log.is_looped(id);
-        let next = merge_runs(
-            &mut self.pending,
-            &self.history,
-            is_looped,
-            cfg,
-            barrier,
-            &mut loops,
-        );
+        let history = &self.history;
+        let all_looped = |from, to| history.all_looped(from, to, |id| log.is_looped(id));
+        let next = merge_runs(&mut self.pending, all_looped, cfg, barrier, &mut loops);
         (loops, next)
     }
 }

@@ -5,9 +5,9 @@
 //! through which every execution mode runs it:
 //!
 //! ```text
-//!   RecordSource ──segments──▶ Engine ──events──▶ canonical order ──▶ Sinks
-//!   (slice, pcap,  or batches  (serial, block,    (streams, loops)    (CSV, JSONL,
-//!    .ltc, tap)                 streaming)                             analysis, …)
+//!   RecordSource ──ranges───▶ Engine ──events──▶ canonical order ──▶ Sinks
+//!   (slice, pcap,  or batches (serial, block,    (streams, loops)    (CSV, JSONL,
+//!    .ltc, tap)                streaming)                             analysis, …)
 //! ```
 //!
 //! * A [`RecordSource`] yields timestamp-ordered [`TraceRecord`] batches:
@@ -17,23 +17,25 @@
 //!   pcap decode loop — every other pcap reader runs it too).
 //!   `.ltc` corpora plug in through the `corpus` crate's sources, and
 //!   simulator taps through the root crate's `TapSource` wrapper. Every
-//!   source also hands over the whole trace at once, as [`Segments`]
-//!   ([`RecordSource::segments`]): a slice as one borrowed part, a pcap
-//!   file ([`crate::segment::PcapFileSource`]) or a mapped `.ltc` as up
-//!   to N parts decoded by N threads, and any other source as its
-//!   batches drained into one owned part.
+//!   source also hands the whole trace to a batch engine's range scans
+//!   ([`RecordSource::scan`]): a slice as up to N slices scanned where
+//!   they lie, a pcap file ([`crate::segment::PcapFileSource`]) or a
+//!   mapped `.ltc` as up to N ranges, each decoded and scanned chunk by
+//!   chunk by its own thread, and any other source as one range fed its
+//!   batches on the calling thread. No batch path holds the trace.
 //! * An [`Engine`] turns the trace into [`OnlineEvent`]s. The offline
 //!   engines — [`SerialEngine`] and [`BlockEngine`], one engine over the
 //!   one offline core ([`BlockParallelDetector`]) at one worker or N —
-//!   take it as segments; [`StreamingEngine`] takes it batch by batch.
+//!   take it as ranges; [`StreamingEngine`] takes it batch by batch.
 //!   All three share one contract: on the same input they produce the
 //!   same streams, loops, and [`DetectionStats`] (the conformance tests
 //!   assert equality on every fixture).
-//! * A [`Sink`] observes each record as it is ingested (for single-pass
-//!   whole-trace statistics) and the finished [`PipelineResult`] (for
-//!   per-stream/per-loop output). CSV and JSONL emitters live here;
-//!   [`crate::analysis::AnalysisAccumulator`] is a sink too, which is what
-//!   lets `--streaming` produce the full §V report in bounded memory.
+//! * A [`Sink`] observes the trace's records through a [`RecordFold`]
+//!   (for single-pass whole-trace statistics) and the finished
+//!   [`PipelineResult`] (for per-stream/per-loop output). CSV and JSONL
+//!   emitters live here; [`crate::analysis::AnalysisAccumulator`] is a
+//!   sink too, which is what lets `--streaming` produce the full §V report
+//!   in bounded memory.
 //!
 //! [`run_pipeline`] wires the three together, attaches the
 //! `pipeline.*` telemetry spans at the stage boundaries, and puts the
@@ -41,15 +43,17 @@
 //! `(start, first record index)`, loops by `(prefix, start)` — so the
 //! output bytes never depend on which engine ran.
 
-use crate::block::BlockParallelDetector;
+pub use crate::analysis::RecordFold;
+use crate::block::{even_slices, scan_slices, BlockParallelDetector, RangeScan, ScanStart};
 use crate::config::DetectorConfig;
 use crate::merge::{LoopKind, RoutingLoop};
+use crate::monitor::OutOfOrder;
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
-use crate::replica::DetectionStats;
-pub use crate::segment::Segments;
+use crate::replica::{DetectionResult, DetectionStats};
+use crate::segment::RangeEnd;
+pub use crate::segment::Ranges;
 use crate::stream::ReplicaStream;
-use std::borrow::Cow;
 use std::io::Write;
 use std::ops::ControlFlow;
 
@@ -107,6 +111,9 @@ pub enum PipelineError {
     /// a pipeline run. Drivers that pump sources by hand (the monitor
     /// daemon) use it the same way.
     Interrupted,
+    /// A record is earlier than the record before it: the trace is not
+    /// sorted by timestamp, and detecting on it would report nonsense.
+    OutOfOrder(OutOfOrder),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -115,6 +122,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Source(e) => write!(f, "source: {e}"),
             PipelineError::Sink(e) => write!(f, "sink: {e}"),
             PipelineError::Interrupted => write!(f, "interrupted"),
+            PipelineError::OutOfOrder(e) => {
+                write!(f, "trace records must be sorted by timestamp: {e}")
+            }
         }
     }
 }
@@ -148,43 +158,50 @@ pub trait RecordSource {
         f: &mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
     ) -> Result<SourceSummary, PipelineError>;
 
-    /// The whole source at once, as up to `parts` trace-ordered
-    /// [`Segments`], for engines that want the whole trace before they
-    /// detect ([`Engine::segment_parts`]). A source that must decode may
-    /// split the work over `parts` threads, calling `poll` with the records
-    /// decoded so far meanwhile and stopping at the first
-    /// [`ControlFlow::Break`] (the result is then a prefix, marked
-    /// `interrupted`).
+    /// The whole source at once, for the batch engines: up to `parts`
+    /// contiguous trace-ordered ranges, each fed, in order, to its own
+    /// [`RangeScan`] from `start`. A source that must decode may read the
+    /// ranges on `parts` threads, each decoding its range into its scan,
+    /// calling `poll` with the records read so far meanwhile and stopping
+    /// at the first [`ControlFlow::Break`] (the result is then a prefix,
+    /// marked `interrupted`). A scan that refuses a record (one earlier
+    /// than the record before it) ends the read there.
     ///
-    /// The default drains [`RecordSource::for_each_batch`] into one owned
-    /// segment, polling after each batch; on a break it returns the
-    /// batches read so far, with [`RecordSource::skipped_hint`] as the
-    /// skip count. A slice answers with itself as one borrowed part
-    /// instead, and a pcap file ([`crate::segment::PcapFileSource`]) or a
-    /// mapped `.ltc` with up to `parts` parts decoded by as many threads.
-    fn segments(
+    /// The default feeds [`RecordSource::for_each_batch`]'s batches to one
+    /// scan on the calling thread, polling after each batch; on a break it
+    /// returns the scan of the batches read so far, with
+    /// [`RecordSource::skipped_hint`] as the skip count. A slice cuts
+    /// itself into `parts` slices scanned where they lie instead, and a
+    /// pcap file ([`crate::segment::PcapFileSource`]) or a `.ltc`, mapped
+    /// or buffered, reads up to `parts` ranges on as many threads.
+    fn scan(
         &mut self,
         _parts: usize,
+        start: &ScanStart<'_>,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'_>, PipelineError> {
-        let mut records = Vec::new();
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
+        let mut range = start();
         let pulled = self.for_each_batch(&mut |batch| {
-            records.extend_from_slice(batch);
-            match poll(records.len() as u64) {
+            if range.push(batch).is_break() {
+                return Err(PipelineError::Interrupted);
+            }
+            match poll(range.records()) {
                 ControlFlow::Continue(()) => Ok(()),
                 ControlFlow::Break(()) => Err(PipelineError::Interrupted),
             }
         });
-        let (skipped, interrupted) = match pulled {
-            Ok(summary) => (summary.skipped, false),
-            Err(PipelineError::Interrupted) => (self.skipped_hint(), true),
+        let (skipped, end) = match pulled {
+            Ok(summary) => (summary.skipped, RangeEnd::Complete),
+            Err(PipelineError::Interrupted) if range.refused() => {
+                (self.skipped_hint(), RangeEnd::Refused)
+            }
+            Err(PipelineError::Interrupted) => (self.skipped_hint(), RangeEnd::Stopped),
             Err(e) => return Err(e),
         };
-        Ok(Segments {
-            parts: vec![Cow::Owned(records)],
-            skipped,
-            interrupted,
-        })
+        range.end();
+        let mut ranges = Ranges::new(skipped);
+        let _ = ranges.push(range, end);
+        Ok(ranges)
     }
 
     /// Unparseable records skipped so far: by the decode this source
@@ -221,12 +238,27 @@ impl RecordSource for SliceSource<'_> {
         })
     }
 
-    fn segments(
+    fn scan(
         &mut self,
-        _parts: usize,
+        parts: usize,
+        start: &ScanStart<'_>,
         _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'_>, PipelineError> {
-        Ok(Segments::borrowed(self.records))
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
+        Ok(scan_slice(self.records, parts, start))
+    }
+}
+
+/// A trace already in memory as up to `parts` even slices, each scanned
+/// where it lies by its own worker: what [`RecordSource::scan`] answers
+/// for a slice.
+pub fn scan_slice(
+    records: &[TraceRecord],
+    parts: usize,
+    start: &ScanStart<'_>,
+) -> Ranges<RangeScan> {
+    Ranges {
+        parts: scan_slices(&even_slices(records, parts), start),
+        ..Ranges::new(0)
     }
 }
 
@@ -237,7 +269,7 @@ impl RecordSource for SliceSource<'_> {
 /// [`PcapSource::for_each_record`] is the only pcap decode loop in the
 /// tree: the batched pipeline source, the root crate's whole-file
 /// `records_from_pcap`, and each range worker of
-/// [`crate::segment::decode_pcap_segments`] all run it.
+/// [`crate::segment::read_pcap_ranges`] all run it.
 pub struct PcapSource<R: std::io::Read> {
     reader: pcaplib::PcapReader<R>,
     skipped: u64,
@@ -353,11 +385,10 @@ pub struct EngineProgress {
 /// loops, emitted as [`OnlineEvent`]s, and reports [`DetectionStats`].
 ///
 /// An engine takes the trace in one of two shapes. The offline engines
-/// ([`BlockEngine`], [`SerialEngine`]) detect once they hold the whole
-/// trace: [`run_pipeline`] asks the source for it as
-/// [`Engine::segment_parts`] segments and runs them in one
-/// [`Engine::run_segments`] call, where they lie. The streaming engine
-/// (`segment_parts` 0) is fed batches instead: any number of
+/// ([`BlockEngine`], [`SerialEngine`]) detect once they have seen the
+/// whole trace: [`run_pipeline`] hands the source to the
+/// [`Engine::batch`] engine, whose range scans read it where it lies. The
+/// streaming engine is fed batches instead: any number of
 /// [`Engine::feed`] calls followed by exactly one [`Engine::finish`].
 /// Batches can arrive over an arbitrarily long wall-clock span — the
 /// monitor runtime keeps one engine per link alive for the life of the
@@ -382,29 +413,20 @@ pub trait Engine {
     /// Current progress, callable at any time.
     fn progress(&self) -> EngineProgress;
 
-    /// How many segments [`run_pipeline`] should ask a source for
-    /// ([`RecordSource::segments`]) before running
-    /// [`Engine::run_segments`]. 0 (the default): stream batches through
-    /// [`Engine::feed`].
-    fn segment_parts(&self) -> usize {
-        0
+    /// The offline engine behind this one, which [`run_pipeline`] hands
+    /// the whole source (`BlockEngine::run_source`). `None` (the
+    /// default): stream batches through [`Engine::feed`].
+    fn batch(&mut self) -> Option<&mut BlockEngine> {
+        None
     }
-
-    /// Runs the whole trace, given as trace-ordered segments, in one call.
-    fn run_segments(
-        &mut self,
-        segments: &[&[TraceRecord]],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats;
 }
 
 /// The offline engine: the block core ([`BlockParallelDetector`]) behind
-/// the [`Engine`] interface. It asks for the trace as one segment per
-/// worker and scans each where it lies, with a boundary-reconciliation
-/// pass keeping the output byte-identical at every worker count; a trace
-/// that arrives as one segment is cut into even ranges. This is the
-/// default engine. Batches fed instead are buffered and detected at
-/// [`Engine::finish`].
+/// the [`Engine`] interface. It has the source read the trace as one range
+/// per worker, each scanned as it is decoded, with a boundary-
+/// reconciliation pass keeping the output byte-identical at every worker
+/// count (`BlockEngine::run_source`). This is the default engine.
+/// Batches fed instead are buffered and detected at [`Engine::finish`].
 pub struct BlockEngine {
     det: BlockParallelDetector,
     name: &'static str,
@@ -425,26 +447,74 @@ impl BlockEngine {
         }
     }
 
-    fn detect(
+    /// Has `source` read the whole trace into this engine's range scans
+    /// ([`RecordSource::scan`], with `poll` as its progress and stop
+    /// callback), folding the records when `fold` is set, and detects.
+    /// Fails with the source's error, or with the first record in trace
+    /// order that is earlier than the one before it.
+    pub(crate) fn run_source(
         &mut self,
-        segments: &[&[TraceRecord]],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        self.records += segments.iter().map(|s| s.len() as u64).sum::<u64>();
-        self.done = true;
-        let result = match segments {
-            [records] => self.det.run(records),
-            _ => self.det.run_segments(segments),
+        source: &mut dyn RecordSource,
+        fold: bool,
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<SourceRun, PipelineError> {
+        let cfg = *self.det.config();
+        let parts = self.det.threads();
+        let start = || RangeScan::new(cfg, fold).for_ranges(parts);
+        let ranges = source.scan(parts, &start, poll)?;
+        let mut records = RecordFold::default();
+        for fold in ranges.parts.iter().filter_map(RangeScan::fold) {
+            records.merge(fold);
+        }
+        let run = SourceRun {
+            records: ranges.parts.iter().map(RangeScan::records).sum(),
+            skipped: ranges.skipped,
+            interrupted: ranges.interrupted,
+            first_ns: ranges.parts.iter().find_map(RangeScan::first_ns),
+            last_ns: ranges
+                .parts
+                .iter()
+                .rev()
+                .find(|r| r.records() > 0)
+                .map_or(0, RangeScan::last_ns),
+            fold: records,
+            result: self
+                .det
+                .detect_ranges(ranges.parts)
+                .map_err(PipelineError::OutOfOrder)?,
         };
-        let stats = result.stats;
+        self.records += run.records;
+        self.done = true;
+        Ok(run)
+    }
+
+    fn emit(result: DetectionResult, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
         for s in result.streams {
             emit(OnlineEvent::Stream(s));
         }
         for l in result.loops {
             emit(OnlineEvent::Loop(l));
         }
-        stats
+        result.stats
     }
+}
+
+/// What [`BlockEngine::run_source`] made of a whole source.
+pub(crate) struct SourceRun {
+    /// Steps 1–3 over the records read.
+    result: DetectionResult,
+    /// Records read.
+    records: u64,
+    /// Unparseable records the source skipped.
+    skipped: u64,
+    /// Whether a stop request cut the read short.
+    interrupted: bool,
+    /// The first record's timestamp.
+    first_ns: Option<u64>,
+    /// The last record's timestamp (0 on an empty trace).
+    last_ns: u64,
+    /// The records' fold (empty unless asked for).
+    fold: RecordFold,
 }
 
 impl Engine for BlockEngine {
@@ -458,7 +528,9 @@ impl Engine for BlockEngine {
 
     fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
         let buf = std::mem::take(&mut self.buf);
-        self.detect(&[&buf], emit)
+        self.records += buf.len() as u64;
+        self.done = true;
+        Self::emit(self.det.run(&buf), emit)
     }
 
     fn progress(&self) -> EngineProgress {
@@ -468,16 +540,8 @@ impl Engine for BlockEngine {
         }
     }
 
-    fn segment_parts(&self) -> usize {
-        self.det.threads()
-    }
-
-    fn run_segments(
-        &mut self,
-        segments: &[&[TraceRecord]],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        self.detect(segments, emit)
+    fn batch(&mut self) -> Option<&mut BlockEngine> {
+        Some(self)
     }
 }
 
@@ -512,16 +576,8 @@ impl Engine for SerialEngine {
         self.0.progress()
     }
 
-    fn segment_parts(&self) -> usize {
-        self.0.segment_parts()
-    }
-
-    fn run_segments(
-        &mut self,
-        segments: &[&[TraceRecord]],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        self.0.run_segments(segments, emit)
+    fn batch(&mut self) -> Option<&mut BlockEngine> {
+        Some(&mut self.0)
     }
 }
 
@@ -577,19 +633,6 @@ impl Engine for StreamingEngine {
             open_candidates: Some(self.det.as_ref().map_or(0, OnlineDetector::open_candidates)),
         }
     }
-
-    /// Feeds the segments in order, then finishes: what the streaming
-    /// detector makes of a trace handed over whole.
-    fn run_segments(
-        &mut self,
-        segments: &[&[TraceRecord]],
-        emit: &mut dyn FnMut(OnlineEvent),
-    ) -> DetectionStats {
-        for segment in segments {
-            self.feed(segment, emit);
-        }
-        self.finish(emit)
-    }
 }
 
 /// Everything a pipeline run produced, in canonical order.
@@ -626,23 +669,29 @@ impl PipelineResult {
 
 /// A consumer of pipeline output.
 ///
-/// `on_record` fires once per ingested record *during* the pass (this is
-/// how whole-trace statistics are computed without a second traversal);
-/// `on_result` fires once at the end with the canonical result.
+/// A sink that reads the trace's records says so ([`Sink::folds_records`]);
+/// the pipeline then folds every record into a [`RecordFold`] during the
+/// pass — the batch engines' range workers fold their own ranges, merged
+/// in trace order — and hands it over once, before `on_result`, which
+/// fires once at the end with the canonical result. This is how
+/// whole-trace statistics are computed without a second traversal.
 pub trait Sink {
-    /// Observes one ingested record. Default: ignore.
+    /// Observes one record, for callers that feed a sink by hand. The
+    /// pipeline never calls it: it hands record-reading sinks a
+    /// [`RecordFold`]. Default: ignore.
     fn on_record(&mut self, _rec: &TraceRecord) -> std::io::Result<()> {
         Ok(())
     }
 
-    /// Observes a run of ingested records in trace order; the pipeline
-    /// calls this once per segment or batch. Default: [`Sink::on_record`]
-    /// for each. The default is compiled per sink, so the loop inlines
-    /// the sink's own `on_record` and vanishes where that is a no-op.
-    fn on_records(&mut self, recs: &[TraceRecord]) -> std::io::Result<()> {
-        for rec in recs {
-            self.on_record(rec)?;
-        }
+    /// Whether this sink reads the records ([`Sink::on_record_fold`]).
+    /// Default: no, and the pipeline folds nothing for it.
+    fn folds_records(&self) -> bool {
+        false
+    }
+
+    /// Observes the fold of every record the run read, once, before
+    /// [`Sink::on_result`]. Default: ignore.
+    fn on_record_fold(&mut self, _fold: &RecordFold) -> std::io::Result<()> {
         Ok(())
     }
 
@@ -652,10 +701,12 @@ pub trait Sink {
 
 /// Runs `source → engine → sinks` and returns the canonical result.
 ///
-/// Telemetry spans: the whole run is `pipeline.run`; record delivery to
-/// sinks accumulates under `pipeline.ingest`, engine work under
-/// `pipeline.detect`, the end-of-input flush + canonical sort under
-/// `pipeline.finish`, and `Sink::on_result` under `pipeline.sink`.
+/// Telemetry spans: the whole run is `pipeline.run`; engine work — on the
+/// batch path the source's range reads too, which the range workers fuse
+/// with the scan — under `pipeline.detect`, the streaming path's record
+/// fold under `pipeline.ingest`, its end-of-input flush and the canonical
+/// sort under `pipeline.finish`, and the sinks' `on_record_fold` and
+/// `on_result` under `pipeline.sink`.
 pub fn run_pipeline(
     source: &mut dyn RecordSource,
     engine: &mut dyn Engine,
@@ -677,30 +728,25 @@ fn trace_emission(ev: &OnlineEvent) {
     }
 }
 
-/// Hands `recs` to every sink, one [`Sink::on_records`] call each.
-fn deliver(sinks: &mut [&mut dyn Sink], recs: &[TraceRecord]) -> Result<(), PipelineError> {
-    for sink in sinks.iter_mut() {
-        sink.on_records(recs).map_err(PipelineError::Sink)?;
-    }
-    Ok(())
-}
-
 /// [`run_pipeline`] with a progress callback. Under the streaming engine
 /// it is invoked after every batch (and once after the final flush) with
-/// the engine's live state. While a source hands an offline engine its
-/// segments, it is invoked instead with the records read so far and no
-/// open-candidate count, then once after detection.
+/// the engine's live state. While a source reads the trace into an
+/// offline engine's range scans, it is invoked instead with the records
+/// read so far and no open-candidate count, then once after detection.
 ///
 /// The callback also carries the cancellation channel: returning
 /// [`ControlFlow::Break`] stops pulling from the source, after which the
 /// engine is flushed normally, the sinks see the partial result, and the
 /// returned [`PipelineResult`] has `interrupted` set. This is how SIGINT
-/// becomes a graceful drain instead of a mid-stream death. A segmented
-/// decode stops each worker at its next batch, and the default segment
-/// drain stops after the batch in hand; either way the prefix read so
-/// far is detected. A slice is one segment already in memory, so a break
+/// becomes a graceful drain instead of a mid-stream death. A parallel
+/// range read stops each worker at its next chunk, and the default
+/// one-range read stops after the batch in hand; either way the prefix
+/// read so far is detected. A slice is already in memory, so a break
 /// there can only take effect after detection — short in-memory runs
 /// finish rather than cancel.
+///
+/// A record earlier than the record before it fails the run with
+/// [`PipelineError::OutOfOrder`], on every engine.
 pub fn run_pipeline_with_progress(
     source: &mut dyn RecordSource,
     engine: &mut dyn Engine,
@@ -720,56 +766,54 @@ pub fn run_pipeline_with_progress(
             OnlineEvent::Loop(l) => loops.push(l),
         }
     };
+    let fold_records = sinks.iter().any(|s| s.folds_records());
+    let mut fold = RecordFold::default();
 
-    let parts = engine.segment_parts();
-    let (summary, stats) = if parts > 0 {
-        // The whole trace at once: the engine runs on the segments where
-        // they lie, with no batch copy.
-        let segments = source.segments(parts, &mut |decoded| {
-            progress(&EngineProgress {
-                records: decoded,
-                open_candidates: None,
-            })
-        })?;
-        interrupted = segments.interrupted;
-        let views: Vec<&[TraceRecord]> = segments.parts.iter().map(|p| &**p).collect();
-        trace_start = views.iter().find_map(|v| v.first()).map(|r| r.timestamp_ns);
-        trace_end = views
-            .iter()
-            .rev()
-            .find_map(|v| v.last())
-            .map_or(0, |r| r.timestamp_ns);
-        if !sinks.is_empty() {
-            let _t = telemetry::span("pipeline.ingest");
-            for view in &views {
-                deliver(sinks, view)?;
-            }
-        }
-        let stats = {
+    let (summary, stats) = if let Some(block) = engine.batch() {
+        // The whole trace at once: the source reads it straight into the
+        // engine's range scans, which keep the replica window, not the
+        // trace.
+        let run = {
             let _t = telemetry::span("pipeline.detect");
-            engine.run_segments(&views, &mut emit)
+            block.run_source(source, fold_records, &mut |read| {
+                progress(&EngineProgress {
+                    records: read,
+                    open_candidates: None,
+                })
+            })?
         };
+        interrupted = run.interrupted;
+        trace_start = run.first_ns;
+        trace_end = run.last_ns;
+        fold = run.fold;
+        let stats = BlockEngine::emit(run.result, &mut emit);
         // Detection cannot cancel mid-run; a Break here is moot.
         let _ = progress(&engine.progress());
         (
             SourceSummary {
-                records: segments.records(),
-                skipped: segments.skipped,
+                records: run.records,
+                skipped: run.skipped,
             },
             stats,
         )
     } else {
         // The streaming engine: batch by batch, detecting as it goes.
+        let mut previous_ns = 0;
+        let mut read = 0;
         let pulled = source.for_each_batch(&mut |batch| {
-            if batch.is_empty() {
+            let Some(last) = batch.last() else {
                 return Ok(());
+            };
+            if let Some(err) = OutOfOrder::first_in(batch, previous_ns, read) {
+                return Err(PipelineError::OutOfOrder(err));
             }
-            if !sinks.is_empty() {
+            (previous_ns, read) = (last.timestamp_ns, read + batch.len() as u64);
+            if fold_records {
                 let _t = telemetry::span("pipeline.ingest");
-                deliver(sinks, batch)?;
+                fold.add_all(batch);
             }
             trace_start.get_or_insert(batch[0].timestamp_ns);
-            trace_end = batch.last().expect("non-empty").timestamp_ns;
+            trace_end = last.timestamp_ns;
             {
                 let _t = telemetry::span("pipeline.detect");
                 engine.feed(batch, &mut emit);
@@ -834,6 +878,9 @@ pub fn run_pipeline_with_progress(
     {
         let _t = telemetry::span("pipeline.sink");
         for sink in sinks.iter_mut() {
+            if sink.folds_records() {
+                sink.on_record_fold(&fold).map_err(PipelineError::Sink)?;
+            }
             sink.on_result(&result).map_err(PipelineError::Sink)?;
         }
     }
@@ -1203,7 +1250,7 @@ mod tests {
         // still be flushed, the result marked interrupted, and the record
         // count must match what the engine actually consumed (one 7-record
         // chunk). The offline engines get the chunk through the default
-        // segment drain, the streaming engine through `feed`.
+        // one-range scan, the streaming engine through `feed`.
         struct Chunked<'a>(&'a [TraceRecord]);
         impl RecordSource for Chunked<'_> {
             fn for_each_batch(
@@ -1285,8 +1332,8 @@ mod tests {
     fn progress_break_over_a_segmented_noisy_pcap_detects_the_decoded_prefix() {
         // A non-IPv4 record before every thousandth packet, from the
         // fourth on. A break at the first poll, before the decode starts,
-        // stops every worker after its first batch: the first range is
-        // the first incomplete one, so the run detects its first batch
+        // stops every worker after its first chunk: the first range is
+        // the first incomplete one, so the run detects its first chunk
         // and counts the skips among it.
         const N: u64 = 60_000;
         let noise_before = |n: u64| (0..n).filter(|i| i % 1000 == 3).count() as u64;
@@ -1324,7 +1371,7 @@ mod tests {
             })
             .expect("interrupted run still returns a result");
             assert!(result.interrupted, "threads={threads}");
-            assert_eq!(result.records, crate::segment::BATCH, "threads={threads}");
+            assert_eq!(result.records, crate::segment::CHUNK, "threads={threads}");
             assert_eq!(
                 result.skipped,
                 noise_before(result.records),

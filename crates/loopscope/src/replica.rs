@@ -5,7 +5,7 @@
 //! one offline steps 1–3 driver) feeds it record by record over its own
 //! range, and the online detector ([`crate::online`]) feeds it one push at
 //! a time and learns what each push did through an observer.
-//! [`Detector::run`] is the block core's one-segment case: the whole trace
+//! [`Detector::run`] is the block core's one-range case: the whole trace
 //! scanned, validated and merged on the calling thread.
 //!
 //! The scanner is a *two-level candidate index*. Level 0 is an
@@ -34,9 +34,7 @@ static TM_RECORDS_SCANNED: LazyCounter = LazyCounter::new("replica.records_scann
 static TM_CANDIDATES_OPENED: LazyCounter = LazyCounter::new("replica.candidates_opened");
 static TM_CANDIDATES_DISCARDED: LazyCounter = LazyCounter::new("replica.candidates_discarded");
 static TM_CHECKSUM_SPLITS: LazyCounter = LazyCounter::new("replica.checksum_splits");
-// Level-0 pre-filter accounting, published unconditionally by
-// `CandidateScanner::finish` (zeros under `--no-prefilter`) so snapshots
-// always expose the full set.
+// Level-0 pre-filter accounting, published by `publish_prefilter`.
 static TM_PREFILTER_HITS: LazyCounter = LazyCounter::new("replica.prefilter_hits");
 static TM_PREFILTER_MISSES: LazyCounter = LazyCounter::new("replica.prefilter_misses");
 static TM_PREFILTER_PROMOTIONS: LazyCounter = LazyCounter::new("replica.prefilter_promotions");
@@ -107,6 +105,11 @@ pub struct Detector {
 struct OpenCandidate {
     observations: Vec<Observation>,
     record_indices: Vec<usize>,
+    /// Without the pre-filter, the first sighting, whole: reported to
+    /// [`ScanObserver::recurred`] when a second sighting of the key shows
+    /// it recurs. With it, a candidate's first sighting is reported as it
+    /// enters the exact map, always on a level-0 hit.
+    opener: Option<Box<TraceRecord>>,
     last_ip_checksum: u16,
     protocol: u8,
     /// Normalised level-0 fingerprint of the key — kept so the generation
@@ -131,7 +134,7 @@ impl Detector {
 
     /// Runs the full pipeline on a time-sorted trace: the block core
     /// ([`BlockParallelDetector::run_segments`]) with the trace as one
-    /// segment, on the calling thread.
+    /// range, on the calling thread.
     ///
     /// # Panics
     /// Panics when records are not sorted by timestamp — a trace that is
@@ -148,6 +151,18 @@ pub(crate) fn publish_scan_totals(records: usize, counters: &ScanCounters) {
     TM_RECORDS_SCANNED.add(records as u64);
     TM_CANDIDATES_OPENED.add(counters.opened);
     TM_CANDIDATES_DISCARDED.add(counters.discarded);
+}
+
+/// Adds one scanner's level-0 accounting to the `replica.prefilter_*`
+/// counters — zeros under `--no-prefilter`, published all the same so
+/// snapshots always carry the full set.
+pub(crate) fn publish_prefilter(counters: &ScanCounters) {
+    let pf = &counters.prefilter;
+    TM_PREFILTER_HITS.add(pf.hits);
+    TM_PREFILTER_MISSES.add(pf.misses);
+    TM_PREFILTER_PROMOTIONS.add(pf.promotions);
+    TM_PREFILTER_EVICTIONS.add(pf.evictions);
+    TM_PREFILTER_COLLISIONS.add(pf.collisions);
 }
 
 /// Adds a run's checksum-split total to `replica.checksum_splits`.
@@ -200,6 +215,23 @@ pub struct ScanCounters {
     pub discarded: u64,
     /// Forced splits on checksum inconsistency.
     pub checksum_splits: u64,
+    /// What the level-0 table did (all zero under `--no-prefilter`).
+    pub prefilter: PrefilterCounters,
+}
+
+/// Level-0 accounting of one [`CandidateScanner`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefilterCounters {
+    /// Probes that found the fingerprint.
+    pub hits: u64,
+    /// Probes that did not: first sightings in the active window.
+    pub misses: u64,
+    /// Seeds promoted to the exact map by a second sighting.
+    pub promotions: u64,
+    /// Seeds evicted by a generation sweep.
+    pub evictions: u64,
+    /// Fingerprint collisions between distinct keys.
+    pub collisions: u64,
 }
 
 /// Marks a level-0 slot whose fingerprint has moved to the exact map:
@@ -375,6 +407,14 @@ pub(crate) trait ScanObserver {
     fn closed(&mut self, stream: ReplicaStream) -> Option<ReplicaStream> {
         Some(stream)
     }
+    /// Record `idx` may recur: it or a later record hit its fingerprint at
+    /// level 0 (the hit reports both the record and the seed it found),
+    /// or, without the pre-filter, a later sighting of its key found its
+    /// candidate open. Every record with a sighting of its key within the
+    /// replica gap on either side is reported this way, or is still a
+    /// lone sighting ([`CandidateScanner::lone_sightings_since`]); a
+    /// record may be reported more than once.
+    fn recurred(&mut self, _idx: usize, _rec: &TraceRecord) {}
 }
 
 impl ScanObserver for () {}
@@ -548,6 +588,8 @@ impl CandidateScanner {
             return;
         }
         let seed = pf.seeds[slot];
+        obs.recurred(seed.idx, &seed.rec);
+        obs.recurred(idx, rec);
         if ReplicaKey::of(&seed.rec) == ReplicaKey::of(rec) {
             let last = Observation {
                 timestamp_ns: seed.rec.timestamp_ns,
@@ -625,6 +667,12 @@ impl CandidateScanner {
         match self.open.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let cand = e.get_mut();
+                if let Some(opener) = &cand.opener {
+                    if cand.observations.len() == 1 {
+                        obs.recurred(cand.record_indices[0], opener);
+                    }
+                }
+                obs.recurred(idx, rec);
                 let last = *cand.observations.last().expect("open candidate non-empty");
                 let check =
                     check_continuation(&self.cfg, last, cand.last_ip_checksum, cand.protocol, rec);
@@ -657,7 +705,14 @@ impl CandidateScanner {
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(OpenCandidate::new(rec, idx, fp));
+                let mut cand = OpenCandidate::new(rec, idx, fp);
+                if self.prefilter.is_some() {
+                    // Reached through a level-0 hit.
+                    obs.recurred(idx, rec);
+                } else {
+                    cand.opener = Some(Box::new(*rec));
+                }
+                e.insert(cand);
                 self.counters.opened += 1;
             }
         }
@@ -747,17 +802,20 @@ impl CandidateScanner {
     }
 
     /// Closes every open candidate and returns the finished sets in
-    /// `(start time, first record index)` order.
+    /// `(start time, first record index)` order. Publishes the
+    /// `replica.prefilter_*` counters.
     pub fn finish(self) -> (Vec<ReplicaStream>, ScanCounters) {
         let (done, counters, _) = self.finish_with_splits();
+        publish_prefilter(&counters);
         (done, counters)
     }
 
     /// [`Self::finish`] plus the per-event checksum-split fingerprint log —
     /// what the block-parallel pipeline needs to decide which worker-local
-    /// splits survive boundary reconciliation.
+    /// splits survive boundary reconciliation. Publishes nothing: the
+    /// block core publishes a range's counters once the range is known to
+    /// belong to the trace.
     pub fn finish_with_splits(mut self) -> (Vec<ReplicaStream>, ScanCounters, Vec<u64>) {
-        let mut tele = [0u64; 5];
         if let Some(pf) = self.prefilter.take() {
             // Remaining seeds are one-sighting candidates that never found
             // a replica.
@@ -766,21 +824,14 @@ impl CandidateScanner {
                     self.counters.discarded += 1;
                 }
             }
-            tele = [
-                pf.hits,
-                pf.misses,
-                pf.promotions,
-                pf.evictions,
-                pf.collisions,
-            ];
+            self.counters.prefilter = PrefilterCounters {
+                hits: pf.hits,
+                misses: pf.misses,
+                promotions: pf.promotions,
+                evictions: pf.evictions,
+                collisions: pf.collisions,
+            };
         }
-        // Published even when zero so `--metrics` snapshots always carry
-        // the full prefilter counter set.
-        TM_PREFILTER_HITS.add(tele[0]);
-        TM_PREFILTER_MISSES.add(tele[1]);
-        TM_PREFILTER_PROMOTIONS.add(tele[2]);
-        TM_PREFILTER_EVICTIONS.add(tele[3]);
-        TM_PREFILTER_COLLISIONS.add(tele[4]);
         for (key, cand) in self.open.drain() {
             Self::close(key, cand, &mut self.done, &mut self.counters, &mut ());
         }
@@ -794,6 +845,29 @@ impl CandidateScanner {
     /// The counters so far.
     pub(crate) fn counters(&self) -> &ScanCounters {
         &self.counters
+    }
+
+    /// Every open candidate of one sighting from time `from` on, as
+    /// `(index, record)`: the level-0 seeds and the exact map's
+    /// one-sighting candidates. With [`ScanObserver::recurred`] these are
+    /// all the records from `from` on that may recur within the gap.
+    pub(crate) fn lone_sightings_since(
+        &self,
+        from: u64,
+    ) -> impl Iterator<Item = (usize, &TraceRecord)> + '_ {
+        let seeds = self.prefilter.iter().flat_map(move |pf| {
+            (0..pf.fps.len())
+                .filter(move |&i| pf.fps[i] != 0 && pf.meta[i] & PROMOTED_BIT == 0)
+                .map(move |i| (pf.seeds[i].idx, &pf.seeds[i].rec))
+                .filter(move |(_, rec)| rec.timestamp_ns >= from)
+        });
+        let openers = self
+            .open
+            .values()
+            .filter(|c| c.observations.len() == 1)
+            .filter_map(|c| Some((c.record_indices[0], &**c.opener.as_ref()?)))
+            .filter(move |(_, rec)| rec.timestamp_ns >= from);
+        seeds.chain(openers)
     }
 
     fn close<O: ScanObserver>(
@@ -823,6 +897,7 @@ impl OpenCandidate {
                 ttl: rec.ttl,
             }],
             record_indices: vec![idx],
+            opener: None,
             last_ip_checksum: rec.ip_checksum,
             protocol: rec.protocol,
             fp,

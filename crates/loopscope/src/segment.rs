@@ -1,33 +1,41 @@
-//! Whole-trace ingest as trace-ordered segments, each decoded by its own
-//! thread.
+//! Whole-trace ingest as contiguous ranges, each read by its own thread
+//! straight into whatever consumes it.
 //!
-//! A batch engine needs the whole trace before it detects anything, so a
-//! source that can cut its input into independently decodable pieces
-//! hands it over as up to N [`Segments`]: each piece is decoded by one
-//! worker straight into its own vector, and the block detector scans the
-//! pieces where they lie. The main thread decodes and copies nothing.
+//! A batch engine needs the whole trace before it detects anything, but it
+//! never needs the trace in memory: a source that can cut its input into
+//! independently decodable pieces hands it over as up to N ranges, and
+//! each range's worker decodes its piece in cache-sized chunks into one
+//! reused buffer and passes every chunk to the range's
+//! [`RangeConsumer`]. The block detector's consumer
+//! ([`crate::block::RangeScan`]) scans each chunk where it lies; a plain
+//! `Vec<TraceRecord>` consumer collects the range instead, which is how
+//! the whole-file readers (`records_from_pcap_parallel`, the mapped
+//! `.ltc` reader) run the same decode loop. The main thread decodes and
+//! copies nothing.
 //!
-//! [`decode_parallel`] runs the workers. While they decode, the calling
+//! [`decode_parallel`] runs the workers. While they read, the calling
 //! thread polls the pipeline's progress callback with the shared record
 //! count ([`DecodeControl`]); a break there stops every worker at its
-//! next batch, and the decoded prefix is detected as an interrupted run.
+//! next chunk, and the prefix read so far is detected as an interrupted
+//! run.
 //!
-//! [`decode_pcap_segments`] is the pcap instance. It cuts the file with
+//! [`read_pcap_ranges`] is the pcap instance. It cuts the file with
 //! [`pcaplib::split_ranges`], decodes each range through
 //! [`PcapSource::for_each_record`] (the one pcap decode loop) with a
 //! [resumed](pcaplib::PcapReader::resume) reader, and proves each guessed
 //! range start from the range before it: that range, decoded from a
 //! proven start, must end exactly on it. A range that ends inside a
-//! record instead disproves the next start, and the rest of the file is
-//! decoded again from the last proven start by one worker (counted in
-//! `pcap.split_fallbacks`). Errors and counters are the serial read's:
-//! only ranges with a proven start publish their `pcap.*` counts, and the
-//! error reported is the first in file order, from such a range.
+//! record instead disproves the next start: what the ranges from there on
+//! consumed is dropped, and the rest of the file is read again from the
+//! last proven start by one worker (counted in `pcap.split_fallbacks`).
+//! Errors and counters are the serial read's: only ranges with a proven
+//! start publish their `pcap.*` counts, and the error reported is the
+//! first in file order, from such a range.
 
+use crate::block::{RangeScan, ScanStart};
 use crate::pipeline::{PcapSource, PipelineError, RecordSource, SourceError, SourceSummary};
 use crate::record::TraceRecord;
 use pcaplib::{FileHeader, PcapError, PcapReader};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::ControlFlow;
@@ -37,61 +45,110 @@ use telemetry::LazyCounter;
 
 static TM_SPLIT_FALLBACKS: LazyCounter = LazyCounter::new("pcap.split_fallbacks");
 
-/// Records a pcap range worker decodes between looks at the shared state.
-pub(crate) const BATCH: u64 = 4096;
+/// Records a pcap range worker decodes into its buffer before it hands
+/// them on: about 230 KB of records, which stay in cache while the
+/// consumer reads them.
+pub(crate) const CHUNK: u64 = 4096;
 
 /// How long the calling thread of [`decode_parallel`] waits between
 /// progress polls while no worker finishes.
 const POLL_INTERVAL: std::time::Duration = std::time::Duration::from_millis(20);
 
 /// Bytes of the smallest pcap record a trace record can come from: a
-/// record header and a 20-byte IPv4 header. Sizes a range's output.
+/// record header and a 20-byte IPv4 header. Sizes a collected range.
 const MIN_RECORD_BYTES: u64 = 36;
 
-/// A whole source decoded as trace-ordered segments (see
-/// [`RecordSource::segments`]): concatenated in order, the parts are
-/// exactly the records the source's batches would have delivered.
-#[derive(Debug, Default)]
-pub struct Segments<'a> {
-    /// The records, in trace order within and across parts.
-    pub parts: Vec<Cow<'a, [TraceRecord]>>,
+/// What a range worker does with the records it decodes, chunk by chunk
+/// in trace order.
+pub trait RangeConsumer: Send {
+    /// Says the range holds about `records` records (a hint).
+    fn expect(&mut self, _records: usize) {}
+
+    /// The vector the reader appends the range's next chunk to.
+    fn chunk_buffer(&mut self) -> &mut Vec<TraceRecord>;
+
+    /// Takes the records appended since the last call. A break refuses
+    /// them — the consumer found a record it cannot accept — and the
+    /// range ends there.
+    fn take_chunk(&mut self) -> ControlFlow<()>;
+
+    /// The range has ended: its last chunk was taken, or it stopped.
+    fn end(&mut self) {}
+}
+
+/// Collects the range: the reader decodes straight onto the vector.
+impl RangeConsumer for Vec<TraceRecord> {
+    fn expect(&mut self, records: usize) {
+        self.reserve(records);
+    }
+
+    fn chunk_buffer(&mut self) -> &mut Vec<TraceRecord> {
+        self
+    }
+
+    fn take_chunk(&mut self) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// How one range's read ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeEnd {
+    /// The whole range was read.
+    Complete,
+    /// A stop request cut it short.
+    Stopped,
+    /// The consumer refused a chunk.
+    Refused,
+}
+
+/// A whole source read as trace-ordered ranges: in order, the consumers
+/// saw exactly the records the source's batches would have delivered.
+#[derive(Debug)]
+pub struct Ranges<C> {
+    /// One consumer per range, in trace order.
+    pub parts: Vec<C>,
     /// Unparseable records skipped.
     pub skipped: u64,
-    /// Whether a stop request cut the decode short; the parts are then a
+    /// Whether a stop request cut the read short; the parts then hold a
     /// prefix of the trace.
     pub interrupted: bool,
 }
 
-impl Segments<'_> {
-    /// One borrowed part (a slice already in memory).
-    pub fn borrowed(records: &[TraceRecord]) -> Segments<'_> {
-        Segments {
-            parts: vec![Cow::Borrowed(records)],
-            ..Segments::default()
+impl<C> Ranges<C> {
+    /// No ranges yet, with the source's skip count.
+    pub fn new(skipped: u64) -> Self {
+        Self {
+            parts: Vec::new(),
+            skipped,
+            interrupted: false,
         }
     }
 
-    /// Records over all parts.
-    pub fn records(&self) -> u64 {
-        self.parts.iter().map(|p| p.len() as u64).sum()
+    /// Appends the next range's consumer, given how its read ended, and
+    /// says whether later ranges still belong to the trace: a stopped
+    /// range ends an interrupted read, a refused one ends the read.
+    pub fn push(&mut self, consumer: C, end: RangeEnd) -> ControlFlow<()> {
+        self.parts.push(consumer);
+        match end {
+            RangeEnd::Complete => ControlFlow::Continue(()),
+            RangeEnd::Stopped => {
+                self.interrupted = true;
+                ControlFlow::Break(())
+            }
+            RangeEnd::Refused => ControlFlow::Break(()),
+        }
     }
+}
 
-    /// The records as one vector: moved when there is one part, copied
-    /// once otherwise.
+impl Ranges<Vec<TraceRecord>> {
+    /// The collected records as one vector: moved when there is one
+    /// range, copied once otherwise.
     pub fn concat(self) -> Vec<TraceRecord> {
         if self.parts.len() == 1 {
-            return self
-                .parts
-                .into_iter()
-                .next()
-                .expect("one part")
-                .into_owned();
+            return self.parts.into_iter().next().expect("one part");
         }
-        let mut out = Vec::with_capacity(self.records() as usize);
-        for part in self.parts {
-            out.extend_from_slice(&part);
-        }
-        out
+        self.parts.concat()
     }
 }
 
@@ -105,7 +162,7 @@ pub struct DecodeControl {
 
 impl DecodeControl {
     /// Adds `n` decoded records to the shared count and says whether the
-    /// worker should go on. Workers call it once per batch or block.
+    /// worker should go on. Workers call it once per chunk or block.
     pub fn advance(&self, n: u64) -> ControlFlow<()> {
         self.decoded.fetch_add(n, Ordering::Relaxed);
         if self.stop.load(Ordering::Relaxed) {
@@ -154,7 +211,7 @@ pub fn decode_parallel<T: Send>(
         }
     };
     // A stop requested before the decode starts still lets every worker
-    // decode one batch: the interrupted run detects a deterministic
+    // decode one chunk: the interrupted run detects a deterministic
     // prefix.
     check(&control);
     let done = AtomicUsize::new(0);
@@ -186,12 +243,12 @@ pub fn decode_parallel<T: Send>(
     })
 }
 
-/// Why a pcap range decode ended early.
+/// Why a pcap range read ended early.
 enum RangeStop {
     /// The reader failed.
     Pcap(PcapError),
-    /// A stop request.
-    Stopped,
+    /// A stop request or a refusal.
+    Early(RangeEnd),
 }
 
 impl From<PcapError> for RangeStop {
@@ -200,16 +257,15 @@ impl From<PcapError> for RangeStop {
     }
 }
 
-/// One pcap byte range's decode.
-struct RangeDecode {
-    records: Vec<TraceRecord>,
+/// How one pcap byte range's read went.
+struct RangeRead {
     /// The range's reader, holding its deferred counts and skips (`None`
     /// when the file could not be opened).
     source: Option<PcapSource<std::io::Take<File>>>,
     end: Result<(), RangeStop>,
 }
 
-impl RangeDecode {
+impl RangeRead {
     /// Whether the range ended inside a record before its bound: the
     /// next range's guessed start is not a record start.
     fn overran(&self) -> bool {
@@ -217,14 +273,16 @@ impl RangeDecode {
     }
 }
 
-/// Decodes the records of `[lo, hi)` of the pcap file at `path`.
-fn decode_range(
+/// Decodes the records of `[lo, hi)` of the pcap file at `path` into
+/// `consumer`, a chunk at a time.
+fn read_range<C: RangeConsumer>(
     path: &Path,
     header: FileHeader,
     (lo, hi): (u64, u64),
+    consumer: &mut C,
     control: &DecodeControl,
-) -> RangeDecode {
-    let mut records = Vec::with_capacity(((hi - lo) / MIN_RECORD_BYTES) as usize);
+) -> RangeRead {
+    consumer.expect(((hi - lo) / MIN_RECORD_BYTES) as usize);
     let opened = File::open(path).and_then(|mut file| {
         file.seek(SeekFrom::Start(lo))?;
         Ok(file.take(hi - lo))
@@ -232,85 +290,93 @@ fn decode_range(
     let mut source = match opened {
         Ok(range) => PcapSource::from(PcapReader::resume(range, header)),
         Err(e) => {
-            return RangeDecode {
-                records,
+            return RangeRead {
                 source: None,
                 end: Err(PcapError::Io(e).into()),
             }
         }
     };
-    let mut unreported = 0u64;
-    let end = source.for_each_record(|rec| {
-        records.push(rec);
-        unreported += 1;
-        if unreported == BATCH {
-            unreported = 0;
-            if control.advance(BATCH).is_break() {
-                return Err(RangeStop::Stopped);
+    let mut pending = 0u64;
+    let mut end = source.for_each_record(|rec| {
+        consumer.chunk_buffer().push(rec);
+        pending += 1;
+        if pending == CHUNK {
+            pending = 0;
+            if consumer.take_chunk().is_break() {
+                return Err(RangeStop::Early(RangeEnd::Refused));
+            }
+            if control.advance(CHUNK).is_break() {
+                return Err(RangeStop::Early(RangeEnd::Stopped));
             }
         }
         Ok(())
     });
-    let _ = control.advance(unreported);
-    RangeDecode {
-        records,
+    if end.is_ok() && pending > 0 {
+        let _ = control.advance(pending);
+        if consumer.take_chunk().is_break() {
+            end = Err(RangeStop::Early(RangeEnd::Refused));
+        }
+    }
+    consumer.end();
+    RangeRead {
         source: Some(source),
         end,
     }
 }
 
-/// Decodes the pcap file at `path` as up to `parts` trace-ordered
-/// segments, one worker per byte range, polling `poll` meanwhile (see
-/// [`decode_parallel`] and the module docs). The records, skip count,
-/// error and `pcap.*` counters are those of a serial read of the file.
-pub fn decode_pcap_segments(
+/// Reads the pcap file at `path` as up to `parts` trace-ordered ranges,
+/// one worker per byte range, each into a consumer from `start`, polling
+/// `poll` meanwhile (see [`decode_parallel`] and the module docs). The
+/// records, skip count, error and `pcap.*` counters are those of a serial
+/// read of the file.
+pub fn read_pcap_ranges<C: RangeConsumer>(
     path: &Path,
     parts: usize,
+    start: &(dyn Fn() -> C + Sync),
     poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-) -> Result<Segments<'static>, PcapError> {
-    let _t = telemetry::span("pcap.read_parallel");
+) -> Result<Ranges<C>, PcapError> {
     let mut file = File::open(path)?;
     let mut raw = [0u8; pcaplib::format::FILE_HEADER_LEN];
     file.read_exact(&mut raw)?;
     let header = FileHeader::decode(&raw)?;
     let len = file.metadata()?.len();
-    let mut ranges = pcaplib::split_ranges(&mut file, &header, len, parts)?;
-    let mut segments = Segments::default();
-    'decode: loop {
-        let decoded = decode_parallel("pcap-r", ranges.len(), poll, |i, control| {
-            decode_range(path, header, ranges[i], control)
+    let mut bounds = pcaplib::split_ranges(&mut file, &header, len, parts)?;
+    let mut ranges = Ranges::new(0);
+    'read: loop {
+        let read = decode_parallel("pcap-r", bounds.len(), poll, |i, control| {
+            let mut consumer = start();
+            let read = read_range(path, header, bounds[i], &mut consumer, control);
+            (consumer, read)
         });
-        let last = decoded.len() - 1;
+        let last = read.len() - 1;
         // Range `i`'s start is proven here: it is the file's first record,
         // or range `i - 1` ended exactly on it.
-        for (i, range) in decoded.into_iter().enumerate() {
+        for (i, (consumer, range)) in read.into_iter().enumerate() {
             if i < last && range.overran() {
                 TM_SPLIT_FALLBACKS.inc();
-                ranges = vec![(ranges[i].0, len)];
-                continue 'decode;
+                bounds = vec![(bounds[i].0, len)];
+                continue 'read;
             }
             if let Some(mut source) = range.source {
-                segments.skipped += source.skipped_hint();
+                ranges.skipped += source.skipped_hint();
                 source.publish_deferred();
             }
-            match range.end {
-                Ok(()) => segments.parts.push(Cow::Owned(range.records)),
-                Err(RangeStop::Stopped) => {
-                    segments.parts.push(Cow::Owned(range.records));
-                    segments.interrupted = true;
-                    break 'decode;
-                }
+            let end = match range.end {
+                Ok(()) => RangeEnd::Complete,
+                Err(RangeStop::Early(end)) => end,
                 Err(RangeStop::Pcap(e)) => return Err(e),
+            };
+            if ranges.push(consumer, end).is_break() {
+                break 'read;
             }
         }
         break;
     }
-    Ok(segments)
+    Ok(ranges)
 }
 
 /// A pcap file as a pipeline source: batches through [`PcapSource`] for
-/// the streaming engine, and [`decode_pcap_segments`] for the batch
-/// engines.
+/// the streaming engine, and [`read_pcap_ranges`] for the batch engines.
 pub struct PcapFileSource {
     path: PathBuf,
     batches: PcapSource<std::io::BufReader<File>>,
@@ -336,12 +402,13 @@ impl RecordSource for PcapFileSource {
         self.batches.for_each_batch(f)
     }
 
-    fn segments(
+    fn scan(
         &mut self,
         parts: usize,
+        start: &ScanStart<'_>,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'_>, PipelineError> {
-        decode_pcap_segments(&self.path, parts, poll).map_err(PipelineError::from)
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
+        read_pcap_ranges(&self.path, parts, start, poll).map_err(PipelineError::from)
     }
 
     fn skipped_hint(&self) -> u64 {

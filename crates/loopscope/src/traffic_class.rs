@@ -142,6 +142,13 @@ impl ClassCounts {
         self.add(rec.dst, &rec.transport, 1);
     }
 
+    /// Adds every count of `other`.
+    pub(crate) fn merge(&mut self, other: &ClassCounts) {
+        for (n, m) in self.0.iter_mut().zip(&other.0) {
+            *n += m;
+        }
+    }
+
     /// The distribution over [`CATEGORIES`] of everything counted.
     pub(crate) fn dist(&self) -> CategoricalDist {
         let mut dist = CategoricalDist::new(&CATEGORIES);

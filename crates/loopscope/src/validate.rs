@@ -20,9 +20,9 @@
 //! `judge` is the only implementation of both rules, and
 //! `PrefixHistory::all_looped` the only windowed query behind them and
 //! behind step 3's clean-gap test. The offline detectors ask it of a
-//! [`PrefixIndex`] built over the whole trace; the online detector keeps
-//! one [`PrefixHistory`] per /24, appended on push and trimmed at its
-//! horizon.
+//! [`PrefixIndex`] over the whole trace, one history per /24 and range;
+//! the online detector keeps one [`PrefixHistory`] per /24, appended on
+//! push and trimmed at its horizon.
 
 use crate::config::DetectorConfig;
 use crate::fxhash::{fx_map_with_capacity, FxHashMap};
@@ -40,8 +40,6 @@ static TM_REJECTED_COVALIDATION: LazyCounter = LazyCounter::new("validate.reject
 /// One /24's records as `(timestamp, record id)`, in time order.
 #[derive(Debug, Default)]
 pub struct PrefixHistory(VecDeque<(u64, usize)>);
-
-static NO_HISTORY: PrefixHistory = PrefixHistory(VecDeque::new());
 
 impl PrefixHistory {
     /// Appends a record no older than the newest one held.
@@ -73,67 +71,70 @@ impl PrefixHistory {
 }
 
 /// One contiguous range's share of a [`PrefixIndex`]: prefix → history
-/// of the range's records, with trace-global record indices. Built by
-/// [`PrefixIndex::build_range`], merged by [`PrefixIndex::from_partials`].
+/// of the range's records, numbered from 0 at the range's first record.
+/// Built by [`PrefixIndex::build_range`] or chunk by chunk with
+/// [`PrefixIndex::extend_range`].
 pub type IndexPartial = FxHashMap<Ipv4Prefix, PrefixHistory>;
 
-/// Per-/24 histories of a whole trace, for windowed queries.
+/// Per-/24 histories of a whole trace, for windowed queries: one
+/// [`IndexPartial`] per contiguous range, each with the trace index of the
+/// range's first record. A query visits every range's history of its
+/// /24 where it lies, so assembling the index copies no posting.
 #[derive(Debug, Default)]
 pub struct PrefixIndex {
-    /// prefix -> the history of its records.
-    by_prefix: IndexPartial,
+    /// `(first record's trace index, history)` per range, in trace order.
+    ranges: Vec<(usize, IndexPartial)>,
 }
 
 impl PrefixIndex {
     /// Builds the index from a time-sorted trace.
     pub fn build(records: &[TraceRecord]) -> Self {
-        Self {
-            by_prefix: Self::build_range(records, 0),
-        }
+        Self::from_partials(vec![(0, Self::build_range(records))])
     }
 
-    /// Indexes one contiguous range of a trace, whose first record has
-    /// trace-global index `base`. Callers that already fan workers over
-    /// contiguous ranges (the block-parallel scan) build these partials
-    /// in-worker, overlapped with their other work, and pay only the
-    /// [`Self::from_partials`] merge afterwards.
-    pub fn build_range(range: &[TraceRecord], base: usize) -> IndexPartial {
+    /// Indexes one contiguous range of a trace.
+    pub fn build_range(range: &[TraceRecord]) -> IndexPartial {
         // Distinct /24s are far rarer than records; a /64 estimate is
         // enough to dodge the rehash cascade without over-allocating.
         let mut part: IndexPartial = fx_map_with_capacity((range.len() / 64).max(16));
-        for (off, rec) in range.iter().enumerate() {
-            part.entry(rec.dst_slash24())
-                .or_default()
-                .push(rec.timestamp_ns, base + off);
-        }
+        Self::extend_range(&mut part, range, 0);
         part
     }
 
-    /// Assembles the full index from per-range partials given in range
-    /// order. Ranges are contiguous and the trace is time-sorted, so
-    /// appending each range's histories in order reproduces exactly the
-    /// `(timestamp, index)` order the serial build produces — the index
-    /// contents are identical.
-    pub fn from_partials(partials: Vec<IndexPartial>) -> Self {
-        let postings: usize = partials.iter().map(|p| p.len()).sum();
-        let mut by_prefix: IndexPartial = fx_map_with_capacity(postings.max(16));
-        for part in partials {
-            for (prefix, mut history) in part {
-                // The first range's history moves in whole.
-                let merged = by_prefix.entry(prefix).or_default();
-                if merged.0.is_empty() {
-                    *merged = history;
-                } else {
-                    merged.0.append(&mut history.0);
-                }
-            }
+    /// Appends `chunk`, whose first record is record `first` of the range,
+    /// to the range's partial index.
+    #[inline]
+    pub fn extend_range(part: &mut IndexPartial, chunk: &[TraceRecord], first: usize) {
+        for (off, rec) in chunk.iter().enumerate() {
+            part.entry(rec.dst_slash24())
+                .or_default()
+                .push(rec.timestamp_ns, first + off);
         }
-        Self { by_prefix }
     }
 
-    /// The history of `prefix` (empty for a /24 the trace never reached).
-    pub fn history(&self, prefix: Ipv4Prefix) -> &PrefixHistory {
-        self.by_prefix.get(&prefix).unwrap_or(&NO_HISTORY)
+    /// The index over per-range partials given in trace order, each with
+    /// the trace index of its range's first record. The ranges are
+    /// contiguous and the trace is time-sorted, so a /24's histories, read
+    /// range after range, hold its records in the `(timestamp, index)`
+    /// order one history over the whole trace would.
+    pub fn from_partials(partials: Vec<(usize, IndexPartial)>) -> Self {
+        Self { ranges: partials }
+    }
+
+    /// Whether every record to `prefix` with a timestamp in `[from, to]`
+    /// (inclusive; empty when `from > to`) is looped under `is_looped`,
+    /// which takes trace indices.
+    pub fn all_looped(
+        &self,
+        prefix: Ipv4Prefix,
+        from: u64,
+        to: u64,
+        is_looped: impl Fn(usize) -> bool,
+    ) -> bool {
+        self.ranges.iter().all(|(base, part)| {
+            part.get(&prefix)
+                .is_none_or(|h| h.all_looped(from, to, |id| is_looped(base + id)))
+        })
     }
 }
 
@@ -161,13 +162,12 @@ pub(crate) enum Verdict {
 }
 
 /// Applies both validation rules to `cand` and counts the verdict in the
-/// `validate.*` counters. `history` holds the records to its /24, and
-/// `is_looped(id)` tells whether record `id` belongs to a candidate with
-/// two or more sightings.
+/// `validate.*` counters. `all_looped(from, to)` tells whether every
+/// record to its /24 in `[from, to]` belongs to a candidate with two or
+/// more sightings.
 pub(crate) fn judge(
     cand: &ReplicaStream,
-    history: &PrefixHistory,
-    is_looped: impl Fn(usize) -> bool,
+    all_looped: impl Fn(u64, u64) -> bool,
     cfg: &DetectorConfig,
 ) -> Verdict {
     if cand.len() < cfg.min_stream_len {
@@ -183,7 +183,7 @@ pub(crate) fn judge(
         let slack = (cand.mean_spacing_ns() as f64 * cfg.covalidate_slack_spacings) as u64;
         let from = cand.start_ns().saturating_add(slack);
         let to = cand.end_ns().saturating_sub(slack);
-        if !history.all_looped(from, to, is_looped) {
+        if !all_looped(from, to) {
             TM_REJECTED_COVALIDATION.inc();
             tm_debug!(
                 "rejected candidate to {} by the co-loop rule",
@@ -207,8 +207,9 @@ pub fn validate(
 ) -> Vec<ReplicaStream> {
     let mut out = Vec::new();
     for cand in candidates {
-        let history = index.history(cand.dst_slash24());
-        match judge(&cand, history, |id| looped_flags[id], cfg) {
+        let prefix = cand.dst_slash24();
+        let all_looped = |from, to| index.all_looped(prefix, from, to, |id| looped_flags[id]);
+        match judge(&cand, all_looped, cfg) {
             Verdict::Kept => out.push(cand),
             Verdict::Short => stats.rejected_short += 1,
             Verdict::CoLoopVeto => stats.rejected_covalidation += 1,
@@ -242,9 +243,9 @@ mod tests {
     /// reads: those that make it false when they alone are not looped.
     fn window(records: &[TraceRecord], dst: Ipv4Addr, from: u64, to: u64) -> Vec<usize> {
         let index = PrefixIndex::build(records);
-        let history = index.history(Ipv4Prefix::slash24_of(dst));
+        let prefix = Ipv4Prefix::slash24_of(dst);
         (0..records.len())
-            .filter(|&id| !history.all_looped(from, to, |i| i != id))
+            .filter(|&id| !index.all_looped(prefix, from, to, |i| i != id))
             .collect()
     }
 

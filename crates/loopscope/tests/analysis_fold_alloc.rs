@@ -1,7 +1,8 @@
 //! Regression guard for the §V record fold: once constructed, an
 //! [`AnalysisAccumulator`] folds records — through `add_record`, its
-//! `Sink::on_record` and the batch `Sink::on_records` — without touching
-//! the heap. The traffic mix is a fixed table of class-code counters, so no
+//! `Sink::on_record`, and a [`RecordFold`] merged in through
+//! `Sink::on_record_fold`, the pipeline's path — without touching the
+//! heap. The traffic mix is a fixed table of class-code counters, so no
 //! record builds a label list or searches one.
 //!
 //! The guard is a counting [`GlobalAlloc`] wrapper around the system
@@ -9,7 +10,7 @@
 //! can allocate concurrently and pollute the count.
 
 use loopscope::analysis::AnalysisAccumulator;
-use loopscope::pipeline::Sink;
+use loopscope::pipeline::{RecordFold, Sink};
 use loopscope::TraceRecord;
 use net_types::{IcmpHeader, IpProtocol, Packet, TcpFlags, UdpHeader};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,7 +71,9 @@ fn folding_records_performs_no_allocations() {
     for rec in &records {
         acc.on_record(rec).unwrap();
     }
-    acc.on_records(&records).unwrap();
+    let mut fold = RecordFold::default();
+    fold.add_all(&records);
+    acc.on_record_fold(&fold).unwrap();
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - start;
 
     assert_eq!(

@@ -13,6 +13,11 @@
 //! cargo run --release --example pcap_analysis -- --emit-demo long.pcap 0.3
 //!                                # the same backbone at another scale
 //!                                # (0.1 = 30 s of traffic, the default)
+//! cargo run --release --example pcap_analysis -- --emit-ltc in.pcap out.ltc
+//!                                # a capture's records as a .ltc, in
+//!                                # capture order even where it goes back
+//!                                # in time, which pcap2ltc refuses (the
+//!                                # unsorted-input fixture of check.sh)
 //! ```
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
@@ -42,6 +47,18 @@ fn main() {
             s.parse().expect("--emit-demo scale must be a number")
         });
         write_demo_trace(std::path::Path::new(&dest), scale);
+        return;
+    }
+    if arg.as_deref() == Some("--emit-ltc") {
+        let (src, dst) = match (std::env::args().nth(2), std::env::args().nth(3)) {
+            (Some(src), Some(dst)) => (src, dst),
+            _ => panic!("--emit-ltc needs a pcap and a .ltc path"),
+        };
+        let file = File::open(&src).expect("open pcap");
+        let (records, skipped) = records_from_pcap(BufReader::new(file)).expect("parse pcap");
+        routing_loops::corpus::write_ltc_file(std::path::Path::new(&dst), &records, skipped)
+            .expect("write ltc");
+        println!("wrote {} records to {dst}", records.len());
         return;
     }
     let path = match &arg {

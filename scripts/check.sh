@@ -93,7 +93,7 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers), CSV and --analysis"
+    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers), CSV and --analysis; unsorted pcap and .ltc refused on every engine"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
@@ -135,6 +135,40 @@ run_engine_smoke() {
             done
         done
     done
+    # A capture whose records go back in time (its records appended again
+    # after the 24-byte global header) and its .ltc twin, written as is:
+    # every engine refuses both with exit 1, no report, and the typed
+    # message naming the first record earlier than the one before it —
+    # the copy's first record — and pcap2ltc refuses the capture.
+    { cat "$tmp/long.pcap"; tail -c +25 "$tmp/long.pcap"; } > "$tmp/backwards.pcap"
+    cargo run --release --example pcap_analysis -- --emit-ltc "$tmp/backwards.pcap" \
+        "$tmp/backwards.ltc"
+    local records status
+    records="$(cargo run --release --bin loopdetect -- "$tmp/long.pcap" --csv summary \
+        | sed -n 's/^records,//p')"
+    local want="trace records must be sorted by timestamp: record $records at "
+    for input in backwards.pcap backwards.ltc; do
+        for variant in "--engine serial" "--threads 2" "--streaming"; do
+            status=0
+            # shellcheck disable=SC2086
+            cargo run --release --bin loopdetect -- "$tmp/$input" --csv loops $variant \
+                > "$tmp/unsorted.out" 2> "$tmp/unsorted.err" || status=$?
+            if [ "$status" -ne 1 ] || [ -s "$tmp/unsorted.out" ] \
+                || ! grep -q "$want" "$tmp/unsorted.err"; then
+                echo "error: loopdetect $input '$variant' must refuse an unsorted trace with exit 1 and '$want…' (got $status)" >&2
+                cat "$tmp/unsorted.err" >&2
+                exit 1
+            fi
+        done
+    done
+    status=0
+    cargo run --release --bin pcap2ltc -- "$tmp/backwards.pcap" "$tmp/refused.ltc" \
+        2> "$tmp/unsorted.err" || status=$?
+    if [ "$status" -ne 1 ] || [ -e "$tmp/refused.ltc" ] || ! grep -q "$want" "$tmp/unsorted.err"; then
+        echo "error: pcap2ltc must refuse an unsorted capture with exit 1 and write nothing (got $status)" >&2
+        cat "$tmp/unsorted.err" >&2
+        exit 1
+    fi
 }
 
 run_corpus_smoke() {

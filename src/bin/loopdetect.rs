@@ -482,8 +482,9 @@ fn main() {
             },
         )
     } else {
-        // The batch engines get the file as one segment per worker, each
-        // decoded by its own thread; --streaming reads it batch by batch.
+        // The batch engines have the file read as one range per worker,
+        // each decoded and scanned by its own thread; --streaming reads it
+        // batch by batch.
         Box::new(
             PcapFileSource::open(&args.path).unwrap_or_else(|e| match e {
                 SourceError::Io(e) => {

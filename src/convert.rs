@@ -2,8 +2,8 @@
 //! detector's trace records.
 
 use loopscope::pipeline::{PcapSource, RecordSource};
-use loopscope::segment::decode_pcap_segments;
-use loopscope::TraceRecord;
+use loopscope::segment::read_pcap_ranges;
+use loopscope::{OutOfOrder, TraceRecord};
 use pcaplib::{FileHeader, PcapError, PcapReader, PcapWriter};
 use simnet::Tap;
 use std::io::{Read, Write};
@@ -57,11 +57,11 @@ pub fn records_from_pcap<R: Read>(source: R) -> Result<(Vec<TraceRecord>, u64), 
 }
 
 /// [`records_from_pcap`] fanned out over up to `threads` byte ranges of
-/// one file: [`decode_pcap_segments`] guesses record-aligned split
-/// offsets with no header walk, decodes each range on its own thread
-/// through the same decode loop, and proves every guess. The ranges are
-/// joined in file order, so the records, skip count and error are those
-/// of the serial read. One thread reads serially.
+/// one file: [`read_pcap_ranges`] guesses record-aligned split offsets
+/// with no header walk, decodes each range on its own thread through the
+/// same decode loop into its own vector, and proves every guess. The
+/// ranges are joined in file order, so the records, skip count and error
+/// are those of the serial read. One thread reads serially.
 pub fn records_from_pcap_parallel(
     path: &Path,
     threads: usize,
@@ -69,10 +69,12 @@ pub fn records_from_pcap_parallel(
     if threads <= 1 {
         return records_from_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
     }
-    let segments =
-        decode_pcap_segments(path, threads, &mut |_| std::ops::ControlFlow::Continue(()))?;
-    let skipped = segments.skipped;
-    Ok((segments.concat(), skipped))
+    let _t = telemetry::span("pcap.read_parallel");
+    let ranges = read_pcap_ranges(path, threads, &Vec::new, &mut |_| {
+        std::ops::ControlFlow::Continue(())
+    })?;
+    let skipped = ranges.skipped;
+    Ok((ranges.concat(), skipped))
 }
 
 /// Failure converting a pcap capture to a `.ltc` corpus: either side of
@@ -87,6 +89,8 @@ pub enum ConvertError {
     Corpus(corpus::CorpusError),
     /// `--verify` re-read the corpus and it did not match the source.
     VerifyMismatch(&'static str),
+    /// The source's records go back in time; a corpus must be sorted.
+    Unsorted(OutOfOrder),
 }
 
 impl std::fmt::Display for ConvertError {
@@ -100,6 +104,12 @@ impl std::fmt::Display for ConvertError {
                     "verification failed: corpus does not match source ({what})"
                 )
             }
+            ConvertError::Unsorted(e) => {
+                write!(
+                    f,
+                    "pcap source: trace records must be sorted by timestamp: {e}"
+                )
+            }
         }
     }
 }
@@ -109,6 +119,7 @@ impl std::error::Error for ConvertError {
         match self {
             ConvertError::Pcap(e) => Some(e),
             ConvertError::Corpus(e) => Some(e),
+            ConvertError::Unsorted(e) => Some(e),
             ConvertError::VerifyMismatch(_) => None,
         }
     }
@@ -130,10 +141,14 @@ impl From<corpus::CorpusError> for ConvertError {
 /// `dst`, decoding with up to `threads` parallel range readers. Returns
 /// `(records, skipped)` as written to the corpus header. Any pcap defect
 /// (including a truncated final record) aborts the conversion with the
-/// pcap layer's error; the partially written `dst` is removed.
+/// pcap layer's error, and records that go back in time abort it with
+/// the first of them; the partially written `dst` is removed.
 pub fn pcap_to_ltc(src: &Path, dst: &Path, threads: usize) -> Result<(u64, u64), ConvertError> {
     let _t = telemetry::span("convert.pcap_to_ltc");
     let (records, skipped) = records_from_pcap_parallel(src, threads)?;
+    if let Some(err) = OutOfOrder::first_in(&records, 0, 0) {
+        return Err(ConvertError::Unsorted(err));
+    }
     match corpus::write_ltc_file(dst, &records, skipped) {
         Ok(n) => Ok((n, skipped)),
         Err(e) => {

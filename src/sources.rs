@@ -4,10 +4,11 @@
 //! simulator-agnostic), so the [`RecordSource`] implementation for taps
 //! lives here: a [`TapSource`] converts a tap's observations into
 //! [`loopscope::TraceRecord`]s once and then hands the pipeline its
-//! records as one in-memory segment.
+//! records as an in-memory slice.
 
 use crate::convert::records_from_tap;
-use loopscope::pipeline::{PipelineError, RecordSource, Segments, SourceSummary};
+use loopscope::block::{RangeScan, ScanStart};
+use loopscope::pipeline::{scan_slice, PipelineError, Ranges, RecordSource, SourceSummary};
 use loopscope::TraceRecord;
 use simnet::Tap;
 use std::ops::ControlFlow;
@@ -44,12 +45,13 @@ impl RecordSource for TapSource {
         })
     }
 
-    fn segments(
+    fn scan(
         &mut self,
-        _parts: usize,
+        parts: usize,
+        start: &ScanStart<'_>,
         _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
-    ) -> Result<Segments<'_>, PipelineError> {
-        Ok(Segments::borrowed(&self.records))
+    ) -> Result<Ranges<RangeScan>, PipelineError> {
+        Ok(scan_slice(&self.records, parts, start))
     }
 }
 

@@ -1,5 +1,8 @@
 //! Boundary-reconciliation torture tests for the block-parallel engine:
-//! flows straddling split points, byte-level split offsets landing
+//! flows straddling split points, chains longer than the replica gap
+//! across whole ranges, affected keys with isolated sightings the range
+//! workers do not keep, every split under the ablation configs, byte-level
+//! split offsets landing
 //! mid-record in the pcap stream, truncated captures, degenerate worker
 //! counts, and serial-vs-block byte-identity under proptest-chosen split
 //! offsets. The segmented pcap decode is tortured too: payloads that forge
@@ -126,6 +129,158 @@ fn every_split_point_through_the_mixed_trace() {
     let records = mixed_trace();
     for s in 1..records.len() {
         assert_block_identical(&records, &[s]);
+    }
+}
+
+/// Serial against block at `splits` under `cfg`.
+fn assert_identical_under(cfg: DetectorConfig, records: &[TraceRecord], splits: &[usize]) {
+    let serial = Detector::new(cfg).run(records);
+    let block = BlockParallelDetector::new(cfg, splits.len() + 1).run_with_splits(records, splits);
+    assert_eq!(serial.streams, block.streams, "{cfg:?} splits {splits:?}");
+    assert_eq!(serial.loops, block.loops, "{cfg:?} splits {splits:?}");
+    assert_eq!(
+        serial.looped_flags, block.looped_flags,
+        "{cfg:?} splits {splits:?}"
+    );
+    assert_eq!(serial.stats, block.stats, "{cfg:?} splits {splits:?}");
+}
+
+/// The default configuration, `--no-prefilter`, and the ablations.
+fn configs() -> [DetectorConfig; 5] {
+    [
+        DetectorConfig::default(),
+        DetectorConfig {
+            use_prefilter: false,
+            ..DetectorConfig::default()
+        },
+        DetectorConfig::no_validation(),
+        DetectorConfig::default().with_merge_gap_minutes(5),
+        DetectorConfig {
+            verify_checksum_consistency: false,
+            ..DetectorConfig::default()
+        },
+    ]
+}
+
+/// Every single split and every pair of splits, under every config.
+fn assert_identical_at_every_split(records: &[TraceRecord]) {
+    for cfg in configs() {
+        for a in 1..records.len() {
+            assert_identical_under(cfg, records, &[a]);
+            for b in a + 1..records.len() {
+                assert_identical_under(cfg, records, &[a, b]);
+            }
+        }
+    }
+}
+
+/// One packet to `dst` with the given ident, sighted once.
+fn single(t_ns: u64, dst: Ipv4Addr, ident: u16) -> (u64, Packet) {
+    loop_packets(t_ns, 1, 60, 1, ident, dst).remove(0)
+}
+
+fn records_of(mut packets: Vec<(u64, Packet)>) -> Vec<TraceRecord> {
+    packets.sort_by_key(|(ts, _)| *ts);
+    packets
+        .iter()
+        .map(|(ts, p)| TraceRecord::from_packet(*ts, p))
+        .collect()
+}
+
+/// Background singletons every 250 ms from `from_ns` to `to_ns`, to /24s
+/// no loop goes to.
+fn background(from_ns: u64, to_ns: u64, first_ident: u16) -> Vec<(u64, Packet)> {
+    (0..)
+        .map(|k: u16| (from_ns + u64::from(k) * 250_000_000, k))
+        .take_while(|&(t, _)| t < to_ns)
+        .map(|(t, k)| single(t, Ipv4Addr::new(198, 18, (k % 3) as u8, 1), first_ident + k))
+        .collect()
+}
+
+#[test]
+fn chain_longer_than_the_gap_spanning_a_middle_range() {
+    // A 14-sighting chain 400 ms apart lasts 5.2 s, five replica gaps,
+    // while each step stays within one. Split pairs inside it give a
+    // middle range holding only the chain's middle (and background): the
+    // chain's middle sightings are kept because they recur, not because
+    // they are near a range edge.
+    let dst = Ipv4Addr::new(203, 0, 113, 9);
+    let mut packets = loop_packets(1_000_000_000, 400_000_000, 60, 14, 1, dst);
+    packets.extend(background(0, 7_500_000_000, 100));
+    let records = records_of(packets);
+    assert_eq!(
+        Detector::new(DetectorConfig::default())
+            .run(&records)
+            .streams
+            .len(),
+        1,
+        "the chain is one stream"
+    );
+    assert_identical_at_every_split(&records);
+}
+
+#[test]
+fn affected_key_with_isolated_ident_wrap_sightings() {
+    // Key K loops for 250 ms around 3 s, so splits near it make K
+    // affected. K is also sighted alone — the ident wrapped around — at
+    // 0.2 s, 5.5 s and 7.5 s, each more than the gap from any other
+    // sighting of K: the range workers keep none of those, and the
+    // rescan of K must still match the serial scan. Within the gap after
+    // the loop, K comes back once with a higher TTL (no continuation) and
+    // once with an inconsistent checksum (a split).
+    let dst = Ipv4Addr::new(192, 0, 2, 77);
+    let mut packets = loop_packets(3_000_000_000, 50_000_000, 60, 6, 77, dst);
+    for t in [200_000_000, 5_500_000_000, 7_500_000_000] {
+        packets.push(single(t, dst, 77));
+    }
+    packets.push((
+        3_600_000_000,
+        loop_packets(0, 1, 62, 1, 77, dst).remove(0).1,
+    ));
+    packets.extend(background(0, 8_000_000_000, 200));
+    let mut records = records_of(packets);
+    let bad = loop_packets(0, 1, 50, 1, 77, dst).remove(0).1;
+    let mut split = TraceRecord::from_packet(3_900_000_000, &bad);
+    split.ip_checksum ^= 0x0101;
+    let at = records.partition_point(|r| r.timestamp_ns < split.timestamp_ns);
+    records.insert(at, split);
+    let serial = Detector::new(DetectorConfig::default()).run(&records);
+    assert_eq!(serial.stats.checksum_splits, 1, "the fixture's split");
+    assert_eq!(serial.streams.len(), 1, "the loop");
+    assert_identical_at_every_split(&records);
+}
+
+#[test]
+fn stream_crossing_several_boundaries() {
+    // Two overlapping chains 120 ms apart per step: every split pair and
+    // every even split at up to 12 ranges puts two or more boundaries
+    // inside them.
+    let mut packets = loop_packets(
+        500_000_000,
+        120_000_000,
+        60,
+        20,
+        5,
+        Ipv4Addr::new(203, 0, 113, 5),
+    );
+    packets.extend(loop_packets(
+        700_000_000,
+        120_000_000,
+        61,
+        18,
+        6,
+        Ipv4Addr::new(198, 51, 100, 6),
+    ));
+    packets.extend(background(0, 4_000_000_000, 300));
+    let records = records_of(packets);
+    assert_identical_at_every_split(&records);
+    for cfg in configs() {
+        let serial = Detector::new(cfg).run(&records);
+        for threads in 2..=12 {
+            let block = BlockParallelDetector::new(cfg, threads).run(&records);
+            assert_eq!(serial.streams, block.streams, "{cfg:?} threads={threads}");
+            assert_eq!(serial.stats, block.stats, "{cfg:?} threads={threads}");
+        }
     }
 }
 

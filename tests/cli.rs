@@ -795,3 +795,126 @@ fn tampered_ltc_fingerprints_are_refused_on_every_read_path() {
     }
     let _ = std::fs::remove_file(&ltc);
 }
+
+/// The demo capture with its records appended again, as a pcap and as a
+/// `.ltc` written without `pcap2ltc`'s order check, and the message every
+/// engine must refuse them with: the copy's first record is the first one
+/// earlier than the record before it.
+fn backwards_inputs(tag: &str) -> (PathBuf, PathBuf, String) {
+    let bytes = std::fs::read(demo_pcap()).expect("read pcap");
+    let (records, skipped) =
+        routing_loops::convert::records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
+    let dir = std::env::temp_dir();
+    let pcap = dir.join(format!(
+        "loopdetect_backwards_{tag}_{}.pcap",
+        std::process::id()
+    ));
+    let ltc = pcap.with_extension("ltc");
+    // A pcap file is its 24-byte header and its records.
+    std::fs::write(&pcap, [&bytes[..], &bytes[24..]].concat()).expect("write pcap");
+    let doubled = [&records[..], &records[..]].concat();
+    std::fs::write(
+        &ltc,
+        routing_loops::corpus::ltc_to_vec(&doubled, 2 * skipped),
+    )
+    .expect("write ltc");
+    let want = format!(
+        "trace records must be sorted by timestamp: record {} at {} ns is earlier than the record before it at {} ns",
+        records.len(),
+        records[0].timestamp_ns,
+        records[records.len() - 1].timestamp_ns
+    );
+    (pcap, ltc, want)
+}
+
+/// `loopdetect` refuses the backwards input with exit 1, no report and
+/// the typed message, under `args`.
+fn assert_unsorted_refused(input: &Path, args: &[&str], want: &str) {
+    let out = loopdetect()
+        .arg(input)
+        .args(["--csv", "loops"])
+        .args(args)
+        .output()
+        .expect("run loopdetect");
+    assert_eq!(out.status.code(), Some(1), "{input:?} {args:?}: {out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "{input:?} {args:?}: no partial report"
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains(want), "{input:?} {args:?}: {stderr}");
+}
+
+#[test]
+fn unsorted_pcap_is_refused_by_the_serial_engine() {
+    let (pcap, ltc, want) = backwards_inputs("pcap_serial");
+    assert_unsorted_refused(&pcap, &["--engine", "serial"], &want);
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn unsorted_pcap_is_refused_by_the_block_engine() {
+    let (pcap, ltc, want) = backwards_inputs("pcap_block");
+    for threads in ["2", "3"] {
+        assert_unsorted_refused(&pcap, &["--threads", threads], &want);
+    }
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn unsorted_pcap_is_refused_by_the_streaming_engine() {
+    let (pcap, ltc, want) = backwards_inputs("pcap_streaming");
+    assert_unsorted_refused(&pcap, &["--streaming"], &want);
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn unsorted_ltc_is_refused_by_the_serial_engine() {
+    let (pcap, ltc, want) = backwards_inputs("ltc_serial");
+    assert_unsorted_refused(&ltc, &["--engine", "serial"], &want);
+    assert_unsorted_refused(&ltc, &["--engine", "serial", "--no-mmap"], &want);
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn unsorted_ltc_is_refused_by_the_block_engine() {
+    let (pcap, ltc, want) = backwards_inputs("ltc_block");
+    for threads in ["2", "3"] {
+        assert_unsorted_refused(&ltc, &["--threads", threads], &want);
+        assert_unsorted_refused(&ltc, &["--threads", threads, "--no-mmap"], &want);
+    }
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn unsorted_ltc_is_refused_by_the_streaming_engine() {
+    let (pcap, ltc, want) = backwards_inputs("ltc_streaming");
+    assert_unsorted_refused(&ltc, &["--streaming"], &want);
+    assert_unsorted_refused(&ltc, &["--streaming", "--no-mmap"], &want);
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&ltc);
+}
+
+#[test]
+fn pcap2ltc_refuses_unsorted_input() {
+    let (pcap, ltc, want) = backwards_inputs("pcap2ltc");
+    let _ = std::fs::remove_file(&ltc);
+    for threads in ["1", "2"] {
+        let out = pcap2ltc()
+            .arg(&pcap)
+            .arg(&ltc)
+            .args(["--threads", threads])
+            .output()
+            .expect("run pcap2ltc");
+        assert_eq!(out.status.code(), Some(1), "--threads {threads}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&want), "--threads {threads}: {stderr}");
+        assert!(!ltc.exists(), "a refused conversion leaves no corpus");
+    }
+    let _ = std::fs::remove_file(&pcap);
+}
