@@ -470,8 +470,9 @@ pub fn bench_ingest(n_records: usize, repeats: usize) -> IngestBench {
     let mut buffered_ns = u64::MAX;
     let mut mmap_ns = u64::MAX;
     let mut mmap_records = Vec::new();
-    corpus::records_from_ltc(&path).expect("bench corpus read");
-    corpus::records_from_ltc_mmap(&path).expect("bench corpus map");
+    let read = |mode| corpus::records_from_ltc_with(&path, 1, mode);
+    read(corpus::IngestMode::Buffered).expect("bench corpus read");
+    read(corpus::IngestMode::Mmap).expect("bench corpus map");
     // Eight passes minimum with the arm order alternating: the two arms
     // race the same drifting machine, so a fixed order would hand
     // whichever arm runs second any systematic slowdown, and a larger
@@ -479,13 +480,14 @@ pub fn bench_ingest(n_records: usize, repeats: usize) -> IngestBench {
     for pass in 0..repeats.max(8) {
         let mut time_buffered = || {
             let t = Instant::now();
-            let (buffered_records, _) = corpus::records_from_ltc(&path).expect("bench corpus read");
+            let (buffered_records, _) =
+                read(corpus::IngestMode::Buffered).expect("bench corpus read");
             buffered_ns = buffered_ns.min(t.elapsed().as_nanos() as u64);
             assert_eq!(buffered_records.len(), mm_records.len());
         };
         let mut time_mmap = |out: &mut Vec<_>| {
             let t = Instant::now();
-            let (recs, _) = corpus::records_from_ltc_mmap(&path).expect("bench corpus map");
+            let (recs, _) = read(corpus::IngestMode::Mmap).expect("bench corpus map");
             mmap_ns = mmap_ns.min(t.elapsed().as_nanos() as u64);
             *out = recs;
         };

@@ -82,10 +82,12 @@ pub fn block_len(k: usize) -> usize {
     BLOCK_CHECKSUM_LEN + k * ROW_BYTES
 }
 
-/// Byte offset of block `b` for a file of `records` records (blocks
-/// before the last are always full).
+/// Byte offset of block `b` (blocks before the last are always full).
+/// An offset past `u64::MAX` lies beyond any file, so it saturates there
+/// and reads as a truncation: a corrupt record count cannot overflow it.
 pub fn block_offset(b: u64) -> u64 {
-    HEADER_LEN as u64 + b * block_len(BLOCK_RECORDS) as u64
+    b.saturating_mul(block_len(BLOCK_RECORDS) as u64)
+        .saturating_add(HEADER_LEN as u64)
 }
 
 /// Number of blocks a file of `records` records holds.
@@ -93,15 +95,13 @@ pub fn block_count(records: u64) -> u64 {
     records.div_ceil(BLOCK_RECORDS as u64)
 }
 
-/// Exact file length implied by a record count — the truncation check.
+/// Exact file length implied by a record count — the truncation check
+/// (saturating, as [`block_offset`]).
 pub fn expected_file_len(records: u64) -> u64 {
     let full = records / BLOCK_RECORDS as u64;
     let rem = (records % BLOCK_RECORDS as u64) as usize;
-    let mut len = HEADER_LEN as u64 + full * block_len(BLOCK_RECORDS) as u64;
-    if rem > 0 {
-        len += block_len(rem) as u64;
-    }
-    len
+    let tail = if rem > 0 { block_len(rem) as u64 } else { 0 };
+    block_offset(full).saturating_add(tail)
 }
 
 /// Fx-style multiply-rotate seed (the same constant family the detector's

@@ -19,19 +19,26 @@
 //!   lanes are exactly 64 KiB; `BlockParallelDetector` split points fall on
 //!   row boundaries with no snap-forward.
 //!
+//! One reader serves every consumer: [`LtcFile`] reads block ranges from
+//! a shared memory mapping or, under `--no-mmap` and as the fallback,
+//! through buffered reads ([`LtcReader`]), in one block-range loop. The
+//! batch engines' parallel range scans, the whole-file decode
+//! ([`records_from_ltc_with`]) and the pipeline source's batches
+//! ([`open_ltc_source`]) are all that loop.
+//!
 //! Integrity is first-class: a checksummed, versioned header plus a
 //! per-block checksum (mixed with the block index, so swapped blocks
 //! fail). Every defect — bad magic, wrong version, truncation, checksum
 //! mismatch, undecodable cell — surfaces as a typed [`CorpusError`] naming
 //! the file and byte offset; nothing panics and nothing short-reads
-//! silently.
+//! silently, and a header's record count sizes no allocation the file
+//! cannot back.
 //!
 //! The full byte-level layout is specified in `DESIGN.md` (§ on-disk
 //! corpus format).
 
 pub mod columns;
 pub mod format;
-pub mod mapped;
 pub mod reader;
 pub mod writer;
 
@@ -39,21 +46,24 @@ pub use format::{
     is_ltc_magic, sniff_is_ltc, ChecksumRegion, CorpusError, LtcHeader, BLOCK_RECORDS, MAGIC,
     ROW_BYTES, VERSION,
 };
-pub use mapped::{
-    open_ltc_source, records_from_ltc_mmap, records_from_ltc_mmap_parallel, records_from_ltc_with,
-    IngestMode, MappedColumnarSource, MappedLtc,
-};
-pub use reader::{records_from_ltc, ColumnarSource, LtcReader};
+pub use reader::{open_ltc_source, records_from_ltc_with, IngestMode, LtcFile, LtcReader};
 pub use writer::{ltc_to_vec, write_ltc_file, LtcWriter};
 
 #[cfg(test)]
 mod corruption_tests {
-    use super::format::{block_offset, ChecksumRegion, CorpusError, HEADER_LEN, MAGIC};
+    use super::format::{
+        block_len, block_offset, ChecksumRegion, CorpusError, LtcHeader, BLOCK_RECORDS, HEADER_LEN,
+        MAGIC,
+    };
     use super::reader::LtcReader;
     use super::writer::ltc_to_vec;
-    use loopscope::{TraceRecord, TransportSummary};
+    use super::{open_ltc_source, records_from_ltc_with, IngestMode};
+    use loopscope::pipeline::{run_pipeline, BlockEngine, PipelineError, SourceError};
+    use loopscope::{DetectorConfig, TraceRecord, TransportSummary};
+    use proptest::test_runner::TestRng;
     use std::io::Cursor;
     use std::net::Ipv4Addr;
+    use std::path::Path;
 
     /// Deterministic records cycling through every transport variant.
     fn sample_records(n: usize) -> Vec<TraceRecord> {
@@ -159,6 +169,23 @@ mod corruption_tests {
         name: &'static str,
         bytes: Vec<u8>,
         expect: fn(&CorpusError),
+    }
+
+    /// Checks a truncation at the first block, which a header's record
+    /// count claims holds a full block.
+    fn truncated_first_block(e: &CorpusError) {
+        match *e {
+            CorpusError::Truncated {
+                offset,
+                needed,
+                got,
+                ..
+            } => assert_eq!(
+                (offset, needed, got),
+                (HEADER_LEN as u64, block_len(BLOCK_RECORDS) as u64, 0)
+            ),
+            _ => panic!("expected truncated first block, got {e:?}"),
+        }
     }
 
     /// Every header and block defect the format rules catch.
@@ -297,21 +324,120 @@ mod corruption_tests {
                     assert_eq!(locate(e), ("corrupt", Some(end), None));
                 },
             },
+            Damage {
+                // A valid header promising 2^40 records (56 TiB of rows)
+                // over a 40-byte file: no reader may size anything by it.
+                name: "header_claims_2^40_records",
+                bytes: LtcHeader::new(1 << 40, 0).encode().to_vec(),
+                expect: truncated_first_block,
+            },
+            Damage {
+                // Block offsets past u64::MAX: no arithmetic may overflow.
+                name: "header_claims_u64_max_records",
+                bytes: LtcHeader::new(u64::MAX, 0).encode().to_vec(),
+                expect: truncated_first_block,
+            },
         ]
+    }
+
+    /// What an entry point made of a file: its records and skip count, or
+    /// its error's text.
+    type Outcome = Result<(Vec<TraceRecord>, u64), String>;
+
+    /// The outcome in brief, for failure messages.
+    fn brief(o: &Outcome) -> String {
+        match o {
+            Ok((records, skipped)) => format!("{} records, {skipped} skipped", records.len()),
+            Err(e) => e.clone(),
+        }
+    }
+
+    /// The corpus error text a pipeline error carries.
+    fn corpus_text(e: PipelineError) -> String {
+        match e {
+            PipelineError::Source(SourceError::Io(e)) => e.to_string(),
+            other => panic!("not a corpus error: {other}"),
+        }
+    }
+
+    /// The file through the buffered block reader: the reference reading.
+    fn read_blocks(path: &Path) -> Result<(Vec<TraceRecord>, u64), CorpusError> {
+        let mut reader = LtcReader::open(path)?;
+        let (mut records, mut batch) = (Vec::new(), Vec::new());
+        while reader.next_block_into(&mut batch)? {
+            records.extend_from_slice(&batch);
+        }
+        Ok((records, reader.header().skipped))
+    }
+
+    /// Reads `path` through every `.ltc` entry point — the whole-file
+    /// decode in both modes at 1, 2 and 3 threads, a source's batches and
+    /// the block engine at 1 and 2 workers — and asserts each gives the
+    /// buffered block reader's records and skip count, or its error text.
+    /// Returns the reference reading.
+    fn assert_every_entry_point_agrees(
+        path: &Path,
+        name: &str,
+    ) -> Result<(Vec<TraceRecord>, u64), CorpusError> {
+        let reference = read_blocks(path);
+        let want: Outcome = reference.as_ref().map_err(|e| e.to_string()).cloned();
+        let check = |got: Outcome, entry: String| {
+            assert!(
+                got == want,
+                "{name}: {entry} read {}, the block reader {}",
+                brief(&got),
+                brief(&want)
+            );
+        };
+        for mode in [IngestMode::Mmap, IngestMode::Buffered] {
+            for threads in 1..=3 {
+                let got = records_from_ltc_with(path, threads, mode).map_err(|e| e.to_string());
+                check(got, format!("records_from_ltc_with({threads}, {mode:?})"));
+            }
+            let batches = open_ltc_source(path, mode)
+                .map_err(|e| e.to_string())
+                .and_then(|mut source| {
+                    let mut records = Vec::new();
+                    let summary = source
+                        .for_each_batch(&mut |batch| {
+                            records.extend_from_slice(batch);
+                            Ok(())
+                        })
+                        .map_err(corpus_text)?;
+                    assert_eq!(summary.records, records.len() as u64, "{name}");
+                    Ok((records, summary.skipped))
+                });
+            check(batches, format!("for_each_batch({mode:?})"));
+            for workers in [1, 2] {
+                let got = open_ltc_source(path, mode)
+                    .map_err(|e| e.to_string())
+                    .and_then(|mut source| {
+                        let engine = &mut BlockEngine::new(DetectorConfig::default(), workers);
+                        run_pipeline(source.as_mut(), engine, &mut [])
+                            .map(|result| (result.records, result.skipped))
+                            .map_err(corpus_text)
+                    });
+                let want = want
+                    .as_ref()
+                    .map(|(r, skipped)| (r.len() as u64, *skipped))
+                    .map_err(String::clone);
+                assert!(
+                    got == want,
+                    "{name}: block engine at {workers} workers ({mode:?}) gave {got:?}, \
+                     the block reader {want:?}"
+                );
+            }
+        }
+        reference
     }
 
     #[test]
     fn both_readers_report_each_defect_identically() {
         for damage in damaged_images() {
             let path = write_temp(damage.name, &damage.bytes);
-            let buffered = LtcReader::open(&path)
-                .and_then(|mut reader| {
-                    let mut batch = Vec::new();
-                    while reader.next_block_into(&mut batch)? {}
-                    Ok(())
-                })
-                .expect_err(damage.name);
-            let mapped = super::mapped::records_from_ltc_mmap(&path).expect_err(damage.name);
+            let buffered =
+                assert_every_entry_point_agrees(&path, damage.name).expect_err(damage.name);
+            let mapped = records_from_ltc_with(&path, 1, IngestMode::Mmap).expect_err(damage.name);
             for err in [&buffered, &mapped] {
                 (damage.expect)(err);
                 let msg = err.to_string();
@@ -333,30 +459,108 @@ mod corruption_tests {
     fn mmap_read_matches_buffered_at_every_thread_count() {
         let records = sample_records(2 * 8192 + 77);
         let path = write_temp("identity", &ltc_to_vec(&records, 9));
-        let (buffered, sk_buf) = super::reader::records_from_ltc(&path).unwrap();
-        let (mapped, sk_map) = super::mapped::records_from_ltc_mmap(&path).unwrap();
-        assert_eq!(mapped, buffered);
-        assert_eq!(mapped, records);
-        assert_eq!(sk_map, sk_buf);
-        for threads in [1, 2, 4, 8] {
-            let (par, sk) = super::mapped::records_from_ltc_mmap_parallel(&path, threads).unwrap();
-            assert_eq!(par, buffered, "threads={threads}");
-            assert_eq!(sk, 9);
-            for mode in [super::IngestMode::Mmap, super::IngestMode::Buffered] {
-                let (via, sk) = super::mapped::records_from_ltc_with(&path, threads, mode).unwrap();
-                assert_eq!(via, buffered, "threads={threads} mode={mode:?}");
+        let read = assert_every_entry_point_agrees(&path, "identity").unwrap();
+        assert_eq!(read, (records.clone(), 9));
+        for threads in [4, 8] {
+            for mode in [IngestMode::Mmap, IngestMode::Buffered] {
+                let (via, sk) = records_from_ltc_with(&path, threads, mode).unwrap();
+                assert_eq!(via, records, "threads={threads} mode={mode:?}");
                 assert_eq!(sk, 9);
             }
         }
         std::fs::remove_file(&path).ok();
     }
 
+    /// Mutants of a three-block image tried per run of
+    /// [`mutated_images_read_the_same_on_every_entry_point`], four of each
+    /// kind: about 5 s in a debug build.
+    const FUZZ_CASES: u64 = 24;
+
+    /// A fixed-seed mutation fuzz of the `.ltc` reader: bit flips in the
+    /// header and the blocks, truncation at a random offset, trailing
+    /// bytes, a block swap, and record-count and skip-count rewrites
+    /// under a recomputed header checksum. Every entry point must give
+    /// each mutant the same records and skip count, or the same error
+    /// text, and none may panic.
+    #[test]
+    fn mutated_images_read_the_same_on_every_entry_point() {
+        let records = sample_records(2 * BLOCK_RECORDS + 77);
+        let base = ltc_to_vec(&records, 3);
+        let (b0, b1, b2) = (
+            block_offset(0) as usize,
+            block_offset(1) as usize,
+            block_offset(2) as usize,
+        );
+        let n = records.len() as u64;
+        let mut rng = TestRng::from_seed(0x17c_f022);
+        let mut read = 0;
+        for case in 0..FUZZ_CASES {
+            let mut bytes = base.clone();
+            let what = match case % 6 {
+                0 => {
+                    let i = rng.below(HEADER_LEN as u64) as usize;
+                    bytes[i] ^= 1 << rng.below(8);
+                    "header bit flip"
+                }
+                1 => {
+                    let i = HEADER_LEN + rng.below((bytes.len() - HEADER_LEN) as u64) as usize;
+                    bytes[i] ^= 1 << rng.below(8);
+                    "block bit flip"
+                }
+                2 => {
+                    bytes.truncate(rng.below(bytes.len() as u64) as usize);
+                    "truncation"
+                }
+                3 => {
+                    let extra = 1 + rng.below(64);
+                    bytes.extend((0..extra).map(|_| rng.next_u64() as u8));
+                    "trailing bytes"
+                }
+                4 => {
+                    bytes[b0..b1].copy_from_slice(&base[b1..b2]);
+                    bytes[b1..b2].copy_from_slice(&base[b0..b1]);
+                    "block swap"
+                }
+                _ => {
+                    let claims = [
+                        0,
+                        1,
+                        n - 1,
+                        n + 1,
+                        BLOCK_RECORDS as u64,
+                        2 * BLOCK_RECORDS as u64,
+                        1 << 40,
+                        u64::MAX,
+                        rng.next_u64(),
+                        rng.below(4 * n),
+                    ];
+                    // The first rewrite keeps the count, so a mutant with
+                    // only its skip count changed reads through.
+                    let records = match case {
+                        5 => n,
+                        _ => claims[rng.below(claims.len() as u64) as usize],
+                    };
+                    let skipped = rng.below(1000);
+                    bytes[..HEADER_LEN].copy_from_slice(&LtcHeader::new(records, skipped).encode());
+                    "record-count rewrite"
+                }
+            };
+            let name = format!("fuzz-{case}");
+            let path = write_temp(&name, &bytes);
+            let got = assert_every_entry_point_agrees(&path, &format!("{name} ({what})"));
+            read += u64::from(got.is_ok());
+            std::fs::remove_file(&path).ok();
+        }
+        // The fuzz compares successful reads too, not only errors.
+        assert!(read > 0, "no mutant read through");
+    }
+
     #[test]
     fn mmap_missing_file_falls_back_to_the_buffered_error() {
         let path = std::env::temp_dir().join("corpus-map-does-not-exist.ltc");
-        // The `with` wrapper retries buffered on mapping failure; the
-        // buffered path then reports the authoritative io error.
-        match super::mapped::records_from_ltc_with(&path, 2, super::IngestMode::Mmap) {
+        // The mapped open retries buffered on mapping failure; the
+        // buffered open then reports the authoritative io error.
+        match records_from_ltc_with(&path, 2, IngestMode::Mmap) {
             Err(CorpusError::Io { path: p, .. }) => assert_eq!(p, path),
             other => panic!("expected io error, got {other:?}"),
         }

@@ -15,14 +15,17 @@
 //!   the zero-alloc [`pcaplib::PcapReader::read_into`] path
 //!   ([`PcapSource`], whose [`PcapSource::for_each_record`] is the one
 //!   pcap decode loop — every other pcap reader runs it too).
-//!   `.ltc` corpora plug in through the `corpus` crate's sources, and
+//!   `.ltc` corpora plug in through the `corpus` crate's source, and
 //!   simulator taps through the root crate's `TapSource` wrapper. Every
 //!   source also hands the whole trace to a batch engine's range scans
 //!   ([`RecordSource::scan`]): a slice as up to N slices scanned where
 //!   they lie, a pcap file ([`crate::segment::PcapFileSource`]) or a
-//!   mapped `.ltc` as up to N ranges, each decoded and scanned chunk by
-//!   chunk by its own thread, and any other source as one range fed its
-//!   batches on the calling thread. No batch path holds the trace.
+//!   `.ltc`, mapped or buffered, as up to N ranges, each decoded and
+//!   scanned chunk by chunk by its own thread, and any other source as
+//!   one range fed its batches on the calling thread. No batch path
+//!   holds the trace. A file source's batches come from the same decode
+//!   loop as its ranges: its input read as one range on the calling
+//!   thread ([`crate::segment::BatchFeed`]).
 //! * An [`Engine`] turns the trace into [`OnlineEvent`]s. The offline
 //!   engines — [`SerialEngine`] and [`BlockEngine`], one engine over the
 //!   one offline core ([`BlockParallelDetector`]) at one worker or N —
@@ -51,17 +54,14 @@ use crate::monitor::OutOfOrder;
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
 use crate::replica::{DetectionResult, DetectionStats};
-use crate::segment::RangeEnd;
 pub use crate::segment::Ranges;
+use crate::segment::{read_pcap_chunks, BatchFeed, RangeEnd};
 use crate::stream::ReplicaStream;
 use std::io::Write;
 use std::ops::ControlFlow;
 
 static TM_UNPARSEABLE: telemetry::LazyCounter =
     telemetry::LazyCounter::new("pcap.unparseable_records");
-
-/// Records per batch handed to the engine by streaming sources.
-const PCAP_BATCH: usize = 1024;
 
 /// A loop is reported as open-ended when it is still active this close to
 /// the end of the trace (the tail gap the CLI has always used).
@@ -244,21 +244,11 @@ impl RecordSource for SliceSource<'_> {
         start: &ScanStart<'_>,
         _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
     ) -> Result<Ranges<RangeScan>, PipelineError> {
-        Ok(scan_slice(self.records, parts, start))
-    }
-}
-
-/// A trace already in memory as up to `parts` even slices, each scanned
-/// where it lies by its own worker: what [`RecordSource::scan`] answers
-/// for a slice.
-pub fn scan_slice(
-    records: &[TraceRecord],
-    parts: usize,
-    start: &ScanStart<'_>,
-) -> Ranges<RangeScan> {
-    Ranges {
-        parts: scan_slices(&even_slices(records, parts), start),
-        ..Ranges::new(0)
+        // Up to `parts` even slices, each scanned where it lies.
+        Ok(Ranges {
+            parts: scan_slices(&even_slices(self.records, parts), start),
+            ..Ranges::new(0)
+        })
     }
 }
 
@@ -340,25 +330,15 @@ impl<R: std::io::Read> From<pcaplib::PcapReader<R>> for PcapSource<R> {
 }
 
 impl<R: std::io::Read> RecordSource for PcapSource<R> {
+    /// The stream read as one range on the calling thread
+    /// ([`crate::segment`]'s pcap range loop), in chunks of 4096 records.
     fn for_each_batch(
         &mut self,
         f: &mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
     ) -> Result<SourceSummary, PipelineError> {
-        let mut batch: Vec<TraceRecord> = Vec::with_capacity(PCAP_BATCH);
-        let mut records = 0u64;
-        self.for_each_record(|rec| {
-            batch.push(rec);
-            if batch.len() == PCAP_BATCH {
-                records += batch.len() as u64;
-                f(&batch)?;
-                batch.clear();
-            }
-            Ok::<_, PipelineError>(())
+        let records = BatchFeed::run(f, |feed, control| {
+            Ok(read_pcap_chunks(self, feed, control)?)
         })?;
-        if !batch.is_empty() {
-            records += batch.len() as u64;
-            f(&batch)?;
-        }
         Ok(SourceSummary {
             records,
             skipped: self.skipped,
@@ -1300,8 +1280,9 @@ mod tests {
         // Link noise before the first full batch and after it: cancelled
         // after that batch, the result counts the first skip and only it.
         let mut w = pcaplib::PcapWriter::new(Vec::new(), pcaplib::FileHeader::raw_ip(40)).unwrap();
-        for i in 0..3 * PCAP_BATCH as u64 {
-            if i == 3 || i == 2 * PCAP_BATCH as u64 {
+        let chunk = crate::segment::CHUNK;
+        for i in 0..3 * chunk {
+            if i == 3 || i == 2 * chunk {
                 w.write_bytes(i * 1_000, &[0xde, 0xad]).unwrap();
             }
             let mut p = Packet::tcp_flags(
@@ -1324,7 +1305,7 @@ mod tests {
         })
         .expect("interrupted run still returns a result");
         assert!(result.interrupted);
-        assert_eq!(result.records, PCAP_BATCH as u64, "one batch consumed");
+        assert_eq!(result.records, chunk, "one batch consumed");
         assert_eq!(result.skipped, 1, "skips before the break");
     }
 

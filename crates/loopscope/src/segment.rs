@@ -9,9 +9,11 @@
 //! [`RangeConsumer`]. The block detector's consumer
 //! ([`crate::block::RangeScan`]) scans each chunk where it lies; a plain
 //! `Vec<TraceRecord>` consumer collects the range instead, which is how
-//! the whole-file readers (`records_from_pcap_parallel`, the mapped
-//! `.ltc` reader) run the same decode loop. The main thread decodes and
-//! copies nothing.
+//! the whole-file readers (`records_from_pcap_parallel`, the `.ltc`
+//! `records_from_ltc_with`) run the same decode loop. The main thread
+//! decodes and copies nothing. A file source's batches are that loop too:
+//! its whole input read as one range on the calling thread into a
+//! [`BatchFeed`], which hands each chunk to the batch callback.
 //!
 //! [`decode_parallel`] runs the workers. While they read, the calling
 //! thread polls the pipeline's progress callback with the shared record
@@ -46,8 +48,8 @@ use telemetry::LazyCounter;
 static TM_SPLIT_FALLBACKS: LazyCounter = LazyCounter::new("pcap.split_fallbacks");
 
 /// Records a pcap range worker decodes into its buffer before it hands
-/// them on: about 230 KB of records, which stay in cache while the
-/// consumer reads them.
+/// them on, and so the size of a pcap source's batches: about 230 KB of
+/// records, which stay in cache while the consumer reads them.
 pub(crate) const CHUNK: u64 = 4096;
 
 /// How long the calling thread of [`decode_parallel`] waits between
@@ -60,7 +62,7 @@ const MIN_RECORD_BYTES: u64 = 36;
 
 /// What a range worker does with the records it decodes, chunk by chunk
 /// in trace order.
-pub trait RangeConsumer: Send {
+pub trait RangeConsumer {
     /// Says the range holds about `records` records (a hint).
     fn expect(&mut self, _records: usize) {}
 
@@ -88,6 +90,60 @@ impl RangeConsumer for Vec<TraceRecord> {
 
     fn take_chunk(&mut self) -> ControlFlow<()> {
         ControlFlow::Continue(())
+    }
+}
+
+/// Hands each chunk of a one-range read to a batch callback: how a file
+/// source answers [`RecordSource::for_each_batch`], by reading its whole
+/// input as one range on the calling thread through the same loop its
+/// range workers run.
+pub struct BatchFeed<'f> {
+    f: &'f mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
+    chunk: Vec<TraceRecord>,
+    records: u64,
+    failed: Option<PipelineError>,
+}
+
+impl<'f> BatchFeed<'f> {
+    /// Runs `read`, a one-range read into the feed, handing each chunk
+    /// to `f` as a batch, and returns the records delivered. An error
+    /// from `f` ends the read and is returned unchanged; otherwise the
+    /// read's own error is.
+    pub fn run(
+        f: &'f mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
+        read: impl FnOnce(&mut Self, &DecodeControl) -> Result<RangeEnd, PipelineError>,
+    ) -> Result<u64, PipelineError> {
+        let mut feed = Self {
+            f,
+            // Sized once: a short source must not regrow it chunk by chunk.
+            chunk: Vec::with_capacity(CHUNK as usize),
+            records: 0,
+            failed: None,
+        };
+        let read = read(&mut feed, &DecodeControl::default());
+        match feed.failed {
+            Some(e) => Err(e),
+            None => read.map(|_| feed.records),
+        }
+    }
+}
+
+impl RangeConsumer for BatchFeed<'_> {
+    fn chunk_buffer(&mut self) -> &mut Vec<TraceRecord> {
+        &mut self.chunk
+    }
+
+    fn take_chunk(&mut self) -> ControlFlow<()> {
+        let fed = (self.f)(&self.chunk);
+        self.records += self.chunk.len() as u64;
+        self.chunk.clear();
+        match fed {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => {
+                self.failed = Some(e);
+                ControlFlow::Break(())
+            }
+        }
     }
 }
 
@@ -257,19 +313,57 @@ impl From<PcapError> for RangeStop {
     }
 }
 
+/// Decodes every remaining record of `source` into `consumer`, a chunk
+/// at a time: the pcap range loop, which [`PcapSource`]'s batches and
+/// every range worker of [`read_pcap_ranges`] run. Stops early when the
+/// consumer refuses a chunk or `control` asks after one.
+pub(crate) fn read_pcap_chunks<R: Read, C: RangeConsumer>(
+    source: &mut PcapSource<R>,
+    consumer: &mut C,
+    control: &DecodeControl,
+) -> Result<RangeEnd, PcapError> {
+    let mut pending = 0u64;
+    let read = source.for_each_record(|rec| {
+        consumer.chunk_buffer().push(rec);
+        pending += 1;
+        if pending == CHUNK {
+            pending = 0;
+            if consumer.take_chunk().is_break() {
+                return Err(RangeStop::Early(RangeEnd::Refused));
+            }
+            if control.advance(CHUNK).is_break() {
+                return Err(RangeStop::Early(RangeEnd::Stopped));
+            }
+        }
+        Ok(())
+    });
+    match read {
+        Ok(()) => {}
+        Err(RangeStop::Early(end)) => return Ok(end),
+        Err(RangeStop::Pcap(e)) => return Err(e),
+    }
+    if pending > 0 {
+        let _ = control.advance(pending);
+        if consumer.take_chunk().is_break() {
+            return Ok(RangeEnd::Refused);
+        }
+    }
+    Ok(RangeEnd::Complete)
+}
+
 /// How one pcap byte range's read went.
 struct RangeRead {
     /// The range's reader, holding its deferred counts and skips (`None`
     /// when the file could not be opened).
     source: Option<PcapSource<std::io::Take<File>>>,
-    end: Result<(), RangeStop>,
+    end: Result<RangeEnd, PcapError>,
 }
 
 impl RangeRead {
     /// Whether the range ended inside a record before its bound: the
     /// next range's guessed start is not a record start.
     fn overran(&self) -> bool {
-        matches!(&self.end, Err(RangeStop::Pcap(e)) if e.is_eof_inside_record())
+        matches!(&self.end, Err(e) if e.is_eof_inside_record())
     }
 }
 
@@ -287,41 +381,22 @@ fn read_range<C: RangeConsumer>(
         file.seek(SeekFrom::Start(lo))?;
         Ok(file.take(hi - lo))
     });
-    let mut source = match opened {
-        Ok(range) => PcapSource::from(PcapReader::resume(range, header)),
-        Err(e) => {
-            return RangeRead {
-                source: None,
-                end: Err(PcapError::Io(e).into()),
+    let read = match opened {
+        Ok(range) => {
+            let mut source = PcapSource::from(PcapReader::resume(range, header));
+            let end = read_pcap_chunks(&mut source, consumer, control);
+            RangeRead {
+                source: Some(source),
+                end,
             }
         }
+        Err(e) => RangeRead {
+            source: None,
+            end: Err(PcapError::Io(e)),
+        },
     };
-    let mut pending = 0u64;
-    let mut end = source.for_each_record(|rec| {
-        consumer.chunk_buffer().push(rec);
-        pending += 1;
-        if pending == CHUNK {
-            pending = 0;
-            if consumer.take_chunk().is_break() {
-                return Err(RangeStop::Early(RangeEnd::Refused));
-            }
-            if control.advance(CHUNK).is_break() {
-                return Err(RangeStop::Early(RangeEnd::Stopped));
-            }
-        }
-        Ok(())
-    });
-    if end.is_ok() && pending > 0 {
-        let _ = control.advance(pending);
-        if consumer.take_chunk().is_break() {
-            end = Err(RangeStop::Early(RangeEnd::Refused));
-        }
-    }
     consumer.end();
-    RangeRead {
-        source: Some(source),
-        end,
-    }
+    read
 }
 
 /// Reads the pcap file at `path` as up to `parts` trace-ordered ranges,
@@ -329,7 +404,7 @@ fn read_range<C: RangeConsumer>(
 /// `poll` meanwhile (see [`decode_parallel`] and the module docs). The
 /// records, skip count, error and `pcap.*` counters are those of a serial
 /// read of the file.
-pub fn read_pcap_ranges<C: RangeConsumer>(
+pub fn read_pcap_ranges<C: RangeConsumer + Send>(
     path: &Path,
     parts: usize,
     start: &(dyn Fn() -> C + Sync),
@@ -361,12 +436,7 @@ pub fn read_pcap_ranges<C: RangeConsumer>(
                 ranges.skipped += source.skipped_hint();
                 source.publish_deferred();
             }
-            let end = match range.end {
-                Ok(()) => RangeEnd::Complete,
-                Err(RangeStop::Early(end)) => end,
-                Err(RangeStop::Pcap(e)) => return Err(e),
-            };
-            if ranges.push(consumer, end).is_break() {
+            if ranges.push(consumer, range.end?).is_break() {
                 break 'read;
             }
         }

@@ -93,7 +93,7 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers), CSV and --analysis; unsorted pcap and .ltc refused on every engine"
+    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers and --streaming), CSV and --analysis; unsorted pcap and .ltc refused on every engine"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
@@ -104,9 +104,10 @@ run_engine_smoke() {
     # --threads 8 asks for more segments than the machine has cores.
     # --analysis checks the §V report, whose record fold runs once per
     # segment or batch, so it sees every engine's ingest shape. On the
-    # .ltc input, --no-mmap reads the buffered source, which reaches the
-    # batch engines through the default one-segment drain of its batches,
-    # at one, two and three workers.
+    # .ltc input, --no-mmap reads through buffered block reads instead of
+    # the mapping: as one, two and three block ranges under the batch
+    # engines, and as batches (the whole file read as one range) under
+    # --streaming.
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
@@ -117,7 +118,8 @@ run_engine_smoke() {
     for input in long.pcap long.ltc; do
         local extra=()
         if [[ "$input" == *.ltc ]]; then
-            extra=("--no-mmap" "--threads 2 --no-mmap" "--threads 3 --no-mmap")
+            extra=("--no-mmap" "--threads 2 --no-mmap" "--threads 3 --no-mmap"
+                "--streaming --no-mmap")
         fi
         for args in "--csv loops" "--csv streams" "--csv summary" "--analysis"; do
             # shellcheck disable=SC2086

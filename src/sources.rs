@@ -8,12 +8,13 @@
 
 use crate::convert::records_from_tap;
 use loopscope::block::{RangeScan, ScanStart};
-use loopscope::pipeline::{scan_slice, PipelineError, Ranges, RecordSource, SourceSummary};
+use loopscope::pipeline::{PipelineError, Ranges, RecordSource, SliceSource, SourceSummary};
 use loopscope::TraceRecord;
 use simnet::Tap;
 use std::ops::ControlFlow;
 
-/// A [`RecordSource`] over a simulated tap's observations.
+/// A [`RecordSource`] over a simulated tap's observations: a
+/// [`SliceSource`] over records it owns.
 pub struct TapSource {
     records: Vec<TraceRecord>,
 }
@@ -38,20 +39,16 @@ impl RecordSource for TapSource {
         &mut self,
         f: &mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
     ) -> Result<SourceSummary, PipelineError> {
-        f(&self.records)?;
-        Ok(SourceSummary {
-            records: self.records.len() as u64,
-            skipped: 0,
-        })
+        SliceSource::new(&self.records).for_each_batch(f)
     }
 
     fn scan(
         &mut self,
         parts: usize,
         start: &ScanStart<'_>,
-        _poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
+        poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
     ) -> Result<Ranges<RangeScan>, PipelineError> {
-        Ok(scan_slice(&self.records, parts, start))
+        SliceSource::new(&self.records).scan(parts, start, poll)
     }
 }
 

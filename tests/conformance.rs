@@ -286,7 +286,7 @@ fn pcap_fixture_conformance() {
 
 #[test]
 fn ltc_fixture_conformance() {
-    use routing_loops::corpus::{records_from_ltc, ColumnarSource};
+    use routing_loops::corpus::{open_ltc_source, records_from_ltc_with, IngestMode};
     use routing_loops::loopscope::RecordSource;
 
     // The same truncated capture as `pcap_fixture_conformance`, converted
@@ -317,7 +317,8 @@ fn ltc_fixture_conformance() {
             })
             .expect("pcap read");
     }
-    let (ltc_records, skipped) = records_from_ltc(&ltc_path).expect("read ltc");
+    let (ltc_records, skipped) =
+        records_from_ltc_with(&ltc_path, 1, IngestMode::Buffered).expect("read ltc");
     assert_eq!(skipped, 0, "fixture pcap has no undecodable frames");
     assert_eq!(
         pcap_records, ltc_records,
@@ -327,11 +328,12 @@ fn ltc_fixture_conformance() {
     let baseline = assert_conformance("ltc", &ltc_records);
     assert!(!baseline.streams.is_empty(), "ltc fixture must loop");
 
-    // And the streaming engine fed directly from the columnar source (the
-    // bounded-memory deployment shape) matches the slice baseline.
-    let mut source = ColumnarSource::open(&ltc_path).expect("open ltc");
+    // And the streaming engine fed directly from the buffered columnar
+    // source (the bounded-memory deployment shape) matches the slice
+    // baseline.
+    let mut source = open_ltc_source(&ltc_path, IngestMode::Buffered).expect("open ltc");
     let streamed = run_pipeline(
-        &mut source,
+        source.as_mut(),
         &mut StreamingEngine::new(DetectorConfig::default()),
         &mut [],
     )

@@ -1,5 +1,5 @@
 //! Round-trip suite for the columnar corpus: random packets through
-//! pcap → `pcap2ltc` → `ColumnarSource` must reproduce the pcap decode
+//! pcap → `pcap2ltc` → `.ltc` read must reproduce the pcap decode
 //! record-for-record, and the detector must produce byte-identical output
 //! whether it ingests the pcap or the `.ltc` twin — on the backbone,
 //! ECMP, and truncated-snaplen pcap fixtures, at every block-parallel
@@ -13,10 +13,7 @@ use routing_loops::convert::{
     pcap_to_ltc, records_from_pcap, verify_ltc_against_pcap, write_tap_to_pcap, ConvertError,
     PAPER_SNAPLEN,
 };
-use routing_loops::corpus::{
-    open_ltc_source, records_from_ltc, records_from_ltc_mmap, records_from_ltc_mmap_parallel,
-    ColumnarSource, IngestMode,
-};
+use routing_loops::corpus::{open_ltc_source, records_from_ltc_with, IngestMode};
 use routing_loops::loopscope::pipeline::{
     LoopCsvSink, LoopJsonlSink, StreamCsvSink, StreamJsonlSink, SummaryCsvSink,
 };
@@ -83,6 +80,11 @@ fn sinks_from(source: &mut dyn RecordSource, engine: &mut dyn Engine) -> Vec<Vec
     ]
 }
 
+/// The serial buffered whole-file `.ltc` decode: the reference read.
+fn read_ltc(path: &Path) -> (Vec<routing_loops::loopscope::TraceRecord>, u64) {
+    records_from_ltc_with(path, 1, IngestMode::Buffered).expect("ltc")
+}
+
 fn open_pcap(path: &Path) -> PcapSource<std::io::BufReader<std::fs::File>> {
     let file = std::fs::File::open(path).expect("open pcap");
     PcapSource::new(std::io::BufReader::new(file)).expect("pcap header")
@@ -96,18 +98,21 @@ fn assert_pcap_ltc_parity(tag: &str, bytes: &[u8]) {
     verify_ltc_against_pcap(&ltc, &pcap, 2).expect("--verify contract");
 
     let (via_pcap, skipped_pcap) = records_from_pcap(std::io::Cursor::new(bytes)).expect("pcap");
-    let (via_ltc, skipped_ltc) = records_from_ltc(&ltc).expect("ltc");
+    let (via_ltc, skipped_ltc) = read_ltc(&ltc);
     assert_eq!(via_pcap, via_ltc, "{tag}: decoded records diverge");
     assert_eq!(skipped_pcap, skipped_ltc, "{tag}: skip counts diverge");
     // The mapped reader is the default ingest path; it must reproduce the
-    // buffered decode bit for bit at every worker count.
-    let (mapped, skipped_mapped) = records_from_ltc_mmap(&ltc).expect("mmap ltc");
-    assert_eq!(mapped, via_ltc, "{tag}: mapped ltc read diverges");
-    assert_eq!(skipped_mapped, skipped_ltc);
-    for threads in [1, 2, 4, 8] {
-        let (par, s) = records_from_ltc_mmap_parallel(&ltc, threads).expect("mmap parallel ltc");
-        assert_eq!(par, via_ltc, "{tag}: mapped ltc read at {threads} threads");
-        assert_eq!(s, skipped_ltc);
+    // buffered decode bit for bit at every worker count, as must the
+    // buffered read fanned out.
+    for mode in [IngestMode::Mmap, IngestMode::Buffered] {
+        for threads in [1, 2, 4, 8] {
+            let (par, s) = records_from_ltc_with(&ltc, threads, mode).expect("ltc read");
+            assert_eq!(
+                par, via_ltc,
+                "{tag}: {mode:?} ltc read at {threads} threads"
+            );
+            assert_eq!(s, skipped_ltc);
+        }
     }
 
     let cfg = DetectorConfig::default();
@@ -124,7 +129,9 @@ fn assert_pcap_ltc_parity(tag: &str, bytes: &[u8]) {
         let name = make(threads).name();
         let a = run_from(&mut open_pcap(&pcap), make(threads).as_mut());
         let b = run_from(
-            &mut ColumnarSource::open(&ltc).expect("open ltc"),
+            open_ltc_source(&ltc, IngestMode::Buffered)
+                .expect("open ltc")
+                .as_mut(),
             make(threads).as_mut(),
         );
         let c = run_from(
@@ -144,7 +151,9 @@ fn assert_pcap_ltc_parity(tag: &str, bytes: &[u8]) {
 
         let sa = sinks_from(&mut open_pcap(&pcap), make(threads).as_mut());
         let sb = sinks_from(
-            &mut ColumnarSource::open(&ltc).expect("open ltc"),
+            open_ltc_source(&ltc, IngestMode::Buffered)
+                .expect("open ltc")
+                .as_mut(),
             make(threads).as_mut(),
         );
         let sc = sinks_from(
@@ -221,7 +230,7 @@ proptest! {
         verify_ltc_against_pcap(&ltc, &pcap, 2).expect("--verify contract");
         let (via_pcap, skipped_pcap) =
             records_from_pcap(std::io::Cursor::new(&bytes[..])).expect("pcap");
-        let (via_ltc, skipped_ltc) = records_from_ltc(&ltc).expect("ltc");
+        let (via_ltc, skipped_ltc) = read_ltc(&ltc);
         prop_assert_eq!(&via_pcap, &via_ltc, "decoded records diverge");
         prop_assert_eq!(skipped_pcap, skipped_ltc, "skip counts diverge");
         remove(&[&pcap, &ltc]);
@@ -239,7 +248,7 @@ fn block_boundary_sizes_roundtrip() {
         let bytes = pcap_bytes(&specs, 64);
         let (pcap, ltc) = convert_bytes(&format!("block_{n}"), &bytes);
         let (via_pcap, _) = records_from_pcap(std::io::Cursor::new(&bytes[..])).expect("pcap");
-        let (via_ltc, _) = records_from_ltc(&ltc).expect("ltc");
+        let (via_ltc, _) = read_ltc(&ltc);
         assert_eq!(via_pcap.len(), n);
         assert_eq!(via_pcap, via_ltc, "{n}-record corpus diverges");
         remove(&[&pcap, &ltc]);
