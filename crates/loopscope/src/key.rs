@@ -42,6 +42,7 @@ pub struct ReplicaKey {
 
 impl ReplicaKey {
     /// Extracts the key from a record.
+    #[inline]
     pub fn of(rec: &TraceRecord) -> Self {
         Self {
             src: rec.src,
@@ -71,6 +72,7 @@ impl ReplicaKey {
     /// The mixer is the same multiply-rotate Fx scheme as
     /// [`crate::fxhash`], folded over hand-packed words so the whole key
     /// costs five multiplies.
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
         let mut h = fp_mix(
             0,

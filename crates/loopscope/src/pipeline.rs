@@ -11,8 +11,8 @@
 //! ```
 //!
 //! * A [`RecordSource`] yields timestamp-ordered [`TraceRecord`] batches:
-//!   an in-memory slice ([`SliceSource`]) or a pcap stream decoded through
-//!   the zero-alloc [`pcaplib::PcapReader::read_into`] path
+//!   an in-memory slice ([`SliceSource`]) or a pcap stream whose records
+//!   are decoded where they lie in the reader's block
 //!   ([`PcapSource`], whose [`PcapSource::for_each_record`] is the one
 //!   pcap decode loop — every other pcap reader runs it too).
 //!   `.ltc` corpora plug in through the `corpus` crate's source, and
@@ -252,9 +252,10 @@ impl RecordSource for SliceSource<'_> {
     }
 }
 
-/// A source decoding a pcap stream through the zero-alloc
-/// [`pcaplib::PcapReader::read_into`] path. Unparseable records (non-IPv4
-/// link noise) are skipped and counted in the [`SourceSummary`].
+/// A source decoding a pcap stream record by record where it lies in the
+/// reader's block ([`pcaplib::PcapReader::next_record`]), with no copy
+/// and no allocation. Unparseable records (non-IPv4 link noise) are
+/// skipped and counted in the [`SourceSummary`].
 ///
 /// [`PcapSource::for_each_record`] is the only pcap decode loop in the
 /// tree: the batched pipeline source, the root crate's whole-file
@@ -287,17 +288,16 @@ impl<R: std::io::Read> PcapSource<R> {
         &mut self,
         mut on_record: impl FnMut(TraceRecord) -> Result<(), E>,
     ) -> Result<(), E> {
-        // One reusable buffer for the whole pass, and `from_wire_bytes`
-        // parses the borrowed capture without copying it.
-        let mut buf = pcaplib::RecordBuf::new();
+        // `from_wire_bytes` parses each capture where the reader lends it,
+        // in its block buffer, without copying it.
         let mut skipped = 0u64;
         let result = loop {
-            match self.reader.read_into(&mut buf) {
-                Ok(true) => {}
-                Ok(false) => break Ok(()),
+            let captured = match self.reader.next_record() {
+                Ok(Some(captured)) => captured,
+                Ok(None) => break Ok(()),
                 Err(e) => break Err(E::from(e)),
-            }
-            match TraceRecord::from_wire_bytes(buf.timestamp_ns(), buf.data()) {
+            };
+            match TraceRecord::from_wire_bytes(captured.timestamp_ns, captured.data) {
                 Ok(rec) => {
                     if let Err(e) = on_record(rec) {
                         break Err(e);

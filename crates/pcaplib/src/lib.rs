@@ -15,13 +15,14 @@
 //! Timestamps are surfaced as `u64` nanoseconds since the trace epoch, the
 //! time unit used across the workspace.
 //!
-//! Scanning is allocation-free: [`PcapReader::read_into`] reuses a caller-
-//! owned [`RecordBuf`] whose inline storage covers the 40-byte snap
-//! length, so a full-trace pass performs O(1) heap allocations total.
-//! [`PcapReader::next_packet`] is the owned-copy convenience layer on top.
+//! Scanning is zero-copy and allocation-free: [`PcapReader::next_record`]
+//! lends each record as a [`RecordRef`] borrowed from the reader's block
+//! buffer, where it lies, so a full-trace pass copies no record and
+//! performs O(1) heap allocations total. [`PcapReader::next_packet`] is the
+//! owned-copy convenience layer over the same loop.
 //!
 //! ```
-//! use pcaplib::{FileHeader, PcapReader, PcapWriter, RecordBuf};
+//! use pcaplib::{FileHeader, PcapReader, PcapWriter};
 //! use std::io::Cursor;
 //!
 //! let mut writer = PcapWriter::new(Vec::new(), FileHeader::raw_ip(40)).unwrap();
@@ -29,13 +30,12 @@
 //! let file = writer.finish().unwrap();
 //!
 //! let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-//! let mut rec = RecordBuf::new();
-//! assert!(reader.read_into(&mut rec).unwrap());
-//! assert_eq!(rec.timestamp_ns(), 1_000_000_500);
-//! assert_eq!(rec.data().len(), 40);
-//! assert_eq!(rec.orig_len(), 60);
+//! let rec = reader.next_record().unwrap().expect("one record");
+//! assert_eq!(rec.timestamp_ns, 1_000_000_500);
+//! assert_eq!(rec.data.len(), 40);
+//! assert_eq!(rec.orig_len, 60);
 //! assert!(rec.is_truncated());
-//! assert!(!reader.read_into(&mut rec).unwrap()); // clean EOF
+//! assert!(reader.next_record().unwrap().is_none()); // clean EOF
 //! ```
 
 pub mod format;
@@ -44,7 +44,7 @@ pub mod split;
 pub mod writer;
 
 pub use format::{FileHeader, LinkType, PcapError, RecordHeader, TsResolution};
-pub use reader::{PcapReader, ReadCounts, RecordBuf, INLINE_RECORD_CAP, PUBLISH_EVERY};
+pub use reader::{PcapReader, ReadCounts, RecordRef, PUBLISH_EVERY};
 pub use split::split_ranges;
 pub use writer::PcapWriter;
 

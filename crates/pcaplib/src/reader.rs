@@ -1,19 +1,18 @@
 //! Streaming pcap reader.
 //!
-//! Two read paths share one block-buffered core:
-//!
-//! * [`PcapReader::read_into`] — the zero-allocation path. The caller owns
-//!   a reusable [`RecordBuf`] whose inline storage covers any sane snap
-//!   length (the paper's traces are 40-byte captures); scanning a full
-//!   trace performs **no per-record heap allocations**, which
-//!   `tests/zero_alloc.rs` enforces with a counting allocator.
-//! * [`PcapReader::next_packet`] — the convenience path, which copies the
-//!   record into an owned [`CapturedPacket`]. Same parsing, one `Vec`
-//!   allocation per record.
-//!
-//! The source is consumed through a fixed block buffer (one `read`
-//! syscall per `BLOCK_LEN` bytes rather than two per record), so both
-//! paths are fast even over unbuffered files.
+//! One framing loop, [`PcapReader::next_record`], reads every record.
+//! The source is consumed into one block buffer (one `read` syscall per
+//! `BLOCK_LEN` bytes rather than two per record), and each record is
+//! handed out as a [`RecordRef`] borrowed from that block, where it lies:
+//! no record header or body is copied. When a record runs past the
+//! filled part of the block, the reader moves the unread tail to the
+//! front and refills the rest; a record larger than the block grows it,
+//! after the header checks have capped its length at 256 KiB
+//! (`MAX_SANE_CAPLEN`). Scanning a trace therefore performs **no
+//! per-record heap allocations** once the block holds the largest
+//! record, which `tests/zero_alloc.rs` enforces with a counting
+//! allocator. [`PcapReader::next_packet`] (and the [`Iterator`] impl) is
+//! a thin owned copy over the same loop: one `Vec` per record.
 //!
 //! Readers on different threads share the process-wide counters, so a
 //! reader counts records and truncations locally and adds them to
@@ -72,94 +71,40 @@ impl ReadCounts {
 /// Bytes read from the source per refill of the internal block buffer.
 const BLOCK_LEN: usize = 64 * 1024;
 
-/// Captured bytes held inline in a [`RecordBuf`] before spilling to its
-/// heap buffer. Sized to cover the paper's 40-byte snap length (and any
-/// header-only capture) with slack.
-pub const INLINE_RECORD_CAP: usize = 64;
-
-/// A reusable record buffer for the zero-allocation read path.
-///
-/// Captures of up to [`INLINE_RECORD_CAP`] bytes land in a fixed inline
-/// array; longer records spill into an internal `Vec` whose capacity is
-/// retained across records, so even the spill path stops allocating after
-/// the largest record has been seen once.
-///
-/// Contents are only meaningful after a [`PcapReader::read_into`] call
-/// that returned `Ok(true)`; a failed read leaves the buffer unspecified.
-#[derive(Debug, Clone)]
-pub struct RecordBuf {
-    timestamp_ns: u64,
-    orig_len: u32,
-    len: u32,
-    inline: [u8; INLINE_RECORD_CAP],
-    spill: Vec<u8>,
+/// One record as it lies in the reader's block buffer: borrowed until the
+/// next read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Nanoseconds since the trace epoch.
+    pub timestamp_ns: u64,
+    /// Original on-the-wire length.
+    pub orig_len: u32,
+    /// The captured bytes (`len() <= orig_len`).
+    pub data: &'a [u8],
 }
 
-impl RecordBuf {
-    /// An empty buffer; no heap allocation until a record spills past
-    /// [`INLINE_RECORD_CAP`] bytes.
-    pub fn new() -> Self {
-        Self {
-            timestamp_ns: 0,
-            orig_len: 0,
-            len: 0,
-            inline: [0u8; INLINE_RECORD_CAP],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Nanoseconds since the trace epoch of the last record read.
-    pub fn timestamp_ns(&self) -> u64 {
-        self.timestamp_ns
-    }
-
-    /// Original on-the-wire length of the last record read.
-    pub fn orig_len(&self) -> u32 {
-        self.orig_len
-    }
-
-    /// The captured bytes of the last record read.
-    pub fn data(&self) -> &[u8] {
-        let n = self.len as usize;
-        if n <= INLINE_RECORD_CAP {
-            &self.inline[..n]
-        } else {
-            &self.spill[..n]
-        }
-    }
-
+impl RecordRef<'_> {
     /// True when the capture was cut short by the snap length.
     pub fn is_truncated(&self) -> bool {
-        self.len < self.orig_len
+        (self.data.len() as u32) < self.orig_len
     }
 
-    /// True when the last record was too large for the inline array and
-    /// lives in the spill buffer.
-    pub fn is_spilled(&self) -> bool {
-        self.len as usize > INLINE_RECORD_CAP
-    }
-
-    /// Copies the buffer out into an owned [`CapturedPacket`].
+    /// Copies the record out into an owned [`CapturedPacket`].
     pub fn to_packet(&self) -> CapturedPacket {
         CapturedPacket {
             timestamp_ns: self.timestamp_ns,
             orig_len: self.orig_len,
-            data: self.data().to_vec(),
+            data: self.data.to_vec(),
         }
-    }
-}
-
-impl Default for RecordBuf {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 /// Reads a classic pcap file from any [`Read`] source.
 ///
-/// Iterate allocation-free with [`PcapReader::read_into`], or via
-/// [`PcapReader::next_packet`] / the [`Iterator`] impl (which yield owned
-/// packets).
+/// Iterate allocation-free with [`PcapReader::next_record`], which lends
+/// each record where it lies in the block buffer, or via
+/// [`PcapReader::next_packet`] / the [`Iterator`] impl, which copy it into
+/// an owned packet.
 pub struct PcapReader<R: Read> {
     source: R,
     header: FileHeader,
@@ -169,8 +114,9 @@ pub struct PcapReader<R: Read> {
     /// Whether the counts wait for [`PcapReader::take_counts`] instead of
     /// being published as they accrue.
     deferred: bool,
-    /// Block buffer: `block[pos..filled]` is unconsumed source data.
-    block: Box<[u8]>,
+    /// Block buffer: `block[pos..filled]` is unconsumed source data. At
+    /// least [`BLOCK_LEN`] bytes, grown to hold the largest record seen.
+    block: Vec<u8>,
     pos: usize,
     filled: usize,
 }
@@ -202,7 +148,7 @@ impl<R: Read> PcapReader<R> {
             records_read: 0,
             unpublished: ReadCounts::default(),
             deferred,
-            block: vec![0u8; BLOCK_LEN].into_boxed_slice(),
+            block: vec![0u8; BLOCK_LEN],
             pos: 0,
             filled: 0,
         }
@@ -230,68 +176,40 @@ impl<R: Read> PcapReader<R> {
         self.records_read
     }
 
-    /// Copies up to `out.len()` bytes out of the block buffer, refilling
-    /// it from the source as needed. Returns the bytes copied — short only
-    /// at end-of-file.
-    fn read_from_block(&mut self, out: &mut [u8]) -> Result<usize, PcapError> {
-        let mut copied = 0;
-        while copied < out.len() {
-            if self.pos == self.filled {
-                let n = self.source.read(&mut self.block)?;
-                if n == 0 {
-                    return Ok(copied);
-                }
-                self.pos = 0;
-                self.filled = n;
-            }
-            let take = (out.len() - copied).min(self.filled - self.pos);
-            out[copied..copied + take].copy_from_slice(&self.block[self.pos..self.pos + take]);
-            self.pos += take;
-            copied += take;
-        }
-        Ok(copied)
-    }
-
-    /// Reads the next record into `buf`, reusing its storage; `Ok(false)`
-    /// at clean end-of-file. This is the zero-allocation scan path: with
-    /// captures at or below [`INLINE_RECORD_CAP`] bytes nothing touches
-    /// the heap, and oversize records reuse `buf`'s spill capacity.
+    /// Reads the next record, borrowed from the block buffer until the
+    /// next read; `Ok(None)` at clean end-of-file. This is the one framing
+    /// loop: the record header and body are read where they lie, and
+    /// nothing touches the heap unless a record outgrows the block.
     ///
     /// A partial record header at EOF is reported as corruption, not EOF —
     /// a trace cut off mid-record should never be silently accepted.
     // Inlined into the callers' per-record loops: left to the compiler,
-    // `loopmond` called it out of line and used about 3% more CPU.
+    // `loopmond` called the reader out of line and used about 3% more CPU.
     #[inline]
-    pub fn read_into(&mut self, buf: &mut RecordBuf) -> Result<bool, PcapError> {
-        let mut hdr_buf = [0u8; RECORD_HEADER_LEN];
-        let got = self.read_from_block(&mut hdr_buf)?;
-        if got == 0 {
-            self.publish_counts();
-            return Ok(false);
+    pub fn next_record(&mut self) -> Result<Option<RecordRef<'_>>, PcapError> {
+        if self.filled - self.pos < RECORD_HEADER_LEN && !self.refill(RECORD_HEADER_LEN)? {
+            if self.pos == self.filled {
+                self.publish_counts();
+                return Ok(None);
+            }
+            return Err(self.malformed(PcapError::Corrupt("EOF inside record header"), true));
         }
-        if got < RECORD_HEADER_LEN {
-            return Err(self.malformed(PcapError::Corrupt("EOF inside record header")));
-        }
-        let rec = RecordHeader::decode(&hdr_buf, self.header.swapped);
+        let raw = self.block[self.pos..self.pos + RECORD_HEADER_LEN]
+            .try_into()
+            .expect("16 bytes");
+        let rec = RecordHeader::decode(raw, self.header.swapped);
         if rec.incl_len > MAX_SANE_CAPLEN {
-            return Err(self.malformed(PcapError::OversizedRecord(rec.incl_len)));
+            return Err(self.malformed(PcapError::OversizedRecord(rec.incl_len), false));
         }
         if rec.incl_len > rec.orig_len {
-            return Err(self.malformed(PcapError::Corrupt("incl_len exceeds orig_len")));
+            return Err(self.malformed(PcapError::Corrupt("incl_len exceeds orig_len"), false));
         }
-        let n = rec.incl_len as usize;
-        let got = if n <= INLINE_RECORD_CAP {
-            self.read_from_block(&mut buf.inline[..n])?
-        } else {
-            buf.spill.resize(n, 0);
-            self.read_from_block(&mut buf.spill[..n])?
-        };
-        if got < n {
-            return Err(self.malformed(PcapError::Corrupt("EOF inside record body")));
+        let len = RECORD_HEADER_LEN + rec.incl_len as usize;
+        if self.filled - self.pos < len && !self.refill(len)? {
+            return Err(self.malformed(PcapError::Corrupt("EOF inside record body"), true));
         }
-        buf.timestamp_ns = rec.timestamp_ns(self.header.resolution);
-        buf.orig_len = rec.orig_len;
-        buf.len = rec.incl_len;
+        let body = self.pos + RECORD_HEADER_LEN;
+        self.pos += len;
         self.records_read += 1;
         self.unpublished.records += 1;
         if rec.incl_len < rec.orig_len {
@@ -300,13 +218,45 @@ impl<R: Read> PcapReader<R> {
         if self.unpublished.records == PUBLISH_EVERY {
             self.publish_counts();
         }
+        Ok(Some(RecordRef {
+            timestamp_ns: rec.timestamp_ns(self.header.resolution),
+            orig_len: rec.orig_len,
+            data: &self.block[body..self.pos],
+        }))
+    }
+
+    /// Makes `need` unread bytes available from `block[0..]`: moves the
+    /// unread tail to the front of the block, grows the block if it is
+    /// smaller than `need`, and reads from the source until `need` bytes
+    /// are there. `Ok(false)` when the source ends first.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, need: usize) -> Result<bool, PcapError> {
+        self.block.copy_within(self.pos..self.filled, 0);
+        self.filled -= self.pos;
+        self.pos = 0;
+        if self.block.len() < need {
+            self.block.resize(need, 0);
+        }
+        while self.filled < need {
+            match self.source.read(&mut self.block[self.filled..])? {
+                0 => return Ok(false),
+                n => self.filled += n,
+            }
+        }
         Ok(true)
     }
 
     /// Counts a framing error — published at once unless deferred — and
-    /// returns it.
+    /// returns it. The record's header is consumed, and with `at_eof` the
+    /// rest of the input too, so a further read goes on from there.
     #[cold]
-    fn malformed(&mut self, e: PcapError) -> PcapError {
+    fn malformed(&mut self, e: PcapError, at_eof: bool) -> PcapError {
+        self.pos = if at_eof {
+            self.filled
+        } else {
+            self.pos + RECORD_HEADER_LEN
+        };
         if self.deferred {
             self.unpublished.malformed += 1;
             return e;
@@ -331,16 +281,11 @@ impl<R: Read> PcapReader<R> {
         }
     }
 
-    /// Reads the next packet; `Ok(None)` at clean end-of-file.
-    ///
-    /// Same parsing and error semantics as [`PcapReader::read_into`], plus
-    /// one owned-`Vec` copy per record.
+    /// Reads the next packet; `Ok(None)` at clean end-of-file. An owned
+    /// copy over [`PcapReader::next_record`]: same parsing and errors, one
+    /// `Vec` allocation per record.
     pub fn next_packet(&mut self) -> Result<Option<CapturedPacket>, PcapError> {
-        let mut buf = RecordBuf::new();
-        if !self.read_into(&mut buf)? {
-            return Ok(None);
-        }
-        Ok(Some(buf.to_packet()))
+        Ok(self.next_record()?.map(|rec| rec.to_packet()))
     }
 
     /// Reads all remaining packets into a vector.
@@ -418,52 +363,239 @@ mod tests {
     }
 
     #[test]
-    fn read_into_reuses_one_buffer() {
+    fn next_record_lends_each_record_where_it_lies() {
         let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(40)).unwrap();
         for i in 0..10u8 {
             w.write_bytes(u64::from(i) * 1000, &[i; 40]).unwrap();
         }
         let file = w.finish().unwrap();
         let mut r = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut buf = RecordBuf::new();
         let mut count = 0u8;
-        while r.read_into(&mut buf).unwrap() {
-            assert_eq!(buf.timestamp_ns(), u64::from(count) * 1000);
-            assert_eq!(buf.data(), &vec![count; 40][..]);
-            assert!(!buf.is_spilled(), "40-byte captures stay inline");
-            assert!(!buf.is_truncated());
+        while let Some(rec) = r.next_record().unwrap() {
+            assert_eq!(rec.timestamp_ns, u64::from(count) * 1000);
+            assert_eq!(rec.data, &[count; 40][..]);
+            assert!(!rec.is_truncated());
             count += 1;
         }
         assert_eq!(count, 10);
         assert_eq!(r.records_read(), 10);
+        assert_eq!(
+            r.block.len(),
+            BLOCK_LEN,
+            "40-byte captures never grow the block"
+        );
+    }
+
+    /// A source that hands out at most `step` bytes per read, so the
+    /// reader's refills fall at every offset.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// What one pass over a record area made of it: the records, the
+    /// counts, and how it ended (the error text and whether it ended
+    /// inside a record).
+    #[derive(Debug, PartialEq)]
+    struct Pass {
+        records: Vec<CapturedPacket>,
+        counts: ReadCounts,
+        end: Option<(String, bool)>,
+    }
+
+    /// A resumed reader's pass over a record area, and its block's length
+    /// afterwards.
+    fn pass(source: impl Read) -> (Pass, usize) {
+        let mut r = PcapReader::resume(source, FileHeader::raw_ip(65535));
+        let mut records = Vec::new();
+        let end = loop {
+            match r.next_record() {
+                Ok(Some(rec)) => records.push(rec.to_packet()),
+                Ok(None) => break None,
+                Err(e) => break Some((e.to_string(), e.is_eof_inside_record())),
+            }
+        };
+        let counts = r.take_counts();
+        (
+            Pass {
+                records,
+                counts,
+                end,
+            },
+            r.block.len(),
+        )
+    }
+
+    /// The reference reading: `area` walked header by header in one
+    /// slice, with no block and no refill.
+    fn walk(area: &[u8]) -> Pass {
+        let (mut records, mut counts, mut at) = (Vec::new(), ReadCounts::default(), 0);
+        let end = loop {
+            let rest = &area[at..];
+            if rest.is_empty() {
+                break None;
+            }
+            let Some(raw) = rest.first_chunk::<RECORD_HEADER_LEN>() else {
+                break Some(PcapError::Corrupt("EOF inside record header"));
+            };
+            let rec = RecordHeader::decode(raw, false);
+            if rec.incl_len > MAX_SANE_CAPLEN {
+                break Some(PcapError::OversizedRecord(rec.incl_len));
+            }
+            if rec.incl_len > rec.orig_len {
+                break Some(PcapError::Corrupt("incl_len exceeds orig_len"));
+            }
+            let Some(data) = rest[RECORD_HEADER_LEN..].get(..rec.incl_len as usize) else {
+                break Some(PcapError::Corrupt("EOF inside record body"));
+            };
+            records.push(CapturedPacket {
+                timestamp_ns: rec.timestamp_ns(TsResolution::Nano),
+                orig_len: rec.orig_len,
+                data: data.to_vec(),
+            });
+            counts.records += 1;
+            counts.truncated += u64::from(rec.incl_len < rec.orig_len);
+            at += RECORD_HEADER_LEN + data.len();
+        };
+        counts.malformed = u64::from(end.is_some());
+        Pass {
+            records,
+            counts,
+            end: end.map(|e| (e.to_string(), e.is_eof_inside_record())),
+        }
+    }
+
+    /// A record area of records with bodies of `lens` bytes; every other
+    /// one is a capture of a 20-byte longer packet.
+    fn record_area(lens: &[usize]) -> Vec<u8> {
+        let mut area = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let orig_len = len as u32 + 20 * (i as u32 % 2);
+            area.extend(
+                RecordHeader {
+                    ts_sec: i as u32,
+                    ts_frac: 7,
+                    incl_len: len as u32,
+                    orig_len,
+                }
+                .encode(),
+            );
+            area.extend((0..len).map(|j| (i + j) as u8));
+        }
+        area
+    }
+
+    /// Reads `area` with refills at every offset (`step`-byte source
+    /// reads) and asserts each pass matches the walk. Returns the walk
+    /// and the largest block any pass grew.
+    fn assert_reads_like_the_walk(area: &[u8], what: &str) -> (Pass, usize) {
+        let want = walk(area);
+        let mut block = 0;
+        for step in [1, 7, 16, 17, 4096, BLOCK_LEN, usize::MAX] {
+            let (got, len) = pass(Trickle { bytes: area, step });
+            assert!(got == want, "{what}, {step}-byte reads: {:?}", got.end);
+            block = block.max(len);
+        }
+        (want, block)
     }
 
     #[test]
-    fn read_into_spill_path_and_inline_return() {
-        // Oversize record (spills), then a small one (back inline): the
-        // data() view must track the active storage, not stale spill
-        // bytes.
-        let mut w = PcapWriter::new(Vec::new(), FileHeader::raw_ip(4096)).unwrap();
-        w.write_bytes(1, &[0xaa; 300]).unwrap();
-        w.write_bytes(2, &[0xbb; 8]).unwrap();
-        w.write_bytes(3, &[0xcc; INLINE_RECORD_CAP + 1]).unwrap();
-        let file = w.finish().unwrap();
-        let mut r = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut buf = RecordBuf::new();
+    fn records_straddling_a_refill_read_like_the_walk() {
+        // A lead record of `shift` bytes puts the 56-byte records after it
+        // across the block edge at every phase: header split, body split,
+        // or a record ending exactly on it.
+        for shift in 0..56 {
+            let lens: Vec<usize> = [shift].into_iter().chain([40; 1300]).collect();
+            let area = record_area(&lens);
+            let (want, block) = assert_reads_like_the_walk(&area, &format!("shift {shift}"));
+            assert_eq!(want.records.len(), 1301);
+            assert_eq!(want.end, None);
+            assert_eq!(
+                block, BLOCK_LEN,
+                "shift {shift}: no record outgrows the block"
+            );
+        }
+    }
 
-        assert!(r.read_into(&mut buf).unwrap());
-        assert!(buf.is_spilled());
-        assert_eq!(buf.data(), &vec![0xaa; 300][..]);
+    #[test]
+    fn records_larger_than_the_block_grow_it_up_to_the_cap() {
+        let cap = MAX_SANE_CAPLEN as usize;
+        let lens = [
+            40,
+            BLOCK_LEN - RECORD_HEADER_LEN,
+            BLOCK_LEN - RECORD_HEADER_LEN + 1,
+            40,
+            BLOCK_LEN + 1,
+            3 * BLOCK_LEN,
+            cap,
+            40,
+        ];
+        let (want, block) = assert_reads_like_the_walk(&record_area(&lens), "oversize records");
+        assert_eq!(want.records.len(), lens.len());
+        assert_eq!(
+            block,
+            RECORD_HEADER_LEN + cap,
+            "grown to the largest record"
+        );
 
-        assert!(r.read_into(&mut buf).unwrap());
-        assert!(!buf.is_spilled());
-        assert_eq!(buf.data(), &vec![0xbb; 8][..]);
+        // One byte past the cap is refused from its header, before any
+        // growth, and with no body in the input at all.
+        let mut area = record_area(&[40]);
+        area.extend(
+            RecordHeader {
+                ts_sec: 9,
+                ts_frac: 0,
+                incl_len: MAX_SANE_CAPLEN + 1,
+                orig_len: MAX_SANE_CAPLEN + 1,
+            }
+            .encode(),
+        );
+        let (want, block) = assert_reads_like_the_walk(&area, "past the cap");
+        let oversized = PcapError::OversizedRecord(MAX_SANE_CAPLEN + 1).to_string();
+        assert_eq!(want.end, Some((oversized, false)));
+        assert_eq!(block, BLOCK_LEN, "a refused record grows nothing");
+    }
 
-        assert!(r.read_into(&mut buf).unwrap());
-        assert!(buf.is_spilled(), "one past the inline cap must spill");
-        assert_eq!(buf.data(), &vec![0xcc; INLINE_RECORD_CAP + 1][..]);
-
-        assert!(!r.read_into(&mut buf).unwrap());
+    #[test]
+    fn eof_inside_a_record_exactly_at_a_refill() {
+        // 1170 56-byte records and an empty one fill the first block
+        // exactly, so a cut at `BLOCK_LEN + k` ends the input `k` bytes
+        // after the first refill begins.
+        let lens: Vec<usize> = [40; 1170].into_iter().chain([0, 40, 40]).collect();
+        let area = record_area(&lens);
+        assert_eq!(area.len(), BLOCK_LEN + 2 * 56);
+        let header = "corrupt pcap file: EOF inside record header";
+        let body = "corrupt pcap file: EOF inside record body";
+        for (cut, records, end) in [
+            (BLOCK_LEN, 1171, None),
+            (BLOCK_LEN + 1, 1171, Some(header)),
+            (BLOCK_LEN + 15, 1171, Some(header)),
+            (BLOCK_LEN + 16, 1171, Some(body)),
+            (BLOCK_LEN + 55, 1171, Some(body)),
+            (BLOCK_LEN + 56, 1172, None),
+        ] {
+            let (want, _) = assert_reads_like_the_walk(&area[..cut], &format!("cut {cut}"));
+            assert_eq!(want.records.len(), records, "cut {cut}");
+            assert_eq!(want.end, end.map(|e| (e.to_string(), true)), "cut {cut}");
+        }
+        // A header and then a body split by the block edge, each cut
+        // there: the refill that would complete the record finds EOF.
+        for (lead, end) in [(5, header), (16, body), (17, body)] {
+            let lens: Vec<usize> = [BLOCK_LEN - RECORD_HEADER_LEN - lead, 40].to_vec();
+            let area = record_area(&lens);
+            let (want, _) = assert_reads_like_the_walk(&area[..BLOCK_LEN], "split cut");
+            assert_eq!(want.records.len(), 1);
+            assert_eq!(want.end, Some((end.to_string(), true)), "lead {lead}");
+        }
     }
 
     #[test]
@@ -504,12 +636,11 @@ mod tests {
         let mut buf = w.finish().unwrap();
         buf.truncate(buf.len() - 7); // cut into the last record's body
         let mut r = PcapReader::new(Cursor::new(buf)).unwrap();
-        let mut rec = RecordBuf::new();
         for _ in 0..199 {
-            assert!(r.read_into(&mut rec).unwrap());
+            assert!(r.next_record().unwrap().is_some());
         }
         assert!(matches!(
-            r.read_into(&mut rec),
+            r.next_record(),
             Err(PcapError::Corrupt("EOF inside record body"))
         ));
         assert_eq!(r.records_read(), 199);
@@ -527,8 +658,7 @@ mod tests {
         let body = file[crate::format::FILE_HEADER_LEN..].to_vec();
         let mut r = PcapReader::resume(Cursor::new(body), FileHeader::raw_ip(40));
         assert!(r.defers_counts());
-        let mut buf = RecordBuf::new();
-        while r.read_into(&mut buf).is_ok_and(|more| more) {}
+        while r.next_record().is_ok_and(|rec| rec.is_some()) {}
         let want = ReadCounts {
             records: 9,
             truncated: 5,

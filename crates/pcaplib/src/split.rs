@@ -31,8 +31,8 @@
 //! never correctness.
 //!
 //! Each range is consumed by a [`PcapReader::resume`] reader positioned
-//! at the range start with the already-decoded file header, so the
-//! zero-alloc `read_into` path works unchanged mid-file.
+//! at the range start with the already-decoded file header, so the one
+//! framing loop, [`PcapReader::next_record`], reads it unchanged mid-file.
 
 use crate::format::{FileHeader, RecordHeader, TsResolution, FILE_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::reader::MAX_SANE_CAPLEN;
@@ -133,7 +133,7 @@ fn chain_starts(bytes: &[u8], at_eof: bool, header: &FileHeader) -> bool {
 mod tests {
     use super::*;
     use crate::format::PcapError;
-    use crate::reader::{PcapReader, RecordBuf};
+    use crate::reader::PcapReader;
     use crate::writer::PcapWriter;
     use std::io::{Cursor, Read};
 
@@ -159,12 +159,11 @@ mod tests {
         let mut cur = Cursor::new(file);
         cur.set_position(lo);
         let mut r = PcapReader::resume(cur.take(hi - lo), FileHeader::raw_ip(65535));
-        let mut buf = RecordBuf::new();
         let mut ts = Vec::new();
         loop {
-            match r.read_into(&mut buf) {
-                Ok(true) => ts.push(buf.timestamp_ns()),
-                Ok(false) => return (ts, Ok(())),
+            match r.next_record() {
+                Ok(Some(rec)) => ts.push(rec.timestamp_ns),
+                Ok(None) => return (ts, Ok(())),
                 Err(e) => return (ts, Err(e)),
             }
         }

@@ -4,7 +4,7 @@
 //! count. This file holds exactly one test, so no sibling test thread
 //! moves the process-wide counters while it reads them.
 
-use pcaplib::{FileHeader, PcapReader, PcapWriter, RecordBuf, PUBLISH_EVERY};
+use pcaplib::{FileHeader, PcapReader, PcapWriter, PUBLISH_EVERY};
 use std::io::Cursor;
 
 /// `n` records under a 40-byte snap length; every other one is 60 bytes
@@ -31,9 +31,9 @@ fn moved(before: (u64, u64)) -> (u64, u64) {
     (now.0 - before.0, now.1 - before.1)
 }
 
-fn read_n(r: &mut PcapReader<Cursor<Vec<u8>>>, buf: &mut RecordBuf, n: u64) {
+fn read_n(r: &mut PcapReader<Cursor<Vec<u8>>>, n: u64) {
     for _ in 0..n {
-        assert!(r.read_into(buf).unwrap());
+        assert!(r.next_record().unwrap().is_some());
     }
 }
 
@@ -41,20 +41,19 @@ fn read_n(r: &mut PcapReader<Cursor<Vec<u8>>>, buf: &mut RecordBuf, n: u64) {
 fn counters_publish_in_batches_at_eof_and_on_drop() {
     let total = 2 * PUBLISH_EVERY + 100;
     let file = trace_of(total);
-    let mut buf = RecordBuf::new();
 
     // Batches: nothing until a full batch has been read, then exactly it.
     let before = counts();
     let mut r = PcapReader::new(Cursor::new(file.clone())).unwrap();
-    read_n(&mut r, &mut buf, PUBLISH_EVERY - 1);
+    read_n(&mut r, PUBLISH_EVERY - 1);
     assert_eq!(moved(before), (0, 0), "one record short of a batch");
-    read_n(&mut r, &mut buf, 1);
+    read_n(&mut r, 1);
     assert_eq!(moved(before), (PUBLISH_EVERY, PUBLISH_EVERY / 2));
-    read_n(&mut r, &mut buf, PUBLISH_EVERY - 1);
+    read_n(&mut r, PUBLISH_EVERY - 1);
     assert_eq!(moved(before), (PUBLISH_EVERY, PUBLISH_EVERY / 2));
 
     // End of file: exact, before the reader is dropped.
-    while r.read_into(&mut buf).unwrap() {}
+    while r.next_record().unwrap().is_some() {}
     assert_eq!(moved(before), (total, total / 2), "exact at EOF");
     drop(r);
     assert_eq!(moved(before), (total, total / 2), "drop adds nothing more");
@@ -62,7 +61,7 @@ fn counters_publish_in_batches_at_eof_and_on_drop() {
     // Dropped mid-file, mid-batch: every record returned is counted.
     let before = counts();
     let mut r = PcapReader::new(Cursor::new(file.clone())).unwrap();
-    read_n(&mut r, &mut buf, PUBLISH_EVERY + 7);
+    read_n(&mut r, PUBLISH_EVERY + 7);
     assert_eq!(moved(before), (PUBLISH_EVERY, PUBLISH_EVERY / 2));
     drop(r);
     assert_eq!(
@@ -77,8 +76,7 @@ fn counters_publish_in_batches_at_eof_and_on_drop() {
         for _ in 0..2 {
             s.spawn(|| {
                 let mut r = PcapReader::new(Cursor::new(file.clone())).unwrap();
-                let mut buf = RecordBuf::new();
-                while r.read_into(&mut buf).unwrap() {}
+                while r.next_record().unwrap().is_some() {}
             });
         }
     });

@@ -1,6 +1,6 @@
 //! Regression guard for the zero-allocation scan path: reading a
-//! 100 000-record trace through [`PcapReader::read_into`] must not touch
-//! the heap at all once the reader and record buffer exist.
+//! 100 000-record trace through [`PcapReader::next_record`] must not touch
+//! the heap at all once the reader exists.
 //!
 //! The guard is a counting [`GlobalAlloc`] wrapper around the system
 //! allocator. This file holds exactly one test so no sibling test thread
@@ -8,7 +8,7 @@
 //! telemetry counters are forced ahead of the measured window by a warm-up
 //! scan.
 
-use pcaplib::{FileHeader, PcapReader, PcapWriter, RecordBuf};
+use pcaplib::{FileHeader, PcapReader, PcapWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,14 +55,13 @@ fn trace_of(records: usize) -> Vec<u8> {
 
 fn scan(file: &[u8]) -> (u64, u64) {
     let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-    let mut buf = RecordBuf::new();
     let mut count = 0u64;
     let mut checksum = 0u64;
     let start = ALLOCATIONS.load(Ordering::Relaxed);
-    while reader.read_into(&mut buf).unwrap() {
+    while let Some(rec) = reader.next_record().unwrap() {
         count += 1;
         // Touch the bytes so the read cannot be optimised away.
-        checksum = checksum.wrapping_add(u64::from(buf.data()[0]));
+        checksum = checksum.wrapping_add(u64::from(rec.data[0]));
     }
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - start;
     assert!(checksum > 0);

@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh            # tests + lint (everything below)
 #   scripts/check.sh --quick    # release build + tier-1 tests only
-#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + engine/corpus/monitor smoke
+#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + pcap fuzz + engine/corpus/monitor smoke
 #   scripts/check.sh --lint     # rustfmt --check + clippy -D warnings
 #   scripts/check.sh --bench    # bench gate: determinism + per-core speedup floors
 #   scripts/check.sh --observe  # observability smoke: metrics JSONL + trace
@@ -47,6 +47,15 @@ run_build_and_tier1() {
 run_workspace_tests() {
     banner "cargo test --workspace -q"
     cargo test --workspace -q
+}
+
+run_pcap_fuzz() {
+    banner "pcap fuzz: 2,000 fixed-seed mutants through every pcap entry point (release)"
+    # The workspace tests run 40 mutants in debug; this is the larger
+    # budget of the same fuzz (bit flips, truncations around the reader's
+    # block edge, splices, record swaps, incl_len/orig_len rewrites past
+    # the cap), a few seconds in release.
+    cargo test -q --release -p loopscope --test pcap_fuzz -- --ignored
 }
 
 run_lint() {
@@ -332,12 +341,12 @@ run_observability_smoke() {
 
 case "$mode" in
     quick) run_build_and_tier1 ;;
-    tests) run_build_and_tier1; run_workspace_tests; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
+    tests) run_build_and_tier1; run_workspace_tests; run_pcap_fuzz; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
     lint)  run_lint ;;
     bench) run_bench_smoke ;;
     observe) run_observability_smoke ;;
     offline) run_offline_build ;;
-    full)  run_build_and_tier1; run_workspace_tests; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
+    full)  run_build_and_tier1; run_workspace_tests; run_pcap_fuzz; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
 esac
 
 banner "OK"

@@ -1,13 +1,13 @@
-//! Property test: the zero-allocation inline record path
-//! ([`pcaplib::PcapReader::read_into`]) yields byte-for-byte the same
-//! captures — and hence the same detector [`TraceRecord`]s — as the
-//! legacy owned-`Vec` path ([`pcaplib::PcapReader::next_packet`]), across
-//! random snap lengths and TCP/UDP/ICMP/opaque packets, including
-//! captures past the inline threshold that exercise the spill buffer.
+//! Property test: the in-place record path
+//! ([`pcaplib::PcapReader::next_record`], each record borrowed from the
+//! reader's block) yields byte-for-byte the same captures — and hence the
+//! same detector [`TraceRecord`]s — as the owned-`Vec` path
+//! ([`pcaplib::PcapReader::next_packet`]), across random snap lengths and
+//! TCP/UDP/ICMP/opaque packets.
 
 use loopscope::TraceRecord;
 use net_types::{IcmpHeader, IpProtocol, Packet, TcpFlags, UdpHeader};
-use pcaplib::{FileHeader, PcapReader, PcapWriter, RecordBuf, INLINE_RECORD_CAP};
+use pcaplib::{FileHeader, PcapReader, PcapWriter};
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::net::Ipv4Addr;
@@ -53,41 +53,30 @@ proptest! {
         }
         let file = w.finish().unwrap();
 
-        // Legacy path: owned Vec per record.
-        let mut legacy = PcapReader::new(Cursor::new(&file[..])).unwrap();
-        let owned = legacy.read_all().unwrap();
+        // Owned path: one Vec per record.
+        let mut owned_reader = PcapReader::new(Cursor::new(&file[..])).unwrap();
+        let owned = owned_reader.read_all().unwrap();
         prop_assert_eq!(owned.len(), specs.len());
 
-        // Zero-alloc path: one reusable buffer.
-        let mut fast = PcapReader::new(Cursor::new(&file[..])).unwrap();
-        let mut buf = RecordBuf::new();
-        let mut spilled_any = false;
+        // In-place path: each record borrowed from the block.
+        let mut in_place = PcapReader::new(Cursor::new(&file[..])).unwrap();
         for cap in &owned {
-            prop_assert!(fast.read_into(&mut buf).unwrap());
-            prop_assert_eq!(buf.timestamp_ns(), cap.timestamp_ns);
-            prop_assert_eq!(buf.orig_len(), cap.orig_len);
-            prop_assert_eq!(buf.data(), cap.data.as_slice());
-            prop_assert_eq!(buf.is_truncated(), cap.is_truncated());
-            spilled_any |= buf.is_spilled();
+            let rec = in_place.next_record().unwrap().expect("both paths hold the record");
+            prop_assert_eq!(rec.timestamp_ns, cap.timestamp_ns);
+            prop_assert_eq!(rec.orig_len, cap.orig_len);
+            prop_assert_eq!(rec.data, cap.data.as_slice());
+            prop_assert_eq!(rec.is_truncated(), cap.is_truncated());
 
             // Detector view: both paths parse to the identical TraceRecord
             // (or fail identically on captures too short to parse).
             let via_vec = TraceRecord::from_wire_bytes(cap.timestamp_ns, &cap.data);
-            let via_inline = TraceRecord::from_wire_bytes(buf.timestamp_ns(), buf.data());
-            match (via_vec, via_inline) {
+            let via_block = TraceRecord::from_wire_bytes(rec.timestamp_ns, rec.data);
+            match (via_vec, via_block) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(_), Err(_)) => {}
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "paths diverged: {:?} vs {:?}", a, b),
             }
         }
-        prop_assert!(!fast.read_into(&mut buf).unwrap(), "both paths end together");
-
-        // Sanity: with a snap length past the inline cap the generator
-        // must actually exercise the spill path sometimes.
-        if snaplen as usize > INLINE_RECORD_CAP
-            && owned.iter().any(|c| c.data.len() > INLINE_RECORD_CAP)
-        {
-            prop_assert!(spilled_any);
-        }
+        prop_assert!(in_place.next_record().unwrap().is_none(), "both paths end together");
     }
 }
