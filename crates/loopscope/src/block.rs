@@ -61,11 +61,11 @@
 //! trace: the looped sightings and two gaps of traffic per range. The
 //! scanner finds the recurring records as it goes, at no cost on its
 //! first-sighting path: a level-0 hit reports the record and the seed it
-//! hit, a sighting of a key with an open candidate reports itself and
-//! that candidate's first sighting (`ScanObserver::recurred`; a
-//! fingerprint collision or a seed up to two gaps old reports more than
-//! needed, which costs memory, not exactness). Whatever is still a lone
-//! sighting at the range's end completes the tail window.
+//! hit, and every sighting that reaches the exact map reports itself
+//! (`ScanObserver::recurred`; a fingerprint collision or a seed up to two
+//! gaps old reports more than needed, which costs memory, not
+//! exactness). Whatever is still a lone sighting at the range's end
+//! completes the tail window.
 //!
 //! * The affected set is exact: a boundary's head and tail windows lie
 //!   inside the head and tail windows of the ranges around it. `[T, L +
@@ -668,10 +668,21 @@ impl BlockParallelDetector {
                 .iter()
                 .filter(|fp| !affected.contains(fp))
                 .count() as u64;
+            // A candidate's fingerprint is its records' (one key, one
+            // fingerprint), read off its first record, which the range
+            // kept: the scanner reports every sighting of a candidate with
+            // two or more as recurring.
+            let kept = &range.kept;
+            let unaffected = |c: &ReplicaStream| {
+                let first = kept
+                    .binary_search_by_key(&c.record_indices[0], |k| k.idx)
+                    .expect("a candidate's first record is kept");
+                !affected.contains(&normalise_fp(kept[first].rec.fingerprint))
+            };
             candidates.extend(
                 std::mem::take(&mut range.candidates)
                     .into_iter()
-                    .filter(|c| !affected.contains(&normalise_fp(c.key.fingerprint()))),
+                    .filter(|c| affected.is_empty() || unaffected(c)),
             );
         }
         candidates.extend(rescan_candidates);
@@ -733,7 +744,7 @@ impl BlockParallelDetector {
 /// The first record of the ranges, in trace order, that is earlier than
 /// the record before it — which may be the last record of an earlier
 /// range — numbered in the trace.
-fn check_order(ranges: &[RangeScan]) -> Result<(), OutOfOrder> {
+pub(crate) fn check_order(ranges: &[RangeScan]) -> Result<(), OutOfOrder> {
     let mut base = 0u64;
     let mut previous_ns = None;
     for range in ranges {
@@ -885,61 +896,11 @@ fn affected_fingerprints(ranges: &[&[Kept]], gap_ns: u64) -> FxHashSet<u64> {
     affected
 }
 
-/// Builds a compile-time table of `block.w<i>.<field>` names for one
-/// field across the prebuilt worker indices.
-macro_rules! block_name_table {
-    ($field:literal; $($n:literal),* $(,)?) => {
-        [$(concat!("block.w", $n, ".", $field)),*]
-    };
-}
-
-/// Worker indices with compile-time metric names; higher counts fall back
-/// to the (cold, locked) interner.
-const PREBUILT_WORKERS: usize = 32;
-
-static BLOCK_RECORDS: [&str; PREBUILT_WORKERS] = block_name_table!("records";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_SCAN: [&str; PREBUILT_WORKERS] = block_name_table!("scan";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_INDEX: [&str; PREBUILT_WORKERS] = block_name_table!("index";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_VALIDATE: [&str; PREBUILT_WORKERS] = block_name_table!("validate";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_MERGE: [&str; PREBUILT_WORKERS] = block_name_table!("merge";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_KEPT: [&str; PREBUILT_WORKERS] = block_name_table!("kept";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-static BLOCK_BUSY: [&str; PREBUILT_WORKERS] = block_name_table!("busy";
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-    16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-
-/// Resolves the `block.w<i>.<field>` metric name (compile-time literal on
-/// the common path, bounded leaking interner otherwise). Public so the
-/// bench harness can read the same per-worker timers it writes.
+/// Resolves the `block.w<i>.<field>` metric name: formatted, interned and
+/// leaked on first use, looked up after. It is called a few times per
+/// worker per run, at publish time only. Public so the bench harness can
+/// read the same per-worker timers it writes.
 pub fn block_metric(worker: usize, field: &str) -> &'static str {
-    if worker < PREBUILT_WORKERS {
-        match field {
-            "records" => return BLOCK_RECORDS[worker],
-            "scan" => return BLOCK_SCAN[worker],
-            "index" => return BLOCK_INDEX[worker],
-            "validate" => return BLOCK_VALIDATE[worker],
-            "merge" => return BLOCK_MERGE[worker],
-            "kept" => return BLOCK_KEPT[worker],
-            "busy" => return BLOCK_BUSY[worker],
-            _ => {}
-        }
-    }
-    intern_block_metric(worker, field)
-}
-
-/// Cold path of [`block_metric`]: formats, interns, and leaks the name.
-fn intern_block_metric(worker: usize, field: &str) -> &'static str {
     static INTERNED: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
     let mut map = INTERNED.lock().expect("intern table poisoned");
     let name = format!("block.w{worker}.{field}");
@@ -1189,10 +1150,6 @@ mod tests {
             DetectorConfig::default().with_merge_gap_minutes(5),
             DetectorConfig {
                 verify_checksum_consistency: false,
-                ..DetectorConfig::default()
-            },
-            DetectorConfig {
-                use_prefilter: false,
                 ..DetectorConfig::default()
             },
         ] {

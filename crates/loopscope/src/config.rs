@@ -27,14 +27,6 @@ pub struct DetectorConfig {
     /// header-corrupted coincidences are not. Requires traces with valid
     /// checksums; disable for captures that zero them.
     pub verify_checksum_consistency: bool,
-    /// Route step 1 through the two-level candidate index: a level-0
-    /// fingerprint pre-filter in front of the exact `ReplicaKey` map, so
-    /// first sightings (the overwhelming majority of backbone traffic,
-    /// per §IV Table I) never pay a full-key hash. Output is byte-
-    /// identical either way; `false` is the `--no-prefilter` ablation
-    /// that keeps the single exact map as the reference implementation
-    /// for A/B measurement and the equivalence tests.
-    pub use_prefilter: bool,
     /// Slack applied to the co-loop validation window on each side,
     /// expressed as a multiple of the stream's mean inter-replica spacing.
     /// A packet that entered the loop just before it healed crosses the
@@ -53,7 +45,6 @@ impl Default for DetectorConfig {
             merge_gap_ns: 60_000_000_000,
             covalidate_prefix: true,
             verify_checksum_consistency: true,
-            use_prefilter: true,
             covalidate_slack_spacings: 1.0,
         }
     }

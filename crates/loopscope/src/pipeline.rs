@@ -337,7 +337,10 @@ impl<R: std::io::Read> RecordSource for PcapSource<R> {
         f: &mut dyn FnMut(&[TraceRecord]) -> Result<(), PipelineError>,
     ) -> Result<SourceSummary, PipelineError> {
         let records = BatchFeed::run(f, |feed, control| {
-            Ok(read_pcap_chunks(self, feed, control)?)
+            match read_pcap_chunks(self, feed, control) {
+                (end, None) => Ok(end),
+                (_, Some(e)) => Err(e.into()),
+            }
         })?;
         Ok(SourceSummary {
             records,

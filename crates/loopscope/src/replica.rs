@@ -15,9 +15,10 @@
 //! there and return without hashing the ~44-byte [`ReplicaKey`] or
 //! allocating. Level 1 is the exact `ReplicaKey → OpenCandidate` map,
 //! entered only on second-and-later fingerprint sightings; fingerprint
-//! collisions are resolved by full key compare there, so output is
-//! byte-identical to the single-map reference path
-//! (`DetectorConfig::use_prefilter = false`).
+//! collisions are resolved by full key compare there, so they can cost a
+//! probe but never change results. The detector oracle test
+//! (`tests/detector_oracle.rs`), an independent implementation of §IV,
+//! checks that output.
 
 use crate::block::BlockParallelDetector;
 use crate::config::DetectorConfig;
@@ -105,11 +106,6 @@ pub struct Detector {
 struct OpenCandidate {
     observations: Vec<Observation>,
     record_indices: Vec<usize>,
-    /// Without the pre-filter, the first sighting, whole: reported to
-    /// [`ScanObserver::recurred`] when a second sighting of the key shows
-    /// it recurs. With it, a candidate's first sighting is reported as it
-    /// enters the exact map, always on a level-0 hit.
-    opener: Option<Box<TraceRecord>>,
     last_ip_checksum: u16,
     protocol: u8,
     /// Normalised level-0 fingerprint of the key — kept so the generation
@@ -154,8 +150,7 @@ pub(crate) fn publish_scan_totals(records: usize, counters: &ScanCounters) {
 }
 
 /// Adds one scanner's level-0 accounting to the `replica.prefilter_*`
-/// counters — zeros under `--no-prefilter`, published all the same so
-/// snapshots always carry the full set.
+/// counters.
 pub(crate) fn publish_prefilter(counters: &ScanCounters) {
     let pf = &counters.prefilter;
     TM_PREFILTER_HITS.add(pf.hits);
@@ -191,7 +186,12 @@ fn check_continuation(
     rec: &TraceRecord,
 ) -> ContinuationCheck {
     let gap = rec.timestamp_ns.saturating_sub(last.timestamp_ns);
-    let ttl_ok = last.ttl >= rec.ttl.saturating_add(cfg.min_ttl_delta);
+    // Checked, not saturating: a record at TTL 254 or 255 must not pass
+    // as a replica of one at 255.
+    let ttl_ok = last
+        .ttl
+        .checked_sub(rec.ttl)
+        .is_some_and(|drop| drop >= cfg.min_ttl_delta);
     let fresh = gap <= cfg.max_replica_gap_ns;
     let checksum_ok = if cfg.verify_checksum_consistency && ttl_ok {
         let expected =
@@ -215,7 +215,7 @@ pub struct ScanCounters {
     pub discarded: u64,
     /// Forced splits on checksum inconsistency.
     pub checksum_splits: u64,
-    /// What the level-0 table did (all zero under `--no-prefilter`).
+    /// What the level-0 table did.
     pub prefilter: PrefilterCounters,
 }
 
@@ -367,6 +367,14 @@ impl PreFilter {
         (self.live + 1) * 4 > self.fps.len() * 3
     }
 
+    /// The occupied slots' seeds: every one-sighting candidate the table
+    /// holds.
+    fn seeds(&self) -> impl Iterator<Item = &PrefilterSeed> + '_ {
+        (0..self.fps.len())
+            .filter(|&i| self.fps[i] != 0 && self.meta[i] & PROMOTED_BIT == 0)
+            .map(|i| &self.seeds[i])
+    }
+
     #[inline]
     fn insert_seed(&mut self, slot: usize, fp: u64, gen: u64, rec: &TraceRecord, idx: usize) {
         self.fps[slot] = fp;
@@ -408,12 +416,12 @@ pub(crate) trait ScanObserver {
         Some(stream)
     }
     /// Record `idx` may recur: it or a later record hit its fingerprint at
-    /// level 0 (the hit reports both the record and the seed it found),
-    /// or, without the pre-filter, a later sighting of its key found its
-    /// candidate open. Every record with a sighting of its key within the
-    /// replica gap on either side is reported this way, or is still a
-    /// lone sighting ([`CandidateScanner::lone_sightings_since`]); a
-    /// record may be reported more than once.
+    /// level 0 (the hit reports both the record and the seed it found, and
+    /// every sighting that reaches the exact map reports itself). Every
+    /// record with a sighting of its key within the replica gap on either
+    /// side is reported this way, or is still a lone sighting
+    /// ([`CandidateScanner::lone_sightings_since`]); a record may be
+    /// reported more than once.
     fn recurred(&mut self, _idx: usize, _rec: &TraceRecord) {}
 }
 
@@ -429,9 +437,7 @@ impl ScanObserver for () {}
 /// ingest-precomputed [`TraceRecord::fingerprint`], zero allocations and
 /// no key hashing on the dominant first-sighting path), level 1 the exact
 /// [`FxHashMap`] keyed by [`ReplicaKey`] that only promoted (seen-twice)
-/// candidates reach. With `use_prefilter` off, every record takes the
-/// level-1 path directly — the reference implementation the equivalence
-/// tests compare against. Output order never depends on either table (see
+/// candidates reach. Output order never depends on either table (see
 /// [`CandidateScanner::finish`]).
 ///
 /// Level-1 candidates close exactly when their last sighting falls behind
@@ -450,7 +456,7 @@ pub struct CandidateScanner {
     stale: Vec<(u64, u16, usize, ReplicaKey)>,
     done: Vec<ReplicaStream>,
     counters: ScanCounters,
-    prefilter: Option<PreFilter>,
+    prefilter: PreFilter,
     /// Normalised fingerprint of the key behind each checksum-split event,
     /// in occurrence order. The block-parallel pipeline uses this to
     /// re-attribute splits at slice boundaries; splits are rare (one per
@@ -474,24 +480,16 @@ impl CandidateScanner {
     /// simultaneously-open keys — for callers that know their live
     /// population. The tables still grow if it is exceeded.
     pub fn with_capacity(cfg: DetectorConfig, capacity: usize) -> Self {
-        let prefilter = cfg
-            .use_prefilter
-            .then(|| PreFilter::new(capacity, cfg.max_replica_gap_ns));
-        // With the pre-filter in front, the exact map only ever holds
-        // promoted candidates — a small fraction of open keys.
-        let exact_capacity = if cfg.use_prefilter {
-            capacity / 16
-        } else {
-            capacity
-        };
         Self {
             cfg,
-            open: fx_map_with_capacity(exact_capacity),
+            // The exact map only ever holds promoted candidates — a small
+            // fraction of open keys.
+            open: fx_map_with_capacity(capacity / 16),
             expiry: VecDeque::new(),
             stale: Vec::new(),
             done: Vec::new(),
             counters: ScanCounters::default(),
-            prefilter,
+            prefilter: PreFilter::new(capacity, cfg.max_replica_gap_ns),
             split_fps: Vec::new(),
         }
     }
@@ -514,11 +512,7 @@ impl CandidateScanner {
             rec.timestamp_ns.saturating_sub(self.cfg.max_replica_gap_ns),
             obs,
         );
-        if self.prefilter.is_some() {
-            self.push_prefiltered(idx, rec, obs);
-        } else {
-            self.push_exact(idx, rec, normalise_fp(rec.fingerprint), obs);
-        }
+        self.push_prefiltered(idx, rec, obs);
     }
 
     /// Closes every exact-map candidate whose last sighting is before
@@ -561,7 +555,7 @@ impl CandidateScanner {
 
     fn push_prefiltered<O: ScanObserver>(&mut self, idx: usize, rec: &TraceRecord, obs: &mut O) {
         let fp = normalise_fp(rec.fingerprint);
-        let pf = self.prefilter.as_mut().expect("prefilter enabled");
+        let pf = &mut self.prefilter;
         let gen = pf.generation(rec.timestamp_ns);
         let slot = pf.probe(fp);
         if pf.fps[slot] == 0 {
@@ -571,7 +565,7 @@ impl CandidateScanner {
             pf.misses += 1;
             if pf.needs_sweep() {
                 self.sweep(gen);
-                let pf = self.prefilter.as_mut().expect("prefilter enabled");
+                let pf = &mut self.prefilter;
                 let slot = pf.probe(fp);
                 pf.insert_seed(slot, fp, gen, rec, idx);
             } else {
@@ -628,8 +622,8 @@ impl CandidateScanner {
                 }
                 // Same key but not a continuation (link-layer duplicate,
                 // ident wrap, or stale stream): the one-sighting seed
-                // closes — discarded, exactly as the reference path would
-                // — and this sighting re-seeds the slot in place.
+                // closes, discarded, and this sighting re-seeds the slot
+                // in place.
                 self.counters.discarded += 1;
                 self.counters.opened += 1;
                 pf.seeds[slot] = PrefilterSeed { rec: *rec, idx };
@@ -656,9 +650,8 @@ impl CandidateScanner {
         }
     }
 
-    /// The exact-map (level-1) path: the whole of step 1 when the
-    /// pre-filter is disabled, and the promoted-slot continuation when it
-    /// is on.
+    /// The exact-map (level-1) path, reached through a promoted level-0
+    /// slot.
     fn push_exact<O: ScanObserver>(&mut self, idx: usize, rec: &TraceRecord, fp: u64, obs: &mut O) {
         let key = ReplicaKey::of(rec);
         self.expiry.push_back((rec.timestamp_ns, key));
@@ -667,11 +660,6 @@ impl CandidateScanner {
         match self.open.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let cand = e.get_mut();
-                if let Some(opener) = &cand.opener {
-                    if cand.observations.len() == 1 {
-                        obs.recurred(cand.record_indices[0], opener);
-                    }
-                }
                 obs.recurred(idx, rec);
                 let last = *cand.observations.last().expect("open candidate non-empty");
                 let check =
@@ -705,14 +693,9 @@ impl CandidateScanner {
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                let mut cand = OpenCandidate::new(rec, idx, fp);
-                if self.prefilter.is_some() {
-                    // Reached through a level-0 hit.
-                    obs.recurred(idx, rec);
-                } else {
-                    cand.opener = Some(Box::new(*rec));
-                }
-                e.insert(cand);
+                // Reached through a level-0 hit.
+                obs.recurred(idx, rec);
+                e.insert(OpenCandidate::new(rec, idx, fp));
                 self.counters.opened += 1;
             }
         }
@@ -732,7 +715,7 @@ impl CandidateScanner {
     /// the seed lane and the survivor scratch allocated.
     #[cold]
     fn sweep(&mut self, cur_gen: u64) {
-        let pf = self.prefilter.as_mut().expect("prefilter enabled");
+        let pf = &mut self.prefilter;
         let stale = |g: u64| g.saturating_add(2) <= cur_gen;
         let mut evicted = 0u64;
         pf.survivors.clear();
@@ -744,8 +727,7 @@ impl CandidateScanner {
             }
             let gen = pf.meta[i] & GEN_MASK;
             if stale(gen) {
-                // A seed that old can never be joined; close it discarded,
-                // just as the reference path eventually would.
+                // A seed that old can never be joined; close it discarded.
                 self.counters.discarded += 1;
                 evicted += 1;
             } else {
@@ -816,22 +798,17 @@ impl CandidateScanner {
     /// block core publishes a range's counters once the range is known to
     /// belong to the trace.
     pub fn finish_with_splits(mut self) -> (Vec<ReplicaStream>, ScanCounters, Vec<u64>) {
-        if let Some(pf) = self.prefilter.take() {
-            // Remaining seeds are one-sighting candidates that never found
-            // a replica.
-            for i in 0..pf.fps.len() {
-                if pf.fps[i] != 0 && pf.meta[i] & PROMOTED_BIT == 0 {
-                    self.counters.discarded += 1;
-                }
-            }
-            self.counters.prefilter = PrefilterCounters {
-                hits: pf.hits,
-                misses: pf.misses,
-                promotions: pf.promotions,
-                evictions: pf.evictions,
-                collisions: pf.collisions,
-            };
-        }
+        let pf = &self.prefilter;
+        // Remaining seeds are one-sighting candidates that never found a
+        // replica.
+        self.counters.discarded += pf.seeds().count() as u64;
+        self.counters.prefilter = PrefilterCounters {
+            hits: pf.hits,
+            misses: pf.misses,
+            promotions: pf.promotions,
+            evictions: pf.evictions,
+            collisions: pf.collisions,
+        };
         for (key, cand) in self.open.drain() {
             Self::close(key, cand, &mut self.done, &mut self.counters, &mut ());
         }
@@ -847,27 +824,17 @@ impl CandidateScanner {
         &self.counters
     }
 
-    /// Every open candidate of one sighting from time `from` on, as
-    /// `(index, record)`: the level-0 seeds and the exact map's
-    /// one-sighting candidates. With [`ScanObserver::recurred`] these are
-    /// all the records from `from` on that may recur within the gap.
+    /// Every level-0 seed from time `from` on, as `(index, record)`. With
+    /// [`ScanObserver::recurred`] these are all the records from `from` on
+    /// that may recur within the gap.
     pub(crate) fn lone_sightings_since(
         &self,
         from: u64,
     ) -> impl Iterator<Item = (usize, &TraceRecord)> + '_ {
-        let seeds = self.prefilter.iter().flat_map(move |pf| {
-            (0..pf.fps.len())
-                .filter(move |&i| pf.fps[i] != 0 && pf.meta[i] & PROMOTED_BIT == 0)
-                .map(move |i| (pf.seeds[i].idx, &pf.seeds[i].rec))
-                .filter(move |(_, rec)| rec.timestamp_ns >= from)
-        });
-        let openers = self
-            .open
-            .values()
-            .filter(|c| c.observations.len() == 1)
-            .filter_map(|c| Some((c.record_indices[0], &**c.opener.as_ref()?)))
-            .filter(move |(_, rec)| rec.timestamp_ns >= from);
-        seeds.chain(openers)
+        self.prefilter
+            .seeds()
+            .map(|seed| (seed.idx, &seed.rec))
+            .filter(move |(_, rec)| rec.timestamp_ns >= from)
     }
 
     fn close<O: ScanObserver>(
@@ -897,7 +864,6 @@ impl OpenCandidate {
                 ttl: rec.ttl,
             }],
             record_indices: vec![idx],
-            opener: None,
             last_ip_checksum: rec.ip_checksum,
             protocol: rec.protocol,
             fp,
@@ -1042,6 +1008,22 @@ mod tests {
         let recs = looping_records(0, 1_000, 60, 1, 5, 2, Ipv4Addr::new(203, 0, 113, 5));
         let result = Detector::new(DetectorConfig::default()).run(&recs);
         assert!(result.streams.is_empty());
+    }
+
+    #[test]
+    fn ttl_near_255_needs_the_full_delta() {
+        // A duplicate at TTL 255, and a copy one lower: neither drops the
+        // TTL by two, so neither is a replica.
+        for second in [255, 254] {
+            let mut recs = looping_records(0, 1_000, 255, 1, 1, 4, Ipv4Addr::new(203, 0, 113, 5));
+            let mut copy = recs[0];
+            copy.timestamp_ns = 1_000;
+            copy.ip_checksum = net_types::checksum::ttl_rewrite(copy.ip_checksum, 255, second, 6);
+            copy.ttl = second;
+            recs.push(copy);
+            let result = Detector::new(DetectorConfig::default()).run(&recs);
+            assert_eq!(result.stats.raw_candidates, 0, "TTL 255 then {second}");
+        }
     }
 
     #[test]

@@ -32,9 +32,12 @@
 //! last proven start by one worker (counted in `pcap.split_fallbacks`).
 //! Errors and counters are the serial read's: only ranges with a proven
 //! start publish their `pcap.*` counts, and the error reported is the
-//! first in file order, from such a range.
+//! first in file order, from such a range. A range whose reader fails
+//! still hands the records it decoded before the failure to its consumer,
+//! so a record out of order among them, or across the range's start, is
+//! reported ahead of the reader's error on every engine.
 
-use crate::block::{RangeScan, ScanStart};
+use crate::block::{check_order, RangeScan, ScanStart};
 use crate::pipeline::{PcapSource, PipelineError, RecordSource, SourceError, SourceSummary};
 use crate::record::TraceRecord;
 use pcaplib::{FileHeader, PcapError, PcapReader};
@@ -169,6 +172,10 @@ pub struct Ranges<C> {
     /// Whether a stop request cut the read short; the parts then hold a
     /// prefix of the trace.
     pub interrupted: bool,
+    /// The reader's error, when the last part's read failed after handing
+    /// its consumer every record decoded before the failure. It stands
+    /// unless the consumers found an earlier defect among those records.
+    pub failed: Option<PcapError>,
 }
 
 impl<C> Ranges<C> {
@@ -178,6 +185,7 @@ impl<C> Ranges<C> {
             parts: Vec::new(),
             skipped,
             interrupted: false,
+            failed: None,
         }
     }
 
@@ -316,12 +324,15 @@ impl From<PcapError> for RangeStop {
 /// Decodes every remaining record of `source` into `consumer`, a chunk
 /// at a time: the pcap range loop, which [`PcapSource`]'s batches and
 /// every range worker of [`read_pcap_ranges`] run. Stops early when the
-/// consumer refuses a chunk or `control` asks after one.
+/// consumer refuses a chunk or `control` asks after one. Returns how the
+/// consumer's read ended and the reader's error, if it failed: the
+/// records decoded before the failure reach the consumer first, so a
+/// refusal among them comes first in file order.
 pub(crate) fn read_pcap_chunks<R: Read, C: RangeConsumer>(
     source: &mut PcapSource<R>,
     consumer: &mut C,
     control: &DecodeControl,
-) -> Result<RangeEnd, PcapError> {
+) -> (RangeEnd, Option<PcapError>) {
     let mut pending = 0u64;
     let read = source.for_each_record(|rec| {
         consumer.chunk_buffer().push(rec);
@@ -337,18 +348,18 @@ pub(crate) fn read_pcap_chunks<R: Read, C: RangeConsumer>(
         }
         Ok(())
     });
-    match read {
-        Ok(()) => {}
-        Err(RangeStop::Early(end)) => return Ok(end),
-        Err(RangeStop::Pcap(e)) => return Err(e),
-    }
+    let failed = match read {
+        Ok(()) => None,
+        Err(RangeStop::Early(end)) => return (end, None),
+        Err(RangeStop::Pcap(e)) => Some(e),
+    };
     if pending > 0 {
         let _ = control.advance(pending);
         if consumer.take_chunk().is_break() {
-            return Ok(RangeEnd::Refused);
+            return (RangeEnd::Refused, failed);
         }
     }
-    Ok(RangeEnd::Complete)
+    (RangeEnd::Complete, failed)
 }
 
 /// How one pcap byte range's read went.
@@ -356,14 +367,20 @@ struct RangeRead {
     /// The range's reader, holding its deferred counts and skips (`None`
     /// when the file could not be opened).
     source: Option<PcapSource<std::io::Take<File>>>,
-    end: Result<RangeEnd, PcapError>,
+    /// How the consumer's read ended.
+    end: RangeEnd,
+    /// The reader's error, if it failed.
+    failed: Option<PcapError>,
 }
 
 impl RangeRead {
     /// Whether the range ended inside a record before its bound: the
-    /// next range's guessed start is not a record start.
+    /// next range's guessed start is not a record start. A refusal of the
+    /// records before that point does not change this.
     fn overran(&self) -> bool {
-        matches!(&self.end, Err(e) if e.is_eof_inside_record())
+        self.failed
+            .as_ref()
+            .is_some_and(PcapError::is_eof_inside_record)
     }
 }
 
@@ -384,15 +401,17 @@ fn read_range<C: RangeConsumer>(
     let read = match opened {
         Ok(range) => {
             let mut source = PcapSource::from(PcapReader::resume(range, header));
-            let end = read_pcap_chunks(&mut source, consumer, control);
+            let (end, failed) = read_pcap_chunks(&mut source, consumer, control);
             RangeRead {
                 source: Some(source),
                 end,
+                failed,
             }
         }
         Err(e) => RangeRead {
             source: None,
-            end: Err(PcapError::Io(e)),
+            end: RangeEnd::Complete,
+            failed: Some(PcapError::Io(e)),
         },
     };
     consumer.end();
@@ -403,7 +422,8 @@ fn read_range<C: RangeConsumer>(
 /// one worker per byte range, each into a consumer from `start`, polling
 /// `poll` meanwhile (see [`decode_parallel`] and the module docs). The
 /// records, skip count, error and `pcap.*` counters are those of a serial
-/// read of the file.
+/// read of the file. A read error after the file header is
+/// [`Ranges::failed`], with the records before it in the parts.
 pub fn read_pcap_ranges<C: RangeConsumer + Send>(
     path: &Path,
     parts: usize,
@@ -436,7 +456,15 @@ pub fn read_pcap_ranges<C: RangeConsumer + Send>(
                 ranges.skipped += source.skipped_hint();
                 source.publish_deferred();
             }
-            if ranges.push(consumer, range.end?).is_break() {
+            // The read ends at a refusal, or at the reader's error.
+            let end = match range.failed {
+                Some(e) if range.end != RangeEnd::Refused => {
+                    ranges.failed = Some(e);
+                    RangeEnd::Refused
+                }
+                _ => range.end,
+            };
+            if ranges.push(consumer, end).is_break() {
                 break 'read;
             }
         }
@@ -478,7 +506,13 @@ impl RecordSource for PcapFileSource {
         start: &ScanStart<'_>,
         poll: &mut dyn FnMut(u64) -> ControlFlow<()>,
     ) -> Result<Ranges<RangeScan>, PipelineError> {
-        read_pcap_ranges(&self.path, parts, start, poll).map_err(PipelineError::from)
+        let mut ranges = read_pcap_ranges(&self.path, parts, start, poll)?;
+        match ranges.failed.take() {
+            // A record out of order before the error, across a range
+            // start too, is the first defect: detection reports it.
+            Some(e) if check_order(&ranges.parts).is_ok() => Err(e.into()),
+            _ => Ok(ranges),
+        }
     }
 
     fn skipped_hint(&self) -> u64 {

@@ -1,5 +1,7 @@
 //! Property tests for the detection pipeline's core invariants.
 
+mod oracle;
+
 use loopscope::{Detector, DetectorConfig, TraceRecord};
 use net_types::{Packet, TcpFlags};
 use proptest::prelude::*;
@@ -310,12 +312,12 @@ mod online_equivalence {
 
 proptest! {
     /// Adversarially forged level-0 collisions — down to *every* record
-    /// sharing one fingerprint — never change `DetectionResult` vs the
-    /// exact-map-only reference path. The forgery stays a pure function
-    /// of the key (the contract ingest upholds: same key ⇒ same
-    /// fingerprint) but squeezes all fingerprints into `buckets` values,
-    /// so the pre-filter sees nothing but collisions and must escalate
-    /// its way to correctness through full key compares.
+    /// sharing one fingerprint — never change `DetectionResult` from the
+    /// independent oracle's. The forgery stays a pure function of the key
+    /// (the contract ingest upholds: same key ⇒ same fingerprint) but
+    /// squeezes all fingerprints into `buckets` values, so the pre-filter
+    /// sees nothing but collisions and must escalate its way to
+    /// correctness through full key compares.
     #[test]
     fn forced_fingerprint_collisions_never_change_results(
         loops in 1usize..6,
@@ -357,15 +359,11 @@ proptest! {
         for r in &mut recs {
             r.fingerprint = loopscope::ReplicaKey::of(r).fingerprint() % buckets;
         }
-        let on = Detector::new(DetectorConfig::default()).run(&recs);
-        let off = Detector::new(DetectorConfig {
-            use_prefilter: false,
-            ..DetectorConfig::default()
-        })
-        .run(&recs);
-        prop_assert_eq!(&on.streams, &off.streams);
-        prop_assert_eq!(&on.loops, &off.loops);
-        prop_assert_eq!(&on.looped_flags, &off.looped_flags);
-        prop_assert_eq!(on.stats, off.stats);
+        let got = Detector::new(DetectorConfig::default()).run(&recs);
+        let want = oracle::detect(&recs, &DetectorConfig::default()).unwrap();
+        prop_assert_eq!(&got.streams, &want.streams);
+        prop_assert_eq!(&got.loops, &want.loops);
+        prop_assert_eq!(&got.looped_flags, &want.looped_flags);
+        prop_assert_eq!(got.stats, want.stats);
     }
 }

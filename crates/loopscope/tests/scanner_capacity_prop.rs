@@ -10,8 +10,10 @@
 //! replicas and re-sighted link-layer duplicates at gaps either side of
 //! `max_replica_gap` and of the two-generation eviction boundary, corrupted
 //! checksums and forged fingerprint collisions. `Detector::run` is also
-//! compared with the exact-map reference (`use_prefilter: false`) on the
-//! same inputs.
+//! compared with the independent oracle (`tests/oracle`) on the same
+//! inputs.
+
+mod oracle;
 
 use loopscope::{CandidateScanner, Detector, DetectorConfig, ReplicaKey, TraceRecord};
 use net_types::{Packet, TcpFlags};
@@ -192,15 +194,11 @@ proptest! {
             prop_assert_eq!(&got.split_fps, &reference.split_fps, "hint {}", hint);
         }
 
-        let on = Detector::new(DetectorConfig::default()).run(&recs);
-        let off = Detector::new(DetectorConfig {
-            use_prefilter: false,
-            ..DetectorConfig::default()
-        })
-        .run(&recs);
-        prop_assert_eq!(&on.streams, &off.streams);
-        prop_assert_eq!(&on.loops, &off.loops);
-        prop_assert_eq!(&on.looped_flags, &off.looped_flags);
-        prop_assert_eq!(on.stats, off.stats);
+        let got = Detector::new(DetectorConfig::default()).run(&recs);
+        let want = oracle::detect(&recs, &DetectorConfig::default()).unwrap();
+        prop_assert_eq!(&got.streams, &want.streams);
+        prop_assert_eq!(&got.loops, &want.loops);
+        prop_assert_eq!(&got.looped_flags, &want.looped_flags);
+        prop_assert_eq!(got.stats, want.stats);
     }
 }

@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh            # tests + lint (everything below)
 #   scripts/check.sh --quick    # release build + tier-1 tests only
-#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + pcap fuzz + engine/corpus/monitor smoke
+#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + fuzz + detector oracle + engine/corpus/monitor smoke
 #   scripts/check.sh --lint     # rustfmt --check + clippy -D warnings
 #   scripts/check.sh --bench    # bench gate: determinism + per-core speedup floors
 #   scripts/check.sh --observe  # observability smoke: metrics JSONL + trace
@@ -49,13 +49,25 @@ run_workspace_tests() {
     cargo test --workspace -q
 }
 
-run_pcap_fuzz() {
+run_fuzz() {
     banner "pcap fuzz: 2,000 fixed-seed mutants through every pcap entry point (release)"
     # The workspace tests run 40 mutants in debug; this is the larger
     # budget of the same fuzz (bit flips, truncations around the reader's
     # block edge, splices, record swaps, incl_len/orig_len rewrites past
     # the cap), a few seconds in release.
     cargo test -q --release -p loopscope --test pcap_fuzz -- --ignored
+    banner "JSON fuzz: 20,000 fixed-seed mutants of snapshot, sample and Chrome-trace documents (release)"
+    # The same shape for telemetry::json::validate: 40 mutants in debug,
+    # this budget in release, well under a second.
+    cargo test -q --release -p telemetry --test json_fuzz -- --ignored
+}
+
+run_oracle() {
+    banner "detector oracle: 1,000 fixed-seed captures through every entry point against the independent §IV oracle (release)"
+    # The tier-1 tests run 40 captures in debug; this is the larger budget
+    # of the same comparison (every engine, thread count, ingest mode and
+    # batch size against tests/oracle), under a minute in release.
+    cargo test -q --release --test detector_oracle -- --ignored
 }
 
 run_lint() {
@@ -102,13 +114,12 @@ run_offline_build() {
 }
 
 run_engine_smoke() {
-    banner "engine smoke: --threads 1/2/3/4/8, --no-prefilter and --streaming (with and without it) byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers and --streaming), CSV and --analysis; unsorted pcap and .ltc refused on every engine"
+    banner "engine smoke: --threads 1/2/3/4/8 and --streaming byte-identical to serial, on pcap and .ltc (and .ltc --no-mmap at 1/2/3 workers and --streaming), CSV and --analysis; unsorted pcap and .ltc refused on every engine"
     # A 90 s trace: longer than the 60 s merge gap, so the streaming
     # detector finalises loops while records are still arriving instead
     # of only at end of trace. It also spans about 80 replica-gap
     # generations, so the level-0 candidate table grows to the window and
-    # sweeps in place many times; --no-prefilter is the exact-map path
-    # without that table. Its .ltc twin runs the same variants through
+    # sweeps in place many times. Its .ltc twin runs the same variants through
     # the mapped segments. --threads 3 splits the input unevenly, and
     # --threads 8 asks for more segments than the machine has cores.
     # --analysis checks the §V report, whose record fold runs once per
@@ -123,7 +134,7 @@ run_engine_smoke() {
     cargo run --release --example pcap_analysis -- --emit-demo "$tmp/long.pcap" 0.3
     cargo run --release --bin pcap2ltc -- "$tmp/long.pcap" "$tmp/long.ltc"
     local variants=("--threads 1" "--threads 2" "--threads 3" "--threads 4" "--threads 8"
-        "--no-prefilter" "--streaming" "--streaming --no-prefilter")
+        "--streaming")
     for input in long.pcap long.ltc; do
         local extra=()
         if [[ "$input" == *.ltc ]]; then
@@ -341,12 +352,12 @@ run_observability_smoke() {
 
 case "$mode" in
     quick) run_build_and_tier1 ;;
-    tests) run_build_and_tier1; run_workspace_tests; run_pcap_fuzz; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
+    tests) run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
     lint)  run_lint ;;
     bench) run_bench_smoke ;;
     observe) run_observability_smoke ;;
     offline) run_offline_build ;;
-    full)  run_build_and_tier1; run_workspace_tests; run_pcap_fuzz; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
+    full)  run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
 esac
 
 banner "OK"

@@ -68,7 +68,6 @@ OPTIONS
   --merge-gap-min <N>            stream merge gap in minutes (default 1)
   --no-validate                  skip step-2 validation (raw replica sets)
   --no-checksum-verify           skip RFC 1624 consistency verification
-  --no-prefilter                 bypass the level-0 fingerprint pre-filter
                                  and run step 1 on the exact key map alone
                                  (ablation; output is byte-identical)
   --streaming                    use the single-pass bounded-memory detector
@@ -208,7 +207,6 @@ fn parse_args() -> Args {
                 cfg.min_stream_len = 2;
             }
             "--no-checksum-verify" => cfg.verify_checksum_consistency = false,
-            "--no-prefilter" => cfg.use_prefilter = false,
             "--streaming" => streaming = true,
             "--engine" => {
                 let v = it.next().unwrap_or_else(|| die("--engine needs a value"));

@@ -70,9 +70,12 @@ pub fn records_from_pcap_parallel(
         return records_from_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
     }
     let _t = telemetry::span("pcap.read_parallel");
-    let ranges = read_pcap_ranges(path, threads, &Vec::new, &mut |_| {
+    let mut ranges = read_pcap_ranges(path, threads, &Vec::new, &mut |_| {
         std::ops::ControlFlow::Continue(())
     })?;
+    if let Some(e) = ranges.failed.take() {
+        return Err(e);
+    }
     let skipped = ranges.skipped;
     Ok((ranges.concat(), skipped))
 }

@@ -11,6 +11,9 @@
 //! microsecond files, and files too small to split must all decode, and
 //! detect, exactly as the serial read does.
 
+#[path = "../crates/loopscope/tests/oracle/mod.rs"]
+mod oracle;
+
 use proptest::prelude::*;
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{
@@ -145,14 +148,10 @@ fn assert_identical_under(cfg: DetectorConfig, records: &[TraceRecord], splits: 
     assert_eq!(serial.stats, block.stats, "{cfg:?} splits {splits:?}");
 }
 
-/// The default configuration, `--no-prefilter`, and the ablations.
-fn configs() -> [DetectorConfig; 5] {
+/// The default configuration and the ablations.
+fn configs() -> [DetectorConfig; 4] {
     [
         DetectorConfig::default(),
-        DetectorConfig {
-            use_prefilter: false,
-            ..DetectorConfig::default()
-        },
         DetectorConfig::no_validation(),
         DetectorConfig::default().with_merge_gap_minutes(5),
         DetectorConfig {
@@ -162,9 +161,19 @@ fn configs() -> [DetectorConfig; 5] {
     ]
 }
 
-/// Every single split and every pair of splits, under every config.
+/// Every single split and every pair of splits, under every config, and
+/// the unsplit run against the independent oracle.
 fn assert_identical_at_every_split(records: &[TraceRecord]) {
     for cfg in configs() {
+        let serial = Detector::new(cfg).run(records);
+        let want = oracle::detect(records, &cfg).expect("sorted fixture");
+        assert_eq!(serial.streams, want.streams, "{cfg:?}: oracle streams");
+        assert_eq!(serial.loops, want.loops, "{cfg:?}: oracle loops");
+        assert_eq!(
+            serial.looped_flags, want.looped_flags,
+            "{cfg:?}: oracle flags"
+        );
+        assert_eq!(serial.stats, want.stats, "{cfg:?}: oracle stats");
         for a in 1..records.len() {
             assert_identical_under(cfg, records, &[a]);
             for b in a + 1..records.len() {

@@ -1,6 +1,10 @@
 //! End-to-end test of the `loopdetect` binary: generate a trace, write it
 //! to a pcap file, and drive the CLI the way a user would.
 
+mod defective_pcap;
+#[path = "../crates/loopscope/tests/oracle/mod.rs"]
+mod oracle;
+
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{write_tap_to_pcap, PAPER_SNAPLEN};
 use std::path::{Path, PathBuf};
@@ -290,46 +294,58 @@ fn ecmp_pcap() -> std::path::PathBuf {
     path
 }
 
+/// The stream table the independent oracle's result renders to.
+fn oracle_streams_csv(pcap: &Path) -> Vec<u8> {
+    use routing_loops::loopscope::pipeline::StreamCsvSink;
+    use routing_loops::loopscope::{DetectorConfig, PipelineResult, Sink};
+    let file = std::fs::File::open(pcap).unwrap();
+    let (records, skipped) =
+        routing_loops::convert::records_from_pcap(std::io::BufReader::new(file)).unwrap();
+    let want = oracle::detect(&records, &DetectorConfig::default()).unwrap();
+    let mut sink = StreamCsvSink::new(Vec::new());
+    sink.on_result(&PipelineResult {
+        streams: want.streams_by_start(),
+        loops: want.loops,
+        stats: want.stats,
+        records: records.len() as u64,
+        skipped,
+        trace_start_ns: records.first().map_or(0, |r| r.timestamp_ns),
+        trace_end_ns: records.last().map_or(0, |r| r.timestamp_ns),
+        interrupted: false,
+    })
+    .unwrap();
+    sink.into_inner()
+}
+
 #[test]
-fn no_prefilter_output_is_byte_identical() {
-    // The ablation flag must be output-invisible on both the looping
-    // backbone fixture and the transient-ECMP fixture, through every
-    // output format and the serial, block and streaming paths.
+fn stream_table_matches_the_oracle() {
+    // On the looping backbone fixture and the transient-ECMP fixture, the
+    // serial, block and streaming paths print the streams the independent
+    // oracle finds.
     for (what, pcap) in [("backbone", demo_pcap()), ("ecmp", ecmp_pcap())] {
-        for csv in ["loops", "streams", "summary"] {
-            for engine in [
-                &["--threads", "1"][..],
-                &["--threads", "4"],
-                &["--streaming"],
-            ] {
-                let on = loopdetect()
-                    .arg(&pcap)
-                    .args(["--csv", csv])
-                    .args(engine)
-                    .output()
-                    .unwrap();
-                assert!(on.status.success(), "{on:?}");
-                let off = loopdetect()
-                    .arg(&pcap)
-                    .args(["--csv", csv, "--no-prefilter"])
-                    .args(engine)
-                    .output()
-                    .unwrap();
-                assert!(off.status.success(), "{off:?}");
-                assert_eq!(
-                    on.stdout, off.stdout,
-                    "--no-prefilter changed --csv {csv} {engine:?} on {what}"
-                );
-            }
+        let want = oracle_streams_csv(&pcap);
+        assert!(
+            want.split(|&b| b == b'\n').count() > 2,
+            "{what}: no streams"
+        );
+        for engine in [
+            &["--threads", "1"][..],
+            &["--threads", "4"],
+            &["--streaming"],
+        ] {
+            let out = loopdetect()
+                .arg(&pcap)
+                .args(["--csv", "streams"])
+                .args(engine)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&want),
+                "{engine:?} on {what}"
+            );
         }
-        // The default text report too.
-        let on = loopdetect().arg(&pcap).output().unwrap();
-        let off = loopdetect()
-            .arg(&pcap)
-            .arg("--no-prefilter")
-            .output()
-            .unwrap();
-        assert_eq!(on.stdout, off.stdout, "text report diverged on {what}");
         if what == "ecmp" {
             let _ = std::fs::remove_file(&pcap);
         }
@@ -915,6 +931,29 @@ fn pcap2ltc_refuses_unsorted_input() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains(&want), "--threads {threads}: {stderr}");
         assert!(!ltc.exists(), "a refused conversion leaves no corpus");
+    }
+    let _ = std::fs::remove_file(&pcap);
+}
+
+#[test]
+fn unsorted_and_truncated_pcap_reports_the_first_defect_on_every_engine() {
+    // Before the cut the records go back in time: every engine reports
+    // that, not the cut, wherever its chunks and ranges fall.
+    let bytes = std::fs::read(demo_pcap()).expect("read pcap");
+    let (bytes, order) = defective_pcap::swapped_and_truncated(&bytes);
+    let pcap = std::env::temp_dir().join(format!(
+        "loopdetect_swapped_cut_{}.pcap",
+        std::process::id()
+    ));
+    std::fs::write(&pcap, bytes).expect("write pcap");
+    let want = format!("trace records must be sorted by timestamp: {order}");
+    for args in [
+        &["--threads", "1"][..],
+        &["--threads", "2"],
+        &["--threads", "3"],
+        &["--streaming"],
+    ] {
+        assert_unsorted_refused(&pcap, args, &want);
     }
     let _ = std::fs::remove_file(&pcap);
 }

@@ -3,7 +3,11 @@
 //! every fixture must produce identical streams, loops, and stage
 //! counters — and byte-identical sink output — regardless of which engine
 //! ran. This is the trait-level home of what used to be scattered
-//! pairwise equality tests.
+//! pairwise equality tests. The serial baseline is itself checked against
+//! the independent oracle.
+
+#[path = "../crates/loopscope/tests/oracle/mod.rs"]
+mod oracle;
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{write_tap_to_pcap, PAPER_SNAPLEN};
@@ -32,10 +36,6 @@ fn engines(cfg: DetectorConfig) -> Vec<Box<dyn Engine>> {
         Box::new(BlockEngine::new(cfg, 8)),
         Box::new(StreamingEngine::new(cfg)),
         Box::new(StreamingEngine::new(cfg).with_history_horizon(safe_horizon)),
-        Box::new(StreamingEngine::new(DetectorConfig {
-            use_prefilter: false,
-            ..cfg
-        })),
     ]
 }
 
@@ -77,6 +77,15 @@ fn assert_conformance(fixture: &str, records: &[TraceRecord]) -> PipelineResult 
     let cfg = DetectorConfig::default();
     let baseline = run_engine(records, &mut SerialEngine::new(cfg));
     let baseline_bytes = render_sinks(records, &mut SerialEngine::new(cfg));
+    // The baseline itself is the independent oracle's result.
+    let want = oracle::detect(records, &cfg).expect("sorted fixture");
+    assert_eq!(
+        baseline.streams,
+        want.streams_by_start(),
+        "{fixture}: oracle streams"
+    );
+    assert_eq!(baseline.loops, want.loops, "{fixture}: oracle loops");
+    assert_eq!(baseline.stats, want.stats, "{fixture}: oracle stats");
     for mut engine in engines(cfg) {
         let name = engine.name();
         let got = run_engine(records, engine.as_mut());

@@ -2,6 +2,9 @@
 //! loops during reconvergence — the "can forwarding loops appear when
 //! activating multipath load sharing?" question, answered with packets.
 
+#[path = "../crates/loopscope/tests/oracle/mod.rs"]
+mod oracle;
+
 use routing_loops::loopscope::{BlockParallelDetector, Detector, DetectorConfig, TraceRecord};
 use routing_loops::net_types::{Ipv4Prefix, Packet, TcpFlags};
 use routing_loops::routing::scenario::{compile, NetEvent, Scenario};
@@ -193,16 +196,19 @@ fn ecmp_reconvergence_loops_are_detected() {
                 "looped flags diverge at {threads} threads"
             );
         }
-        // And the level-0 pre-filter must be output-invisible on the
+        // And the detection matches the independent oracle on the
         // reconvergence fixture as well.
-        let off = Detector::new(DetectorConfig {
-            use_prefilter: false,
-            ..DetectorConfig::default()
-        })
-        .run(&records);
-        assert_eq!(detection.streams, off.streams, "prefilter changed streams");
-        assert_eq!(detection.loops, off.loops, "prefilter changed loops");
-        assert_eq!(detection.stats, off.stats, "prefilter changed stats");
+        let want = oracle::detect(&records, &DetectorConfig::default()).unwrap();
+        assert_eq!(
+            detection.streams, want.streams,
+            "streams diverge from the oracle"
+        );
+        assert_eq!(detection.loops, want.loops, "loops diverge from the oracle");
+        assert_eq!(detection.stats, want.stats, "stats diverge from the oracle");
+        assert_eq!(
+            detection.looped_flags, want.looped_flags,
+            "looped flags diverge from the oracle"
+        );
         found_streams += detection.streams.len();
     }
     assert!(

@@ -2,9 +2,14 @@
 //! capture modes, the record budget, graceful SIGINT shutdown, retiring a
 //! failing link, and usage-error handling.
 
+mod defective_pcap;
+
 use routing_loops::backbone::{paper_backbones, run_backbone};
-use routing_loops::convert::{write_tap_to_pcap, PAPER_SNAPLEN};
+use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
+use routing_loops::loopscope::{MonitorConfig, MonitorRuntime};
+use std::io::Write;
 use std::process::Command;
+use std::sync::{Arc, Mutex};
 
 fn loopmond() -> Command {
     Command::new(env!("CARGO_BIN_EXE_loopmond"))
@@ -205,6 +210,113 @@ fn tampered_ltc_fingerprints_retire_the_link() {
         link_lines(&both, &format!("loopmond_fpgood_{pid}")),
         alone.lines().collect::<Vec<_>>()
     );
+}
+
+/// An in-memory event sink that outlives the runtime it is lent to.
+#[derive(Clone, Default)]
+struct SharedVec(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedVec {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `loopmond` on a good capture and on `bad` as a second link (both
+/// written under the temp directory), checks that the good link's events
+/// are those of a run on it alone, and returns the exit code, stderr and
+/// stdout.
+fn run_with_a_bad_link(tag: &str, bad: &[u8]) -> (Option<i32>, String, String) {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let good = dir.join(format!("loopmond_{tag}good_{pid}.pcap"));
+    let bad_path = dir.join(format!("loopmond_{tag}_{pid}.pcap"));
+    std::fs::write(&good, backbone_pcap(&format!("loopmond-{tag}"))).expect("write good pcap");
+    std::fs::write(&bad_path, bad).expect("write bad pcap");
+    let alone = loopmond()
+        .arg(&good)
+        .args(["--events", "-"])
+        .output()
+        .expect("run loopmond");
+    let both = loopmond()
+        .arg(&good)
+        .arg(&bad_path)
+        .args(["--events", "-", "--threads", "2"])
+        .output()
+        .expect("run loopmond");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad_path);
+    assert!(alone.status.success(), "{alone:?}");
+    let stdout = String::from_utf8(both.stdout).unwrap();
+    let alone = String::from_utf8(alone.stdout).unwrap();
+    assert_eq!(
+        link_lines(&stdout, &format!("loopmond_{tag}good_{pid}")),
+        alone.lines().collect::<Vec<_>>(),
+        "the good link runs to the end"
+    );
+    (
+        both.status.code(),
+        String::from_utf8(both.stderr).unwrap(),
+        stdout,
+    )
+}
+
+#[test]
+fn truncated_link_is_fed_every_record_before_the_cut_then_retired() {
+    let bytes = backbone_pcap("loopmond-cut");
+    let (records, _) = records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
+    let before_cut = &records[..records.len() - 1];
+    let (code, stderr, stdout) = run_with_a_bad_link("cut", &bytes[..bytes.len() - 5]);
+    let pid = std::process::id();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "error: link loopmond_cut_{pid}: source: pcap error: corrupt pcap file: EOF inside record body"
+        )),
+        "{stderr}"
+    );
+    assert!(stderr.contains("loopmond: 2 links (1 closed)"), "{stderr}");
+    // Every record before the cut reached the link, the last partial
+    // batch included: the fleet total counts them next to the good link's
+    // (the same capture, uncut).
+    let fed = format!("{} records", records.len() + before_cut.len());
+    assert!(stderr.contains(&fed), "want {fed}: {stderr}");
+    // The retired link's events are those of a link fed the same records
+    // and dropped unfinished: no tail flush.
+    let sink = SharedVec::default();
+    let rt = MonitorRuntime::new(MonitorConfig::default(), Box::new(sink.clone()));
+    let mut link = rt.add_link(&format!("loopmond_cut_{pid}"));
+    link.feed(before_cut).expect("feed");
+    drop(link);
+    rt.finish().expect("flush");
+    let want = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        !want.is_empty(),
+        "the records before the cut must emit events"
+    );
+    assert_eq!(
+        link_lines(&stdout, &format!("loopmond_cut_{pid}")),
+        want.lines().collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn unsorted_and_truncated_link_reports_the_order_error() {
+    let (bad, order) = defective_pcap::swapped_and_truncated(&backbone_pcap("loopmond-both"));
+    let (code, stderr, stdout) = run_with_a_bad_link("both", &bad);
+    let pid = std::process::id();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: link loopmond_both_{pid}: {order}")),
+        "{stderr}"
+    );
+    // The one batch holding the swap is refused whole, so the link
+    // emitted nothing before it retired.
+    assert!(link_lines(&stdout, &format!("loopmond_both_{pid}")).is_empty());
 }
 
 /// A sink every link shares is not one link's fault: its first failure

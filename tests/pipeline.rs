@@ -1,6 +1,9 @@
 //! End-to-end integration: simulate a backbone, detect, and assert the
 //! paper's qualitative shapes against ground truth.
 
+#[path = "../crates/loopscope/tests/oracle/mod.rs"]
+mod oracle;
+
 use routing_loops::backbone::{paper_backbones, run_backbone, BackboneSpec};
 use routing_loops::loopscope::{
     analysis, BlockParallelDetector, DetectionResult, Detector, DetectorConfig,
@@ -240,6 +243,26 @@ fn assert_detections_equal(a: &DetectionResult, b: &DetectionResult, what: &str)
     assert_eq!(a.looped_flags, b.looped_flags, "{what}: flags diverged");
 }
 
+/// Full-output equality with the independent oracle.
+fn assert_matches_oracle(a: &DetectionResult, want: &oracle::Expected, what: &str) {
+    assert_eq!(
+        a.stats, want.stats,
+        "{what}: stats diverged from the oracle"
+    );
+    assert_eq!(
+        a.streams, want.streams,
+        "{what}: streams diverged from the oracle"
+    );
+    assert_eq!(
+        a.loops, want.loops,
+        "{what}: loops diverged from the oracle"
+    );
+    assert_eq!(
+        a.looped_flags, want.looped_flags,
+        "{what}: flags diverged from the oracle"
+    );
+}
+
 #[test]
 fn block_detector_matches_serial_on_backbone() {
     // The determinism contract behind `loopdetect --threads N`: block
@@ -248,23 +271,12 @@ fn block_detector_matches_serial_on_backbone() {
     let run = run_backbone(&small_spec());
     let serial = Detector::new(DetectorConfig::default()).run(&run.records);
     assert!(!serial.streams.is_empty(), "fixture must contain loops");
-    // The level-0 pre-filter is output-invisible here too: the exact-map
-    // reference path is the same oracle for every block run below.
-    let no_prefilter = DetectorConfig {
-        use_prefilter: false,
-        ..DetectorConfig::default()
-    };
-    let reference = Detector::new(no_prefilter).run(&run.records);
-    assert_detections_equal(&serial, &reference, "serial, prefilter off");
+    // And all of them match the independent oracle.
+    let want = oracle::detect(&run.records, &DetectorConfig::default()).unwrap();
+    assert_matches_oracle(&serial, &want, "serial");
     for threads in [2usize, 4, 8] {
         let par = BlockParallelDetector::new(DetectorConfig::default(), threads).run(&run.records);
         assert_detections_equal(&serial, &par, &format!("{threads} threads"));
-        let par_off = BlockParallelDetector::new(no_prefilter, threads).run(&run.records);
-        assert_detections_equal(
-            &serial,
-            &par_off,
-            &format!("{threads} threads, prefilter off"),
-        );
     }
 }
 
@@ -282,21 +294,11 @@ fn block_detector_matches_serial_on_pcap_fixture() {
     write_tap_to_pcap(&run.tap, PAPER_SNAPLEN, &mut buf).unwrap();
     let (records, _skipped) = records_from_pcap(std::io::Cursor::new(&buf)).unwrap();
     let serial = Detector::new(DetectorConfig::default()).run(&records);
-    let no_prefilter = DetectorConfig {
-        use_prefilter: false,
-        ..DetectorConfig::default()
-    };
-    let reference = Detector::new(no_prefilter).run(&records);
-    assert_detections_equal(&serial, &reference, "pcap, serial, prefilter off");
+    let want = oracle::detect(&records, &DetectorConfig::default()).unwrap();
+    assert_matches_oracle(&serial, &want, "pcap, serial");
     for threads in [2usize, 4, 8] {
         let par = BlockParallelDetector::new(DetectorConfig::default(), threads).run(&records);
         assert_detections_equal(&serial, &par, &format!("pcap, {threads} threads"));
-        let par_off = BlockParallelDetector::new(no_prefilter, threads).run(&records);
-        assert_detections_equal(
-            &serial,
-            &par_off,
-            &format!("pcap, {threads} threads, prefilter off"),
-        );
     }
 }
 
