@@ -7,22 +7,29 @@
 //! completes. This module is that runtime:
 //!
 //! * [`MonitorRuntime`] owns the shared state: the unified per-link-
-//!   attributed loop-event JSONL sink and the fleet-wide counters.
+//!   attributed loop-event JSONL sink, the fleet-wide counters and a
+//!   spare list of finished engines.
 //! * [`MonitorRuntime::add_link`] registers a link and returns a
 //!   [`LinkMonitor`] — a share-nothing handle owning that link's bounded
-//!   [`StreamingEngine`] (one [`crate::online::OnlineDetector`] per link).
+//!   [`StreamingEngine`] (one [`crate::online::OnlineDetector`] per live
+//!   link): a spare one when there is one, else a new, small one.
 //!   Handles are `Send`: each worker thread drives its links privately
 //!   and only takes the sink lock to append completed event lines, so
 //!   per-link event order is never perturbed by multiplexing.
 //! * [`LinkMonitor::feed`] is the incremental path ([`Engine::feed`]
 //!   under the hood); [`LinkMonitor::finish`] drains the engine's tail,
-//!   flushes the link's last events, and retires the link — link removal
-//!   is graceful by construction. Dropping a handle without finishing
-//!   (worker panic, shutdown race) only forfeits that link's tail events;
-//!   the shared sink and the other links are unaffected.
+//!   flushes the link's last events, retires the link — link removal is
+//!   graceful by construction — and puts the emptied engine, which keeps
+//!   its allocations, on the spare list. A worker that runs its links one
+//!   after another so sets up one engine, not one per link, and the list
+//!   never holds more engines than were live at once. Dropping a handle
+//!   without finishing (a refused batch, worker panic, shutdown race)
+//!   only forfeits that link's tail events and its engine; the shared
+//!   sink and the other links are unaffected.
 //!
 //! Determinism: a link's event stream depends only on its own records —
-//! engines never share detector state — so the per-link slice of the
+//! engines never share detector state, and a finished engine is as empty
+//! as a new one — so the per-link slice of the
 //! unified sink is byte-identical to running that link's trace standalone
 //! through a [`StreamingEngine`] with the same [`event_line`] rendering
 //! (asserted by the monitor conformance tests). Memory is bounded per
@@ -105,6 +112,8 @@ pub struct LinkSummary {
 
 struct Shared {
     out: Mutex<Box<dyn Write + Send>>,
+    /// Finished engines, emptied, for the next links.
+    spare: Mutex<Vec<StreamingEngine>>,
     active: AtomicUsize,
     opened: AtomicU64,
     closed: AtomicU64,
@@ -207,6 +216,7 @@ impl MonitorRuntime {
             cfg,
             shared: Arc::new(Shared {
                 out: Mutex::new(out),
+                spare: Mutex::new(Vec::new()),
                 active: AtomicUsize::new(0),
                 opened: AtomicU64::new(0),
                 closed: AtomicU64::new(0),
@@ -225,10 +235,14 @@ impl MonitorRuntime {
     /// Panics when `id` fails `validate_link_id`'s charset rules.
     pub fn add_link(&self, id: &str) -> LinkMonitor {
         validate_link_id(id);
-        let mut engine = StreamingEngine::new(self.cfg.detector);
-        if let Some(h) = self.cfg.history_horizon_ns {
-            engine = engine.with_history_horizon(h);
-        }
+        let spare = self.shared.spare.lock().expect("spare list poisoned").pop();
+        let engine = spare.unwrap_or_else(|| {
+            let engine = StreamingEngine::new(self.cfg.detector);
+            match self.cfg.history_horizon_ns {
+                Some(h) => engine.with_history_horizon(h),
+                None => engine,
+            }
+        });
         // Metric names live for the process; registering the same link id
         // twice re-resolves to the same gauges (the registry keys by
         // name content).
@@ -242,7 +256,10 @@ impl MonitorRuntime {
         LinkMonitor {
             id: id.to_string(),
             engine,
-            shared: Arc::clone(&self.shared),
+            slot: Slot {
+                shared: Arc::clone(&self.shared),
+                done: false,
+            },
             persistent_ns: self.cfg.persistent_threshold_ns,
             records: 0,
             last_ns: 0,
@@ -252,7 +269,6 @@ impl MonitorRuntime {
             gauge_open: gauge("open_candidates"),
             gauge_loops: gauge("loops"),
             buf: String::new(),
-            done: false,
         }
     }
 
@@ -292,7 +308,7 @@ impl MonitorRuntime {
 pub struct LinkMonitor {
     id: String,
     engine: StreamingEngine,
-    shared: Arc<Shared>,
+    slot: Slot,
     persistent_ns: u64,
     records: u64,
     /// Timestamp of the last record fed (0 before the first).
@@ -303,6 +319,13 @@ pub struct LinkMonitor {
     gauge_open: &'static Gauge,
     gauge_loops: &'static Gauge,
     buf: String,
+}
+
+/// A link's place in the fleet. Dropped without a graceful close (a
+/// handle dropped without finish), it still takes the link out of the
+/// active count.
+struct Slot {
+    shared: Arc<Shared>,
     done: bool,
 }
 
@@ -359,7 +382,8 @@ impl LinkMonitor {
     }
 
     /// Drains the engine's remaining state, writes this link's tail
-    /// events, and retires the link from the fleet.
+    /// events, retires the link from the fleet, and hands the emptied
+    /// engine to the runtime's spare list.
     pub fn finish(mut self) -> std::io::Result<LinkSummary> {
         self.buf.clear();
         let mut streams = 0u64;
@@ -380,10 +404,17 @@ impl LinkMonitor {
         self.loops += loops;
         self.flush_buf()?;
         self.account(0, streams, loops);
-        self.done = true;
-        self.retire();
+        self.slot.done = true;
+        self.slot.shared.closed.fetch_add(1, Ordering::Relaxed);
+        self.slot.deactivate();
+        self.slot
+            .shared
+            .spare
+            .lock()
+            .expect("spare list poisoned")
+            .push(self.engine);
         Ok(LinkSummary {
-            id: self.id.clone(),
+            id: self.id,
             records: self.records,
             streams: self.streams,
             loops: self.loops,
@@ -407,14 +438,15 @@ impl LinkMonitor {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let mut out = self.shared.out.lock().expect("monitor sink poisoned");
+        let mut out = self.slot.shared.out.lock().expect("monitor sink poisoned");
         out.write_all(self.buf.as_bytes())
     }
 
     fn account(&self, records: u64, streams: u64, loops: u64) {
-        self.shared.records.fetch_add(records, Ordering::Relaxed);
-        self.shared.streams.fetch_add(streams, Ordering::Relaxed);
-        self.shared.loops.fetch_add(loops, Ordering::Relaxed);
+        let shared = &self.slot.shared;
+        shared.records.fetch_add(records, Ordering::Relaxed);
+        shared.streams.fetch_add(streams, Ordering::Relaxed);
+        shared.loops.fetch_add(loops, Ordering::Relaxed);
         TM_RECORDS.add(records);
         TM_STREAMS.add(streams);
         TM_LOOPS.add(loops);
@@ -422,23 +454,21 @@ impl LinkMonitor {
         self.gauge_open.set(self.open_candidates() as i64);
         self.gauge_loops.set(self.loops as i64);
     }
+}
 
-    fn retire(&self) {
-        self.shared.closed.fetch_add(1, Ordering::Relaxed);
-        self.deactivate();
-    }
-
+impl Slot {
     fn deactivate(&self) {
         let active = self.shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
         TM_LINKS_ACTIVE.set(active as i64);
     }
 }
 
-impl Drop for LinkMonitor {
+impl Drop for Slot {
     fn drop(&mut self) {
-        // A handle dropped without finish (worker panic, shutdown race)
-        // forfeits its tail events and does not count as a graceful close,
-        // but must not wedge the active-link count.
+        // A handle dropped without finish (refused batch, worker panic,
+        // shutdown race) forfeits its tail events and its engine and does
+        // not count as a graceful close, but must not wedge the
+        // active-link count.
         if !self.done {
             self.deactivate();
         }
@@ -471,30 +501,13 @@ mod tests {
         }
     }
 
+    /// Three 5-sighting loops to `203.0.<dst_octet>.1`, 400 ms apart.
     fn looping_trace(dst_octet: u8) -> Vec<TraceRecord> {
-        let mut recs = Vec::new();
-        for j in 0..3u16 {
-            let mut p = Packet::tcp_flags(
-                Ipv4Addr::new(100, 9, 9, 9),
-                Ipv4Addr::new(203, 0, dst_octet, 1),
-                5000,
-                80,
-                TcpFlags::ACK,
-                &b"pay"[..],
-            );
-            p.ip.ident = 400 + j;
-            p.ip.ttl = 58;
-            p.fill_checksums();
-            let base = u64::from(j) * 400_000_000;
-            for k in 0..5u64 {
-                if k > 0 {
-                    p.ip.decrement_ttl();
-                    p.ip.decrement_ttl();
-                }
-                recs.push(TraceRecord::from_packet(base + k * 1_000_000, &p));
-            }
-        }
-        recs
+        (0..3u16)
+            .flat_map(|j| {
+                loop_records(u64::from(j) * 400_000_000, 1_000_000, 5, 400 + j, dst_octet)
+            })
+            .collect()
     }
 
     #[test]
@@ -524,6 +537,179 @@ mod tests {
         assert_eq!(summary.records, recs.len() as u64);
         assert!(summary.streams > 0, "fixture must produce streams");
         assert!(summary.loops > 0, "fixture must produce loops");
+    }
+
+    /// `n` sightings of one packet looping to `203.0.<net>.1`, `spacing_ns`
+    /// apart from `start_ns`, TTL dropping by 2.
+    fn loop_records(
+        start_ns: u64,
+        spacing_ns: u64,
+        n: u64,
+        ident: u16,
+        net: u8,
+    ) -> Vec<TraceRecord> {
+        let mut p = Packet::tcp_flags(
+            Ipv4Addr::new(100, 9, 9, 9),
+            Ipv4Addr::new(203, 0, net, 1),
+            5000,
+            80,
+            TcpFlags::ACK,
+            &b"pay"[..],
+        );
+        p.ip.ident = ident;
+        p.ip.ttl = 64;
+        p.fill_checksums();
+        (0..n)
+            .map(|k| {
+                if k > 0 {
+                    p.ip.decrement_ttl();
+                    p.ip.decrement_ttl();
+                }
+                TraceRecord::from_packet(start_ns + k * spacing_ns, &p)
+            })
+            .collect()
+    }
+
+    /// `n` distinct packets, one sighting each, `spacing_ns` apart from
+    /// `start_ns`, over 64 /24s.
+    fn background(start_ns: u64, spacing_ns: u64, n: u64) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| {
+                let mut p = Packet::tcp_flags(
+                    Ipv4Addr::new(100, 2, 2, 2),
+                    Ipv4Addr::new(20, 0, (i % 64) as u8, 1),
+                    1000 + (i / 65_536) as u16,
+                    80,
+                    TcpFlags::ACK,
+                    &b""[..],
+                );
+                p.ip.ident = i as u16;
+                p.fill_checksums();
+                TraceRecord::from_packet(start_ns + i * spacing_ns, &p)
+            })
+            .collect()
+    }
+
+    fn sorted(mut recs: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        recs.sort_by_key(|r| r.timestamp_ns);
+        recs
+    }
+
+    #[test]
+    fn recycled_engines_match_fresh_standalone_engines() {
+        let ms = 1_000_000u64;
+        let detector = DetectorConfig {
+            max_replica_gap_ns: 50 * ms,
+            merge_gap_ns: 1_000 * ms,
+            ..DetectorConfig::default()
+        };
+        // A long, loop-heavy link: loops on four /24s every 300 ms over
+        // 6 s, so loops become final mid-link, and background traffic
+        // that grows the level-0 table.
+        let mut long = background(0, ms / 2, 12_000);
+        for j in 0..20u16 {
+            let n = 3 + u64::from(j % 5);
+            long.extend(loop_records(
+                u64::from(j) * 300 * ms,
+                5 * ms,
+                n,
+                j,
+                (j % 4) as u8,
+            ));
+        }
+        let long = sorted(long);
+        let one = loop_records(7 * ms, 1, 1, 1, 9);
+        // A link that ends with a pending loop (its stream emitted, the
+        // merge gap not yet over) and an open candidate of two sightings.
+        let open_end = sorted(
+            [
+                background(0, 2 * ms, 300),
+                loop_records(10 * ms, 5 * ms, 4, 7, 1),
+                loop_records(590 * ms, 5 * ms, 2, 8, 1),
+            ]
+            .concat(),
+        );
+        // A link refused for going back in time, then dropped.
+        let backwards = sorted(background(0, ms, 200));
+
+        for horizon in [None, Some(60 * ms)] {
+            let cfg = MonitorConfig {
+                detector,
+                history_horizon_ns: horizon,
+                ..MonitorConfig::default()
+            };
+            let sink = SharedVec::default();
+            let rt = MonitorRuntime::new(cfg.clone(), Box::new(sink.clone()));
+            let order: [(&str, &[TraceRecord]); 7] = [
+                ("long", &long),
+                ("one", &one),
+                ("open-end", &open_end),
+                ("backwards", &backwards),
+                ("long-again", &long),
+                ("open-end-again", &open_end),
+                ("one-again", &one),
+            ];
+            for (i, (id, recs)) in order.into_iter().enumerate() {
+                let spare = rt.shared.spare.lock().unwrap().len();
+                // Only the first link and the one after the dropped link
+                // start on a new engine.
+                assert_eq!(spare, usize::from(i != 0 && i != 4), "{id}: spare engines");
+                let before = sink.contents().len();
+                let mut link = rt.add_link(id);
+                let mut fresh = StreamingEngine::new(detector);
+                if let Some(h) = horizon {
+                    fresh = fresh.with_history_horizon(h);
+                }
+                let mut expect = String::new();
+                let mut emit = |ev: OnlineEvent| {
+                    expect.push_str(&event_line(id, &ev, cfg.persistent_threshold_ns));
+                    expect.push('\n');
+                };
+                if id == "backwards" {
+                    link.feed(&recs[..150]).unwrap();
+                    let mut back = recs[150..].to_vec();
+                    back.swap(0, 10);
+                    link.feed(&back).unwrap_err();
+                    drop(link);
+                    fresh.feed(&recs[..150], &mut emit);
+                    assert_eq!(sink.contents()[before..], expect, "{id}");
+                    continue;
+                }
+                for chunk in recs.chunks(1_000) {
+                    link.feed(chunk).unwrap();
+                }
+                let fed = sink.contents()[before..].to_string();
+                if id.starts_with("long") {
+                    assert!(
+                        fed.contains("\"event\":\"loop\""),
+                        "{id}: loops final mid-link"
+                    );
+                }
+                if id.starts_with("open-end") {
+                    assert!(link.open_candidates() > 0, "{id}: open at the end");
+                    assert!(
+                        !fed.contains("\"event\":\"loop\""),
+                        "{id}: the loop pending"
+                    );
+                    assert!(
+                        fed.contains("\"event\":\"stream\""),
+                        "{id}: its stream emitted"
+                    );
+                }
+                let summary = link.finish().unwrap();
+                fresh.feed(recs, &mut emit);
+                let stats = fresh.finish(&mut emit);
+                assert_eq!(
+                    sink.contents()[before..],
+                    expect,
+                    "{id}, horizon {horizon:?}"
+                );
+                assert_eq!(summary.stats, stats, "{id}, horizon {horizon:?}");
+            }
+            assert_eq!(rt.shared.spare.lock().unwrap().len(), 1);
+            let totals = rt.finish().unwrap();
+            assert_eq!((totals.links_opened, totals.links_closed), (7, 6));
+        }
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   closed candidate with two or more sightings goes on to steps 2–3.
 //! * **A record log** holds every retained record, oldest first, with what
 //!   step 1 made of it. Open single sightings are never tracked one by
-//!   one: they are the single records of the last replica gap, counted as
-//!   records enter and leave that window, and a /24's oldest one is found
-//!   in its history.
+//!   one: they are the single records of the last replica gap, counted
+//!   back from the newest record when asked, and a /24's oldest one is
+//!   found in its history.
 //! * **Loop finalisation** is gated per /24. A loop is final only once its
 //!   end plus the merge gap lies before a barrier: the earlier of `now` and
 //!   the start of the /24's oldest open candidate. Each /24 records what
@@ -54,6 +54,9 @@
 //! The fleet-total gauges are published once at the end of each public
 //! call ([`OnlineDetector::push`], [`OnlineDetector::push_batch`]), not
 //! per record, so detectors on different threads do not contend on them.
+//! [`OnlineDetector::finish`] leaves the detector empty for a new trace,
+//! with everything it allocated kept, so a caller that runs traces one
+//! after another (the monitor runtime) sets a detector up once.
 //! The shared rules write the `validate.*` and `merge.*` counters per
 //! event, as offline: once per closed candidate and once per final loop.
 
@@ -160,12 +163,12 @@ enum Sighting {
     Closed,
 }
 
-/// `(timestamp, /24, what step 1 made of it)` for every record still in
-/// some prefix history, oldest first: the trim queue. Its length is this
-/// detector's history total.
+/// `(timestamp, /24 state index, what step 1 made of it)` for every
+/// record still in some prefix history, oldest first: the trim queue. Its
+/// length is this detector's history total. A 16-byte entry.
 #[derive(Debug, Default)]
 struct Log {
-    records: VecDeque<(u64, Ipv4Prefix, Sighting)>,
+    records: VecDeque<(u64, u32, Sighting)>,
     /// The next record's sequence number.
     end: usize,
 }
@@ -206,16 +209,17 @@ struct Core {
     /// `now - max_replica_gap`: records before it are out of the replica
     /// window.
     cutoff: u64,
-    prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
+    /// Each /24 of this trace: the index of its state in `states`. The
+    /// /24 passes visit the /24s in this map's order.
+    prefixes: FxHashMap<Ipv4Prefix, u32>,
+    /// Per-/24 state, by order of first record. States past the map's
+    /// length are emptied ones of an earlier trace, kept for reuse.
+    states: Vec<PrefixState>,
     log: Log,
     /// The events completed during the current push.
     events: Vec<OnlineEvent>,
-    /// How many of the newest records in the log are inside the replica
-    /// window.
-    window: usize,
-    /// Open candidates: the window's single sightings, and the candidates
-    /// with two or more.
-    open: usize,
+    /// Open candidates with two or more sightings.
+    multis: usize,
     /// The earliest time-decided recheck (`Recheck::due`) over all /24s
     /// (`u64::MAX` when there is none).
     flush_due: u64,
@@ -290,9 +294,10 @@ impl OnlineDetector {
         //   horizon >= merge_gap + (255 + 1) * replica_gap.
         let horizon = cfg.merge_gap_ns + cfg.max_replica_gap_ns.saturating_mul(256);
         Self {
-            // A fleet creates hundreds of detectors at once, so each
-            // scanner starts at its smallest table and lets the sweep grow
-            // it to its own link's replica window.
+            // A fleet can hold hundreds of live detectors, so a new one
+            // starts at the scanner's smallest table. What sizes the tables
+            // is reuse: a finished detector keeps them for its next trace,
+            // and the sweep grows them to the busiest replica window seen.
             scanner: CandidateScanner::with_capacity(cfg, 0),
             core: Core {
                 cfg,
@@ -300,10 +305,10 @@ impl OnlineDetector {
                 now: 0,
                 cutoff: 0,
                 prefixes: FxHashMap::default(),
+                states: Vec::new(),
                 log: Log::default(),
                 events: Vec::new(),
-                window: 0,
-                open: 0,
+                multis: 0,
                 flush_due: u64::MAX,
                 recheck_now: 0,
                 reported_open: 0,
@@ -335,7 +340,7 @@ impl OnlineDetector {
 
     /// Number of currently-open candidates (memory introspection).
     pub fn open_candidates(&self) -> usize {
-        self.core.open
+        self.core.open_candidates()
     }
 
     /// Pushes one record; returns any events whose evidence completed.
@@ -344,7 +349,7 @@ impl OnlineDetector {
     /// Panics when records go backwards in time.
     pub fn push(&mut self, rec: &TraceRecord) -> Vec<OnlineEvent> {
         self.push_record(rec);
-        self.core.publish_gauges();
+        self.settle_call();
         std::mem::take(&mut self.core.events)
     }
 
@@ -358,9 +363,11 @@ impl OnlineDetector {
     pub fn push_batch(&mut self, records: &[TraceRecord], mut emit: impl FnMut(OnlineEvent)) {
         for rec in records {
             self.push_record(rec);
-            self.core.events.drain(..).for_each(&mut emit);
+            if !self.core.events.is_empty() {
+                self.core.events.drain(..).for_each(&mut emit);
+            }
         }
-        self.core.publish_gauges();
+        self.settle_call();
     }
 
     fn push_record(&mut self, rec: &TraceRecord) {
@@ -371,7 +378,6 @@ impl OnlineDetector {
         );
         core.now = rec.timestamp_ns;
         core.cutoff = core.now.saturating_sub(core.cfg.max_replica_gap_ns);
-        core.stats.records += 1;
 
         // Expire stale candidates and quiet loops *before* processing, so
         // a record at time T sees exactly the state the offline pass would
@@ -386,22 +392,38 @@ impl OnlineDetector {
         // the offline detector's global positions when the same trace is
         // replayed from the start.
         let seq = self.core.record(rec);
-        self.scanner.push_observed(seq, rec, &mut self.core);
-        self.core.stats.checksum_splits = self.scanner.counters().checksum_splits;
+        self.scanner.push_prefiltered(seq, rec, &mut self.core);
+    }
+
+    /// Brings the counters kept elsewhere into the stats, and the gauges
+    /// up to date, once per public call.
+    fn settle_call(&mut self) {
+        let core = &mut self.core;
+        core.stats.records = core.log.end as u64;
+        core.stats.checksum_splits = self.scanner.counters().checksum_splits;
+        core.publish_gauges();
     }
 
     /// Flushes everything at end of trace; returns the tail events and
     /// the final counters. Publishes the `replica.*` step-1 counters.
-    pub fn finish(mut self) -> (Vec<OnlineEvent>, OnlineStats) {
-        let (closed, counters) = self.scanner.finish();
+    ///
+    /// The detector is then empty, as [`OnlineDetector::new`] made it with
+    /// the same configuration and horizon, and takes a new trace from its
+    /// first record. It keeps what it allocated: the scanner's tables at
+    /// the size they reached, and its record log and per-/24 histories.
+    pub fn finish(&mut self) -> (Vec<OnlineEvent>, OnlineStats) {
+        let (closed, counters) = self.scanner.finish_and_reset();
         let core = &mut self.core;
+        core.stats.records = core.log.end as u64;
+        core.stats.checksum_splits = counters.checksum_splits;
         publish_scan_totals(core.stats.records as usize, &counters);
         publish_checksum_splits(counters.checksum_splits);
         for stream in closed {
             core.close_candidate(stream);
         }
         // Force-flush every pending loop.
-        for state in core.prefixes.values_mut() {
+        for &i in core.prefixes.values() {
+            let state = &mut core.states[i as usize];
             let (loops, _) = state.take_final_loops(&core.cfg, &core.log, None);
             for l in loops {
                 emit_loop(&mut core.stats, &mut core.events, l);
@@ -412,7 +434,9 @@ impl OnlineDetector {
             OnlineEvent::Stream(s) => (0u8, s.start_ns(), s.key.ident),
             OnlineEvent::Loop(l) => (1u8, l.start_ns, 0),
         });
-        (events, core.stats)
+        let stats = core.stats;
+        core.reset();
+        (events, stats)
     }
 }
 
@@ -421,21 +445,25 @@ impl Core {
     /// its sequence number.
     fn record(&mut self, rec: &TraceRecord) -> usize {
         let seq = self.log.end;
-        let prefix = Ipv4Prefix::slash24_of(rec.dst);
-        let pstate = self.prefixes.entry(prefix).or_default();
-        pstate.history.push(rec.timestamp_ns, seq);
+        let next = self.prefixes.len() as u32;
+        let i = *self
+            .prefixes
+            .entry(Ipv4Prefix::slash24_of(rec.dst))
+            .or_insert(next);
+        if i as usize == self.states.len() {
+            self.states.push(PrefixState::default());
+        }
+        self.states[i as usize].history.push(rec.timestamp_ns, seq);
         self.log
             .records
-            .push_back((rec.timestamp_ns, prefix, Sighting::Single));
+            .push_back((rec.timestamp_ns, i, Sighting::Single));
         self.log.end += 1;
-        self.window += 1;
-        self.open += 1;
         #[cfg(debug_assertions)]
         {
             // Forgetting every key now and then keeps the map as small as
-            // the replica window; the check only looks back less far.
+            // the retained history; the check only looks back less far.
             let key = ReplicaKey::of(rec);
-            if self.fingerprints.len() > 4 * self.window.max(1024) {
+            if self.fingerprints.len() > 4 * self.log.records.len().max(1024) {
                 self.fingerprints.clear();
             }
             let fp = *self.fingerprints.entry(key).or_insert(rec.fingerprint);
@@ -457,10 +485,7 @@ impl Core {
         to: Sighting,
     ) -> &mut PrefixState {
         self.log.set(idx, to);
-        let state = self
-            .prefixes
-            .get_mut(&Ipv4Prefix::slash24_of(rec.dst))
-            .expect("a pushed record's /24 has state");
+        let state = &mut self.states[self.prefixes[&Ipv4Prefix::slash24_of(rec.dst)] as usize];
         if let Recheck::Blocked { horizon, .. } = state.recheck {
             if start <= horizon {
                 state.recheck = Recheck::Now;
@@ -470,9 +495,50 @@ impl Core {
         state
     }
 
+    /// Open candidates: the candidates with two or more sightings, and the
+    /// single sightings of the last replica gap, counted back from the
+    /// newest record. Asked once per public call, not kept per record.
+    fn open_candidates(&self) -> usize {
+        let cutoff = self.cutoff;
+        let singles = self
+            .log
+            .records
+            .iter()
+            .rev()
+            .take_while(|&&(t, _, _)| t >= cutoff)
+            .filter(|&&(_, _, sighting)| sighting == Sighting::Single)
+            .count();
+        self.multis + singles
+    }
+
+    /// Empties the detector for a new trace, keeping its allocations, and
+    /// takes its share back out of the fleet-total gauges.
+    fn reset(&mut self) {
+        self.now = 0;
+        self.cutoff = 0;
+        // The /24 passes visit the map in its order, which decides the
+        // order of loops that become final on one push. So the map is
+        // rebuilt, to grow exactly as a new detector's does, and only the
+        // /24 states, with their history capacity, are kept.
+        for state in &mut self.states[..self.prefixes.len()] {
+            state.clear();
+        }
+        self.prefixes = FxHashMap::default();
+        self.log.records.clear();
+        self.log.end = 0;
+        self.events.clear();
+        debug_assert_eq!(self.multis, 0, "finish closes every candidate");
+        self.flush_due = u64::MAX;
+        self.recheck_now = 0;
+        self.stats = OnlineStats::default();
+        #[cfg(debug_assertions)]
+        self.fingerprints.clear();
+        self.publish_gauges();
+    }
+
     /// Brings the fleet-total gauges up to date with this detector's share.
     fn publish_gauges(&mut self) {
-        let open = self.open as i64;
+        let open = self.open_candidates() as i64;
         if open != self.reported_open {
             TM_OPEN_CANDIDATES.add(open - self.reported_open);
             self.reported_open = open;
@@ -484,25 +550,17 @@ impl Core {
         }
     }
 
-    /// Moves the replica window's start up to the cutoff, emits loops that
-    /// became final and trims history past the horizon.
+    /// Emits loops that became final and trims history past the horizon.
     fn expire(&mut self) {
         let cutoff = self.cutoff;
-        while self.window > 0 {
-            let (t, _, sighting) = self.log.records[self.log.records.len() - self.window];
-            if t >= cutoff {
-                break;
-            }
-            self.open -= usize::from(sighting == Sighting::Single);
-            self.window -= 1;
-        }
         // Emit loops whose composition can no longer change. Only /24s
         // whose recheck condition has come true can emit, so the pass is
         // skipped until one has; it visits the /24s in map order.
         if self.now > self.flush_due || self.recheck_now > 0 {
             let now = self.now;
             let mut due = u64::MAX;
-            for state in self.prefixes.values_mut() {
+            for &i in self.prefixes.values() {
+                let state = &mut self.states[i as usize];
                 if state.recheck == Recheck::Now || state.recheck.due().is_some_and(|t| now > t) {
                     let barrier = state.barrier(now, cutoff, &self.log);
                     let (loops, next) = state.take_final_loops(&self.cfg, &self.log, Some(barrier));
@@ -525,24 +583,20 @@ impl Core {
 
         // Trim history, oldest record first.
         let h_cutoff = self.now.saturating_sub(self.history_horizon_ns);
-        while let Some(&(t, prefix, _)) = self.log.records.front() {
+        while let Some(&(t, i, _)) = self.log.records.front() {
             if t >= h_cutoff {
                 break;
             }
             self.log.records.pop_front();
-            let state = self.prefixes.get_mut(&prefix).expect("history prefix");
-            state.history.pop_front();
+            self.states[i as usize].history.pop_front();
         }
     }
 
     fn close_candidate(&mut self, stream: ReplicaStream) {
-        let prefix = Ipv4Prefix::slash24_of(stream.key.dst);
-        let state = self
-            .prefixes
-            .get_mut(&prefix)
-            .expect("every candidate's /24 has state");
+        let state =
+            &mut self.states[self.prefixes[&Ipv4Prefix::slash24_of(stream.key.dst)] as usize];
         state.open_cands.remove(&stream.record_indices[0]);
-        self.open -= 1;
+        self.multis -= 1;
         if let Recheck::Blocked {
             horizon,
             multis,
@@ -607,6 +661,7 @@ impl ScanObserver for Core {
         // The candidate becomes a real replica set: both of its records
         // count as looped, and it holds its /24's barrier until it closes.
         self.stats.raw_candidates += 1;
+        self.multis += 1;
         self.joined(idx);
         self.settle(first_idx, first_ns, rec, Sighting::Looped)
             .open_cands
@@ -615,14 +670,12 @@ impl ScanObserver for Core {
 
     fn joined(&mut self, idx: usize) {
         self.log.set(idx, Sighting::Looped);
-        self.open -= 1;
     }
 
     fn single_closed(&mut self, idx: usize, ns: u64, rec: &TraceRecord) {
         // The level-0 table keeps a seed until a sweep, so a seed closed
         // here may have expired already.
         if ns >= self.cutoff {
-            self.open -= 1;
             self.settle(idx, ns, rec, Sighting::Closed);
         }
     }
@@ -634,6 +687,14 @@ impl ScanObserver for Core {
 }
 
 impl PrefixState {
+    /// Empties the state, keeping its allocations.
+    fn clear(&mut self) {
+        self.history.clear();
+        self.pending.clear();
+        self.open_cands.clear();
+        self.recheck = Recheck::Idle;
+    }
+
     /// Start times of this /24's open single sightings, oldest first: its
     /// single sightings no older than `cutoff`.
     fn open_singles<'a>(&'a self, cutoff: u64, log: &'a Log) -> impl Iterator<Item = u64> + 'a {
@@ -1156,6 +1217,69 @@ mod tests {
             }
             assert_eq!(batched.stats(), single.stats());
         }
+    }
+
+    #[test]
+    fn a_finished_detector_takes_a_new_trace_like_a_new_one() {
+        let cfg = DetectorConfig {
+            max_replica_gap_ns: 50_000_000,
+            merge_gap_ns: 1_000_000_000,
+            ..DetectorConfig::default()
+        };
+        let ms = 1_000_000;
+        let dst = |ident: u16| Ipv4Addr::new(203, 0, (ident % 3) as u8, 1);
+        // Eight loops from `start_ns` on, one every 400 ms.
+        let loops = |start_ns: u64, seed: u16| {
+            (0..8u16).flat_map(move |j| {
+                let (n, ident) = (2 + usize::from((j + seed) % 4), j + seed);
+                looping_records(
+                    start_ns + u64::from(j) * 400 * ms,
+                    2 * ms,
+                    64,
+                    n,
+                    ident,
+                    dst(ident),
+                )
+            })
+        };
+        let sorted = |mut recs: Vec<TraceRecord>| {
+            recs.sort_by_key(|r| r.timestamp_ns);
+            recs
+        };
+        let second = sorted(loops(4_000 * ms, 100).collect());
+        // The first trace ends on single sightings of the second's packets,
+        // two TTL steps up and 10 ms before them: had the scanner kept
+        // them, the second trace's first sightings would join them.
+        let first = sorted(
+            loops(0, 0)
+                .chain((0..8u16).map(|j| {
+                    let start = 4_000 * ms + u64::from(j) * 400 * ms - 10 * ms;
+                    looping_records(start, 1, 66, 1, j + 100, dst(j + 100))[0]
+                }))
+                .collect(),
+        );
+        let mut reused = OnlineDetector::new(cfg);
+        for r in &first {
+            reused.push(r);
+        }
+        assert!(reused.open_candidates() > 0, "the first trace ends open");
+        let (_, stats) = reused.finish();
+        assert_eq!(stats.records, first.len() as u64);
+        // Empty again, and this detector's gauge shares are taken back.
+        assert_eq!(reused.open_candidates(), 0);
+        assert_eq!(reused.stats(), &OnlineStats::default());
+        assert_eq!(
+            (reused.core.reported_open, reused.core.reported_history),
+            (0, 0)
+        );
+        assert!(reused.core.log.records.is_empty());
+
+        let mut fresh = OnlineDetector::new(cfg);
+        for r in &second {
+            assert_eq!(reused.push(r), fresh.push(r));
+            assert_eq!(reused.open_candidates(), fresh.open_candidates());
+        }
+        assert_eq!(reused.finish(), fresh.finish());
     }
 
     #[test]

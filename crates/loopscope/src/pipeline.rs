@@ -390,7 +390,8 @@ pub trait Engine {
     fn feed(&mut self, batch: &[TraceRecord], emit: &mut dyn FnMut(OnlineEvent));
 
     /// Flushes remaining state at end of input and returns the final
-    /// counters. Must be called exactly once, after all batches.
+    /// counters. Must be called once, after all batches of a trace. The
+    /// streaming engine is then empty and takes a new trace.
     fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats;
 
     /// Current progress, callable at any time.
@@ -568,7 +569,8 @@ impl Engine for SerialEngine {
 /// [`Engine`] interface. Events flow out as their evidence completes; no
 /// record buffer is kept.
 pub struct StreamingEngine {
-    det: Option<OnlineDetector>,
+    det: OnlineDetector,
+    /// Records fed since the engine was made, over every trace it took.
     records: u64,
 }
 
@@ -577,7 +579,7 @@ impl StreamingEngine {
     /// which guarantees offline-identical output).
     pub fn new(cfg: DetectorConfig) -> Self {
         Self {
-            det: Some(OnlineDetector::new(cfg)),
+            det: OnlineDetector::new(cfg),
             records: 0,
         }
     }
@@ -585,7 +587,7 @@ impl StreamingEngine {
     /// Shrinks the retained per-prefix history — see
     /// [`OnlineDetector::with_history_horizon`] for the semantics trade.
     pub fn with_history_horizon(mut self, horizon_ns: u64) -> Self {
-        self.det = self.det.map(|d| d.with_history_horizon(horizon_ns));
+        self.det = self.det.with_history_horizon(horizon_ns);
         self
     }
 }
@@ -596,14 +598,14 @@ impl Engine for StreamingEngine {
     }
 
     fn feed(&mut self, batch: &[TraceRecord], emit: &mut dyn FnMut(OnlineEvent)) {
-        let det = self.det.as_mut().expect("feed after finish");
         self.records += batch.len() as u64;
-        det.push_batch(batch, emit);
+        self.det.push_batch(batch, emit);
     }
 
+    /// Drains the detector's tail and leaves the detector empty, with its
+    /// allocations, for a new trace.
     fn finish(&mut self, emit: &mut dyn FnMut(OnlineEvent)) -> DetectionStats {
-        let det = self.det.take().expect("finish called twice");
-        let (events, stats) = det.finish();
+        let (events, stats) = self.det.finish();
         for ev in events {
             emit(ev);
         }
@@ -613,7 +615,7 @@ impl Engine for StreamingEngine {
     fn progress(&self) -> EngineProgress {
         EngineProgress {
             records: self.records,
-            open_candidates: Some(self.det.as_ref().map_or(0, OnlineDetector::open_candidates)),
+            open_candidates: Some(self.det.open_candidates()),
         }
     }
 }

@@ -303,6 +303,8 @@ struct PreFilter {
     survivors: Vec<(u64, u64, PrefilterSeed)>,
     /// Occupied slots (seeds + promoted markers).
     live: usize,
+    /// Occupied slots holding a seed: the table's one-sighting candidates.
+    seeds_live: usize,
     /// `1 << gen_shift` is the generation window, the smallest power of
     /// two at or above `max_replica_gap_ns` — so anything last touched two
     /// or more generations ago is *provably* beyond the inter-replica
@@ -332,6 +334,7 @@ impl PreFilter {
             seeds: vec![PrefilterSeed::vacant(); cap],
             survivors: Vec::new(),
             live: 0,
+            seeds_live: 0,
             gen_shift,
             hits: 0,
             misses: 0,
@@ -381,6 +384,20 @@ impl PreFilter {
         self.meta[slot] = gen;
         self.seeds[slot] = PrefilterSeed { rec: *rec, idx };
         self.live += 1;
+        self.seeds_live += 1;
+    }
+
+    /// Empties the table, keeping its lanes at their size.
+    fn clear(&mut self) {
+        self.fps.fill(0);
+        self.meta.fill(0);
+        self.live = 0;
+        self.seeds_live = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.promotions = 0;
+        self.evictions = 0;
+        self.collisions = 0;
     }
 }
 
@@ -516,7 +533,8 @@ impl CandidateScanner {
     }
 
     /// Closes every exact-map candidate whose last sighting is before
-    /// `cutoff`. [`Self::push`] does this for its record's time itself.
+    /// `cutoff`. [`Self::push`] does this for its record's time itself;
+    /// a caller of [`Self::push_prefiltered`] does it first.
     #[inline]
     pub(crate) fn expire_before<O: ScanObserver>(&mut self, cutoff: u64, obs: &mut O) {
         if self.expiry.front().is_some_and(|&(ts, _)| ts < cutoff) {
@@ -553,7 +571,14 @@ impl CandidateScanner {
         }
     }
 
-    fn push_prefiltered<O: ScanObserver>(&mut self, idx: usize, rec: &TraceRecord, obs: &mut O) {
+    /// [`Self::push_observed`] for a caller that has already expired the
+    /// exact map up to `rec`'s time less the replica gap.
+    pub(crate) fn push_prefiltered<O: ScanObserver>(
+        &mut self,
+        idx: usize,
+        rec: &TraceRecord,
+        obs: &mut O,
+    ) {
         let fp = normalise_fp(rec.fingerprint);
         let pf = &mut self.prefilter;
         let gen = pf.generation(rec.timestamp_ns);
@@ -612,6 +637,7 @@ impl CandidateScanner {
                 self.open.insert(key, cand);
                 self.expiry.push_back((rec.timestamp_ns, key));
                 pf.meta[slot] = PROMOTED_BIT | gen;
+                pf.seeds_live -= 1;
                 pf.promotions += 1;
                 trace::instant(&TR_PREFILTER_PROMOTION);
                 obs.promoted(seed.idx, seed.rec.timestamp_ns, rec, idx);
@@ -637,6 +663,7 @@ impl CandidateScanner {
             // Costs a probe; cannot change results.
             pf.collisions += 1;
             pf.meta[slot] = PROMOTED_BIT | gen;
+            pf.seeds_live -= 1;
             let (seed_key, key) = (ReplicaKey::of(&seed.rec), ReplicaKey::of(rec));
             self.open
                 .insert(seed_key, OpenCandidate::new(&seed.rec, seed.idx, fp));
@@ -761,6 +788,7 @@ impl CandidateScanner {
                 .reserve_exact((cap / 4).saturating_sub(pf.survivors.len()));
         }
         pf.live = 0;
+        pf.seeds_live = pf.survivors.len();
         for i in 0..pf.survivors.len() {
             let (fp, meta, seed) = pf.survivors[i];
             let slot = pf.probe(fp);
@@ -786,9 +814,20 @@ impl CandidateScanner {
     /// Closes every open candidate and returns the finished sets in
     /// `(start time, first record index)` order. Publishes the
     /// `replica.prefilter_*` counters.
-    pub fn finish(self) -> (Vec<ReplicaStream>, ScanCounters) {
-        let (done, counters, _) = self.finish_with_splits();
+    pub fn finish(mut self) -> (Vec<ReplicaStream>, ScanCounters) {
+        let (done, counters, _) = self.take_finished();
         publish_prefilter(&counters);
+        (done, counters)
+    }
+
+    /// [`Self::finish`], leaving the scanner empty for a new trace with
+    /// its tables at the size they have reached.
+    pub(crate) fn finish_and_reset(&mut self) -> (Vec<ReplicaStream>, ScanCounters) {
+        let (done, counters, _) = self.take_finished();
+        publish_prefilter(&counters);
+        self.expiry.clear();
+        self.counters = ScanCounters::default();
+        self.prefilter.clear();
         (done, counters)
     }
 
@@ -798,10 +837,17 @@ impl CandidateScanner {
     /// block core publishes a range's counters once the range is known to
     /// belong to the trace.
     pub fn finish_with_splits(mut self) -> (Vec<ReplicaStream>, ScanCounters, Vec<u64>) {
+        self.take_finished()
+    }
+
+    /// Closes every open candidate and takes out the finished sets, the
+    /// counters and the split log; the tables keep their contents.
+    fn take_finished(&mut self) -> (Vec<ReplicaStream>, ScanCounters, Vec<u64>) {
         let pf = &self.prefilter;
         // Remaining seeds are one-sighting candidates that never found a
         // replica.
-        self.counters.discarded += pf.seeds().count() as u64;
+        debug_assert_eq!(pf.seeds_live, pf.seeds().count(), "live-seed count");
+        self.counters.discarded += pf.seeds_live as u64;
         self.counters.prefilter = PrefilterCounters {
             hits: pf.hits,
             misses: pf.misses,
@@ -816,7 +862,11 @@ impl CandidateScanner {
         // closes); normalise.
         self.done
             .sort_by_key(|s| (s.start_ns(), s.record_indices[0]));
-        (self.done, self.counters, self.split_fps)
+        (
+            std::mem::take(&mut self.done),
+            self.counters,
+            std::mem::take(&mut self.split_fps),
+        )
     }
 
     /// The counters so far.

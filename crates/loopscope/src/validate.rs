@@ -52,6 +52,11 @@ impl PrefixHistory {
         self.0.pop_front();
     }
 
+    /// Forgets every record, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Whether every record with a timestamp in `[from, to]` (inclusive;
     /// empty when `from > to`) is looped under `is_looped`.
     pub(crate) fn all_looped(&self, from: u64, to: u64, is_looped: impl Fn(usize) -> bool) -> bool {

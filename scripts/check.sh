@@ -278,7 +278,10 @@ run_monitor_smoke() {
     }
     cargo run -p bench --release --bin validate_telemetry -- --events "$tmp/sig.jsonl"
     # Capture mode: three demo captures of different lengths, one link
-    # each. A link's event lines must not depend on the worker count.
+    # each. A link's event lines must not depend on the worker count, nor
+    # on whether its engine is new: at --threads 1 the second and third
+    # links run on the first link's engine, recycled, so each link's lines
+    # must also equal those of a run of that capture alone.
     local scale link status
     for scale in 0.05 0.1 0.3; do
         cargo run --release --example pcap_analysis -- --emit-demo "$tmp/demo-$scale.pcap" "$scale"
@@ -296,6 +299,11 @@ run_monitor_smoke() {
         grep "^{\"link\":\"$link\"," "$tmp/capture-2.jsonl" > "$tmp/$link.t2" || true
         cmp -s "$tmp/$link.t1" "$tmp/$link.t2" || {
             echo "error: link $link's events differ between --threads 1 and 2" >&2
+            exit 1
+        }
+        ./target/release/loopmond "$tmp/$link.pcap" --threads 1 --events "$tmp/$link.alone"
+        cmp -s "$tmp/$link.t1" "$tmp/$link.alone" || {
+            echo "error: link $link's events differ between a recycled engine and a new one" >&2
             exit 1
         }
     done

@@ -330,7 +330,7 @@ fn main() {
     let pace = args.pace_ms.map(std::time::Duration::from_millis);
 
     std::thread::scope(|s| {
-        for _ in 0..args.threads {
+        for _ in 0..workers(args.threads, jobs.len()) {
             s.spawn(|| loop {
                 let j = next_job.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(j) else { break };
@@ -401,6 +401,12 @@ fn main() {
     if failed.load(Ordering::Relaxed) {
         exit(1);
     }
+}
+
+/// The worker threads to start: `--threads`, but never more than there
+/// are links to monitor, since each worker takes whole links.
+fn workers(threads: usize, jobs: usize) -> usize {
+    threads.min(jobs)
 }
 
 /// Why [`run_job`] gave up on a link.
@@ -492,4 +498,18 @@ fn run_job(
 /// [`LinkMonitor::feed`]: routing_loops::loopscope::LinkMonitor::feed
 fn is_out_of_order(e: &std::io::Error) -> bool {
     e.get_ref().is_some_and(|inner| inner.is::<OutOfOrder>())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::workers;
+
+    #[test]
+    fn workers_are_clamped_to_the_links() {
+        assert_eq!(workers(8, 1), 1);
+        assert_eq!(workers(8, 3), 3);
+        assert_eq!(workers(2, 640), 2);
+        assert_eq!(workers(4, 4), 4);
+        assert_eq!(workers(usize::MAX, 2), 2);
+    }
 }

@@ -42,18 +42,33 @@ pub fn write_tap_to_pcap<W: Write>(tap: &Tap, snaplen: u32, sink: W) -> Result<u
 /// Reads detector records back out of a pcap file. Records whose IP header
 /// is unparseable (non-IPv4 link noise) are skipped and counted.
 pub fn records_from_pcap<R: Read>(source: R) -> Result<(Vec<TraceRecord>, u64), PcapError> {
+    match decode_pcap(source)? {
+        (records, skipped, None) => Ok((records, skipped)),
+        (_, _, Some(e)) => Err(e),
+    }
+}
+
+/// What a pcap read decoded: the records and the skip count, and the
+/// reader's error when it failed part-way, the records then being those
+/// before the defect. An unreadable file header is an error outright.
+type PartialRead = (Vec<TraceRecord>, u64, Option<PcapError>);
+
+/// Decodes every record of `source` in one pass.
+fn decode_pcap<R: Read>(source: R) -> Result<PartialRead, PcapError> {
     let _t = telemetry::span("pcap.read");
     let mut source = PcapSource::from(PcapReader::new(source)?);
     let mut records = Vec::new();
-    source.for_each_record(|rec| {
-        records.push(rec);
-        Ok::<_, PcapError>(())
-    })?;
+    let failed = source
+        .for_each_record(|rec| {
+            records.push(rec);
+            Ok::<_, PcapError>(())
+        })
+        .err();
     let skipped = source.skipped_hint();
-    if skipped > 0 {
+    if skipped > 0 && failed.is_none() {
         telemetry::tm_warn!("skipped {} unparseable records", skipped);
     }
-    Ok((records, skipped))
+    Ok((records, skipped, failed))
 }
 
 /// [`records_from_pcap`] fanned out over up to `threads` byte ranges of
@@ -66,18 +81,25 @@ pub fn records_from_pcap_parallel(
     path: &Path,
     threads: usize,
 ) -> Result<(Vec<TraceRecord>, u64), PcapError> {
+    match read_pcap_file(path, threads)? {
+        (records, skipped, None) => Ok((records, skipped)),
+        (_, _, Some(e)) => Err(e),
+    }
+}
+
+/// [`records_from_pcap_parallel`], keeping the records decoded before a
+/// defect.
+fn read_pcap_file(path: &Path, threads: usize) -> Result<PartialRead, PcapError> {
     if threads <= 1 {
-        return records_from_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
+        return decode_pcap(std::io::BufReader::new(std::fs::File::open(path)?));
     }
     let _t = telemetry::span("pcap.read_parallel");
     let mut ranges = read_pcap_ranges(path, threads, &Vec::new, &mut |_| {
         std::ops::ControlFlow::Continue(())
     })?;
-    if let Some(e) = ranges.failed.take() {
-        return Err(e);
-    }
+    let failed = ranges.failed.take();
     let skipped = ranges.skipped;
-    Ok((ranges.concat(), skipped))
+    Ok((ranges.concat(), skipped, failed))
 }
 
 /// Failure converting a pcap capture to a `.ltc` corpus: either side of
@@ -145,12 +167,17 @@ impl From<corpus::CorpusError> for ConvertError {
 /// `(records, skipped)` as written to the corpus header. Any pcap defect
 /// (including a truncated final record) aborts the conversion with the
 /// pcap layer's error, and records that go back in time abort it with
-/// the first of them; the partially written `dst` is removed.
+/// the first of them; the partially written `dst` is removed. Of the two,
+/// the error reported is the first in file order: records out of order
+/// before a defect are reported as such.
 pub fn pcap_to_ltc(src: &Path, dst: &Path, threads: usize) -> Result<(u64, u64), ConvertError> {
     let _t = telemetry::span("convert.pcap_to_ltc");
-    let (records, skipped) = records_from_pcap_parallel(src, threads)?;
+    let (records, skipped, failed) = read_pcap_file(src, threads)?;
     if let Some(err) = OutOfOrder::first_in(&records, 0, 0) {
         return Err(ConvertError::Unsorted(err));
+    }
+    if let Some(e) = failed {
+        return Err(e.into());
     }
     match corpus::write_ltc_file(dst, &records, skipped) {
         Ok(n) => Ok((n, skipped)),

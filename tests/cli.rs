@@ -955,5 +955,22 @@ fn unsorted_and_truncated_pcap_reports_the_first_defect_on_every_engine() {
     ] {
         assert_unsorted_refused(&pcap, args, &want);
     }
+    // The conversion reports the same defect, at one and two readers.
+    let ltc = pcap.with_extension("ltc");
+    for threads in ["1", "2"] {
+        let out = pcap2ltc()
+            .arg(&pcap)
+            .arg(&ltc)
+            .args(["--threads", threads])
+            .output()
+            .expect("run pcap2ltc");
+        assert_eq!(out.status.code(), Some(1), "--threads {threads}: {out:?}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            format!("pcap2ltc: pcap source: {want}\n"),
+            "--threads {threads}"
+        );
+        assert!(!ltc.exists(), "a refused conversion leaves no corpus");
+    }
     let _ = std::fs::remove_file(&pcap);
 }

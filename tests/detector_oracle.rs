@@ -12,7 +12,8 @@
 //! - `run_pipeline` with the serial, block and streaming engines over the
 //!   capture as a pcap file, a mapped `.ltc` and a buffered `.ltc`;
 //! - `OnlineDetector` pushed record by record and in batches of 1, 7 and
-//!   4096.
+//!   4096, and one `OnlineDetector` per configuration, finished and reused
+//!   across consecutive captures.
 //!
 //! A capture mixes loops of every TTL delta (one included, which is no
 //! replica), loops one merge gap apart (give or take a nanosecond),
@@ -231,17 +232,17 @@ fn assert_result(got: &DetectionResult, want: &Expected, entry: &str) {
 }
 
 /// The online detector's events and counters, pushed record by record
-/// (`batch` 0) or in batches, in canonical order.
+/// (`batch` 0) or in batches, in canonical order. `det` is finished, which
+/// leaves it empty for the next capture.
 fn online(
+    det: &mut OnlineDetector,
     records: &[TraceRecord],
-    cfg: DetectorConfig,
     batch: usize,
 ) -> (
     Vec<ReplicaStream>,
     Vec<RoutingLoop>,
     loopscope::DetectionStats,
 ) {
-    let mut det = OnlineDetector::new(cfg);
     let mut events = Vec::new();
     if batch == 0 {
         for r in records {
@@ -296,12 +297,14 @@ fn sources(pcap: &Path, ltc: &Path) -> Vec<(&'static str, Box<dyn RecordSource>)
 /// Runs every entry point over the capture `frames` under `cfg`, compares
 /// it with the oracle and returns the oracle's stream count. `buckets > 0`
 /// forges the fingerprints of the in-memory entry points' records into
-/// that many values.
+/// that many values. `recycled` is a detector under `cfg` that earlier
+/// captures went through.
 fn assert_every_entry_point_agrees(
     frames: &[(u64, Vec<u8>)],
     cfg: DetectorConfig,
     buckets: u64,
     rng: &mut TestRng,
+    recycled: &mut OnlineDetector,
 ) -> usize {
     let bytes = pcap(frames);
     let (records, _) = records_from_pcap(std::io::Cursor::new(&bytes)).unwrap();
@@ -326,12 +329,17 @@ fn assert_every_entry_point_agrees(
 
     let streams = want.streams_by_start();
     for batch in [0, 1, 7, 4096] {
-        let (s, l, stats) = online(&forged, cfg, batch);
+        let (s, l, stats) = online(&mut OnlineDetector::new(cfg), &forged, batch);
         let entry = format!("OnlineDetector in batches of {batch} (0: push)");
         assert_eq!(stats, want.stats, "{entry}: stats");
         assert_eq!(s, streams, "{entry}: streams");
         assert_eq!(l, want.loops, "{entry}: loops");
     }
+    let (s, l, stats) = online(recycled, &forged, 7);
+    let entry = "a recycled OnlineDetector";
+    assert_eq!(stats, want.stats, "{entry}: stats");
+    assert_eq!(s, streams, "{entry}: streams");
+    assert_eq!(l, want.loops, "{entry}: loops");
 
     let (pcap_path, ltc_path) = (temp_path("pcap"), temp_path("ltc"));
     std::fs::write(&pcap_path, &bytes).unwrap();
@@ -355,12 +363,15 @@ fn assert_every_entry_point_agrees(
 fn fuzz(seed: u64, cases: u64) {
     let mut rng = TestRng::from_seed(seed);
     let mut streams = 0;
+    // One detector per configuration, reused from capture to capture.
+    let mut recycled = configs().map(OnlineDetector::new);
     for case in 0..cases {
         let cfg = configs()[(case % 5) as usize];
         let frames = capture(&mut rng, &cfg);
         let buckets = [0, 1, 2, 7][rng.below(4) as usize];
+        let det = &mut recycled[(case % 5) as usize];
         let agree = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            assert_every_entry_point_agrees(&frames, cfg, buckets, &mut rng)
+            assert_every_entry_point_agrees(&frames, cfg, buckets, &mut rng, det)
         }));
         match agree {
             Ok(found) => streams += found,
