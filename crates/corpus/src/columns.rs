@@ -4,10 +4,10 @@
 //! Encoding walks the records once per column so each output lane is
 //! written as one contiguous run; decoding is one pass that builds each
 //! record once from a cursor per lane, shared by the buffered and the
-//! mapped read paths. The fingerprint column is stored, not recomputed —
-//! that is the point of the format: the level-0 prefilter probe needs no
-//! hashing on scan. Decoding trusts it; a consumer that cannot afford a
-//! wrong one (`loopmond`'s online index) checks it itself.
+//! mapped read paths. No fingerprint is stored: the decode derives each
+//! record's from its replica-key fields
+//! ([`TraceRecord::with_fingerprint`], as the pcap decode does), so no
+//! file can hand the detectors a wrong one.
 
 use crate::format::{CorpusError, ROW_BYTES, TAG_ICMP, TAG_OTHER, TAG_TCP, TAG_UDP};
 use loopscope::{TraceRecord, TransportSummary};
@@ -17,15 +17,13 @@ use std::path::Path;
 /// Width of the `tp_blob` column.
 const BLOB_BYTES: usize = 20;
 
-/// Serialises `records` as one block's column data, appended to `out`.
+/// Serialises `records` as one block's column data at the current
+/// version, appended to `out`. Their `fingerprint` fields are not read.
 pub fn encode_block(records: &[TraceRecord], out: &mut Vec<u8>) {
     let k = records.len();
     out.reserve(k * ROW_BYTES);
     for r in records {
         out.extend_from_slice(&r.timestamp_ns.to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.fingerprint.to_le_bytes());
     }
     for r in records {
         out.extend_from_slice(&u32::from(r.src).to_le_bytes());
@@ -157,25 +155,28 @@ fn decode_blob(tag: u8, blob: &[u8]) -> Option<TransportSummary> {
     })
 }
 
-/// Decodes one block's column data (exactly `k * ROW_BYTES` bytes) into
-/// records appended to `out`, each record constructed once from
-/// `chunks_exact` lane cursors. `bytes` may borrow a mapping or a block
+/// Decodes one block's column data (exactly `k * row` bytes, `row` being
+/// the file version's row width) into records appended to `out`, each
+/// record constructed once from `chunks_exact` lane cursors and given the
+/// fingerprint its replica-key fields hash to. Whatever a row holds
+/// beyond [`ROW_BYTES`] — version 1's stored-fingerprint lane, after the
+/// timestamps — is skipped. `bytes` may borrow a mapping or a block
 /// buffer. `path` and `data_offset` (the file offset of `bytes[0]`) locate
 /// any defect in the error: an out-of-band transport tag of record `i` is
-/// reported at `data_offset + 35k + i`. Returns whether every record's
-/// stored fingerprint is the one its replica-key fields hash to — checked
-/// here, while each record's fields are still in registers, which cost
-/// about half as much as a second pass over the block.
+/// reported at `data_offset + 27k + i` at version 2 (`35k + i` at
+/// version 1).
 pub fn decode_columns_push(
     bytes: &[u8],
     k: usize,
+    row: usize,
     out: &mut Vec<TraceRecord>,
     path: &Path,
     data_offset: u64,
-) -> Result<bool, CorpusError> {
-    assert_eq!(bytes.len(), k * ROW_BYTES, "caller sizes the block slice");
+) -> Result<(), CorpusError> {
+    assert_eq!(bytes.len(), k * row, "caller sizes the block slice");
     let (ts, rest) = bytes.split_at(8 * k);
-    let (fp, rest) = rest.split_at(8 * k);
+    let rest = &rest[(row - ROW_BYTES) * k..];
+    let tag_offset = data_offset + ((row - 1 - BLOB_BYTES) * k) as u64;
     let (src, rest) = rest.split_at(4 * k);
     let (dst, rest) = rest.split_at(4 * k);
     let (ident, rest) = rest.split_at(2 * k);
@@ -192,7 +193,6 @@ pub fn decode_columns_push(
     let u16_of = |c: &[u8]| u16::from_le_bytes(c.try_into().expect("2 bytes"));
 
     let mut ts = ts.chunks_exact(8);
-    let mut fp = fp.chunks_exact(8);
     let mut src = src.chunks_exact(4);
     let mut dst = dst.chunks_exact(4);
     let mut ident = ident.chunks_exact(2);
@@ -202,13 +202,12 @@ pub fn decode_columns_push(
     let mut blob = blob.chunks_exact(BLOB_BYTES);
 
     out.reserve(k);
-    let mut fingerprints_match = true;
     for i in 0..k {
         let transport = decode_blob(tag[i], blob.next().expect("blob lane sized"))
-            .ok_or_else(|| out_of_band_tag_error(path, data_offset + (35 * k + i) as u64))?;
+            .ok_or_else(|| out_of_band_tag_error(path, tag_offset + i as u64))?;
         let r = TraceRecord {
             timestamp_ns: u64_of(ts.next().expect("ts lane sized")),
-            fingerprint: u64_of(fp.next().expect("fp lane sized")),
+            fingerprint: 0,
             src: Ipv4Addr::from(u32_of(src.next().expect("src lane sized"))),
             dst: Ipv4Addr::from(u32_of(dst.next().expect("dst lane sized"))),
             ident: u16_of(ident.next().expect("ident lane sized")),
@@ -220,10 +219,9 @@ pub fn decode_columns_push(
             ttl: ttl[i],
             transport,
         };
-        fingerprints_match &= r.fingerprint == loopscope::ReplicaKey::of(&r).fingerprint();
-        out.push(r);
+        out.push(r.with_fingerprint());
     }
-    Ok(fingerprints_match)
+    Ok(())
 }
 
 fn out_of_band_tag_error(path: &Path, offset: u64) -> CorpusError {
@@ -255,6 +253,16 @@ mod tests {
             .collect()
     }
 
+    /// `records` as one version-1 block's column data: the current
+    /// columns with a zeroed stored-fingerprint lane after the timestamps.
+    fn v1_block(records: &[TraceRecord]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_block(records, &mut bytes);
+        let at = 8 * records.len();
+        bytes.splice(at..at, records.iter().flat_map(|_| [0; 8]));
+        bytes
+    }
+
     #[test]
     fn roundtrip_every_transport_variant() {
         let records = sample_records();
@@ -262,10 +270,13 @@ mod tests {
         encode_block(&records, &mut bytes);
         assert_eq!(bytes.len(), records.len() * ROW_BYTES);
         let mut back = Vec::new();
-        decode_columns_push(&bytes, records.len(), &mut back, Path::new("t.ltc"), 0).unwrap();
+        let decode = |bytes: &[u8], back: &mut Vec<TraceRecord>| {
+            decode_columns_push(bytes, records.len(), ROW_BYTES, back, Path::new("t.ltc"), 0)
+        };
+        decode(&bytes, &mut back).unwrap();
         assert_eq!(records, back);
         // A second block appends after the first.
-        decode_columns_push(&bytes, records.len(), &mut back, Path::new("t.ltc"), 0).unwrap();
+        decode(&bytes, &mut back).unwrap();
         assert_eq!(back[records.len()..], records[..]);
     }
 
@@ -273,18 +284,25 @@ mod tests {
     fn bad_transport_tag_is_located() {
         let records = sample_records();
         let k = records.len();
-        let mut bytes = Vec::new();
-        encode_block(&records, &mut bytes);
-        for i in 0..k {
-            let mut bad = bytes.clone();
-            bad[35 * k + i] = 200;
-            let err =
-                decode_columns_push(&bad, k, &mut Vec::new(), Path::new("t.ltc"), 48).unwrap_err();
-            match err {
-                CorpusError::Corrupt { offset, .. } => {
-                    assert_eq!(offset, 48 + (35 * k + i) as u64, "record {i}");
+        let mut v2 = Vec::new();
+        encode_block(&records, &mut v2);
+        for (bytes, row, tag_lane) in [(v2, ROW_BYTES, 27), (v1_block(&records), 56, 35)] {
+            for i in 0..k {
+                let mut bad = bytes.clone();
+                bad[tag_lane * k + i] = 200;
+                let err =
+                    decode_columns_push(&bad, k, row, &mut Vec::new(), Path::new("t.ltc"), 48)
+                        .unwrap_err();
+                match err {
+                    CorpusError::Corrupt { offset, .. } => {
+                        assert_eq!(
+                            offset,
+                            48 + (tag_lane * k + i) as u64,
+                            "record {i}, row {row}"
+                        );
+                    }
+                    other => panic!("expected Corrupt, got {other}"),
                 }
-                other => panic!("expected Corrupt, got {other}"),
             }
         }
     }
@@ -295,7 +313,7 @@ mod tests {
         encode_block(&[], &mut bytes);
         assert!(bytes.is_empty());
         let mut back = Vec::new();
-        decode_columns_push(&bytes, 0, &mut back, Path::new("t.ltc"), 0).unwrap();
+        decode_columns_push(&bytes, 0, ROW_BYTES, &mut back, Path::new("t.ltc"), 0).unwrap();
         assert!(back.is_empty());
     }
 }

@@ -2,9 +2,10 @@
 //! header codec, checksums, the read-side block checks both readers
 //! share, and the typed error.
 //!
-//! The format stores exactly what the detector reads — the
-//! [`loopscope::ReplicaKey`] fields, timestamp, TTL, lengths, and the
-//! ingest-time 64-bit replica fingerprint — as fixed-width column arrays.
+//! The format stores exactly what the detector reads and cannot derive —
+//! the [`loopscope::ReplicaKey`] fields, timestamp, TTL and lengths — as
+//! fixed-width column arrays. The 64-bit replica fingerprint is a hash of
+//! the key fields, so the decode derives it rather than storing it.
 //! See DESIGN.md ("On-disk corpus format") for the full layout diagram,
 //! endianness, and versioning rules; this module is the normative
 //! implementation.
@@ -19,10 +20,15 @@
 //!
 //! All integers are little-endian. Within a block the columns are stored
 //! back to back in [`COLUMN_LAYOUT`] order; with `BLOCK_RECORDS` = 8192
-//! the widest (u64) lanes are exactly 64 KiB, so a block reads as a run
+//! the widest (u64) lane is exactly 64 KiB, so a block reads as a run
 //! of cache-friendly aligned column chunks and record `i` of the file
 //! lives at a position computable from `i` alone — no header walk, no
 //! snap-forward.
+//!
+//! Version 1 rows are 56 bytes: an 8-byte stored-fingerprint lane follows
+//! the timestamps. A reader still accepts them and skips that lane (the
+//! block checksum covers it; nothing else reads it), so the row width is
+//! the one thing that depends on the version ([`LtcHeader::row_bytes`]).
 
 use std::path::{Path, PathBuf};
 
@@ -33,26 +39,32 @@ pub const MAGIC: [u8; 8] = *b"\x89LTC\r\n\x1a\n";
 /// Current format version. Version bumps are append-only history: a
 /// reader must refuse versions it does not know (never guess), and any
 /// change to the column layout, checksum scheme, or header fields is a
-/// new version.
-pub const VERSION: u32 = 1;
+/// new version. Readers accept `1..=VERSION`; writers write `VERSION`.
+pub const VERSION: u32 = 2;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 40;
 
-/// Records per full block: u64 column lanes come out at exactly 64 KiB.
+/// Records per full block: the u64 timestamp lane comes out at exactly
+/// 64 KiB.
 pub const BLOCK_RECORDS: usize = 8192;
 
-/// Bytes of column data per record (the sum of all column widths).
-pub const ROW_BYTES: usize = 56;
+/// Bytes of column data per record at [`VERSION`] (the sum of all
+/// column widths).
+pub const ROW_BYTES: usize = 48;
+
+/// Bytes of column data per record at version 1: [`ROW_BYTES`] plus the
+/// stored-fingerprint lane.
+const V1_ROW_BYTES: usize = ROW_BYTES + 8;
 
 /// Bytes of the per-block checksum that precedes the column data.
 pub const BLOCK_CHECKSUM_LEN: usize = 8;
 
 /// `(name, width_bytes)` of every column, in on-disk order. Widest first
-/// so every lane stays self-aligned within the block.
-pub const COLUMN_LAYOUT: [(&str, usize); 13] = [
+/// so every lane stays self-aligned within the block. (Version 1 has a
+/// `("fingerprint", 8)` lane after `timestamp_ns`.)
+pub const COLUMN_LAYOUT: [(&str, usize); 12] = [
     ("timestamp_ns", 8),
-    ("fingerprint", 8),
     ("src", 4),
     ("dst", 4),
     ("ident", 2),
@@ -77,16 +89,17 @@ pub const TAG_ICMP: u8 = 3;
 /// Opaque/other transport tag.
 pub const TAG_OTHER: u8 = 4;
 
-/// Total on-disk bytes of a block holding `k` records.
-pub fn block_len(k: usize) -> usize {
-    BLOCK_CHECKSUM_LEN + k * ROW_BYTES
+/// Total on-disk bytes of a block holding `k` records of `row` bytes.
+pub fn block_len(k: usize, row: usize) -> usize {
+    BLOCK_CHECKSUM_LEN + k * row
 }
 
-/// Byte offset of block `b` (blocks before the last are always full).
-/// An offset past `u64::MAX` lies beyond any file, so it saturates there
-/// and reads as a truncation: a corrupt record count cannot overflow it.
-pub fn block_offset(b: u64) -> u64 {
-    b.saturating_mul(block_len(BLOCK_RECORDS) as u64)
+/// Byte offset of block `b` in a file of `row`-byte records (blocks
+/// before the last are always full). An offset past `u64::MAX` lies
+/// beyond any file, so it saturates there and reads as a truncation: a
+/// corrupt record count cannot overflow it.
+pub fn block_offset(b: u64, row: usize) -> u64 {
+    b.saturating_mul(block_len(BLOCK_RECORDS, row) as u64)
         .saturating_add(HEADER_LEN as u64)
 }
 
@@ -95,18 +108,23 @@ pub fn block_count(records: u64) -> u64 {
     records.div_ceil(BLOCK_RECORDS as u64)
 }
 
-/// Exact file length implied by a record count — the truncation check
-/// (saturating, as [`block_offset`]).
-pub fn expected_file_len(records: u64) -> u64 {
+/// Exact file length implied by a record count of `row`-byte records —
+/// the truncation check (saturating, as [`block_offset`]).
+pub fn expected_file_len(records: u64, row: usize) -> u64 {
     let full = records / BLOCK_RECORDS as u64;
     let rem = (records % BLOCK_RECORDS as u64) as usize;
-    let tail = if rem > 0 { block_len(rem) as u64 } else { 0 };
-    block_offset(full).saturating_add(tail)
+    let tail = if rem > 0 {
+        block_len(rem, row) as u64
+    } else {
+        0
+    };
+    block_offset(full, row).saturating_add(tail)
 }
 
-/// Fx-style multiply-rotate seed (the same constant family the detector's
-/// fingerprint uses; the corpus keeps its own copy so the file format
-/// never silently changes if the detector retunes its hash).
+/// Fx-style multiply-rotate seed of the checksums. The detector's
+/// fingerprint uses the same constant family, but the corpus keeps its
+/// own copy and stores no fingerprint, so no file depends on the
+/// detector's hash.
 const CHECKSUM_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 #[inline]
@@ -141,7 +159,7 @@ pub fn block_checksum(block: u64, bytes: &[u8]) -> u64 {
 /// The decoded (and validated) fixed-size header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LtcHeader {
-    /// Format version (currently always [`VERSION`]).
+    /// Format version: [`VERSION`] as written, `1..=VERSION` as read.
     pub version: u32,
     /// Records per full block (currently always [`BLOCK_RECORDS`]).
     pub block_records: u32,
@@ -161,6 +179,15 @@ impl LtcHeader {
             block_records: BLOCK_RECORDS as u32,
             records,
             skipped,
+        }
+    }
+
+    /// Bytes of column data per record in this header's version.
+    pub fn row_bytes(&self) -> usize {
+        if self.version == 1 {
+            V1_ROW_BYTES
+        } else {
+            ROW_BYTES
         }
     }
 
@@ -188,7 +215,7 @@ impl LtcHeader {
             });
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(CorpusError::UnsupportedVersion {
                 path: path.to_path_buf(),
                 found: version,
@@ -210,7 +237,7 @@ impl LtcHeader {
             return Err(CorpusError::Corrupt {
                 path: path.to_path_buf(),
                 offset: 12,
-                what: "unsupported block_records (format v1 fixes it at 8192)",
+                what: "unsupported block_records (every format version fixes it at 8192)",
             });
         }
         Ok(Self {
@@ -282,18 +309,6 @@ pub enum CorpusError {
         /// Bytes actually available.
         got: u64,
     },
-    /// A record's stored fingerprint is not the one its replica-key
-    /// fields hash to. The detectors trust the column: a wrong value
-    /// splits a key into two candidates, and a column of equal values
-    /// chains every key onto one index entry.
-    FingerprintMismatch {
-        /// The file.
-        path: PathBuf,
-        /// Byte offset of the stored fingerprint.
-        offset: u64,
-        /// The record's index in the file.
-        record: u64,
-    },
     /// Structurally invalid content at a specific offset (bad transport
     /// tag, trailing bytes after the last block, …).
     Corrupt {
@@ -319,7 +334,7 @@ impl std::fmt::Display for CorpusError {
             ),
             CorpusError::UnsupportedVersion { path, found } => write!(
                 f,
-                "{}: unsupported .ltc version {found} at offset 8 (this reader knows version {VERSION})",
+                "{}: unsupported .ltc version {found} at offset 8 (this reader knows versions 1 to {VERSION})",
                 path.display()
             ),
             CorpusError::ChecksumMismatch {
@@ -348,15 +363,6 @@ impl std::fmt::Display for CorpusError {
             } => write!(
                 f,
                 "{}: truncated at offset {offset}: needed {needed} bytes, found {got}",
-                path.display()
-            ),
-            CorpusError::FingerprintMismatch {
-                path,
-                offset,
-                record,
-            } => write!(
-                f,
-                "{}: record {record}: stored fingerprint does not match its replica-key fields (offset {offset})",
                 path.display()
             ),
             CorpusError::Corrupt { path, offset, what } => {
@@ -402,15 +408,17 @@ pub fn sniff_is_ltc(path: &Path) -> std::io::Result<bool> {
     Ok(is_ltc_magic(&prefix))
 }
 
-/// A validated header and the file it labels errors with: the one owner
-/// of the read-side format rules. Both readers hand it raw bytes — the
-/// buffered reader its read buffer, the mapped reader a slice of the
-/// mapping — so each rule, and the error and offset it reports, exists
-/// once.
+/// A validated header, its version's row width and the file it labels
+/// errors with: the one owner of the read-side format rules. Both readers
+/// hand it raw bytes — the buffered reader its read buffer, the mapped
+/// reader a slice of the mapping — so each rule, and the error and offset
+/// it reports, exists once.
 #[derive(Clone)]
 pub(crate) struct LtcLayout {
     pub(crate) path: PathBuf,
     pub(crate) header: LtcHeader,
+    /// Bytes of column data per record ([`LtcHeader::row_bytes`]).
+    pub(crate) row: usize,
 }
 
 impl LtcLayout {
@@ -426,7 +434,8 @@ impl LtcLayout {
             });
         };
         let header = LtcHeader::decode(head.try_into().expect("header slice"), &path)?;
-        Ok(Self { path, header })
+        let row = header.row_bytes();
+        Ok(Self { path, header, row })
     }
 
     /// Number of blocks in the file.
@@ -440,14 +449,26 @@ impl LtcLayout {
         ((self.header.records - before).min(BLOCK_RECORDS as u64)) as usize
     }
 
+    /// Byte offset of block `b`.
+    pub(crate) fn block_offset(&self, b: u64) -> u64 {
+        block_offset(b, self.row)
+    }
+
+    /// On-disk bytes of block `b`.
+    pub(crate) fn block_len(&self, b: u64) -> usize {
+        block_len(self.block_records(b), self.row)
+    }
+
+    /// The file's exact length ([`expected_file_len`]).
+    pub(crate) fn file_len(&self) -> u64 {
+        expected_file_len(self.header.records, self.row)
+    }
+
     /// Verifies and decodes block `b`, appending its records to `out`.
     /// `avail` holds the file's bytes from the block's offset on; bytes
     /// past the block are ignored, too few is a truncation at the block's
     /// offset, and a stored checksum that does not match is reported for
-    /// [`ChecksumRegion::Block`]`(b)` at the same offset. Each decoded
-    /// record's stored fingerprint is checked against its replica-key
-    /// fields ([`CorpusError::FingerprintMismatch`]): this is the one
-    /// place every `.ltc` read path checks it.
+    /// [`ChecksumRegion::Block`]`(b)` at the same offset.
     pub(crate) fn decode_block(
         &self,
         b: u64,
@@ -455,12 +476,13 @@ impl LtcLayout {
         out: &mut Vec<loopscope::TraceRecord>,
     ) -> Result<(), CorpusError> {
         let k = self.block_records(b);
-        let offset = block_offset(b);
-        let Some(block) = avail.get(..block_len(k)) else {
+        let offset = self.block_offset(b);
+        let len = self.block_len(b);
+        let Some(block) = avail.get(..len) else {
             return Err(CorpusError::Truncated {
                 path: self.path.clone(),
                 offset,
-                needed: block_len(k) as u64,
+                needed: len as u64,
                 got: avail.len() as u64,
             });
         };
@@ -476,32 +498,19 @@ impl LtcLayout {
                 found: computed,
             });
         }
-        let first = out.len();
         let data_offset = offset + BLOCK_CHECKSUM_LEN as u64;
-        if crate::columns::decode_columns_push(data, k, out, &self.path, data_offset)? {
-            return Ok(());
-        }
-        let i = out[first..]
-            .iter()
-            .position(|r| r.fingerprint != loopscope::ReplicaKey::of(r).fingerprint())
-            .expect("the decode found a mismatch");
-        Err(CorpusError::FingerprintMismatch {
-            path: self.path.clone(),
-            // The fingerprint lane follows the k timestamps.
-            offset: data_offset + (8 * k + 8 * i) as u64,
-            record: b * BLOCK_RECORDS as u64 + i as u64,
-        })
+        crate::columns::decode_columns_push(data, k, self.row, out, &self.path, data_offset)
     }
 
     /// Checks that nothing follows the last block: `trailing` is what the
-    /// file holds past [`expected_file_len`].
+    /// file holds past [`LtcLayout::file_len`].
     pub(crate) fn check_end(&self, trailing: &[u8]) -> Result<(), CorpusError> {
         if trailing.is_empty() {
             return Ok(());
         }
         Err(CorpusError::Corrupt {
             path: self.path.clone(),
-            offset: expected_file_len(self.header.records),
+            offset: self.file_len(),
             what: "trailing bytes after the last block",
         })
     }
@@ -526,10 +535,21 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = LtcHeader::new(123_456, 7);
-        let bytes = h.encode();
-        let back = LtcHeader::decode(&bytes, Path::new("t.ltc")).unwrap();
-        assert_eq!(h, back);
+        for version in 1..=VERSION {
+            let h = LtcHeader {
+                version,
+                ..LtcHeader::new(123_456, 7)
+            };
+            let bytes = h.encode();
+            let back = LtcHeader::decode(&bytes, Path::new("t.ltc")).unwrap();
+            assert_eq!(h, back);
+        }
+        assert_eq!(LtcHeader::new(1, 0).row_bytes(), 48);
+        let v1 = LtcHeader {
+            version: 1,
+            ..LtcHeader::new(1, 0)
+        };
+        assert_eq!(v1.row_bytes(), 56);
     }
 
     #[test]
@@ -544,14 +564,23 @@ mod tests {
             Err(CorpusError::BadMagic { .. })
         ));
 
-        let mut bad = good;
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
         // A version bump also breaks the checksum, but version must be
         // checked first so the error says "upgrade", not "corrupt".
-        assert!(matches!(
-            LtcHeader::decode(&bad, p),
-            Err(CorpusError::UnsupportedVersion { found: 99, .. })
-        ));
+        for version in [0, VERSION + 1, 99] {
+            let mut bad = good;
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = LtcHeader::decode(&bad, p).unwrap_err();
+            assert!(
+                matches!(err, CorpusError::UnsupportedVersion { found, .. } if found == version),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string().contains(&format!(
+                    "version {version} at offset 8 (this reader knows versions 1 to 2)"
+                )),
+                "{err}"
+            );
+        }
 
         let mut bad = good;
         bad[20] ^= 1; // flip a record-count bit
@@ -567,19 +596,24 @@ mod tests {
 
     #[test]
     fn expected_len_counts_partial_blocks() {
-        assert_eq!(expected_file_len(0), HEADER_LEN as u64);
-        assert_eq!(
-            expected_file_len(1),
-            (HEADER_LEN + BLOCK_CHECKSUM_LEN + ROW_BYTES) as u64
-        );
-        assert_eq!(
-            expected_file_len(BLOCK_RECORDS as u64),
-            (HEADER_LEN + block_len(BLOCK_RECORDS)) as u64
-        );
-        assert_eq!(
-            expected_file_len(BLOCK_RECORDS as u64 + 1),
-            (HEADER_LEN + block_len(BLOCK_RECORDS) + block_len(1)) as u64
-        );
+        for row in [ROW_BYTES, V1_ROW_BYTES] {
+            assert_eq!(expected_file_len(0, row), HEADER_LEN as u64);
+            assert_eq!(
+                expected_file_len(1, row),
+                (HEADER_LEN + BLOCK_CHECKSUM_LEN + row) as u64
+            );
+            assert_eq!(
+                expected_file_len(BLOCK_RECORDS as u64, row),
+                (HEADER_LEN + block_len(BLOCK_RECORDS, row)) as u64
+            );
+            assert_eq!(
+                expected_file_len(BLOCK_RECORDS as u64 + 1, row),
+                (HEADER_LEN + block_len(BLOCK_RECORDS, row) + block_len(1, row)) as u64
+            );
+        }
+        // The benchmark's seed-1 offline trace: 485,257 records, 60 blocks.
+        assert_eq!(expected_file_len(485_257, ROW_BYTES), 23_292_856);
+        assert_eq!(expected_file_len(485_257, V1_ROW_BYTES), 27_174_912);
     }
 
     #[test]

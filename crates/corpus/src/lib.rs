@@ -4,19 +4,21 @@
 //! [`TraceRecord`](loopscope::TraceRecord)s, built for fast *repeated*
 //! scans of the same capture: convert a pcap once (`pcap2ltc`), then every
 //! detector run ingests fixed-width column arrays instead of re-walking
-//! per-packet pcap headers and re-hashing replica keys.
+//! per-packet pcap headers.
 //!
 //! Why it is fast to ingest:
 //!
-//! - **No per-record framing.** Rows are a fixed 56 bytes spread across 13
+//! - **No per-record framing.** Rows are a fixed 48 bytes spread across 12
 //!   column arrays; a block's byte length is pure arithmetic, so readers
 //!   never parse a header to find the next record and parallel readers
 //!   compute their seek offsets directly.
-//! - **Fingerprints are precomputed.** The 64-bit replica fingerprint (the
-//!   level-0 prefilter probe) is a stored column, computed once at
-//!   conversion — a corpus scan does no hashing.
+//! - **Only what a read cannot derive.** The 64-bit replica fingerprint
+//!   (the level-0 prefilter probe) is a hash of the key columns, so the
+//!   block decode derives it as it builds each record, as the pcap decode
+//!   does; no file can hand the detectors a wrong one. Version-1 files,
+//!   which stored it in an extra lane, are read with that lane skipped.
 //! - **Block-aligned ingest.** Records travel in 8192-row blocks whose u64
-//!   lanes are exactly 64 KiB; `BlockParallelDetector` split points fall on
+//!   lane is exactly 64 KiB; `BlockParallelDetector` split points fall on
 //!   row boundaries with no snap-forward.
 //!
 //! One reader serves every consumer: [`LtcFile`] reads block ranges from
@@ -28,7 +30,7 @@
 //!
 //! Integrity is first-class: a checksummed, versioned header plus a
 //! per-block checksum (mixed with the block index, so swapped blocks
-//! fail). Every defect — bad magic, wrong version, truncation, checksum
+//! fail). Every defect — bad magic, unknown version, truncation, checksum
 //! mismatch, undecodable cell — surfaces as a typed [`CorpusError`] naming
 //! the file and byte offset; nothing panics and nothing short-reads
 //! silently, and a header's record count sizes no allocation the file
@@ -47,13 +49,14 @@ pub use format::{
     ROW_BYTES, VERSION,
 };
 pub use reader::{open_ltc_source, records_from_ltc_with, IngestMode, LtcFile, LtcReader};
-pub use writer::{ltc_to_vec, write_ltc_file, LtcWriter};
+pub use writer::{ltc_to_vec, write_ltc_file};
 
 #[cfg(test)]
 mod corruption_tests {
+    use super::columns::encode_block;
     use super::format::{
-        block_len, block_offset, ChecksumRegion, CorpusError, LtcHeader, BLOCK_RECORDS, HEADER_LEN,
-        MAGIC,
+        block_checksum, block_len, block_offset, expected_file_len, ChecksumRegion, CorpusError,
+        LtcHeader, BLOCK_RECORDS, HEADER_LEN, MAGIC, VERSION,
     };
     use super::reader::LtcReader;
     use super::writer::ltc_to_vec;
@@ -116,6 +119,47 @@ mod corruption_tests {
             .collect()
     }
 
+    /// A version-1 image of `records`: the current columns with a stored
+    /// fingerprint lane of `lane(record)` after each block's timestamps.
+    fn v1_image(
+        records: &[TraceRecord],
+        skipped: u64,
+        lane: impl Fn(&TraceRecord) -> u64,
+    ) -> Vec<u8> {
+        let header = LtcHeader {
+            version: 1,
+            ..LtcHeader::new(records.len() as u64, skipped)
+        };
+        let mut out = header.encode().to_vec();
+        for (b, chunk) in records.chunks(BLOCK_RECORDS).enumerate() {
+            let mut block = Vec::new();
+            encode_block(chunk, &mut block);
+            let at = 8 * chunk.len();
+            block.splice(at..at, chunk.iter().flat_map(|r| lane(r).to_le_bytes()));
+            out.extend_from_slice(&block_checksum(b as u64, &block).to_le_bytes());
+            out.extend_from_slice(&block);
+        }
+        out
+    }
+
+    /// An image of `records` at `version`, as its writer would have made
+    /// it.
+    fn image(version: u32, records: &[TraceRecord], skipped: u64) -> Vec<u8> {
+        match version {
+            1 => v1_image(records, skipped, |r| r.fingerprint),
+            _ => ltc_to_vec(records, skipped),
+        }
+    }
+
+    /// The row width of `version`.
+    fn row(version: u32) -> usize {
+        LtcHeader {
+            version,
+            ..LtcHeader::new(0, 0)
+        }
+        .row_bytes()
+    }
+
     fn read_all(bytes: Vec<u8>) -> Result<Vec<TraceRecord>, CorpusError> {
         let mut reader = LtcReader::new(Cursor::new(bytes), "test.ltc")?;
         let mut out = Vec::new();
@@ -131,12 +175,19 @@ mod corruption_tests {
         // 0 records, sub-block, exactly one block, block + partial.
         for n in [0usize, 3, 8192, 8192 + 17] {
             let records = sample_records(n);
-            let bytes = ltc_to_vec(&records, 7);
-            let reader = LtcReader::new(Cursor::new(bytes.clone()), "t.ltc").unwrap();
-            assert_eq!(reader.header().records, n as u64);
-            assert_eq!(reader.header().skipped, 7);
-            drop(reader);
-            assert_eq!(read_all(bytes).unwrap(), records, "n={n}");
+            for version in [1, VERSION] {
+                let bytes = image(version, &records, 7);
+                assert_eq!(
+                    bytes.len() as u64,
+                    expected_file_len(n as u64, row(version))
+                );
+                let reader = LtcReader::new(Cursor::new(bytes.clone()), "t.ltc").unwrap();
+                assert_eq!(reader.header().records, n as u64);
+                assert_eq!(reader.header().skipped, 7);
+                assert_eq!(reader.header().version, version);
+                drop(reader);
+                assert_eq!(read_all(bytes).unwrap(), records, "n={n} v{version}");
+            }
         }
     }
 
@@ -159,7 +210,6 @@ mod corruption_tests {
                 ("checksum", Some(offset), Some(region))
             }
             CorpusError::Truncated { offset, .. } => ("truncated", Some(offset), None),
-            CorpusError::FingerprintMismatch { offset, .. } => ("fingerprint", Some(offset), None),
             CorpusError::Corrupt { offset, .. } => ("corrupt", Some(offset), None),
         }
     }
@@ -168,13 +218,52 @@ mod corruption_tests {
     struct Damage {
         name: &'static str,
         bytes: Vec<u8>,
-        expect: fn(&CorpusError),
+        expect: Box<dyn Fn(&CorpusError)>,
     }
 
-    /// Checks a truncation at the first block, which a header's record
-    /// count claims holds a full block.
-    fn truncated_first_block(e: &CorpusError) {
-        match *e {
+    /// Every header and block defect the format rules catch, in a file of
+    /// `version`, each reported at the offset that version's row width
+    /// implies.
+    fn damaged_images(version: u32) -> Vec<Damage> {
+        let row = row(version);
+        let at = move |b: u64| block_offset(b, row);
+        let short = image(version, &sample_records(8192 + 100), 0);
+        let mut bad_sum = image(version, &sample_records(8192 + 10), 0);
+        bad_sum[at(1) as usize + 8 + 3] ^= 0x10; // a data byte in block 1
+
+        // Two identical blocks swapped: byte-identical payloads, but the
+        // block index is mixed into each checksum, so the swap is caught.
+        let one_block = sample_records(8192);
+        let bytes = image(version, &[one_block.clone(), one_block].concat(), 0);
+        let (b0, b1) = (at(0) as usize, at(1) as usize);
+        let mut swapped = bytes.clone();
+        swapped[b0..b1].copy_from_slice(&bytes[b1..]);
+        swapped[b1..].copy_from_slice(&bytes[b0..b1]);
+        let mut trailing = image(version, &sample_records(20), 0);
+        trailing.extend_from_slice(b"junk");
+        // Record 8192 + 5 (block 1 of 10 records, row 5) gets tag 200;
+        // the block checksum is recomputed over the change. The tag lane
+        // is the last but the 20-byte blob lane.
+        let mut bad_tag = image(version, &sample_records(8192 + 10), 0);
+        let data = at(1) as usize + 8..bad_tag.len();
+        let tag_at = data.start + (row - 1 - 20) * 10 + 5;
+        bad_tag[tag_at] = 200;
+        let sum = block_checksum(1, &bad_tag[data.clone()]);
+        bad_tag[data.start - 8..data.start].copy_from_slice(&sum.to_le_bytes());
+        let with_header_byte = |i: usize, mask: u8| {
+            let mut b = image(version, &sample_records(4), 0);
+            b[i] ^= mask;
+            b
+        };
+        let huge = |records| {
+            let header = LtcHeader {
+                version,
+                ..LtcHeader::new(records, 0)
+            };
+            header.encode().to_vec()
+        };
+        // A header whose record count claims a full first block.
+        let truncated_first_block = move |e: &CorpusError| match *e {
             CorpusError::Truncated {
                 offset,
                 needed,
@@ -182,42 +271,15 @@ mod corruption_tests {
                 ..
             } => assert_eq!(
                 (offset, needed, got),
-                (HEADER_LEN as u64, block_len(BLOCK_RECORDS) as u64, 0)
+                (HEADER_LEN as u64, block_len(BLOCK_RECORDS, row) as u64, 0)
             ),
             _ => panic!("expected truncated first block, got {e:?}"),
-        }
-    }
-
-    /// Every header and block defect the format rules catch.
-    fn damaged_images() -> Vec<Damage> {
-        let short = ltc_to_vec(&sample_records(8192 + 100), 0);
-        let mut bad_sum = ltc_to_vec(&sample_records(8192 + 10), 0);
-        bad_sum[block_offset(1) as usize + 8 + 3] ^= 0x10; // a data byte in block 1
-                                                           // Two identical blocks swapped: byte-identical payloads, but the
-                                                           // block index is mixed into each checksum, so the swap is caught.
-        let one_block = sample_records(8192);
-        let bytes = ltc_to_vec(&[one_block.clone(), one_block].concat(), 0);
-        let (b0, b1) = (block_offset(0) as usize, block_offset(1) as usize);
-        let mut swapped = bytes.clone();
-        swapped[b0..b1].copy_from_slice(&bytes[b1..]);
-        swapped[b1..].copy_from_slice(&bytes[b0..b1]);
-        let mut trailing = ltc_to_vec(&sample_records(20), 0);
-        trailing.extend_from_slice(b"junk");
-        // Record 8192 + 5 (block 1, row 5) claims its neighbour's
-        // fingerprint; the block checksum is recomputed over the change.
-        let mut tampered = sample_records(8192 + 10);
-        tampered[8192 + 5].fingerprint = tampered[8192 + 6].fingerprint;
-        let tampered = ltc_to_vec(&tampered, 0);
-        let with_header_byte = |i: usize, mask: u8| {
-            let mut b = ltc_to_vec(&sample_records(4), 0);
-            b[i] ^= mask;
-            b
         };
         vec![
             Damage {
                 name: "empty",
                 bytes: Vec::new(),
-                expect: |e| match *e {
+                expect: Box::new(|e| match *e {
                     CorpusError::Truncated {
                         offset,
                         needed,
@@ -225,12 +287,12 @@ mod corruption_tests {
                         ..
                     } => assert_eq!((offset, needed, got), (0, HEADER_LEN as u64, 0)),
                     _ => panic!("expected truncated header, got {e:?}"),
-                },
+                }),
             },
             Damage {
                 name: "mid_header",
                 bytes: short[..HEADER_LEN - 5].to_vec(),
-                expect: |e| match *e {
+                expect: Box::new(|e| match *e {
                     CorpusError::Truncated {
                         offset,
                         needed,
@@ -241,101 +303,94 @@ mod corruption_tests {
                         (0, HEADER_LEN as u64, (HEADER_LEN - 5) as u64)
                     ),
                     _ => panic!("expected truncated header, got {e:?}"),
-                },
+                }),
             },
             Damage {
                 name: "bad_magic",
                 bytes: with_header_byte(0, 0xff),
-                expect: |e| assert!(matches!(e, CorpusError::BadMagic { .. }), "{e:?}"),
+                expect: Box::new(|e| assert!(matches!(e, CorpusError::BadMagic { .. }), "{e:?}")),
             },
             Damage {
                 name: "wrong_version",
-                bytes: with_header_byte(MAGIC.len(), 99 ^ 1), // version u32 LE low byte → 99
-                expect: |e| match *e {
+                // The version's u32 LE low byte becomes 99.
+                bytes: with_header_byte(MAGIC.len(), 99 ^ version as u8),
+                expect: Box::new(|e| match *e {
                     CorpusError::UnsupportedVersion { found, .. } => assert_eq!(found, 99),
                     _ => panic!("expected unsupported version, got {e:?}"),
-                },
+                }),
             },
             Damage {
                 // Flip a record-count bit; the header checksum must catch it.
                 name: "header_checksum",
                 bytes: with_header_byte(16, 0x01),
-                expect: |e| {
+                expect: Box::new(|e| {
                     assert_eq!(
                         locate(e),
                         ("checksum", Some(32), Some(ChecksumRegion::Header))
                     )
-                },
+                }),
             },
             Damage {
                 // Cut mid-way through the second block's column data.
                 name: "truncated_column_arrays",
-                bytes: short[..block_offset(1) as usize + 40].to_vec(),
-                expect: |e| match *e {
+                bytes: short[..at(1) as usize + 40].to_vec(),
+                expect: Box::new(move |e| match *e {
                     CorpusError::Truncated {
                         offset,
                         needed,
                         got,
                         ..
-                    } => {
-                        assert_eq!(offset, block_offset(1));
-                        assert_eq!(got, 40);
-                        assert!(needed > got);
-                    }
+                    } => assert_eq!(
+                        (offset, needed, got),
+                        (at(1), block_len(100, row) as u64, 40)
+                    ),
                     _ => panic!("expected truncated block, got {e:?}"),
-                },
+                }),
             },
             Damage {
                 name: "block_checksum",
                 bytes: bad_sum,
-                expect: |e| {
-                    let want = (
-                        "checksum",
-                        Some(block_offset(1)),
-                        Some(ChecksumRegion::Block(1)),
-                    );
+                expect: Box::new(move |e| {
+                    let want = ("checksum", Some(at(1)), Some(ChecksumRegion::Block(1)));
                     assert_eq!(locate(e), want);
-                },
+                }),
             },
             Damage {
                 name: "swapped_blocks",
                 bytes: swapped,
-                expect: |e| {
+                expect: Box::new(|e| {
                     assert_eq!(locate(e).2, Some(ChecksumRegion::Block(0)), "{e:?}");
-                },
+                }),
             },
             Damage {
-                name: "tampered_fingerprint",
-                bytes: tampered,
-                expect: |e| match *e {
-                    CorpusError::FingerprintMismatch { offset, record, .. } => {
-                        assert_eq!(record, 8192 + 5);
-                        assert_eq!(offset, block_offset(1) + 8 + 8 * 10 + 8 * 5);
-                        assert!(e.to_string().contains("stored fingerprint does not match"));
-                    }
-                    _ => panic!("expected fingerprint mismatch, got {e:?}"),
-                },
+                name: "bad_transport_tag",
+                bytes: bad_tag,
+                expect: Box::new(move |e| {
+                    assert_eq!(locate(e), ("corrupt", Some(tag_at as u64), None));
+                    assert!(e.to_string().contains("unknown transport tag"), "{e}");
+                }),
             },
             Damage {
                 name: "trailing_bytes",
                 bytes: trailing,
-                expect: |e| {
-                    let end = super::format::expected_file_len(20);
+                expect: Box::new(move |e| {
+                    let end = expected_file_len(20, row);
                     assert_eq!(locate(e), ("corrupt", Some(end), None));
-                },
+                }),
             },
             Damage {
-                // A valid header promising 2^40 records (56 TiB of rows)
-                // over a 40-byte file: no reader may size anything by it.
+                // A valid header promising 2^40 records (48 or 56 TiB of
+                // rows) over a 40-byte file: no reader may size anything
+                // by it.
                 name: "header_claims_2^40_records",
-                bytes: LtcHeader::new(1 << 40, 0).encode().to_vec(),
-                expect: truncated_first_block,
+                bytes: huge(1 << 40),
+                expect: Box::new(truncated_first_block),
             },
             Damage {
                 // Block offsets past u64::MAX: no arithmetic may overflow.
                 name: "header_claims_u64_max_records",
-                bytes: LtcHeader::new(u64::MAX, 0).encode().to_vec(),
-                expect: truncated_first_block,
+                bytes: huge(u64::MAX),
+                expect: Box::new(truncated_first_block),
             },
         ]
     }
@@ -433,24 +488,55 @@ mod corruption_tests {
 
     #[test]
     fn both_readers_report_each_defect_identically() {
-        for damage in damaged_images() {
-            let path = write_temp(damage.name, &damage.bytes);
-            let buffered =
-                assert_every_entry_point_agrees(&path, damage.name).expect_err(damage.name);
-            let mapped = records_from_ltc_with(&path, 1, IngestMode::Mmap).expect_err(damage.name);
-            for err in [&buffered, &mapped] {
-                (damage.expect)(err);
-                let msg = err.to_string();
-                assert!(
-                    msg.starts_with(path.to_str().unwrap()),
-                    "names the file: {msg}"
-                );
-                if let (_, Some(offset), _) = locate(err) {
-                    assert!(msg.contains(&offset.to_string()), "names the offset: {msg}");
+        for version in [1, VERSION] {
+            for damage in damaged_images(version) {
+                let name = format!("v{version}-{}", damage.name);
+                let path = write_temp(&name, &damage.bytes);
+                let buffered = assert_every_entry_point_agrees(&path, &name).expect_err(&name);
+                let mapped = records_from_ltc_with(&path, 1, IngestMode::Mmap).expect_err(&name);
+                for err in [&buffered, &mapped] {
+                    (damage.expect)(err);
+                    let msg = err.to_string();
+                    assert!(
+                        msg.starts_with(path.to_str().unwrap()),
+                        "names the file: {msg}"
+                    );
+                    if let (_, Some(offset), _) = locate(err) {
+                        assert!(msg.contains(&offset.to_string()), "names the offset: {msg}");
+                    }
                 }
+                assert_eq!(locate(&buffered), locate(&mapped), "{name}");
+                assert_eq!(buffered.to_string(), mapped.to_string(), "{name}");
+                std::fs::remove_file(&path).ok();
             }
-            assert_eq!(locate(&buffered), locate(&mapped), "{}", damage.name);
-            assert_eq!(buffered.to_string(), mapped.to_string(), "{}", damage.name);
+        }
+    }
+
+    /// No file can hand a reader a wrong fingerprint: a version-1 lane
+    /// whose every entry is forged to one value, and a current-version
+    /// file written from records whose in-memory fingerprints are forged,
+    /// both read as the true records on every entry point.
+    #[test]
+    fn fingerprints_are_derived_on_every_entry_point() {
+        let records = sample_records(BLOCK_RECORDS + 77);
+        let forged: Vec<TraceRecord> = records
+            .iter()
+            .map(|r| TraceRecord {
+                fingerprint: records[0].fingerprint,
+                ..*r
+            })
+            .collect();
+        let images = [
+            (
+                "forged-v1-lane",
+                v1_image(&records, 5, |_| records[0].fingerprint),
+            ),
+            ("forged-records", ltc_to_vec(&forged, 5)),
+        ];
+        for (name, bytes) in images {
+            let path = write_temp(name, &bytes);
+            let read = assert_every_entry_point_agrees(&path, name).unwrap();
+            assert!(read == (records.clone(), 5), "{name}");
             std::fs::remove_file(&path).ok();
         }
     }
@@ -473,7 +559,7 @@ mod corruption_tests {
 
     /// Mutants of a three-block image tried per run of
     /// [`mutated_images_read_the_same_on_every_entry_point`], four of each
-    /// kind: about 5 s in a debug build.
+    /// kind, two per format version: about 5 s in a debug build.
     const FUZZ_CASES: u64 = 24;
 
     /// A fixed-seed mutation fuzz of the `.ltc` reader: bit flips in the
@@ -485,16 +571,13 @@ mod corruption_tests {
     #[test]
     fn mutated_images_read_the_same_on_every_entry_point() {
         let records = sample_records(2 * BLOCK_RECORDS + 77);
-        let base = ltc_to_vec(&records, 3);
-        let (b0, b1, b2) = (
-            block_offset(0) as usize,
-            block_offset(1) as usize,
-            block_offset(2) as usize,
-        );
         let n = records.len() as u64;
         let mut rng = TestRng::from_seed(0x17c_f022);
         let mut read = 0;
         for case in 0..FUZZ_CASES {
+            let version = if case % 12 < 6 { VERSION } else { 1 };
+            let base = image(version, &records, 3);
+            let [b0, b1, b2] = [0, 1, 2].map(|b| block_offset(b, row(version)) as usize);
             let mut bytes = base.clone();
             let what = match case % 6 {
                 0 => {
@@ -534,18 +617,22 @@ mod corruption_tests {
                         rng.next_u64(),
                         rng.below(4 * n),
                     ];
-                    // The first rewrite keeps the count, so a mutant with
-                    // only its skip count changed reads through.
+                    // The first rewrite of each version keeps the count,
+                    // so a mutant with only its skip count changed reads
+                    // through.
                     let records = match case {
-                        5 => n,
+                        5 | 11 => n,
                         _ => claims[rng.below(claims.len() as u64) as usize],
                     };
-                    let skipped = rng.below(1000);
-                    bytes[..HEADER_LEN].copy_from_slice(&LtcHeader::new(records, skipped).encode());
+                    let header = LtcHeader {
+                        version,
+                        ..LtcHeader::new(records, rng.below(1000))
+                    };
+                    bytes[..HEADER_LEN].copy_from_slice(&header.encode());
                     "record-count rewrite"
                 }
             };
-            let name = format!("fuzz-{case}");
+            let name = format!("fuzz-{case}-v{version}");
             let path = write_temp(&name, &bytes);
             let got = assert_every_entry_point_agrees(&path, &format!("{name} ({what})"));
             read += u64::from(got.is_ok());

@@ -18,17 +18,14 @@
 //! range reads `&map[block_offset(b)..]` with no file handle, no seek and
 //! no block buffer, and releases each block's pages once it is decoded; a
 //! buffered range opens the file and seeks to its first block. Every
-//! format rule — header, block length, block checksum, fingerprint,
-//! trailing bytes — lives in the crate's `LtcLayout`, which both hand
-//! their bytes to, so every defect surfaces as the same typed
+//! format rule — header, the version's row width, block length, block
+//! checksum, trailing bytes — lives in the crate's `LtcLayout`, which
+//! both hand their bytes to, so every defect surfaces as the same typed
 //! [`CorpusError`] naming the file and byte offset whichever way the
 //! bytes came (truncation at the first incomplete block, trailing bytes
 //! after the last block, checksums per block in file order).
 
-use crate::format::{
-    block_len, block_offset, expected_file_len, CorpusError, LtcHeader, LtcLayout, BLOCK_RECORDS,
-    HEADER_LEN, ROW_BYTES,
-};
+use crate::format::{CorpusError, LtcHeader, LtcLayout, BLOCK_RECORDS, HEADER_LEN};
 use loopscope::block::{RangeScan, ScanStart};
 use loopscope::pipeline::{PipelineError, RecordSource, SourceError, SourceSummary};
 use loopscope::segment::{
@@ -129,8 +126,7 @@ impl<R: Read> LtcReader<R> {
 
     /// Decodes the next block appended to `out`.
     fn append_block(&mut self, out: &mut Vec<TraceRecord>) -> Result<(), CorpusError> {
-        self.buf
-            .resize(block_len(self.layout.block_records(self.block)), 0);
+        self.buf.resize(self.layout.block_len(self.block), 0);
         let got = read_full(&mut self.src, &mut self.buf)
             .map_err(|e| CorpusError::io(&self.layout.path, e))?;
         self.layout
@@ -259,7 +255,7 @@ impl LtcFile {
         }
         let io = |e| CorpusError::io(&self.layout.path, e);
         let mut file = File::open(&self.layout.path).map_err(io)?;
-        file.seek(SeekFrom::Start(block_offset(first)))
+        file.seek(SeekFrom::Start(self.layout.block_offset(first)))
             .map_err(io)?;
         Ok(Blocks::Buffered(LtcReader {
             src: BufReader::new(file),
@@ -282,9 +278,9 @@ impl LtcFile {
         match blocks {
             Blocks::Buffered(reader) => reader.append_block(out),
             Blocks::Mapped(map) => {
-                let offset = block_offset(b);
+                let offset = self.layout.block_offset(b);
                 self.layout.decode_block(b, tail(map, offset), out)?;
-                map.release(offset as usize..block_offset(b + 1) as usize);
+                map.release(offset as usize..self.layout.block_offset(b + 1) as usize);
                 TM_BLOCKS.inc();
                 Ok(())
             }
@@ -323,9 +319,7 @@ impl LtcFile {
         if ended == RangeEnd::Complete && end >= self.blocks() {
             match &mut blocks {
                 Blocks::Buffered(reader) => reader.check_end()?,
-                Blocks::Mapped(map) => self
-                    .layout
-                    .check_end(tail(map, expected_file_len(self.header().records)))?,
+                Blocks::Mapped(map) => self.layout.check_end(tail(map, self.layout.file_len()))?,
             }
         }
         if self.map.is_some() {
@@ -352,7 +346,7 @@ impl LtcFile {
         let n = (parts.max(1) as u64).min(blocks.max(1));
         let chunk = blocks.div_ceil(n);
         // Records before block `b`, capped by what the file can hold.
-        let fits = self.len / ROW_BYTES as u64;
+        let fits = self.len / self.layout.row as u64;
         let rows = |b: u64| {
             b.saturating_mul(BLOCK_RECORDS as u64)
                 .min(self.header().records.min(fits))
@@ -391,10 +385,11 @@ fn to_source_error(e: CorpusError) -> PipelineError {
     PipelineError::Source(SourceError::Io(std::io::Error::other(e)))
 }
 
-/// Fixed-width rows, no header walk, no per-record hashing (the
-/// fingerprint column was computed at conversion): batches are the whole
-/// file read as one range on the calling thread, one block per batch,
-/// and the batch engines read it as block ranges, one worker each.
+/// Fixed-width rows, no header walk, no per-packet header parsing (each
+/// record's fingerprint is derived from its decoded key fields): batches
+/// are the whole file read as one range on the calling thread, one block
+/// per batch, and the batch engines read it as block ranges, one worker
+/// each.
 impl RecordSource for LtcFile {
     fn for_each_batch(
         &mut self,

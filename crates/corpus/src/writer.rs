@@ -1,113 +1,43 @@
 //! Writing `.ltc` corpus files.
 
 use crate::columns::encode_block;
-use crate::format::{block_checksum, CorpusError, LtcHeader, BLOCK_RECORDS, HEADER_LEN};
+use crate::format::{block_checksum, CorpusError, LtcHeader, BLOCK_RECORDS};
 use loopscope::TraceRecord;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::Path;
 
-/// Streams records into a `.ltc` file: a placeholder header first, blocks
-/// as they fill, and the real header (record count, skip count, checksum)
-/// patched in at [`LtcWriter::finish`]. The sink needs [`Seek`] only for
-/// that final patch.
-pub struct LtcWriter<W: Write + Seek> {
-    sink: W,
-    pending: Vec<TraceRecord>,
-    block_buf: Vec<u8>,
-    records: u64,
-    skipped: u64,
-    block: u64,
-}
-
-impl<W: Write + Seek> LtcWriter<W> {
-    /// Starts a corpus file on `sink` (writes the placeholder header).
-    pub fn new(mut sink: W) -> std::io::Result<Self> {
-        sink.write_all(&[0u8; HEADER_LEN])?;
-        Ok(Self {
-            sink,
-            pending: Vec::with_capacity(BLOCK_RECORDS),
-            block_buf: Vec::new(),
-            records: 0,
-            skipped: 0,
-            block: 0,
-        })
+/// Writes `records` (plus the source's skip count) as a `.ltc` image to
+/// `sink`: the final header, then each block encoded straight from the
+/// slice. The bytes depend on the records and the skip count alone.
+fn write_ltc<W: Write>(sink: &mut W, records: &[TraceRecord], skipped: u64) -> std::io::Result<()> {
+    sink.write_all(&LtcHeader::new(records.len() as u64, skipped).encode())?;
+    let mut block = Vec::new();
+    for (b, chunk) in records.chunks(BLOCK_RECORDS).enumerate() {
+        block.clear();
+        encode_block(chunk, &mut block);
+        sink.write_all(&block_checksum(b as u64, &block).to_le_bytes())?;
+        sink.write_all(&block)?;
     }
-
-    /// Appends one record.
-    pub fn push(&mut self, rec: &TraceRecord) -> std::io::Result<()> {
-        self.pending.push(*rec);
-        self.records += 1;
-        if self.pending.len() == BLOCK_RECORDS {
-            self.flush_block()?;
-        }
-        Ok(())
-    }
-
-    /// Records how many unparseable source packets the conversion dropped,
-    /// so corpus scans report the same skip count as the source capture.
-    pub fn set_skipped(&mut self, skipped: u64) {
-        self.skipped = skipped;
-    }
-
-    /// Records appended so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
-    fn flush_block(&mut self) -> std::io::Result<()> {
-        self.block_buf.clear();
-        encode_block(&self.pending, &mut self.block_buf);
-        let sum = block_checksum(self.block, &self.block_buf);
-        self.sink.write_all(&sum.to_le_bytes())?;
-        self.sink.write_all(&self.block_buf)?;
-        self.block += 1;
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// Flushes the final partial block, patches the real header, and
-    /// returns the sink.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if !self.pending.is_empty() {
-            self.flush_block()?;
-        }
-        let header = LtcHeader::new(self.records, self.skipped).encode();
-        self.sink.seek(SeekFrom::Start(0))?;
-        self.sink.write_all(&header)?;
-        self.sink.seek(SeekFrom::End(0))?;
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
+    sink.flush()
 }
 
 /// Writes `records` (plus the source's skip count) to a `.ltc` file at
-/// `path` in one call, with errors naming the file.
+/// `path` in one call, with errors naming the file. Returns the record
+/// count.
 pub fn write_ltc_file(
     path: &Path,
     records: &[TraceRecord],
     skipped: u64,
 ) -> Result<u64, CorpusError> {
-    let file = std::fs::File::create(path).map_err(|e| CorpusError::io(path, e))?;
-    let mut w =
-        LtcWriter::new(std::io::BufWriter::new(file)).map_err(|e| CorpusError::io(path, e))?;
-    w.set_skipped(skipped);
-    for rec in records {
-        w.push(rec).map_err(|e| CorpusError::io(path, e))?;
-    }
-    let n = w.records_written();
-    w.finish().map_err(|e| CorpusError::io(path, e))?;
-    Ok(n)
+    let io = |e| CorpusError::io(path, e);
+    let file = std::fs::File::create(path).map_err(io)?;
+    write_ltc(&mut std::io::BufWriter::new(file), records, skipped).map_err(io)?;
+    Ok(records.len() as u64)
 }
 
 /// Serialises records to an in-memory `.ltc` image (tests, benches).
 pub fn ltc_to_vec(records: &[TraceRecord], skipped: u64) -> Vec<u8> {
-    let mut w =
-        LtcWriter::new(std::io::Cursor::new(Vec::new())).expect("in-memory writer cannot fail");
-    w.set_skipped(skipped);
-    for rec in records {
-        w.push(rec).expect("in-memory write cannot fail");
-    }
-    w.finish()
-        .expect("in-memory finish cannot fail")
-        .into_inner()
+    let mut out = Vec::new();
+    write_ltc(&mut out, records, skipped).expect("in-memory write cannot fail");
+    out
 }

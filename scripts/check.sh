@@ -213,6 +213,18 @@ run_corpus_smoke() {
         echo "error: pcap2ltc --threads 2 wrote a different .ltc than --threads 1" >&2
         exit 1
     fi
+    # A current-version corpus stores 48-byte rows and no fingerprint
+    # lane: 40 header bytes, an 8-byte checksum per 8192-record block,
+    # and the rows, with the record count read from the header.
+    local records blocks want got
+    records="$(od -An -t u8 --endian=little -j 16 -N 8 "$tmp/demo.ltc" | tr -d ' ')"
+    blocks=$(( (records + 8191) / 8192 ))
+    want=$(( 40 + 8 * blocks + 48 * records ))
+    got="$(stat -c %s "$tmp/demo.ltc")"
+    if [ "$got" -ne "$want" ]; then
+        echo "error: demo.ltc is $got bytes; $records records in $blocks blocks of 48-byte rows need $want" >&2
+        exit 1
+    fi
     for args in "--csv loops" "--csv streams" "--csv summary" "--analysis"; do
         # shellcheck disable=SC2086
         cargo run --release --bin loopdetect -- "$tmp/demo.pcap" $args --threads 2 \

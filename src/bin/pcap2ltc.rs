@@ -16,9 +16,9 @@ const USAGE: &str = "\
 usage: pcap2ltc <in.pcap> [<out.ltc>] [options]
 
 Converts a pcap capture to a .ltc columnar corpus (see DESIGN.md).
-The corpus stores the decoded detector view — replica-key columns plus
-the precomputed replica fingerprint — so later scans skip per-packet
-header parsing and hashing entirely.
+The corpus stores the decoded detector view — replica-key columns,
+timestamps, TTLs and lengths — so later scans skip per-packet header
+parsing; each record's replica fingerprint is derived as it is read.
 
 options:
   --threads N   decode the source pcap with N parallel range readers

@@ -2,6 +2,7 @@
 //! to a pcap file, and drive the CLI the way a user would.
 
 mod defective_pcap;
+mod forged_ltc;
 #[path = "../crates/loopscope/tests/oracle/mod.rs"]
 mod oracle;
 
@@ -775,41 +776,45 @@ fn pcap2ltc_rejects_bad_invocations_and_bad_input() {
 }
 
 #[test]
-fn tampered_ltc_fingerprints_are_refused_on_every_read_path() {
-    // Every record of the corpus claims the first record's fingerprint,
-    // which would chain every key into one candidate-index entry. Each
-    // read path checks the column as it decodes a block.
-    let bytes = std::fs::read(demo_pcap()).expect("read pcap");
-    let (mut records, skipped) =
-        routing_loops::convert::records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
-    let shared = records[0].fingerprint;
-    for r in &mut records {
-        r.fingerprint = shared;
+fn forged_ltc_fingerprints_never_reach_the_detectors() {
+    // Each image's fingerprints are forged (a version-1 lane, or the
+    // records a current-version file was written from); the block decode
+    // derives every record's fingerprint from its key fields instead, so
+    // every read path reports exactly what the source capture gives.
+    let pcap = demo_pcap();
+    let want = loopdetect()
+        .arg(&pcap)
+        .args(["--csv", "loops"])
+        .output()
+        .expect("run loopdetect");
+    assert!(want.status.success(), "{want:?}");
+    let bytes = std::fs::read(&pcap).expect("read pcap");
+    for (name, image) in forged_ltc::forged_images(&bytes) {
+        let ltc = std::env::temp_dir().join(format!(
+            "loopdetect_forged_{name}_{}.ltc",
+            std::process::id()
+        ));
+        std::fs::write(&ltc, image).expect("write forged corpus");
+        for args in [
+            &["--threads", "1"][..],
+            &["--threads", "2"],
+            &["--streaming"],
+            &["--threads", "2", "--no-mmap"],
+        ] {
+            let out = loopdetect()
+                .arg(&ltc)
+                .args(["--csv", "loops"])
+                .args(args)
+                .output()
+                .expect("run loopdetect");
+            assert!(out.status.success(), "{name} {args:?}: {out:?}");
+            assert!(
+                out.stdout == want.stdout,
+                "{name} {args:?}: output differs from the source pcap's"
+            );
+        }
+        let _ = std::fs::remove_file(&ltc);
     }
-    let ltc = std::env::temp_dir().join(format!("loopdetect_tampered_{}.ltc", std::process::id()));
-    std::fs::write(&ltc, routing_loops::corpus::ltc_to_vec(&records, skipped))
-        .expect("write tampered corpus");
-    for args in [
-        &["--threads", "1"][..],
-        &["--threads", "2"],
-        &["--streaming"],
-        &["--threads", "2", "--no-mmap"],
-    ] {
-        let out = loopdetect()
-            .arg(&ltc)
-            .args(["--csv", "loops"])
-            .args(args)
-            .output()
-            .expect("run loopdetect");
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
-        assert!(out.stdout.is_empty(), "{args:?}: no partial report");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(
-            stderr.contains("record 1: stored fingerprint does not match"),
-            "{args:?}: {stderr}"
-        );
-    }
-    let _ = std::fs::remove_file(&ltc);
 }
 
 /// The demo capture with its records appended again, as a pcap and as a

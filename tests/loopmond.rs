@@ -3,6 +3,7 @@
 //! failing link, and usage-error handling.
 
 mod defective_pcap;
+mod forged_ltc;
 
 use routing_loops::backbone::{paper_backbones, run_backbone};
 use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
@@ -164,52 +165,48 @@ fn out_of_order_link_is_retired_while_the_rest_finish() {
 }
 
 #[test]
-fn tampered_ltc_fingerprints_retire_the_link() {
+fn forged_ltc_fingerprints_monitor_like_the_source_capture() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let good = dir.join(format!("loopmond_fpgood_{pid}.pcap"));
-    let bad = dir.join(format!("loopmond_tampered_{pid}.ltc"));
-    let bytes = backbone_pcap("loopmond-tamper");
+    let bytes = backbone_pcap("loopmond-forged");
     std::fs::write(&good, &bytes).expect("write good pcap");
-    // Every record of the corpus claims the first record's fingerprint,
-    // which would chain every key into one index entry.
-    let (mut records, skipped) =
-        routing_loops::convert::records_from_pcap(std::io::Cursor::new(&bytes)).expect("parse");
-    let shared = records[0].fingerprint;
-    for r in &mut records {
-        r.fingerprint = shared;
-    }
-    std::fs::write(&bad, routing_loops::corpus::ltc_to_vec(&records, skipped))
-        .expect("write tampered corpus");
-
     let alone = loopmond()
         .arg(&good)
         .args(["--events", "-"])
         .output()
         .expect("run loopmond");
-    let both = loopmond()
-        .arg(&good)
-        .arg(&bad)
-        .args(["--events", "-", "--threads", "2"])
-        .output()
-        .expect("run loopmond");
-    let _ = std::fs::remove_file(&good);
-    let _ = std::fs::remove_file(&bad);
-
     assert!(alone.status.success(), "{alone:?}");
-    assert_eq!(both.status.code(), Some(1), "{both:?}");
-    let stderr = String::from_utf8(both.stderr).unwrap();
-    assert!(
-        stderr.contains(&format!("error: link loopmond_tampered_{pid}: "))
-            && stderr.contains("stored fingerprint does not match"),
-        "{stderr}"
-    );
     let alone = String::from_utf8(alone.stdout).unwrap();
-    let both = String::from_utf8(both.stdout).unwrap();
-    assert_eq!(
-        link_lines(&both, &format!("loopmond_fpgood_{pid}")),
-        alone.lines().collect::<Vec<_>>()
-    );
+    let alone_lines = link_lines(&alone, &format!("loopmond_fpgood_{pid}"));
+    assert!(!alone_lines.is_empty(), "the capture must emit events");
+    // Each forged corpus of the same capture is a second link: its events,
+    // but for the link id, are the capture's own.
+    for (name, image) in forged_ltc::forged_images(&bytes) {
+        let link = format!("loopmond_forged_{name}_{pid}");
+        let forged = dir.join(format!("{link}.ltc"));
+        std::fs::write(&forged, image).expect("write forged corpus");
+        let both = loopmond()
+            .arg(&good)
+            .arg(&forged)
+            .args(["--events", "-", "--threads", "2"])
+            .output()
+            .expect("run loopmond");
+        let _ = std::fs::remove_file(&forged);
+        assert!(both.status.success(), "{name}: {both:?}");
+        let both = String::from_utf8(both.stdout).unwrap();
+        assert_eq!(
+            link_lines(&both, &format!("loopmond_fpgood_{pid}")),
+            alone_lines,
+            "{name}"
+        );
+        let renamed: Vec<String> = link_lines(&both, &link)
+            .iter()
+            .map(|l| l.replacen(&link, &format!("loopmond_fpgood_{pid}"), 1))
+            .collect();
+        assert_eq!(renamed, alone_lines, "{name}");
+    }
+    let _ = std::fs::remove_file(&good);
 }
 
 /// An in-memory event sink that outlives the runtime it is lent to.
