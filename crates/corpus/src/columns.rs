@@ -1,10 +1,10 @@
 //! Column codec: [`loopscope::TraceRecord`] ⇄ the fixed-width column
 //! arrays of one `.ltc` block.
 //!
-//! Encoding walks the records once per column so each output lane is
-//! written as one contiguous run; decoding is one pass that builds each
-//! record once from a cursor per lane, shared by the buffered and the
-//! mapped read paths. No fingerprint is stored: the decode derives each
+//! Both directions are one pass over a block with a cursor per lane:
+//! encoding writes each record's cells into lanes split from the block
+//! up front, and decoding builds each record once, shared by the
+//! buffered and the mapped read paths. No fingerprint is stored: the decode derives each
 //! record's from its replica-key fields
 //! ([`TraceRecord::with_fingerprint`], as the pcap decode does), so no
 //! file can hand the detectors a wrong one.
@@ -18,47 +18,51 @@ use std::path::Path;
 const BLOB_BYTES: usize = 20;
 
 /// Serialises `records` as one block's column data at the current
-/// version, appended to `out`. Their `fingerprint` fields are not read.
+/// version, appended to `out`: one pass over the records, each writing
+/// its cells through a cursor per lane split from the block up front —
+/// the mirror of [`decode_columns_push`]. Their `fingerprint` fields are
+/// not read.
 pub fn encode_block(records: &[TraceRecord], out: &mut Vec<u8>) {
     let k = records.len();
-    out.reserve(k * ROW_BYTES);
-    for r in records {
-        out.extend_from_slice(&r.timestamp_ns.to_le_bytes());
+    let start = out.len();
+    out.resize(start + k * ROW_BYTES, 0);
+    let (ts, rest) = out[start..].split_at_mut(8 * k);
+    let (src, rest) = rest.split_at_mut(4 * k);
+    let (dst, rest) = rest.split_at_mut(4 * k);
+    let (ident, rest) = rest.split_at_mut(2 * k);
+    let (total_len, rest) = rest.split_at_mut(2 * k);
+    let (frag_word, rest) = rest.split_at_mut(2 * k);
+    let (ip_checksum, rest) = rest.split_at_mut(2 * k);
+    let (protocol, rest) = rest.split_at_mut(k);
+    let (tos, rest) = rest.split_at_mut(k);
+    let (ttl, rest) = rest.split_at_mut(k);
+    let (tag, blob) = rest.split_at_mut(k);
+
+    let mut ts = ts.chunks_exact_mut(8);
+    let mut src = src.chunks_exact_mut(4);
+    let mut dst = dst.chunks_exact_mut(4);
+    let mut ident = ident.chunks_exact_mut(2);
+    let mut total_len = total_len.chunks_exact_mut(2);
+    let mut frag_word = frag_word.chunks_exact_mut(2);
+    let mut ip_checksum = ip_checksum.chunks_exact_mut(2);
+    let mut blob = blob.chunks_exact_mut(BLOB_BYTES);
+
+    fn cell(lane: Option<&mut [u8]>) -> &mut [u8] {
+        lane.expect("lane sized")
     }
-    for r in records {
-        out.extend_from_slice(&u32::from(r.src).to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&u32::from(r.dst).to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.ident.to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.total_len.to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.frag_word.to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.ip_checksum.to_le_bytes());
-    }
-    for r in records {
-        out.push(r.protocol);
-    }
-    for r in records {
-        out.push(r.tos);
-    }
-    for r in records {
-        out.push(r.ttl);
-    }
-    for r in records {
-        out.push(transport_tag(&r.transport));
-    }
-    for r in records {
-        let mut blob = [0u8; BLOB_BYTES];
-        encode_blob(&r.transport, &mut blob);
-        out.extend_from_slice(&blob);
+    for (i, r) in records.iter().enumerate() {
+        cell(ts.next()).copy_from_slice(&r.timestamp_ns.to_le_bytes());
+        cell(src.next()).copy_from_slice(&u32::from(r.src).to_le_bytes());
+        cell(dst.next()).copy_from_slice(&u32::from(r.dst).to_le_bytes());
+        cell(ident.next()).copy_from_slice(&r.ident.to_le_bytes());
+        cell(total_len.next()).copy_from_slice(&r.total_len.to_le_bytes());
+        cell(frag_word.next()).copy_from_slice(&r.frag_word.to_le_bytes());
+        cell(ip_checksum.next()).copy_from_slice(&r.ip_checksum.to_le_bytes());
+        protocol[i] = r.protocol;
+        tos[i] = r.tos;
+        ttl[i] = r.ttl;
+        tag[i] = transport_tag(&r.transport);
+        encode_blob(&r.transport, cell(blob.next()));
     }
 }
 
@@ -71,7 +75,8 @@ fn transport_tag(t: &TransportSummary) -> u8 {
     }
 }
 
-fn encode_blob(t: &TransportSummary, blob: &mut [u8; BLOB_BYTES]) {
+/// Writes `t`'s fields into a zeroed `tp_blob` cell.
+fn encode_blob(t: &TransportSummary, blob: &mut [u8]) {
     match *t {
         TransportSummary::Tcp {
             src_port,

@@ -28,6 +28,13 @@
 //! ([`records_from_ltc_with`]) and the pipeline source's batches
 //! ([`open_ltc_source`]) are all that loop.
 //!
+//! One writer serves every producer: [`LtcWriter`] streams blocks as
+//! they arrive and hands back the header, written last because a
+//! streamed capture's record count is known only at its end, and
+//! [`PendingLtc`] publishes a file by renaming a finished temporary file
+//! into place. `pcap2ltc`'s streamed conversion, [`write_ltc_file`] and
+//! [`ltc_to_vec`] all ride that block loop.
+//!
 //! Integrity is first-class: a checksummed, versioned header plus a
 //! per-block checksum (mixed with the block index, so swapped blocks
 //! fail). Every defect — bad magic, unknown version, truncation, checksum
@@ -49,7 +56,7 @@ pub use format::{
     ROW_BYTES, VERSION,
 };
 pub use reader::{open_ltc_source, records_from_ltc_with, IngestMode, LtcFile, LtcReader};
-pub use writer::{ltc_to_vec, write_ltc_file};
+pub use writer::{ltc_to_vec, write_ltc_file, LtcWriter, PendingLtc};
 
 #[cfg(test)]
 mod corruption_tests {

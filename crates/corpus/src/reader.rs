@@ -10,9 +10,10 @@
 //! [`RangeConsumer`], one block at a time, and one fan-out
 //! ([`LtcFile::read_ranges`]) runs up to N such ranges on as many
 //! threads. The batch engines' range scans, the whole-file decode
-//! ([`records_from_ltc_with`]) and the batches of
-//! [`RecordSource::for_each_batch`] (the whole file as one range, on the
-//! calling thread) all go through that loop.
+//! ([`records_from_ltc_with`]), the batches of
+//! [`RecordSource::for_each_batch`] and [`LtcFile::read_blocks`] (both
+//! the whole file as one range, on the calling thread; the latter is
+//! `pcap2ltc --verify`'s re-read) all go through that loop.
 //!
 //! Because the format's block addressing is pure arithmetic, a mapped
 //! range reads `&map[block_offset(b)..]` with no file handle, no seek and
@@ -328,6 +329,15 @@ impl LtcFile {
                 .record(decode_ns);
         }
         Ok(ended)
+    }
+
+    /// Decodes every block into `consumer`, in file order on the calling
+    /// thread: the block-range loop over the whole file. A refused block
+    /// ends the read there.
+    pub fn read_blocks<C: RangeConsumer>(&self, consumer: &mut C) -> Result<(), CorpusError> {
+        let whole = (0, self.blocks());
+        self.read_range(whole, consumer, &DecodeControl::default())
+            .map(drop)
     }
 
     /// Reads the whole file as up to `parts` trace-ordered ranges:

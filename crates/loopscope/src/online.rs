@@ -282,8 +282,20 @@ impl OnlineStats {
 
 impl OnlineDetector {
     /// Creates a streaming detector with the given (offline-compatible)
-    /// configuration.
+    /// configuration, at the scanner's smallest table: a fleet can hold
+    /// hundreds of live detectors. What sizes the tables is reuse: a
+    /// finished detector keeps them for its next trace, and the sweep
+    /// grows them to the busiest replica window seen.
     pub fn new(cfg: DetectorConfig) -> Self {
+        Self::with_capacity(cfg, 0)
+    }
+
+    /// [`Self::new`] with the scanner pre-sized for about `capacity`
+    /// simultaneously open keys ([`CandidateScanner::with_capacity`]) —
+    /// for a detector that runs one trace alone, which starts at
+    /// [`CandidateScanner::DEFAULT_CAPACITY`] as the offline detector
+    /// does. The output is the same at every capacity.
+    pub fn with_capacity(cfg: DetectorConfig, capacity: usize) -> Self {
         cfg.validate().expect("invalid detector configuration");
         // Exact offline equivalence needs history reaching back from the
         // moment a gap-clean check runs to the start of the gap. A check
@@ -294,11 +306,7 @@ impl OnlineDetector {
         //   horizon >= merge_gap + (255 + 1) * replica_gap.
         let horizon = cfg.merge_gap_ns + cfg.max_replica_gap_ns.saturating_mul(256);
         Self {
-            // A fleet can hold hundreds of live detectors, so a new one
-            // starts at the scanner's smallest table. What sizes the tables
-            // is reuse: a finished detector keeps them for its next trace,
-            // and the sweep grows them to the busiest replica window seen.
-            scanner: CandidateScanner::with_capacity(cfg, 0),
+            scanner: CandidateScanner::with_capacity(cfg, capacity),
             core: Core {
                 cfg,
                 history_horizon_ns: horizon,

@@ -53,7 +53,7 @@ use crate::merge::{LoopKind, RoutingLoop};
 use crate::monitor::OutOfOrder;
 use crate::online::{OnlineDetector, OnlineEvent};
 use crate::record::TraceRecord;
-use crate::replica::{DetectionResult, DetectionStats};
+use crate::replica::{CandidateScanner, DetectionResult, DetectionStats};
 pub use crate::segment::Ranges;
 use crate::segment::{read_pcap_chunks, BatchFeed, RangeEnd};
 use crate::stream::ReplicaStream;
@@ -578,10 +578,22 @@ impl StreamingEngine {
     /// A streaming engine with the given configuration (default horizon,
     /// which guarantees offline-identical output).
     pub fn new(cfg: DetectorConfig) -> Self {
-        Self {
-            det: OnlineDetector::new(cfg),
-            records: 0,
-        }
+        Self::with_detector(OnlineDetector::new(cfg))
+    }
+
+    /// A streaming engine for one trace run alone (`loopdetect
+    /// --streaming`): its detector starts at the offline scanner's table
+    /// size ([`OnlineDetector::with_capacity`]) instead of the small one
+    /// a fleet's detectors start from.
+    pub fn for_one_trace(cfg: DetectorConfig) -> Self {
+        Self::with_detector(OnlineDetector::with_capacity(
+            cfg,
+            CandidateScanner::DEFAULT_CAPACITY,
+        ))
+    }
+
+    fn with_detector(det: OnlineDetector) -> Self {
+        Self { det, records: 0 }
     }
 
     /// Shrinks the retained per-prefix history — see

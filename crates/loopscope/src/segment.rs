@@ -9,8 +9,8 @@
 //! [`RangeConsumer`]. The block detector's consumer
 //! ([`crate::block::RangeScan`]) scans each chunk where it lies; a plain
 //! `Vec<TraceRecord>` consumer collects the range instead, which is how
-//! the whole-file readers (`records_from_pcap_parallel`, the `.ltc`
-//! `records_from_ltc_with`) run the same decode loop. The main thread
+//! the whole-file `.ltc` reader (`records_from_ltc_with`) runs the same
+//! decode loop. The main thread
 //! decodes and copies nothing. A file source's batches are that loop too:
 //! its whole input read as one range on the calling thread into a
 //! [`BatchFeed`], which hands each chunk to the batch callback.

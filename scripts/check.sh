@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh            # tests + lint (everything below)
 #   scripts/check.sh --quick    # release build + tier-1 tests only
-#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + fuzz + detector oracle + engine/corpus/monitor smoke
+#   scripts/check.sh --tests    # release build + tier-1 + workspace tests + fuzz + detector oracle + conversion memory + engine/corpus/monitor smoke
 #   scripts/check.sh --lint     # rustfmt --check + clippy -D warnings
 #   scripts/check.sh --bench    # bench gate: determinism + per-core speedup floors
 #   scripts/check.sh --observe  # observability smoke: metrics JSONL + trace
@@ -68,6 +68,14 @@ run_oracle() {
     # of the same comparison (every engine, thread count, ingest mode and
     # batch size against tests/oracle), under a minute in release.
     cargo test -q --release --test detector_oracle -- --ignored
+}
+
+run_memory() {
+    banner "conversion memory: pcap_to_ltc and --verify peak heap at 500,000 and 2,000,000 records (release)"
+    # The tier-1 tests compare 60,000 and 240,000 records in debug; this
+    # is the same bound on a release-size capture generated in-process,
+    # a few seconds in release.
+    cargo test -q --release --test convert_memory -- --ignored
 }
 
 run_lint() {
@@ -204,8 +212,8 @@ run_corpus_smoke() {
     trap 'rm -rf "$tmp"' RETURN
     cargo run --release --example pcap_analysis -- --emit-demo "$tmp/demo.pcap"
     cargo run --release --bin pcap2ltc -- "$tmp/demo.pcap" "$tmp/demo.ltc" --verify
-    # The 2-thread conversion runs the parallel pcap decode and, under
-    # --verify, the parallel mapped re-read; its corpus must be the
+    # The 2-thread conversion decodes the pcap on one thread while the
+    # other encodes and writes the blocks; its corpus must be the
     # 1-thread one byte for byte.
     cargo run --release --bin pcap2ltc -- "$tmp/demo.pcap" "$tmp/demo.t2.ltc" \
         --threads 2 --verify
@@ -372,12 +380,12 @@ run_observability_smoke() {
 
 case "$mode" in
     quick) run_build_and_tier1 ;;
-    tests) run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
+    tests) run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_memory; run_engine_smoke; run_corpus_smoke; run_monitor_smoke ;;
     lint)  run_lint ;;
     bench) run_bench_smoke ;;
     observe) run_observability_smoke ;;
     offline) run_offline_build ;;
-    full)  run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
+    full)  run_build_and_tier1; run_workspace_tests; run_fuzz; run_oracle; run_memory; run_engine_smoke; run_corpus_smoke; run_monitor_smoke; run_lint; run_observability_smoke ;;
 esac
 
 banner "OK"

@@ -499,7 +499,7 @@ fn main() {
 
     // Mode selection is engine selection: all three run the same pipeline.
     let mut engine: Box<dyn Engine> = match args.engine {
-        EngineChoice::Streaming => Box::new(StreamingEngine::new(args.cfg)),
+        EngineChoice::Streaming => Box::new(StreamingEngine::for_one_trace(args.cfg)),
         EngineChoice::Block => Box::new(BlockEngine::new(args.cfg, args.threads)),
         EngineChoice::Serial => Box::new(SerialEngine::new(args.cfg)),
     };

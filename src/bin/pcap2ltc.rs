@@ -4,7 +4,9 @@
 //! pcap2ltc <in.pcap> [<out.ltc>] [--threads N] [--verify] [--quiet]
 //! ```
 //!
-//! The output path defaults to the input with a `.ltc` extension.
+//! The output path defaults to the input with a `.ltc` extension. The
+//! conversion streams: memory stays a few blocks whatever the capture's
+//! length, and the corpus is renamed into place only once complete.
 //! `--verify` re-reads the finished corpus and compares it record for
 //! record against the source before reporting success.
 
@@ -19,12 +21,17 @@ Converts a pcap capture to a .ltc columnar corpus (see DESIGN.md).
 The corpus stores the decoded detector view — replica-key columns,
 timestamps, TTLs and lengths — so later scans skip per-packet header
 parsing; each record's replica fingerprint is derived as it is read.
+The corpus is written to a temporary file beside <out.ltc> and renamed
+into place once complete; an existing <out.ltc> that is not a regular
+file is refused.
 
 options:
-  --threads N   decode the source pcap with N parallel range readers
-                (default: 1)
-  --verify      re-read the finished corpus and compare against the
-                source; fail loudly on any difference
+  --threads N   1 (the default): decode and write on one thread;
+                2 or more: decode the pcap on one thread while another
+                encodes and writes the blocks (more gain nothing)
+  --verify      re-read the finished corpus block by block and compare
+                against a second decode of the source; fail loudly on
+                any difference
   --quiet       suppress the summary line
   -h, --help    this text
 ";
@@ -103,7 +110,7 @@ fn main() -> ExitCode {
         }
     };
     if args.verify {
-        if let Err(e) = verify_ltc_against_pcap(&args.output, &args.input, args.threads) {
+        if let Err(e) = verify_ltc_against_pcap(&args.output, &args.input) {
             eprintln!("pcap2ltc: {e}");
             return ExitCode::FAILURE;
         }

@@ -13,12 +13,11 @@
 
 #[path = "../crates/loopscope/tests/oracle/mod.rs"]
 mod oracle;
+mod pcap_ranges;
 
 use proptest::prelude::*;
 use routing_loops::backbone::{paper_backbones, run_backbone};
-use routing_loops::convert::{
-    records_from_pcap, records_from_pcap_parallel, write_tap_to_pcap, PAPER_SNAPLEN,
-};
+use routing_loops::convert::{records_from_pcap, write_tap_to_pcap, PAPER_SNAPLEN};
 use routing_loops::loopscope::block::BlockParallelDetector;
 use routing_loops::loopscope::pipeline::{run_pipeline, BlockEngine, Engine, SerialEngine};
 use routing_loops::loopscope::segment::PcapFileSource;
@@ -337,7 +336,7 @@ fn pcap_path_with_mid_record_splits_is_byte_identical() {
     let cfg = DetectorConfig::default();
     let serial = Detector::new(cfg).run(&serial_records);
     for threads in [1, 2, 3, 4, 8] {
-        let (par_records, skipped) = records_from_pcap_parallel(&path, threads).unwrap();
+        let (par_records, skipped) = pcap_ranges::read_joined(&path, threads).unwrap();
         assert_eq!(serial_records, par_records, "threads={threads}");
         assert_eq!(serial_skipped, skipped, "threads={threads}");
         let block = BlockParallelDetector::new(cfg, threads).run(&par_records);
@@ -376,7 +375,7 @@ fn truncated_pcap_fails_identically_in_parallel() {
     std::fs::write(&path, &bytes).unwrap();
     let serial = records_from_pcap(std::io::Cursor::new(&bytes[..])).unwrap_err();
     for threads in [2, 3, 4, 8] {
-        let parallel = records_from_pcap_parallel(&path, threads).unwrap_err();
+        let parallel = pcap_ranges::read_joined(&path, threads).unwrap_err();
         assert_eq!(
             format!("{parallel:?}"),
             format!("{serial:?}"),
@@ -620,8 +619,8 @@ fn segmented_decode_matches_the_serial_read_on_adversarial_pcaps() {
         let metrics = temp(&format!("{name}.json"));
         for threads in THREADS {
             let what = format!("{name} at {threads} threads");
-            let parallel: Decoded = described(records_from_pcap_parallel(&path, threads));
-            assert_eq!(parallel, serial, "{what}: records_from_pcap_parallel");
+            let parallel: Decoded = described(pcap_ranges::read_joined(&path, threads));
+            assert_eq!(parallel, serial, "{what}: the joined range read");
 
             let mut engine: Box<dyn Engine> = if threads == 1 {
                 Box::new(SerialEngine::new(cfg))

@@ -95,7 +95,7 @@ fn open_pcap(path: &Path) -> PcapSource<std::io::BufReader<std::fs::File>> {
 /// yields byte-identical output from either container.
 fn assert_pcap_ltc_parity(tag: &str, bytes: &[u8]) {
     let (pcap, ltc) = convert_bytes(tag, bytes);
-    verify_ltc_against_pcap(&ltc, &pcap, 2).expect("--verify contract");
+    verify_ltc_against_pcap(&ltc, &pcap).expect("--verify contract");
 
     let (via_pcap, skipped_pcap) = records_from_pcap(std::io::Cursor::new(bytes)).expect("pcap");
     let (via_ltc, skipped_ltc) = read_ltc(&ltc);
@@ -227,7 +227,7 @@ proptest! {
         let bytes = pcap_bytes(&specs, snaplen);
         let tag = format!("prop_{case}");
         let (pcap, ltc) = convert_bytes(&tag, &bytes);
-        verify_ltc_against_pcap(&ltc, &pcap, 2).expect("--verify contract");
+        verify_ltc_against_pcap(&ltc, &pcap).expect("--verify contract");
         let (via_pcap, skipped_pcap) =
             records_from_pcap(std::io::Cursor::new(&bytes[..])).expect("pcap");
         let (via_ltc, skipped_ltc) = read_ltc(&ltc);

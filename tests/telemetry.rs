@@ -6,9 +6,10 @@
 //! before and after its workload and asserts on the *delta*; a mutex
 //! serialises the workloads so deltas are attributable.
 
+mod pcap_ranges;
+
 use routing_loops::convert::{
-    pcap_to_ltc, records_from_pcap, records_from_pcap_parallel, verify_ltc_against_pcap,
-    write_tap_to_pcap, PAPER_SNAPLEN,
+    pcap_to_ltc, records_from_pcap, verify_ltc_against_pcap, write_tap_to_pcap, PAPER_SNAPLEN,
 };
 use routing_loops::corpus::{open_ltc_source, records_from_ltc_with, IngestMode};
 use routing_loops::loopscope::online::OnlineDetector;
@@ -196,7 +197,7 @@ fn pcap_skips_reach_the_unparseable_counter_on_every_path() {
     let path = temp_path("noisy.pcap");
     std::fs::write(&path, &bytes).unwrap();
     let before = telemetry::global().snapshot();
-    let (_, skipped) = records_from_pcap_parallel(&path, 2).unwrap();
+    let (_, skipped) = pcap_ranges::read_joined(&path, 2).unwrap();
     let after = telemetry::global().snapshot();
     std::fs::remove_file(&path).ok();
     assert_eq!(skipped, 2);
@@ -267,7 +268,7 @@ fn segmented_pcap_reads_publish_the_serial_reads_counters() {
                 assert_eq!(fallbacks, 0, "{name} at {threads} threads");
             }
             let parallel = deltas(&mut || {
-                let _ = records_from_pcap_parallel(&path, threads);
+                let _ = pcap_ranges::read_joined(&path, threads);
             });
             assert_eq!(
                 parallel[..4],
@@ -686,7 +687,7 @@ fn metric_catalogue_covers_every_emitted_name() {
         .unwrap();
     }
     pcap_to_ltc(&pcap, &ltc, 2).unwrap();
-    verify_ltc_against_pcap(&ltc, &pcap, 2).unwrap();
+    verify_ltc_against_pcap(&ltc, &pcap).unwrap();
     for mode in [IngestMode::Mmap, IngestMode::Buffered] {
         let mut source = open_ltc_source(&ltc, mode).unwrap();
         run_pipeline(source.as_mut(), &mut SerialEngine::new(cfg), &mut []).unwrap();
